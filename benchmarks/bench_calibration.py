@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import Engine
-from repro.pipeline import BatchRunner, PipelineConfig
+from repro.pipeline import PipelineConfig
 from repro.signals.modulators import bpsk_signal
 from repro.signals.noise import awgn
 
@@ -128,18 +128,21 @@ def _occupied_batch(config: PipelineConfig, batch: int) -> np.ndarray:
 def _alpha_search(config: PipelineConfig, batch: int, repeats: int) -> dict:
     """Batched statistics: full surface sweep vs the pruned search."""
     signals = _occupied_batch(config, batch)
-    full_runner = BatchRunner(dataclasses.replace(config, alpha_search="full"))
-    pruned_runner = BatchRunner(dataclasses.replace(config, alpha_search="pruned"))
-    full_statistics = full_runner.statistics(signals)  # warm plans
-    pruned_statistics = pruned_runner.statistics(signals)
+    engine = Engine()
+    full_plan = engine.plan(dataclasses.replace(config, alpha_search="full"))
+    pruned_plan = engine.plan(
+        dataclasses.replace(config, alpha_search="pruned")
+    )
+    full_statistics = full_plan.statistics(signals)  # warm plans
+    pruned_statistics = pruned_plan.statistics(signals)
     agree = bool(
         np.allclose(full_statistics, pruned_statistics, rtol=1e-6)
     )
     full_seconds = _best_seconds(
-        lambda: full_runner.statistics(signals), repeats
+        lambda: full_plan.statistics(signals), repeats
     )
     pruned_seconds = _best_seconds(
-        lambda: pruned_runner.statistics(signals), repeats
+        lambda: pruned_plan.statistics(signals), repeats
     )
     return {
         "full": {

@@ -13,12 +13,12 @@ across PRs (and guarded by ``benchmarks/check_perf_regression.py``):
   and the float32-over-float64 speedup; the non-smoke gate requires
   >= 2x on at least two backends;
 * **shard transport payload** — the bytes pickled per worker
-  submission for a ``jobs = 2`` shard of the same trial block, under
-  the legacy ``pickle`` transport (the whole shard array rides the
-  pipe) and the ``shared`` transport (the parent publishes the block
+  submission for a ``jobs = 2`` shard of the same trial block under
+  the engine's shared-memory transport (the parent publishes the block
   once via POSIX shared memory and each worker receives only a
-  descriptor + slice bounds: O(config) bytes).  Both transports are
-  also timed end to end and pinned bitwise equal to the serial run.
+  descriptor + slice bounds: O(config) bytes), next to what pickling
+  the shard array itself would cost.  The shared transport is also
+  timed end to end and pinned bitwise equal to the serial run.
 
 Regenerate the JSON::
 
@@ -125,14 +125,14 @@ def _precision_rows(geometry: dict, trials: int, repeats: int) -> dict:
 def _transport_rows(
     geometry: dict, trials: int, jobs: int, repeats: int
 ) -> dict:
-    """Per-shard pickled payload and end-to-end timing per transport."""
+    """Per-shard pickled payload, and the shared transport's timing."""
     config = PipelineConfig(**geometry)
     signals = _trial_block(config, trials)
     bounds = np.array_split(np.arange(trials), jobs)
 
-    # What actually rides the worker pipe per submission: the legacy
-    # transport pickles (config, shard_array, use_cache); the shared
-    # transport pickles (config, descriptor, start, stop, use_cache).
+    # What rides the worker pipe per submission: the shared transport
+    # pickles (config, descriptor, start, stop, use_cache); shipping
+    # the rows themselves would pickle (config, shard_array, use_cache).
     shard = signals[bounds[0][0] : bounds[0][-1] + 1]
     pickle_bytes = len(pickle.dumps((config, shard, True)))
     with SharedArraySegment(signals) as segment:
@@ -142,35 +142,39 @@ def _transport_rows(
             )
         )
 
-    rows = {}
     with Engine() as serial:
         reference = serial.statistics(signals, config=config)
-    for transport, payload in (
-        ("pickle", pickle_bytes),
-        ("shared", shared_bytes),
-    ):
-        with Engine(jobs=jobs, transport=transport) as engine:
-            engine.statistics(signals, config=config)  # warm pool + plan
-            seconds = _best_seconds(
-                lambda: engine.statistics(signals, config=config), repeats
-            )
-            statistics = engine.statistics(signals, config=config)
-        bitwise = bool(np.array_equal(reference, statistics))
-        assert bitwise, f"transport={transport} diverged from serial"
-        rows[transport] = {
-            **_operating_point(config, trials),
-            "backend": config.backend,
-            "jobs": jobs,
-            "transport": transport,
-            "pickled_bytes_per_shard": payload,
+    with Engine(jobs=jobs) as engine:
+        engine.statistics(signals, config=config)  # warm pool + plan
+        seconds = _best_seconds(
+            lambda: engine.statistics(signals, config=config), repeats
+        )
+        statistics = engine.statistics(signals, config=config)
+    bitwise = bool(np.array_equal(reference, statistics))
+    assert bitwise, "sharded statistics diverged from serial"
+    common = {
+        **_operating_point(config, trials),
+        "backend": config.backend,
+        "jobs": jobs,
+    }
+    return {
+        "pickle": {
+            **common,
+            "transport": "pickle",
+            "pickled_bytes_per_shard": pickle_bytes,
+        },
+        "shared": {
+            **common,
+            "transport": "shared",
+            "pickled_bytes_per_shard": shared_bytes,
             "seconds_per_estimate": seconds / trials,
             "seconds_per_batch": seconds,
             "bitwise_equal_to_serial": bitwise,
-        }
-    rows["shared"]["payload_reduction_vs_pickle"] = (
-        pickle_bytes / shared_bytes if shared_bytes else None
-    )
-    return rows
+            "payload_reduction_vs_pickle": (
+                pickle_bytes / shared_bytes if shared_bytes else None
+            ),
+        },
+    }
 
 
 def emit(smoke: bool, json_path: Path) -> dict:
@@ -220,7 +224,7 @@ def main(argv=None) -> int:
         )
     transport = payload["dataflow"]["transport"]
     print(
-        f"  transport [jobs=2]: pickle ships "
+        f"  transport [jobs=2]: pickling the rows would ship "
         f"{transport['pickle']['pickled_bytes_per_shard']:,} B/shard vs "
         f"shared {transport['shared']['pickled_bytes_per_shard']:,} B/shard "
         f"({transport['shared']['payload_reduction_vs_pickle']:.0f}x smaller)"

@@ -32,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.detection import CyclostationaryFeatureDetector, calibrate_threshold
+from repro.core.detection import CyclostationaryFeatureDetector
 from repro.core.fourier import block_spectra
 from repro.core.scf import StreamingDSCF, dscf, dscf_reference
-from repro.pipeline import BatchRunner, PipelineConfig, available_backends, get_backend
+from repro.engine import Engine, default_noise_factory
+from repro.pipeline import PipelineConfig, available_backends, get_backend
 from repro.signals.noise import awgn
 
 K = 64
@@ -89,11 +90,11 @@ def test_paper_grid_vectorised(benchmark):
 
 def test_batched_monte_carlo(benchmark):
     """Batched threshold calibration at the paper's operating point."""
-    runner = BatchRunner(MC_CONFIG)
+    plan = Engine().plan(MC_CONFIG)
     signals = np.stack(
         [awgn(MC_CONFIG.samples_per_decision, seed=70 + t) for t in range(16)]
     )
-    statistics = benchmark(runner.statistics, signals)
+    statistics = benchmark(plan.statistics, signals)
     assert statistics.shape == (16,)
 
 
@@ -156,25 +157,25 @@ def _backend_throughput() -> dict:
 def _batch_vs_loop(
     config: PipelineConfig = MC_CONFIG, trials: int = MC_TRIALS
 ) -> dict:
-    """Monte-Carlo calibration: BatchRunner vs the per-trial loop."""
-    runner = BatchRunner(config)
+    """Monte-Carlo calibration: the batch plan vs the per-trial loop."""
+    plan = Engine().plan(config)
     detector = CyclostationaryFeatureDetector(
         config.fft_size, config.num_blocks, m=config.m
     )
-    factory = runner.default_noise_factory()
+    factory = default_noise_factory(config)
     signals = np.stack([factory(t) for t in range(trials)])
-    runner.statistics(signals[:4])  # warm-up
+    plan.statistics(signals[:4])  # warm-up
     detector.statistic(signals[0])
 
     loop_seconds = _median_seconds(
         lambda: [detector.statistic(s) for s in signals], repeats=3
     )
     batch_seconds = _median_seconds(
-        lambda: runner.statistics(signals), repeats=5
+        lambda: plan.statistics(signals), repeats=5
     )
-    batch_stats = runner.statistics(signals)
+    batch_stats = plan.statistics(signals)
     loop_stats = np.array([detector.statistic(s) for s in signals])
-    per_trial = np.array([runner.statistics(s[None])[0] for s in signals])
+    per_trial = np.array([plan.statistics(s[None])[0] for s in signals])
     return {
         "fft_size": config.fft_size,
         "dscf_grid": f"{config.extent}x{config.extent}",

@@ -13,7 +13,7 @@ P = 64 second-FFT blocks, 32 Monte-Carlo trials):
   channelizer tables, channel-pair lattice, DSCF-grid projection —
   and runs a batch of one, exactly what a naive per-decision
   integration does;
-* the *batched path* is ``BatchRunner.statistics``: the plan is built
+* the *batched path* is the engine plan's ``statistics``: the plan is built
   once, the channelizer runs as one bulk FFT across all trials, and
   the fused half-plane sweep streams the trials through it.
 
@@ -44,7 +44,8 @@ import numpy as np
 
 from repro.estimators import FAMEstimator, SSCAEstimator
 from repro.estimators.backends import fam_plan, ssca_plan
-from repro.pipeline import BatchRunner, PipelineConfig
+from repro.engine import Engine
+from repro.pipeline import PipelineConfig
 from repro.signals.modulators import bpsk_signal
 from repro.signals.noise import awgn
 
@@ -108,16 +109,16 @@ def test_ssca_full_plane(benchmark):
 
 
 def test_fam_batched_statistics(benchmark):
-    runner = BatchRunner(SMOKE_CONFIG)
+    plan = Engine().plan(SMOKE_CONFIG)
     signals = _noise_trials(SMOKE_CONFIG, SMOKE_TRIALS)
-    statistics = benchmark(runner.statistics, signals)
+    statistics = benchmark(plan.statistics, signals)
     assert statistics.shape == (SMOKE_TRIALS,)
 
 
 def test_ssca_batched_statistics(benchmark):
-    runner = BatchRunner(SMOKE_CONFIG.with_backend("ssca"))
+    plan = Engine().plan(SMOKE_CONFIG.with_backend("ssca"))
     signals = _noise_trials(SMOKE_CONFIG, SMOKE_TRIALS)
-    statistics = benchmark(runner.statistics, signals)
+    statistics = benchmark(plan.statistics, signals)
     assert statistics.shape == (SMOKE_TRIALS,)
 
 
@@ -128,9 +129,9 @@ def _batch_vs_loop(
     config: PipelineConfig, trials: int, plan_factory, label: str
 ) -> dict:
     """Batched Monte-Carlo statistics vs the build-per-decision loop."""
-    runner = BatchRunner(config)
+    batch_plan = Engine().plan(config)
     signals = _noise_trials(config, trials)
-    columns = runner.searched_columns
+    columns = batch_plan.searched_columns
 
     def per_trial_loop():
         return np.array(
@@ -140,16 +141,16 @@ def _batch_vs_loop(
             ]
         )
 
-    runner.statistics(signals[: min(4, trials)])  # warm-up
+    batch_plan.statistics(signals[: min(4, trials)])  # warm-up
     per_trial_loop()
-    batch_seconds = _median_seconds(lambda: runner.statistics(signals), 5)
+    batch_seconds = _median_seconds(lambda: batch_plan.statistics(signals), 5)
     loop_seconds = _median_seconds(per_trial_loop, 3)
-    batched = runner.statistics(signals)
+    batched = batch_plan.statistics(signals)
     looped = per_trial_loop()
     singletons = np.array(
-        [runner.statistics(signal[None])[0] for signal in signals]
+        [batch_plan.statistics(signal[None])[0] for signal in signals]
     )
-    plan = runner.estimator_plan
+    plan = batch_plan.executor
     return {
         "estimator": label,
         "fft_size": config.fft_size,

@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.montium.compiler import clear_trace_cache, compile_platform
-from repro.pipeline import BatchRunner, DetectionPipeline, PipelineConfig
+from repro.engine import Engine
+from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.signals.noise import awgn
 from repro.soc import PlatformConfig, SoCRunner, aaf_drbpf
 
@@ -112,8 +113,8 @@ def _batched_monte_carlo() -> dict:
         ]
     )
     interpreted_pipeline = DetectionPipeline(interpreted_config)
-    runner = BatchRunner(compiled_config)
-    runner.statistics(signals[:2])  # warm-up (compiles + caches the trace)
+    plan = Engine().plan(compiled_config)
+    plan.statistics(signals[:2])  # warm-up (compiles + caches the trace)
     interpreted_pipeline.statistic(signals[0])
 
     loop_seconds = _median_seconds(
@@ -121,9 +122,9 @@ def _batched_monte_carlo() -> dict:
         repeats=3,
     )
     batch_seconds = _median_seconds(
-        lambda: runner.statistics(signals), repeats=5
+        lambda: plan.statistics(signals), repeats=5
     )
-    batch_statistics = runner.statistics(signals)
+    batch_statistics = plan.statistics(signals)
     loop_statistics = np.array(
         [interpreted_pipeline.statistic(signal) for signal in signals]
     )

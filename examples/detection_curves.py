@@ -4,17 +4,18 @@ Produces the classic sensing characterisation over an SNR sweep and
 reports each detector's sensitivity (the SNR needed for Pd = 0.9 at
 Pfa = 0.1), with and without noise-level uncertainty.
 
-The CFD sweeps run through the pipeline's batched executor: every
-(SNR, hypothesis) point evaluates all of its Monte-Carlo trials in one
-vectorised pass instead of a per-trial loop.
+Every sweep runs through ``Engine.map_operating_points``: the CFD
+sweeps on the configuration's batched plan (each (SNR, hypothesis)
+point evaluates all of its Monte-Carlo trials in one vectorised pass),
+the energy detector as a per-trial ``CallableStatisticPlan``.
 
 Run:  python examples/detection_curves.py
 """
 
 import numpy as np
 
-from repro import DetectionPipeline, EnergyDetector, PipelineConfig, awgn, bpsk_signal
-from repro.analysis import pd_vs_snr
+from repro import EnergyDetector, Engine, PipelineConfig, awgn, bpsk_signal
+from repro.engine import CallableStatisticPlan
 
 FFT_SIZE = 32
 NUM_BLOCKS = 64
@@ -23,13 +24,12 @@ PFA = 0.1
 SNRS_DB = (-12.0, -9.0, -6.0, -3.0, 0.0)
 UNCERTAINTY_DB = 2.0
 
-PIPELINE = DetectionPipeline(
-    PipelineConfig(fft_size=FFT_SIZE, num_blocks=NUM_BLOCKS, pfa=PFA)
-)
+CONFIG = PipelineConfig(fft_size=FFT_SIZE, num_blocks=NUM_BLOCKS, pfa=PFA)
+ENGINE = Engine()
 
 
 def make_factories(uncertain: bool):
-    num_samples = PIPELINE.config.samples_per_decision
+    num_samples = CONFIG.samples_per_decision
 
     def noise_power(rng):
         if not uncertain:
@@ -49,11 +49,17 @@ def make_factories(uncertain: bool):
     return h0, h1
 
 
-def run_sweep(name, uncertain, statistic_fn=None, runner=None):
+def run_sweep(name, uncertain, statistic_fn=None):
+    """Sweep the CFD on CONFIG's plan, or *statistic_fn* per trial."""
     h0, h1 = make_factories(uncertain)
-    return pd_vs_snr(
-        statistic_fn, h0, h1, SNRS_DB, pfa=PFA, trials=TRIALS,
-        detector_name=name, runner=runner,
+    source = (
+        dict(config=CONFIG)
+        if statistic_fn is None
+        else dict(plan=CallableStatisticPlan(statistic_fn))
+    )
+    return ENGINE.map_operating_points(
+        h0, h1, SNRS_DB, pfa=PFA, trials=TRIALS, detector_name=name,
+        **source,
     )
 
 
@@ -65,16 +71,16 @@ def print_sweep(sweep):
 
 
 def main() -> None:
-    num_samples = PIPELINE.config.samples_per_decision
+    num_samples = CONFIG.samples_per_decision
     energy = EnergyDetector(noise_power=1.0, num_samples=num_samples)
 
     print(f"Pd at Pfa = {PFA} over SNR (BPSK user, {TRIALS} trials/point)\n")
     print("calibrated noise floor (no uncertainty):")
-    print_sweep(run_sweep("cyclostationary", False, runner=PIPELINE.batch))
+    print_sweep(run_sweep("cyclostationary", False))
     print_sweep(run_sweep("energy", False, statistic_fn=energy.statistic))
 
     print(f"\nwith +/-{UNCERTAINTY_DB} dB noise-level uncertainty:")
-    cfd_unc = run_sweep("cyclostationary", True, runner=PIPELINE.batch)
+    cfd_unc = run_sweep("cyclostationary", True)
     energy_unc = run_sweep("energy", True, statistic_fn=energy.statistic)
     print_sweep(cfd_unc)
     print_sweep(energy_unc)

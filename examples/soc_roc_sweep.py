@@ -21,9 +21,9 @@ import time
 
 import numpy as np
 
-from repro.analysis.sweeps import pd_vs_snr
+from repro.engine import Engine
 from repro.montium.timing import MONTIUM_CLOCK_HZ
-from repro.pipeline import BatchRunner, PipelineConfig
+from repro.pipeline import PipelineConfig
 from repro.signals.modulators import bpsk_signal
 from repro.signals.noise import awgn
 from repro.soc import SoCRunner, aaf_drbpf
@@ -73,20 +73,20 @@ def main() -> None:
         amplitude = float(np.sqrt(10.0 ** (snr_db / 10.0)))
         return noise + amplitude * user.samples
 
+    engine = Engine()
     started = time.perf_counter()
-    runner = BatchRunner(config)  # compiles the trace (one-off)
+    engine.plan(config)  # compiles the trace (one-off)
     compile_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    sweep = pd_vs_snr(
-        None,
+    sweep = engine.map_operating_points(
         h0_factory,
         h1_factory,
         SNRS_DB,
+        config=config,
         pfa=PFA,
         trials=TRIALS,
         detector_name="cyclostationary/soc-compiled",
-        runner=runner,
     )
     sweep_seconds = time.perf_counter() - started
 

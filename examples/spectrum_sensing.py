@@ -10,7 +10,7 @@ absolute noise level) keeps detecting.
 The CFD side runs through the detection pipeline: one
 ``PipelineConfig`` drives estimation, batched Monte-Carlo statistics
 (every hypothesis sweep is a single vectorised pass through the
-pipeline's ``BatchRunner``) and the final sensing decision.
+pipeline's ``Engine``) and the final sensing decision.
 
 Run:  python examples/spectrum_sensing.py
 """
@@ -18,11 +18,8 @@ Run:  python examples/spectrum_sensing.py
 import numpy as np
 
 from repro import DetectionPipeline, EnergyDetector, PipelineConfig
-from repro.analysis import (
-    batched_monte_carlo_statistics,
-    monte_carlo_statistics,
-    roc_curve,
-)
+from repro.analysis import roc_curve
+from repro.engine import CallableStatisticPlan
 from repro.signals.scenario import BandScenario, LicensedUser
 
 SAMPLE_RATE_HZ = 1e6
@@ -86,10 +83,12 @@ def main() -> None:
         signal, _ = scenario.realize(num_samples, seed=2000 + trial)
         return signal.samples
 
-    cfd_h0 = batched_monte_carlo_statistics(pipeline.batch, h0, TRIALS)
-    cfd_h1 = batched_monte_carlo_statistics(pipeline.batch, h1, TRIALS)
-    energy_h0 = monte_carlo_statistics(energy.statistic, h0, TRIALS)
-    energy_h1 = monte_carlo_statistics(energy.statistic, h1, TRIALS)
+    engine, config = pipeline.engine, pipeline.config
+    cfd_h0 = engine.monte_carlo_statistics(h0, TRIALS, config=config)
+    cfd_h1 = engine.monte_carlo_statistics(h1, TRIALS, config=config)
+    energy_plan = CallableStatisticPlan(energy.statistic)
+    energy_h0 = engine.monte_carlo_statistics(h0, TRIALS, plan=energy_plan)
+    energy_h1 = engine.monte_carlo_statistics(h1, TRIALS, plan=energy_plan)
 
     cfd_curve = roc_curve(cfd_h0, cfd_h1)
     energy_curve = roc_curve(energy_h0, energy_h1)

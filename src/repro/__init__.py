@@ -93,7 +93,6 @@ from .errors import (
     SimulationError,
 )
 from .pipeline import (
-    BatchRunner,
     DetectionPipeline,
     EstimatorBackend,
     PipelineConfig,
@@ -154,7 +153,6 @@ __version__ = "1.7.0"
 __all__ = [
     "BandScanner",
     "BandScenario",
-    "BatchRunner",
     "EmitterSpec",
     "OccupancyMap",
     "WidebandScenario",

@@ -1,14 +1,4 @@
-"""Compute-namespace indirection and the package precision policy.
-
-The estimator hot loops (bulk FFTs, Gram matmuls, channel-pair
-products) are written against a :class:`ComputeNamespace` — a numpy-
-backed, array-API-shaped bundle of ``xp`` (the array namespace) and
-``fft`` (the FFT namespace) — instead of importing ``numpy`` directly.
-Today the only registered namespace is numpy; the indirection is what
-lets a GPU / array-API backend (CuPy, torch) plug in later without
-touching kernel code.
-
-The same module owns the **precision policy** every kernel consults:
+"""The package precision policy every kernel consults.
 
 ``float64`` (the default)
     The bitwise parity reference.  Kernels on this path are the exact
@@ -19,11 +9,9 @@ The same module owns the **precision policy** every kernel consults:
 ``float32``
     The throughput path: complex64 arithmetic end to end (half the
     memory traffic, single-precision BLAS ``cgemm``), with FFTs routed
-    through ``scipy.fft`` when SciPy is importable — numpy's pocketfft
-    dispatch is tuned for double precision and is *slower* on
-    complex64 input, while SciPy's preserves single precision at full
-    speed.  SciPy is optional: without it the float32 path still
-    works, just with numpy's slower complex64 FFTs.
+    through ``scipy.fft`` — numpy's pocketfft dispatch is tuned for
+    double precision and is *slower* on complex64 input, while SciPy's
+    preserves single precision at full speed.
 
 Kernels additionally tile their trials×channels work through
 :func:`tile_trials` so single-precision slabs stay cache-resident
@@ -32,10 +20,10 @@ instead of streaming one monolithic array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import ModuleType
 
 import numpy as np
+import scipy.fft as _scipy_fft
 
 from .errors import ConfigurationError
 
@@ -51,16 +39,6 @@ _DTYPES = {
 #: Default cache budget (bytes) for one tiled slab of the float32 fast
 #: paths — sized to sit comfortably inside a typical L2/L3 share.
 TILE_BUDGET_BYTES = 4 * 1024 * 1024
-
-try:  # SciPy is optional; the float32 path degrades gracefully.
-    import scipy.fft as _scipy_fft
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_fft = None
-
-try:  # Single-precision BLAS for the float32 Gram fast path.
-    from scipy.linalg import blas as _scipy_blas
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_blas = None
 
 
 def validate_precision(precision) -> str:
@@ -85,13 +63,12 @@ def real_dtype(precision: str) -> np.dtype:
 def fft_namespace(precision: str) -> ModuleType:
     """The FFT module the kernels use at *precision*.
 
-    ``float64`` always returns ``numpy.fft`` — the parity reference —
-    while ``float32`` returns ``scipy.fft`` when available (numpy's
-    complex64 FFTs are slower than its complex128 ones; SciPy's
-    pocketfft keeps single precision fast) and falls back to
-    ``numpy.fft`` otherwise.
+    ``float64`` returns ``numpy.fft`` — the parity reference — and
+    ``float32`` returns ``scipy.fft`` (numpy's complex64 FFTs are
+    slower than its complex128 ones; SciPy's pocketfft keeps single
+    precision fast).
     """
-    if validate_precision(precision) == "float64" or _scipy_fft is None:
+    if validate_precision(precision) == "float64":
         return np.fft
     return _scipy_fft
 
@@ -101,25 +78,11 @@ def fft_fast_kwargs(fft: ModuleType) -> dict:
 
     ``scipy.fft`` accepts ``overwrite_x=True`` (skips its internal
     input copy — ~30% on the product tensors the estimators feed it);
-    ``numpy.fft`` has no such knob, so the fallback namespace gets no
+    ``numpy.fft`` has no such knob, so the float64 namespace gets no
     extra arguments.  Only pass the result when the input array is a
     temporary the caller never reads again.
     """
     return {"overwrite_x": True} if fft is _scipy_fft else {}
-
-
-def single_gemm():
-    """The single-precision complex BLAS ``cgemm``, or ``None``.
-
-    The float32 Gram fast path uses it to fold the ``1/N`` DSCF
-    normalisation into the matmul (``alpha``) and to express the
-    conjugated operand as ``trans_b='C'`` instead of materialising a
-    ``conj`` copy.  Callers must keep a pure-numpy fallback for
-    SciPy-less installs.
-    """
-    if _scipy_blas is None:  # pragma: no cover - only without scipy
-        return None
-    return getattr(_scipy_blas, "cgemm", None)
 
 
 def tile_trials(
@@ -134,72 +97,3 @@ def tile_trials(
     if bytes_per_trial <= 0:
         return 1
     return max(1, int(budget_bytes // int(bytes_per_trial)))
-
-
-@dataclass(frozen=True)
-class ComputeNamespace:
-    """One execution substrate for the array kernels.
-
-    Attributes
-    ----------
-    name:
-        Registry name (``"numpy"``).
-    xp:
-        The array namespace kernels call for array ops (array-API
-        shaped; numpy today).
-    fft:
-        The double-precision FFT namespace (``numpy.fft``).
-    fft_single:
-        The FFT namespace used by the float32 fast paths
-        (``scipy.fft`` when importable, else ``numpy.fft``).
-    """
-
-    name: str
-    xp: ModuleType = field(repr=False)
-    fft: ModuleType = field(repr=False)
-    fft_single: ModuleType = field(repr=False)
-
-    def fft_for(self, precision: str) -> ModuleType:
-        """The FFT namespace matching *precision* on this substrate."""
-        if validate_precision(precision) == "float64":
-            return self.fft
-        return self.fft_single
-
-
-_NAMESPACES: dict[str, ComputeNamespace] = {}
-
-
-def register_namespace(namespace: ComputeNamespace) -> ComputeNamespace:
-    """Register *namespace* for :func:`get_namespace` lookup.
-
-    Re-registering a name replaces the previous namespace, so an
-    array-API backend (GPU, torch) can be slotted in by extensions.
-    """
-    if not isinstance(namespace, ComputeNamespace):
-        raise ConfigurationError(
-            f"namespace must be a ComputeNamespace, got "
-            f"{type(namespace).__name__}"
-        )
-    _NAMESPACES[namespace.name] = namespace
-    return namespace
-
-
-def get_namespace(name: str = "numpy") -> ComputeNamespace:
-    """Look up a registered :class:`ComputeNamespace` by name."""
-    try:
-        return _NAMESPACES[name]
-    except KeyError:
-        known = ", ".join(sorted(_NAMESPACES))
-        raise ConfigurationError(
-            f"unknown compute namespace {name!r}; registered: {known}"
-        ) from None
-
-
-register_namespace(
-    ComputeNamespace(
-        name="numpy",
-        xp=np,
-        fft=np.fft,
-        fft_single=_scipy_fft if _scipy_fft is not None else np.fft,
-    )
-)

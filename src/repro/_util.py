@@ -96,8 +96,8 @@ def spawn_substreams(
 
     The package-wide seeding contract, deduplicating the hand-rolled
     copies that had grown in the wideband scenario engine, the
-    :class:`~repro.pipeline.BatchRunner` calibration factory and the
-    scanner's noise calibration.  Two modes, mutually exclusive:
+    engine's default calibration noise factory and the scanner's noise
+    calibration.  Two modes, mutually exclusive:
 
     ``rng``
         Draw *count* child seeds from the generator's own stream

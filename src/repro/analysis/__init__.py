@@ -16,12 +16,10 @@ from .occupancy import (
 from .roc import (
     RocCurve,
     auc,
-    batched_monte_carlo_statistics,
     detection_probability,
-    monte_carlo_statistics,
     roc_curve,
 )
-from .sweeps import DetectionSweep, SweepPoint, pd_vs_snr
+from .sweeps import DetectionSweep, SweepPoint
 
 __all__ = [
     "DetectionSweep",
@@ -31,13 +29,10 @@ __all__ = [
     "SweepPoint",
     "attribute_emitters",
     "auc",
-    "batched_monte_carlo_statistics",
     "detection_probability",
     "estimate_symbol_rate_bins",
     "format_attribution",
-    "monte_carlo_statistics",
     "occupancy_confusion",
-    "pd_vs_snr",
     "peak_cyclic_offsets",
     "peak_to_average_ratio",
     "roc_curve",

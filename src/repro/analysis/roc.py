@@ -5,28 +5,23 @@ energy-detector baseline by sweeping a threshold over Monte-Carlo trial
 statistics gathered under both hypotheses (H0: noise only, H1: licensed
 user present).
 
-Statistics can be gathered two ways: the generic per-trial path
-(:func:`monte_carlo_statistics`, works with any callable) or the
-batched pass (:func:`batched_monte_carlo_statistics`), which pushes
-every realisation through a :class:`repro.pipeline.BatchRunner` in one
-vectorised sweep — the recommended path for cyclostationary detectors.
-Both delegate to the :class:`repro.engine.Engine`, so the batched
-variant shards across worker processes when handed an engine with
-``jobs > 1`` (bitwise equal to the serial pass).
-The runner executes whichever estimator backend its configuration
-names, so ROC curves for the full-plane ``fam``/``ssca`` estimators
-come from the same machinery as the DSCF's: pass a runner built from
+Statistics come from :meth:`repro.engine.Engine.monte_carlo_statistics`:
+``config=`` pushes every realisation through the configuration's
+cached plan in one vectorised pass (sharded when the engine carries
+``jobs > 1``, bitwise equal to the serial pass), while
+``plan=CallableStatisticPlan(fn)`` runs any ad-hoc detector callable
+per trial.  The plan executes whichever estimator backend its
+configuration names, so ROC curves for the full-plane ``fam``/``ssca``
+estimators come from the same machinery as the DSCF's: pass
 ``config.with_backend("fam")``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .._util import require_positive_int
 from ..errors import ConfigurationError
 
 
@@ -100,63 +95,3 @@ def detection_probability(statistics: np.ndarray, threshold: float) -> float:
     if statistics.size == 0:
         raise ConfigurationError("statistics must be non-empty")
     return float((statistics > threshold).mean())
-
-
-def monte_carlo_statistics(
-    statistic_fn: Callable[[np.ndarray], float],
-    signal_factory: Callable[[int], np.ndarray],
-    trials: int,
-) -> np.ndarray:
-    """Collect *trials* statistics of ``statistic_fn`` over fresh signals.
-
-    ``signal_factory(trial_index)`` must return a new realisation per
-    call (seeded however the caller likes, so experiments stay
-    reproducible).  Executes through the engine's
-    :class:`~repro.engine.plans.CallableStatisticPlan` so every
-    detector — ad-hoc callables included — shares one Monte-Carlo code
-    path.
-    """
-    # Deferred: analysis stays importable without the pipeline package.
-    from ..engine import CallableStatisticPlan, Engine
-
-    trials = require_positive_int(trials, "trials")
-    return Engine().monte_carlo_statistics(
-        signal_factory, trials, plan=CallableStatisticPlan(statistic_fn)
-    )
-
-
-def batched_monte_carlo_statistics(
-    runner,
-    signal_factory: Callable[[int], np.ndarray],
-    trials: int,
-    engine=None,
-) -> np.ndarray:
-    """Collect *trials* statistics through a batched executor.
-
-    Stacks every realisation from ``signal_factory(trial_index)`` and
-    evaluates them in one vectorised pass — per-trial results are
-    bit-for-bit identical to looping ``runner.statistics`` over single
-    trials, only much faster (see ``BENCH_estimators.json``).
-
-    Parameters
-    ----------
-    runner:
-        Any object exposing ``statistics(signals) -> (trials,) array``,
-        typically a :class:`repro.pipeline.BatchRunner` (or a cached
-        :class:`~repro.engine.plans.ExecutionPlan`).
-    signal_factory:
-        Maps a trial index to a fresh sample array.
-    trials:
-        Number of realisations.
-    engine:
-        Optional :class:`~repro.engine.Engine`; with ``jobs > 1`` the
-        stacked trials shard across its worker pool (bitwise equal to
-        the serial pass) whenever the runner is rebuildable from its
-        configuration.
-    """
-    from ..engine import Engine
-
-    trials = require_positive_int(trials, "trials")
-    if engine is None:
-        engine = Engine()
-    return engine.monte_carlo_statistics(signal_factory, trials, plan=runner)

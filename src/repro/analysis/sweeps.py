@@ -1,24 +1,13 @@
 """Detection-performance sweeps: Pd-vs-SNR curves.
 
 Builds the classic sensing characterisation — detection probability at
-a fixed false-alarm rate as a function of SNR — for any detector
-exposing the ``statistic(samples)`` protocol.  Used by the extension
-benchmarks and the detection-curves example.
-
-Pass ``runner=`` (a :class:`repro.pipeline.BatchRunner`) to evaluate
-every Monte-Carlo trial of the sweep in vectorised batches instead of
-a per-trial Python loop; the per-point results are identical, the
-wall-clock is not.  The runner honours its configuration's estimator
-backend, so the same sweep runs on the DSCF or on the full-plane
-``fam``/``ssca`` estimators — :func:`pd_vs_snr_by_backend` builds the
-side-by-side comparison directly.
-
-Since PR 5 both functions are thin front-ends over
-:meth:`repro.engine.Engine.map_operating_points`: execution plans come
-from the shared cache, and an ``engine=Engine(jobs=N)`` (or the
-``jobs=`` shorthand on :func:`pd_vs_snr_by_backend`) shards every
-trial batch across worker processes, bitwise equal to the serial
-sweep.
+a fixed false-alarm rate as a function of SNR.  Sweeps are computed by
+:meth:`repro.engine.Engine.map_operating_points`, either on a
+configuration's cached plan (vectorised, sharded when the engine
+carries ``jobs > 1``) or on an ad-hoc detector wrapped in
+:class:`~repro.engine.CallableStatisticPlan`; this module holds the
+result types and :func:`pd_vs_snr_by_backend`, the multi-backend loop
+behind the CLI sweep.
 """
 
 from __future__ import annotations
@@ -28,11 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .._util import require_positive_int
-from ..core.detection import validate_pfa
 from ..errors import ConfigurationError
-from .roc import detection_probability  # noqa: F401  (re-exported; used
-# by downstream sweep consumers building points by hand)
 
 
 @dataclass(frozen=True)
@@ -74,80 +59,6 @@ class DetectionSweep:
         pds = self.pds()
         order = np.argsort(snrs)
         return float(np.interp(target_pd, pds[order], snrs[order]))
-
-
-def pd_vs_snr(
-    statistic_fn: Callable[[np.ndarray], float] | None,
-    h0_factory: Callable[[int], np.ndarray],
-    h1_factory: Callable[[float, int], np.ndarray],
-    snrs_db,
-    pfa: float = 0.1,
-    trials: int = 40,
-    detector_name: str = "detector",
-    runner=None,
-    engine=None,
-) -> DetectionSweep:
-    """Monte-Carlo Pd-vs-SNR sweep at a fixed Pfa.
-
-    A thin front-end over
-    :meth:`repro.engine.Engine.map_operating_points` — the sweep's
-    calibration and per-point trial batches all run through the
-    engine's planned (and optionally sharded) execution.
-
-    Parameters
-    ----------
-    statistic_fn:
-        The detector's test statistic; pass ``None`` when *runner* is
-        given (the two are mutually exclusive).
-    h0_factory:
-        ``trial -> samples`` generating noise-only observations (used
-        once to calibrate the threshold).
-    h1_factory:
-        ``(snr_db, trial) -> samples`` generating occupied-band
-        observations at the given SNR.
-    snrs_db:
-        The SNR axis.
-    pfa:
-        Target false-alarm probability for the calibrated threshold.
-    trials:
-        Monte-Carlo trials per point (and for calibration).
-    runner:
-        Optional batched executor (``statistics(signals)`` protocol,
-        e.g. :class:`repro.pipeline.BatchRunner` or a
-        :class:`~repro.pipeline.DetectionPipeline`'s ``batch``); every
-        sweep point then runs as one vectorised pass.
-    engine:
-        Optional :class:`~repro.engine.Engine` executing the sweep;
-        with ``jobs > 1`` every trial batch shards across its worker
-        pool, bitwise equal to the serial sweep.
-    """
-    # Deferred: analysis stays importable without the pipeline package.
-    from ..engine import CallableStatisticPlan, Engine
-
-    pfa = validate_pfa(pfa)
-    trials = require_positive_int(trials, "trials")
-    if runner is None and statistic_fn is None:
-        raise ConfigurationError(
-            "pd_vs_snr needs either a statistic_fn or a runner"
-        )
-    if runner is not None and statistic_fn is not None:
-        raise ConfigurationError(
-            "pass either statistic_fn or runner, not both: a runner "
-            "computes its own (cyclostationary) statistic and would "
-            "silently ignore statistic_fn"
-        )
-    if engine is None:
-        engine = Engine()
-    plan = runner if runner is not None else CallableStatisticPlan(statistic_fn)
-    return engine.map_operating_points(
-        h0_factory,
-        h1_factory,
-        snrs_db,
-        plan=plan,
-        pfa=pfa,
-        trials=trials,
-        detector_name=detector_name,
-    )
 
 
 def pd_vs_snr_by_backend(

@@ -24,24 +24,26 @@ All detectors expose the same two-method protocol:
 
 Thresholds are set either analytically (energy detector, via the
 Gaussian approximation to the chi-square statistic) or by Monte-Carlo
-calibration on noise-only trials (:func:`calibrate_threshold`), which
-works for every detector.
+calibration on noise-only trials: the ``(1 - pfa)`` quantile rule
+:func:`calibration_quantile`, applied by
+:meth:`repro.engine.Engine.calibrate_threshold` (wrap an ad-hoc
+detector's statistic in a :class:`~repro.engine.CallableStatisticPlan`
+and collect its noise-only statistics with
+:meth:`repro.engine.Engine.monte_carlo_statistics`).
 
 For cyclostationary sensing the recommended entry points live in
 :mod:`repro.pipeline`: ``DetectionPipeline`` composes scenario ->
 channel -> estimator backend -> detector behind one ``PipelineConfig``
 (selectable substrate, same statistic as
-:class:`CyclostationaryFeatureDetector`), and
-``BatchRunner.calibrate_threshold`` performs the Monte-Carlo
-calibration below as one vectorised pass instead of a per-trial loop.
-The classes here remain the per-decision building blocks.
+:class:`CyclostationaryFeatureDetector`), and calibrates through the
+engine as one vectorised pass instead of a per-trial loop.  The
+classes here remain the per-decision building blocks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def validate_cyclic_bins(
     Offsets must be non-zero (``a = 0`` is the PSD, present for any
     signal) and lie within the computed grid ``[-M, M]``.  The single
     source of this rule for the detector, ``PipelineConfig`` and the
-    batched runner.
+    execution plans.
     """
     if cyclic_bins is None:
         return None
@@ -389,48 +391,13 @@ class CyclostationaryFeatureDetector:
         )
 
 
-def calibrate_threshold(
-    statistic_fn: Callable[[np.ndarray], float],
-    noise_factory: Callable[[int], np.ndarray],
-    pfa: float,
-    trials: int = 200,
-) -> float:
-    """Monte-Carlo threshold: the (1 - pfa) quantile of noise-only statistics.
-
-    This is the generic per-trial loop (works with any callable).  For
-    cyclostationary detectors prefer the batched equivalent,
-    :meth:`repro.pipeline.BatchRunner.calibrate_threshold` /
-    :meth:`repro.pipeline.DetectionPipeline.calibrate`, which computes
-    the same quantile from one vectorised pass.
-
-    Parameters
-    ----------
-    statistic_fn:
-        Maps a sample array to a scalar statistic (e.g. a detector's
-        bound :meth:`statistic`).
-    noise_factory:
-        Maps a trial index to a fresh noise-only sample array.
-    pfa:
-        Target false-alarm probability.
-    trials:
-        Number of noise-only trials.
-    """
-    pfa = validate_pfa(pfa)
-    trials = require_positive_int(trials, "trials")
-    statistics = np.array(
-        [statistic_fn(noise_factory(trial)) for trial in range(trials)]
-    )
-    return calibration_quantile(statistics, pfa)
-
-
 def calibration_quantile(statistics: np.ndarray, pfa: float) -> float:
     """The ``(1 - pfa)`` threshold quantile of noise-only statistics.
 
-    The one quantile rule every Monte-Carlo calibration path shares —
-    the per-trial loop above, :meth:`repro.pipeline.BatchRunner.
-    calibrate_threshold`, :meth:`repro.engine.Engine.calibrate_threshold`
-    and the engine's sweeps all route through here, so thresholds are
-    bit-identical for the same trial set wherever they are calibrated.
+    The one quantile rule every Monte-Carlo calibration shares —
+    :meth:`repro.engine.Engine.calibrate_threshold` and the engine's
+    sweeps route through here, so thresholds are bit-identical for the
+    same trial set wherever they are calibrated.
 
     An under-sampled calibration (``trials * pfa < 1``) emits a
     :class:`~repro.errors.CalibrationWarning`: the empirical quantile

@@ -28,8 +28,9 @@ Three estimators are provided and verified against each other:
 
 All three (plus the cycle-level SoC emulation) are registered as named
 estimator backends behind :mod:`repro.pipeline` — the recommended API:
-``DetectionPipeline`` selects a substrate by name, and ``BatchRunner``
-evaluates many trials in one vectorised pass.  The functions here
+``DetectionPipeline`` selects a substrate by name, and the
+:class:`~repro.engine.Engine` evaluates many trials in one vectorised
+pass.  The functions here
 remain the single-shot building blocks those backends adapt.
 """
 

@@ -1,7 +1,7 @@
 """The unified execution engine: plans, plan cache, sharded scheduling.
 
-After PR 5 there is exactly one place where work is planned, cached
-and scheduled:
+There is exactly one place where work is planned, cached and
+scheduled:
 
 * :mod:`repro.engine.plans` — :class:`ExecutionPlan` (the prepared,
   reusable form of one operating point) and :func:`build_plan`, which
@@ -13,26 +13,25 @@ and scheduled:
   :func:`shared_plan_cache` every executor defaults to;
 * :mod:`repro.engine.engine` — the :class:`Engine` front-end running
   plans over trial batches in-process or sharded across a worker pool
-  (``jobs=N``, bitwise equal to serial execution);
+  (``jobs=N``, bitwise equal to serial execution), and the one entry
+  point for threshold calibration (:meth:`Engine.calibrate_threshold`);
 * :mod:`repro.engine.shm` — the zero-copy shard transport: trial
   blocks published once via ``multiprocessing.shared_memory``, workers
   attaching read-only views (O(config) bytes per shard on the pipe).
 
-:class:`~repro.pipeline.DetectionPipeline`,
-:class:`~repro.pipeline.BatchRunner`, the
-:class:`~repro.scanner.BandScanner` and the analysis sweeps are all
-thin consumers of this layer.
+:class:`~repro.pipeline.DetectionPipeline`, the
+:class:`~repro.scanner.BandScanner`, the serve layer and the analysis
+sweeps are all thin consumers of this layer.
 """
 
 from .cache import (
     PLAN_KEY_FIELDS,
     PlanCache,
     PlanCacheStats,
-    get_plan,
     plan_key,
     shared_plan_cache,
 )
-from .engine import TRANSPORTS, Engine, EngineHealth, available_cpus
+from .engine import Engine, EngineHealth, available_cpus
 from .shm import SharedArrayDescriptor, SharedArraySegment
 from .plans import (
     MAX_TESTED_JOBS,
@@ -59,12 +58,10 @@ __all__ = [
     "PlanCacheStats",
     "SharedArrayDescriptor",
     "SharedArraySegment",
-    "TRANSPORTS",
     "TrialExecutor",
     "available_cpus",
     "build_plan",
     "default_noise_factory",
-    "get_plan",
     "plan_key",
     "plan_support",
     "shared_plan_cache",

@@ -20,10 +20,9 @@ accounting is kept per cache and surfaced by ``repro-cfd backends``
 and the engine benchmarks.
 
 The module-level :func:`shared_plan_cache` is the process-wide default
-every :class:`~repro.engine.Engine`, :class:`~repro.pipeline.
-BatchRunner` and :class:`~repro.scanner.BandScanner` draws from, so a
-band scan reuses one plan across sub-bands x trials and repeated
-sweeps pay the build cost once.
+every :class:`~repro.engine.Engine` draws from, so a band scan reuses
+one plan across sub-bands x trials and repeated sweeps pay the build
+cost once.
 """
 
 from __future__ import annotations
@@ -230,8 +229,3 @@ _SHARED_CACHE = PlanCache(name="engine-shared")
 def shared_plan_cache() -> PlanCache:
     """The process-wide :class:`PlanCache` every executor defaults to."""
     return _SHARED_CACHE
-
-
-def get_plan(config):
-    """Shorthand for ``shared_plan_cache().get(config)``."""
-    return _SHARED_CACHE.get(config)

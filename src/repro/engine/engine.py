@@ -23,16 +23,13 @@ path** for every plan built by :func:`~repro.engine.plans.build_plan`:
   statistics bit for bit (pinned by the ``jobs in {1, 2, 4}`` battery
   in ``tests/test_engine.py`` across dscf, fam, ssca and soc-compiled
   backends);
-* workers receive only ``(PipelineConfig, descriptor, bounds)`` —
-  with the default ``shared`` transport the trial block is published
-  once via ``multiprocessing.shared_memory`` (see
-  :mod:`repro.engine.shm`) and each worker attaches a read-only view
-  of its contiguous rows, so per-shard pickled payload is O(config)
-  bytes and no trial array ever crosses the pipe; plans are rebuilt
-  from the configuration inside each worker through its own shared
-  cache, staying warm across shards and sweep points.  The legacy
-  ``pickle`` transport (per-shard array serialization) remains
-  selectable for benchmarking.
+* workers receive only ``(PipelineConfig, descriptor, bounds)`` — the
+  trial block is published once via ``multiprocessing.shared_memory``
+  (see :mod:`repro.engine.shm`) and each worker attaches a read-only
+  view of its contiguous rows, so per-shard pickled payload is
+  O(config) bytes and no trial array ever crosses the pipe; plans are
+  rebuilt from the configuration inside each worker through its own
+  shared cache, staying warm across shards and sweep points.
 
 Wall-clock scaling requires actual cores: ``benchmarks/bench_engine.py``
 records the measured ``jobs=1`` vs ``jobs=N`` scaling (and the
@@ -54,58 +51,15 @@ from typing import Callable
 import numpy as np
 
 from .._util import require_non_negative_int, require_positive_int
-from ..core.detection import validate_pfa
+from ..core.detection import calibration_quantile, validate_pfa
 from ..errors import ConfigurationError
 from ..faults import FaultInjector, fire_worker
 from .cache import PlanCache, shared_plan_cache
-from .plans import (
-    CallableStatisticPlan,
-    calibration_quantile,
-    default_noise_factory,
-)
+from .plans import build_plan, default_noise_factory
 from .shm import SharedArraySegment, attach_segment, segment_view
-
-#: Shard transports the engine supports.  ``shared`` (the default)
-#: publishes the trial block once via multiprocessing.shared_memory
-#: and ships workers an O(config)-byte descriptor; ``pickle`` is the
-#: legacy per-shard array serialization, kept for benchmarking the
-#: difference (see benchmarks/bench_dataflow.py).
-TRANSPORTS = ("shared", "pickle")
 
 
 def _worker_statistics(
-    config,
-    signals: np.ndarray,
-    use_cache: bool = True,
-    fault_plan=None,
-    fault_tickets=None,
-) -> np.ndarray:
-    """One shard's statistics (runs inside a worker process).
-
-    Importing :mod:`repro` registers every backend (needed under the
-    ``spawn`` start method; a no-op under ``fork``).  With *use_cache*
-    the worker's own shared plan cache keeps the plan warm across
-    shards and calls; without it (the engine was built with plan
-    caching disabled, e.g. ``--no-cache``) every shard builds its plan
-    afresh, mirroring the parent's cold-path semantics.  *fault_plan*
-    and *fault_tickets* are the fault-injection surface (None in
-    production): the parent-issued tickets keep worker-side firing
-    deterministic (see :mod:`repro.faults`).
-    """
-    import repro  # noqa: F401  — registers all estimator backends
-
-    if fault_plan is not None:
-        fire_worker(
-            fault_plan, "worker.start", (fault_tickets or {}).get("worker.start")
-        )
-    if use_cache:
-        return shared_plan_cache().get(config).statistics(signals)
-    from .plans import build_plan
-
-    return build_plan(config).statistics(signals)
-
-
-def _worker_statistics_shared(
     config,
     descriptor,
     start: int,
@@ -119,11 +73,20 @@ def _worker_statistics_shared(
     The worker attaches the published trial block, slices its
     contiguous ``[start:stop]`` rows as a read-only view (no copy of
     the trial data is ever made on this side of the pipe) and computes
-    through the same plan resolution as :func:`_worker_statistics`.
-    Views are dropped before the mapping closes — a live export of the
-    segment buffer would raise ``BufferError`` — and the close runs in
-    a ``finally`` so a raising plan cannot leak the worker's mapping;
-    the parent owns (and always unlinks) the segment itself.
+    through the worker's own plan resolution.  Importing :mod:`repro`
+    registers every backend (needed under the ``spawn`` start method;
+    a no-op under ``fork``).  With *use_cache* the worker's shared plan
+    cache keeps the plan warm across shards and calls; without it (the
+    engine was built with plan caching disabled, e.g. ``--no-cache``)
+    every shard builds its plan afresh, mirroring the parent's
+    cold-path semantics.  *fault_plan* and *fault_tickets* are the
+    fault-injection surface (None in production): the parent-issued
+    tickets keep worker-side firing deterministic (see
+    :mod:`repro.faults`).  Views are dropped before the mapping closes
+    — a live export of the segment buffer would raise ``BufferError``
+    — and the close runs in a ``finally`` so a raising plan cannot leak
+    the worker's mapping; the parent owns (and always unlinks) the
+    segment itself.
     """
     import repro  # noqa: F401  — registers all estimator backends
 
@@ -137,11 +100,10 @@ def _worker_statistics_shared(
             fire_worker(fault_plan, "worker.start", tickets.get("worker.start"))
         shard = segment_view(descriptor, shm)[start:stop]
         if use_cache:
-            result = shared_plan_cache().get(config).statistics(shard)
+            plan = shared_plan_cache().get(config)
         else:
-            from .plans import build_plan
-
-            result = build_plan(config).statistics(shard)
+            plan = build_plan(config)
+        result = plan.statistics(shard)
         # Plans allocate fresh outputs, so nothing below retains the
         # segment buffer once the view is dropped.
         return np.asarray(result)
@@ -222,14 +184,6 @@ class Engine:
         Optional ``multiprocessing`` context; defaults to ``fork``
         where available (cheap, inherits the loaded package) and the
         platform default elsewhere.
-    transport:
-        Shard transport for ``jobs > 1``: ``"shared"`` (default)
-        publishes each trial block once via
-        ``multiprocessing.shared_memory`` and ships workers only an
-        O(config)-byte descriptor plus row bounds; ``"pickle"`` is the
-        legacy per-shard array serialization.  Both are bitwise equal
-        to the serial path — the transport moves the same rows, it
-        just stops copying them through the pipe.
     watchdog_seconds:
         Per-shard watchdog: a sharded result not delivered within this
         many seconds counts as a hung worker — the shard is failed,
@@ -253,7 +207,7 @@ class Engine:
     >>> from repro.pipeline import PipelineConfig
     >>> engine = Engine()
     >>> config = PipelineConfig(fft_size=32, num_blocks=8)
-    >>> threshold = engine.calibrate_threshold(config, trials=16)
+    >>> threshold = engine.calibrate_threshold(config, trials=20)
     """
 
     def __init__(
@@ -261,18 +215,12 @@ class Engine:
         jobs: int = 1,
         cache: PlanCache | None = None,
         mp_context=None,
-        transport: str = "shared",
         watchdog_seconds: float | None = None,
         max_shard_retries: int = 2,
         retry_backoff_seconds: float = 0.05,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         self.jobs = require_positive_int(jobs, "jobs")
-        if transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        self.transport = transport
         if watchdog_seconds is not None and watchdog_seconds <= 0:
             raise ConfigurationError(
                 f"watchdog_seconds must be positive or None, got "
@@ -290,7 +238,7 @@ class Engine:
         self.retry_backoff_seconds = float(retry_backoff_seconds)
         self.fault_injector = fault_injector
         #: Transport of the most recent statistics() call:
-        #: "in-process", "shared", "pickle" — or "degraded-serial"
+        #: "in-process", "shared" — or "degraded-serial"
         #: when every shard of the call fell back to in-process
         #: execution after exhausting retries (None before any call).
         self.last_transport: str | None = None
@@ -374,36 +322,14 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def statistics(
-        self,
-        signals: np.ndarray,
-        config=None,
-        plan=None,
-    ) -> np.ndarray:
+    def statistics(self, signals: np.ndarray, config) -> np.ndarray:
         """Per-trial detection statistics of a ``(trials, samples)``
         batch.
 
-        Exactly one execution source applies: *config* resolves a plan
-        through the cache; *plan* supplies one directly (a
-        :class:`~repro.pipeline.BatchRunner`, a cached plan, or any
-        object exposing ``statistics``).  Passing both is rejected —
-        the two could name different detectors, and which executed
-        would otherwise flip with ``jobs``.  With ``jobs > 1`` the
-        batch is split into contiguous shards across the worker pool —
-        bitwise equal to the serial path — whenever the plan is
-        rebuildable from a configuration (``shardable``); ad-hoc plans
-        without one run in-process.
+        *config* resolves the plan through the cache.  With
+        ``jobs > 1`` the batch is split into contiguous shards across
+        the worker pool — bitwise equal to the serial path.
         """
-        if config is None and plan is None:
-            raise ConfigurationError(
-                "statistics needs a config or a plan"
-            )
-        if config is not None and plan is not None:
-            raise ConfigurationError(
-                "pass either config or plan, not both: they could name "
-                "different detectors, and which one executed would "
-                "depend on jobs"
-            )
         signals = np.asarray(signals)
         if signals.ndim == 1:
             signals = signals[None, :]
@@ -414,24 +340,13 @@ class Engine:
             )
         if self.fault_injector is not None:
             self.fault_injector.fire("engine.batch")
-        shard_config = config
-        if shard_config is None and getattr(plan, "shardable", False):
-            shard_config = getattr(plan, "config", None)
-        trials = signals.shape[0]
-        jobs = min(self.jobs, trials)
-        if jobs > 1 and shard_config is not None:
-            return self._sharded_statistics(shard_config, signals, jobs)
+        jobs = min(self.jobs, signals.shape[0])
+        if jobs > 1:
+            return self._sharded_statistics(config, signals, jobs)
         self.last_transport = "in-process"
-        if plan is None:
-            plan = self.plan(config)
-        return np.asarray(plan.statistics(signals))
+        return np.asarray(self.plan(config).statistics(signals))
 
-    def spectra_statistics(
-        self,
-        spectra: np.ndarray,
-        config=None,
-        plan=None,
-    ) -> np.ndarray:
+    def spectra_statistics(self, spectra: np.ndarray, config) -> np.ndarray:
         """Per-trial statistics of a ``(trials, N, K)`` block-spectra
         batch.
 
@@ -447,15 +362,6 @@ class Engine:
         ``(trials, N, K)`` batch is the largest object in the request —
         sharding it would ship more bytes than the FFTs it saves.
         """
-        if config is None and plan is None:
-            raise ConfigurationError(
-                "spectra_statistics needs a config or a plan"
-            )
-        if config is not None and plan is not None:
-            raise ConfigurationError(
-                "pass either config or plan, not both: they could name "
-                "different detectors"
-            )
         spectra = np.asarray(spectra)
         if spectra.ndim == 2:
             spectra = spectra[None, :, :]
@@ -466,8 +372,7 @@ class Engine:
             )
         if self.fault_injector is not None:
             self.fault_injector.fire("engine.batch")
-        if plan is None:
-            plan = self.plan(config)
+        plan = self.plan(config)
         entry = getattr(plan, "statistics_from_spectra", None)
         if entry is None:
             raise ConfigurationError(
@@ -500,7 +405,7 @@ class Engine:
         # --no-cache path) propagates that choice so sharded timings
         # stay comparable to the serial cold path.
         use_cache = self._cache.maxsize > 0
-        self.last_transport = self.transport
+        self.last_transport = "shared"
         splits = np.array_split(np.arange(signals.shape[0]), jobs)
         shards = [
             (int(rows[0]), int(rows[-1]) + 1) for rows in splits if rows.size
@@ -565,11 +470,10 @@ class Engine:
             futures: dict[int, object] = {}
             try:
                 pool = self._ensure_pool()
-                if self.transport == "shared":
-                    segment = SharedArraySegment(signals)
-                    self._segments.add(segment)
-                    if injector is not None:
-                        injector.fire("shm.publish", segment=segment)
+                segment = SharedArraySegment(signals)
+                self._segments.add(segment)
+                if injector is not None:
+                    injector.fire("shm.publish", segment=segment)
                 for index in pending:
                     start, stop = shards[index]
                     tickets = (
@@ -577,26 +481,16 @@ class Engine:
                         if injector is not None
                         else None
                     )
-                    if self.transport == "pickle":
-                        futures[index] = pool.submit(
-                            _worker_statistics,
-                            config,
-                            signals[start:stop],
-                            use_cache,
-                            fault_plan,
-                            tickets,
-                        )
-                    else:
-                        futures[index] = pool.submit(
-                            _worker_statistics_shared,
-                            config,
-                            segment.descriptor,
-                            start,
-                            stop,
-                            use_cache,
-                            fault_plan,
-                            tickets,
-                        )
+                    futures[index] = pool.submit(
+                        _worker_statistics,
+                        config,
+                        segment.descriptor,
+                        start,
+                        stop,
+                        use_cache,
+                        fault_plan,
+                        tickets,
+                    )
             except (BrokenProcessPool, OSError, RuntimeError):
                 # The pool died before (or while) this round was
                 # submitted — e.g. a worker killed in an earlier batch.
@@ -649,17 +543,22 @@ class Engine:
     ) -> np.ndarray:
         """Statistics over *trials* fresh realisations.
 
-        ``signal_factory(trial_index)`` returns one observation.  On a
-        vectorised plan all realisations are drawn in the parent — per
-        trial index, so the input set is independent of ``jobs`` —
-        then executed through :meth:`statistics`.  A ``per_trial``
-        plan (:class:`~repro.engine.plans.CallableStatisticPlan`)
-        instead streams one realisation at a time: constant memory,
-        and the factory may return variable-length or non-ndarray
-        observations, exactly as the legacy per-trial loop allowed.
+        ``signal_factory(trial_index)`` returns one observation.
+        Exactly one execution source applies.  With *config* all
+        realisations are drawn in the parent — per trial index, so the
+        input set is independent of ``jobs`` — then executed through
+        :meth:`statistics`.  With *plan* (a
+        :class:`~repro.engine.plans.CallableStatisticPlan`) the engine
+        instead streams one realisation at a time through
+        ``plan.statistic``: constant memory, and the factory may return
+        variable-length or non-ndarray observations.
         """
         trials = require_positive_int(trials, "trials")
-        if plan is not None and getattr(plan, "per_trial", False):
+        if (config is None) == (plan is None):
+            raise ConfigurationError(
+                "monte_carlo_statistics needs exactly one of config or plan"
+            )
+        if plan is not None:
             # One scalar per realisation, each observation handed to
             # the plan untouched — a 2-D capture stays ONE trial here.
             return np.array(
@@ -671,7 +570,7 @@ class Engine:
         signals = np.stack(
             [np.asarray(signal_factory(trial)) for trial in range(trials)]
         )
-        return self.statistics(signals, config=config, plan=plan)
+        return self.statistics(signals, config=config)
 
     def calibrate_threshold(
         self,
@@ -682,22 +581,20 @@ class Engine:
     ) -> float:
         """Threshold at the configured (or given) Pfa, by policy.
 
-        ``calibration="monte-carlo"``: the ``(1 - pfa)`` quantile of
-        noise-only statistics — the :class:`~repro.pipeline.BatchRunner`
-        calibration contract, executed through the engine (and
-        therefore sharded when ``jobs > 1``, bitwise equal to the
-        serial calibration).
+        The one calibration entry point of the package.
+        ``calibration="monte-carlo"``: the ``(1 - pfa)`` quantile
+        (:func:`~repro.core.detection.calibration_quantile`) of
+        noise-only statistics, sharded when ``jobs > 1`` and bitwise
+        equal to the serial calibration.
 
         ``calibration="analytic"``: the closed-form CFAR threshold
         (:func:`repro.core.cfar.analytic_threshold`) — zero noise
-        trials and no engine execution at all; *noise_factory* and
-        *trials* are ignored.
+        trials; *noise_factory* and *trials* are ignored.  Lattice
+        backends read their geometry from this engine's own plan.
         """
         pfa = config.pfa if pfa is None else pfa
-        if getattr(config, "calibration", "monte-carlo") == "analytic":
-            from ..core.cfar import analytic_threshold
-
-            return analytic_threshold(config, pfa=pfa)
+        if config.calibration == "analytic":
+            return self._analytic_threshold(config, pfa)
         trials = config.calibration_trials if trials is None else trials
         if noise_factory is None:
             noise_factory = default_noise_factory(config)
@@ -705,6 +602,11 @@ class Engine:
             noise_factory, trials, config=config
         )
         return calibration_quantile(statistics, pfa)
+
+    def _analytic_threshold(self, config, pfa: float) -> float:
+        from ..core.cfar import analytic_threshold
+
+        return analytic_threshold(config, pfa=pfa, plan=self.plan(config))
 
     # ------------------------------------------------------------------
     # Sweeps
@@ -722,11 +624,9 @@ class Engine:
     ):
         """Monte-Carlo Pd-vs-SNR sweep at a fixed Pfa.
 
-        The engine-side replacement for the bespoke loops
-        :func:`repro.analysis.sweeps.pd_vs_snr` and the ROC helpers
-        used to carry: one noise-only pass calibrates the threshold,
-        then every SNR point's H1 trials run through the same (cached)
-        plan, sharded when ``jobs > 1``.
+        One noise-only pass calibrates the threshold, then every SNR
+        point's H1 trials run through the same (cached) plan, sharded
+        when ``jobs > 1``.
 
         Parameters
         ----------
@@ -738,7 +638,10 @@ class Engine:
         snrs_db:
             The SNR axis.
         config / plan:
-            Execution source, as for :meth:`statistics`.
+            Execution source, as for :meth:`monte_carlo_statistics`:
+            a configuration, or a
+            :class:`~repro.engine.plans.CallableStatisticPlan` wrapping
+            an ad-hoc detector (energy detector, matched filter).
         pfa, trials:
             False-alarm target and Monte-Carlo depth per point.
         detector_name:
@@ -757,11 +660,10 @@ class Engine:
         pfa = validate_pfa(pfa)
         trials = require_positive_int(trials, "trials")
         if detector_name is None:
-            backend = getattr(
-                config, "backend", getattr(plan, "backend_name", None)
-            )
             detector_name = (
-                f"cyclostationary/{backend}" if backend else "detector"
+                f"cyclostationary/{config.backend}"
+                if config is not None
+                else "detector"
             )
 
         def collect(factory: Callable[[int], np.ndarray]) -> np.ndarray:
@@ -769,16 +671,13 @@ class Engine:
                 factory, trials, config=config, plan=plan
             )
 
-        if getattr(config, "calibration", "monte-carlo") == "analytic":
+        if config is not None and config.calibration == "analytic":
             # Closed-form threshold: the sweep skips the whole
             # noise-only collection pass — the setup-cost win that
             # motivates the analytic policy (see repro.core.cfar).
-            from ..core.cfar import analytic_threshold
-
-            threshold = analytic_threshold(config, pfa=pfa)
+            threshold = self._analytic_threshold(config, pfa)
         else:
-            h0_statistics = collect(h0_factory)
-            threshold = calibration_quantile(h0_statistics, pfa)
+            threshold = calibration_quantile(collect(h0_factory), pfa)
         points = []
         for snr_db in snrs_db:
             h1_statistics = collect(
@@ -793,28 +692,4 @@ class Engine:
             )
         return DetectionSweep(
             detector_name=detector_name, pfa=pfa, points=tuple(points)
-        )
-
-    def map_statistic(
-        self,
-        statistic_fn: Callable[[np.ndarray], float],
-        h0_factory: Callable[[int], np.ndarray],
-        h1_factory: Callable[[float, int], np.ndarray],
-        snrs_db,
-        pfa: float = 0.1,
-        trials: int = 40,
-        detector_name: str = "detector",
-    ):
-        """:meth:`map_operating_points` for an arbitrary statistic
-        callable (energy detector, matched filter, ...) — runs
-        in-process through a
-        :class:`~repro.engine.plans.CallableStatisticPlan`."""
-        return self.map_operating_points(
-            h0_factory,
-            h1_factory,
-            snrs_db,
-            plan=CallableStatisticPlan(statistic_fn),
-            pfa=pfa,
-            trials=trials,
-            detector_name=detector_name,
         )

@@ -11,10 +11,9 @@ pool.
 
 Two plan classes cover every registered backend:
 
-* :class:`BatchExecutionPlan` — the vectorised multi-trial path
-  (previously the body of :class:`~repro.pipeline.BatchRunner`, which
-  is now a thin wrapper over this class).  It carries the Gram-matrix
-  DSCF mathematics and dispatches to a backend-provided *executor*
+* :class:`BatchExecutionPlan` — the vectorised multi-trial path.  It
+  carries the Gram-matrix DSCF mathematics and dispatches to a
+  backend-provided *executor*
   (:class:`~repro.estimators.fam.BatchedFAM`,
   :class:`~repro.estimators.ssca.BatchedSSCA`,
   :class:`~repro.soc.compiled.CompiledSoCPlan`) when the backend
@@ -33,8 +32,8 @@ test battery for ``jobs in {1, 2, 4}``).
 
 :class:`CallableStatisticPlan` adapts an arbitrary
 ``statistic(samples) -> float`` callable (e.g. an energy detector) to
-the same protocol so the analysis sweeps run every detector through
-one engine code path.
+the engine's per-trial Monte-Carlo driver, so ad-hoc detectors (the
+energy detector, matched filters) run through the same sweeps.
 """
 
 from __future__ import annotations
@@ -42,15 +41,14 @@ from __future__ import annotations
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
+from scipy.linalg.blas import cgemm
 
-from ..core.detection import calibration_quantile as core_calibration_quantile
 from ..core.scf import COHERENCE_FLOOR, DSCFResult, spectral_coherence
 from ..errors import ConfigurationError
 from .._compute import (
     complex_dtype,
     fft_fast_kwargs,
     fft_namespace,
-    single_gemm,
     tile_trials,
 )
 from .._util import spawn_substreams
@@ -70,15 +68,13 @@ PRUNE_SCREEN_LAGS = (0, 1, 2, 3)
 class ExecutionPlan(Protocol):
     """What the engine requires of a plan.
 
-    ``statistics`` is the hot path; ``shardable`` marks plans the
-    engine may rebuild from ``config`` inside worker processes (true
-    for every plan built by :func:`build_plan`, false for ad-hoc
-    callable adapters whose closures cannot cross process boundaries).
+    ``statistics`` is the hot path.  Every plan is rebuildable from its
+    ``config``, which is what lets the engine shard it: workers receive
+    the configuration and build the same plan in their own process.
     """
 
     config: object
     backend_name: str
-    shardable: bool
 
     def statistics(self, signals: np.ndarray) -> np.ndarray:
         """Per-trial detection statistics of a ``(trials, samples)``
@@ -114,17 +110,25 @@ class BatchExecutionPlan:
 
     Holds every constant reused across trials — built exactly once,
     ideally via the shared :class:`~repro.engine.cache.PlanCache` —
-    and implements the batched DSCF mathematics documented on
-    :class:`~repro.pipeline.BatchRunner` (whose module docstring
-    remains the detailed reference for the bulk-FFT + Gram-matrix
-    formulation).
+    and amortises the per-trial cost of the DSCF:
+
+    * **one bulk FFT** — every block of every trial goes through a
+      single FFT call on a ``(trials, N, K)`` tensor;
+    * **cached constants** — window taper, expression-2 phase table,
+      index grids and searched-column masks are built once per
+      configuration;
+    * **Gram-matrix DSCF** — per trial, ``S_f^a`` is a gather from the
+      ``(4M+1) x (4M+1)`` Gram matrix ``G[u, v] = sum_n X[n, c+u]
+      conj(X[n, c+v])`` computed by one BLAS matmul (``u = f+a``,
+      ``v = f-a``), instead of gathering an ``(N, 2M+1, 2M+1)`` tensor;
+    * **trial chunking** — trials stream through in slabs of
+      ``config.trial_chunk``, bounding the Gram intermediate
+      independently of the trial count.
 
     Every per-trial slice of a batched result is bit-for-bit identical
     to running that trial alone, and independent of slab and shard
     boundaries.
     """
-
-    shardable = True
 
     def __init__(self, config) -> None:
         from ..core.windows import get_window
@@ -308,7 +312,7 @@ class BatchExecutionPlan:
         """Batched DSCF estimates, shape ``(trials, 2M+1, 2M+1)``.
 
         Each trial's grid is the Gram gather described on
-        :class:`~repro.pipeline.BatchRunner`, streamed in
+        :class:`BatchExecutionPlan`, streamed in
         ``config.trial_chunk`` slabs into a preallocated accumulator.
         On a full-plane backend the grid is instead the estimator
         lattice's per-cell peak magnitudes (cast to complex —
@@ -340,30 +344,18 @@ class BatchExecutionPlan:
             # values are bitwise unchanged.
             values /= cfg.num_blocks
             return values
-        # float32 fast path.  With BLAS available the whole Gram
-        # gather is one cgemm per trial: for X = windowed[t] (N x K'),
-        # X.T is Fortran-contiguous for free, and
+        # float32 fast path: the whole Gram gather is one cgemm per
+        # trial.  For X = windowed[t] (N x K'), X.T is
+        # Fortran-contiguous for free, and
         # ``cgemm(alpha=1/N, a=X.T, b=X.T, trans_b='C')`` computes
         # (X.T)(X.T)^H / N = X^T conj(X) / N — the 1/N normalisation
         # folded into alpha and the conjugated operand expressed as a
         # BLAS op instead of a materialised ``conj`` copy.
-        cgemm = single_gemm()
-        if cgemm is not None:
-            scale = 1.0 / cfg.num_blocks
-            for trial in range(trials):
-                transposed = windowed[trial].T
-                gram = cgemm(scale, transposed, transposed, trans_b=2)
-                values[trial] = gram[self._gram_u, self._gram_v]
-            return values
-        # SciPy-less fallback: numpy matmul, with the 1/N pass deferred
-        # to the extracted (2M+1)^2 grid — a 4x smaller array than the
-        # full Gram plane.
-        for start in range(0, trials, cfg.trial_chunk):
-            stop = start + cfg.trial_chunk
-            slab = windowed[start:stop]
-            gram = np.matmul(slab.transpose(0, 2, 1), np.conj(slab))
-            values[start:stop] = gram[:, self._gram_u, self._gram_v]
-        values /= np.float32(cfg.num_blocks)
+        scale = 1.0 / cfg.num_blocks
+        for trial in range(trials):
+            transposed = windowed[trial].T
+            gram = cgemm(scale, transposed, transposed, trans_b=2)
+            values[trial] = gram[self._gram_u, self._gram_v]
         return values
 
     def surfaces(
@@ -554,8 +546,6 @@ class LoopExecutionPlan:
     worker processes instead of tiles.
     """
 
-    shardable = True
-
     def __init__(self, config, host_cache=None) -> None:
         from ..pipeline.backends import get_backend
 
@@ -565,9 +555,8 @@ class LoopExecutionPlan:
         fresh = getattr(registered, "fresh", None)
         self._backend = fresh() if callable(fresh) else registered
         # Host-side gram plan: spectra geometry for the coherence
-        # denominator (so both paths window identically), and the
-        # vectorised fallback BatchRunner keeps offering on sequential
-        # backends.  When the building cache retains plans it is
+        # denominator, so both paths window identically.  When the
+        # building cache retains plans it is
         # resolved through it (deduping with any vectorized plan at
         # this geometry); with caching disabled the host is built
         # directly so cold timings stay cold.
@@ -576,11 +565,6 @@ class LoopExecutionPlan:
             self._spectra = host_cache.get(host_config)
         else:
             self._spectra = BatchExecutionPlan(host_config)
-
-    @property
-    def host_plan(self) -> BatchExecutionPlan:
-        """The host-side Gram-matrix plan sharing this geometry."""
-        return self._spectra
 
     @property
     def searched_columns(self) -> np.ndarray:
@@ -663,21 +647,18 @@ class LoopExecutionPlan:
 class CallableStatisticPlan:
     """Adapter running an arbitrary statistic callable per trial.
 
-    Lets the analysis sweeps drive any detector exposing
-    ``statistic(samples) -> float`` (the energy detector, matched
-    filters, ad-hoc lambdas) through the engine's single code path.
-    Closures cannot cross process boundaries, so these plans are never
-    sharded (``shardable`` is False) — the engine runs them in-process
-    — and ``per_trial`` tells the engine's Monte-Carlo driver to
-    stream realisations one at a time instead of stacking them (the
+    Lets :meth:`~repro.engine.Engine.monte_carlo_statistics` and
+    :meth:`~repro.engine.Engine.map_operating_points` drive any
+    detector exposing ``statistic(samples) -> float`` (the energy
+    detector, matched filters, ad-hoc lambdas).  Closures cannot cross
+    process boundaries, so the engine runs these plans in-process, and
+    it streams realisations one at a time instead of stacking them (the
     callable contract allows variable-length and non-ndarray signals,
     and streaming keeps memory constant in the trial count).
     """
 
     config = None
     backend_name = "callable"
-    shardable = False
-    per_trial = True
 
     def __init__(self, statistic_fn: Callable[[np.ndarray], float]) -> None:
         if not callable(statistic_fn):
@@ -701,7 +682,7 @@ class CallableStatisticPlan:
         Only for homogeneous stacked batches — per-trial drivers that
         may carry non-ndarray or 2-D single observations must call
         :meth:`statistic` per realisation instead (the engine's
-        ``per_trial`` streaming path does).
+        Monte-Carlo driver does).
         """
         signals = np.asarray(signals)
         if signals.ndim == 1:
@@ -773,9 +754,8 @@ def default_noise_factory(config) -> Callable[[int], np.ndarray]:
     Trial *t* draws from the arithmetic substream
     ``spawn_substreams(1, base_seed=config.calibration_seed, start=t)``
     — the package-wide seeding contract (see
-    :func:`repro._util.spawn_substreams`), shared by
-    :class:`~repro.pipeline.BatchRunner` and the scanner so thresholds
-    agree bit for bit wherever they are calibrated.
+    :func:`repro._util.spawn_substreams`), so thresholds agree bit for
+    bit wherever they are calibrated.
     """
     from ..signals.noise import awgn
 
@@ -787,13 +767,3 @@ def default_noise_factory(config) -> Callable[[int], np.ndarray]:
         return awgn(needed, power=1.0, seed=seed)
 
     return factory
-
-
-def calibration_quantile(statistics: np.ndarray, pfa: float) -> float:
-    """The ``(1 - pfa)`` threshold quantile of noise-only statistics.
-
-    Re-exported from :func:`repro.core.detection.calibration_quantile`
-    — the one quantile rule every calibration path shares (including
-    its under-sampled-calibration warning).
-    """
-    return core_calibration_quantile(statistics, pfa)

@@ -127,8 +127,8 @@ class _FullPlaneBackend:
     def batch_plan(self, config: PipelineConfig):
         """The (cached) vectorised :class:`~repro.engine.plans.
         TrialExecutor` for *config* — the hook
-        :class:`~repro.engine.plans.BatchExecutionPlan` (and therefore
-        :class:`~repro.pipeline.BatchRunner`) dispatches through."""
+        :class:`~repro.engine.plans.BatchExecutionPlan` dispatches
+        through."""
         return self._plans.get(config)
 
     def compute(

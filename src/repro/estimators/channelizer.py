@@ -15,7 +15,7 @@ bit-for-bit equal to that function for ``center=False`` and adds
   alignment SSCA needs so each demodulate is time-registered to the
   full-rate sample it is conjugate-multiplied with;
 * a **batched path** — one bulk FFT over every frame of every trial,
-  mirroring :meth:`repro.pipeline.BatchRunner.block_spectra`.
+  mirroring :meth:`repro.engine.BatchExecutionPlan.block_spectra`.
 
 The demodulate of channel ``k`` (centered bin, column ``k + N'/2``) is
 

@@ -1,4 +1,4 @@
-"""Unified estimator-backend pipeline with batched execution.
+"""Unified estimator-backend pipeline.
 
 This package is the spine that lets every consumer — CLI, analysis
 sweeps, SoC experiments, benchmarks, examples — run the *same* DSCF
@@ -10,10 +10,10 @@ detection chain on interchangeable execution substrates:
   protocol and the registered substrates (``reference``,
   ``vectorized``, ``streaming``, ``soc``, plus the full-plane
   ``fam``/``ssca`` estimators from :mod:`repro.estimators`);
-* :mod:`repro.pipeline.batch` — :class:`BatchRunner`, the vectorised
-  multi-trial executor (one bulk FFT, cached plans, Gram-matrix DSCF);
 * :mod:`repro.pipeline.pipeline` — :class:`DetectionPipeline`, the
-  composed scenario -> channel -> backend -> detector chain.
+  composed scenario -> channel -> backend -> detector chain, executed
+  through a :class:`~repro.engine.Engine` (whose cached plans hold the
+  vectorised multi-trial mathematics).
 
 Quickstart
 ----------
@@ -35,7 +35,6 @@ from .backends import (
     register_backend,
     spectra_serve_support,
 )
-from .batch import BatchRunner
 from .config import PipelineConfig
 from .pipeline import DetectionPipeline
 
@@ -47,7 +46,6 @@ __all__ = [
     "FAMBackend",
     "SSCABackend",
     "BackendCapabilities",
-    "BatchRunner",
     "DetectionPipeline",
     "EstimatorBackend",
     "PipelineConfig",

@@ -45,7 +45,7 @@ class BackendCapabilities:
     ----------
     supports_batch:
         The computation vectorises across independent trials, so the
-        :class:`~repro.pipeline.BatchRunner` may take the fast path.
+        engine builds a :class:`~repro.engine.BatchExecutionPlan`.
     supports_streaming:
         Blocks can be integrated one at a time (hardware-style).
     accepts_spectra:
@@ -237,8 +237,8 @@ class SoCBackend:
     With ``config.soc_compiled`` the same runner executes on the
     trace-compiled engine (:mod:`repro.soc.compiled`) — identical
     values, cycle tables and energy, replayed as vectorised NumPy —
-    and :meth:`batch_plan` additionally hands
-    :class:`~repro.pipeline.BatchRunner` a batched multi-trial
+    and :meth:`batch_plan` additionally hands the engine's
+    :class:`~repro.engine.BatchExecutionPlan` a batched multi-trial
     executor so Monte-Carlo workloads run in bulk.
 
     :attr:`last_run` holds the :class:`~repro.soc.runner.SoCRunResult`

@@ -97,13 +97,14 @@ class PipelineConfig:
         interpreted once per configuration and replayed as vectorised
         NumPy operations — bit-for-bit the interpreter's results
         (values, cycles, energy) at a fraction of the cost — and the
-        backend hands :class:`~repro.pipeline.BatchRunner` a batched
-        multi-trial executor, so soc Monte-Carlo sweeps run like the
-        DSCF batch paths.  Default False (instruction-level
+        backend hands the engine's
+        :class:`~repro.engine.BatchExecutionPlan` a batched multi-trial
+        executor, so soc Monte-Carlo sweeps run like the DSCF batch
+        paths.  Default False (instruction-level
         interpretation).
     trial_chunk:
         Trials processed per vectorised slab by the
-        :class:`~repro.pipeline.BatchRunner` (bounds peak memory at
+        :class:`~repro.engine.BatchExecutionPlan` (bounds peak memory at
         roughly ``trial_chunk * (4M+1)^2`` complex values; for the
         full-plane backends it bounds the ``(chunk, P, N', N')`` /
         ``(chunk, N, N')`` product tensors instead).

@@ -13,10 +13,10 @@ typed :class:`~repro.pipeline.config.PipelineConfig`:
 4. the cyclostationary detection statistic and threshold test,
    yielding a :class:`~repro.core.detection.DetectionReport`.
 
-Single decisions on a batch-capable backend, and every Monte-Carlo
-workload, route through the :class:`~repro.pipeline.batch.BatchRunner`
-so the per-trial and batched paths share one implementation (and are
-therefore bit-for-bit consistent).
+Statistics, detection surfaces and threshold calibration all run
+through the pipeline's :class:`~repro.engine.Engine` and its cached
+execution plan, so a single decision and a Monte-Carlo batch share one
+implementation (and are therefore bit-for-bit consistent).
 
 >>> from repro.pipeline import DetectionPipeline, PipelineConfig
 >>> pipeline = DetectionPipeline(PipelineConfig(fft_size=32,
@@ -34,11 +34,11 @@ import numpy as np
 
 from ..core.detection import DetectionReport
 from ..core.sampling import SampledSignal
-from ..core.scf import DSCFResult, spectral_coherence
+from ..core.scf import DSCFResult
+from ..engine import Engine
 from ..errors import ConfigurationError
 from ..signals.scenario import BandOccupancy, BandScenario
 from .backends import EstimatorBackend, get_backend
-from .batch import BatchRunner
 from .config import PipelineConfig
 
 Channel = Callable[[SampledSignal], SampledSignal]
@@ -63,10 +63,10 @@ class DetectionPipeline:
         before estimation (see :mod:`repro.signals.channel`).
     engine:
         Optional :class:`~repro.engine.Engine` executing the
-        pipeline's Monte-Carlo work (threshold calibration).  With
+        pipeline's statistics and threshold calibration.  With
         ``Engine(jobs=N)`` calibration shards across worker processes
-        — bitwise equal to the serial path.  ``None`` (default) runs
-        in-process through the runner/loop exactly as before.
+        — bitwise equal to the serial path.  ``None`` (default) uses
+        an in-process ``Engine()`` on the shared plan cache.
     """
 
     def __init__(
@@ -77,7 +77,7 @@ class DetectionPipeline:
     ) -> None:
         self.config = config if config is not None else PipelineConfig()
         self.channel = channel
-        self.engine = engine
+        self.engine = engine if engine is not None else Engine()
         registered = get_backend(self.config.backend)
         # Backends with per-run state (e.g. SoCBackend.last_run) expose
         # fresh() so each pipeline gets a private instance; registered
@@ -85,14 +85,6 @@ class DetectionPipeline:
         # configuration the extension author gave them.
         fresh = getattr(registered, "fresh", None)
         self._backend: EstimatorBackend = fresh() if callable(fresh) else registered
-        self._runner = BatchRunner(self.config)
-        # Batched execution applies when the backend advertises it OR
-        # hands the runner a vectorised plan (e.g. the compiled SoC
-        # engine behind config.soc_compiled).
-        self._batched = (
-            self._backend.capabilities.supports_batch
-            or self._runner.estimator_plan is not None
-        )
         self._threshold: float | None = None
 
     # ------------------------------------------------------------------
@@ -102,11 +94,6 @@ class DetectionPipeline:
     def backend(self) -> EstimatorBackend:
         """The estimator backend the pipeline executes on."""
         return self._backend
-
-    @property
-    def batch(self) -> BatchRunner:
-        """The batched executor sharing this pipeline's configuration."""
-        return self._runner
 
     @property
     def detector_name(self) -> str:
@@ -140,34 +127,17 @@ class DetectionPipeline:
         """Run source -> channel -> backend, returning the DSCF."""
         return self._backend.compute(self._apply_channel(signal), self.config)
 
-    def _surface(self, signal: SampledSignal | np.ndarray) -> np.ndarray:
-        """Detection surface of a channel-applied signal."""
-        samples = _samples_of(signal)
-        if self._batched:
-            return self._runner.surfaces(samples[None])[0]
-        spectra = self._runner.block_spectra(samples[None])[0]
-        source = spectra if self._backend.capabilities.accepts_spectra else signal
-        result = self._backend.compute(source, self.config)
-        if not self.config.normalize:
-            return result.magnitude()
-        mean_square = np.mean(np.abs(spectra) ** 2, axis=0)
-        return spectral_coherence(result, mean_square)
-
     def feature_surface(self, signal: SampledSignal | np.ndarray) -> np.ndarray:
         """The ``(2M+1, 2M+1)`` detection surface on this backend."""
-        return self._surface(self._apply_channel(signal))
+        samples = _samples_of(self._apply_channel(signal))
+        plan = self.engine.plan(self.config)
+        return plan.surfaces(samples[None])[0]
 
     def statistic(self, signal: SampledSignal | np.ndarray) -> float:
         """Scalar test statistic: peak surface over searched offsets."""
-        return self._statistic_no_channel(self._apply_channel(signal))
-
-    def _statistic_no_channel(
-        self, signal: SampledSignal | np.ndarray
-    ) -> float:
-        if self._batched:
-            return float(self._runner.statistics(_samples_of(signal)[None])[0])
-        surface = self._surface(signal)
-        return float(surface[:, self._runner.searched_columns].max())
+        samples = _samples_of(self._apply_channel(signal))
+        statistics = self.engine.statistics(samples[None], config=self.config)
+        return float(statistics[0])
 
     # ------------------------------------------------------------------
     # Calibration and decision
@@ -179,10 +149,10 @@ class DetectionPipeline:
     ) -> float:
         """Threshold at ``config.pfa``, cached on the pipeline.
 
-        Under ``calibration="monte-carlo"`` (default): uses the batched
-        pass when the backend supports it; otherwise loops noise-only
-        trials through the backend itself so the threshold matches the
-        statistics the backend will produce.
+        One :meth:`repro.engine.Engine.calibrate_threshold` call: under
+        ``calibration="monte-carlo"`` (default) the noise-only trials
+        run through the same plan as :meth:`statistic`, so the
+        threshold matches the statistics the backend will produce.
 
         Under ``calibration="analytic"``: the closed-form CFAR
         threshold (:func:`repro.core.cfar.analytic_threshold`) — zero
@@ -197,44 +167,10 @@ class DetectionPipeline:
         the factory's realisations stand for noise added at the
         receiver itself.
         """
-        if self.config.calibration == "analytic":
-            from ..core.cfar import analytic_threshold
-
-            threshold = analytic_threshold(
-                self.config, plan=self._runner.execution_plan
-            )
-            self._threshold = threshold
-            return threshold
-        trials = self.config.calibration_trials if trials is None else trials
-        if noise_factory is None:
-            noise_factory = self._runner.default_noise_factory()
-        if self.engine is not None:
-            # The engine resolves the same plan through the shared
-            # cache (loop plan on sequential backends), so thresholds
-            # are bitwise equal to the in-process paths below — but
-            # shard across workers when the engine carries jobs > 1.
-            threshold = self.engine.calibrate_threshold(
-                self.config, noise_factory=noise_factory, trials=trials
-            )
-        elif self._batched:
-            threshold = self._runner.calibrate_threshold(
-                noise_factory=noise_factory, trials=trials
-            )
-        else:
-            # The same quantile rule as the batched/engine paths (one
-            # shared implementation), so the per-trial loop is
-            # bit-identical to them on the same trial set.
-            from ..core.detection import calibration_quantile
-
-            statistics = np.array(
-                [
-                    self._statistic_no_channel(noise_factory(trial))
-                    for trial in range(trials)
-                ]
-            )
-            threshold = calibration_quantile(statistics, self.config.pfa)
-        self._threshold = threshold
-        return threshold
+        self._threshold = self.engine.calibrate_threshold(
+            self.config, noise_factory=noise_factory, trials=trials
+        )
+        return self._threshold
 
     def detect(
         self,

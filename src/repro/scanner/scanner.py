@@ -16,9 +16,9 @@
 
 Batch-capable backends take the **batched path**: all sub-bands (and,
 in :meth:`BandScanner.scan_many`, all captures) stack into a single
-:class:`~repro.pipeline.BatchRunner` pass — one bulk FFT across
+:meth:`~repro.engine.Engine.statistics` pass — one bulk FFT across
 sub-bands x trials.  Every per-band statistic of the batched path is
-bit-for-bit identical to scanning that band alone (the runner's
+bit-for-bit identical to scanning that band alone (the plan's
 batch == singleton guarantee); backends without a batched executor
 fall back to the same per-band loop on both paths, so the equality
 holds for *every* registered backend.
@@ -30,6 +30,7 @@ import numpy as np
 
 from .._util import require_positive_int, spawn_substreams
 from ..core.sampling import SampledSignal
+from ..engine import BatchExecutionPlan
 from ..errors import ConfigurationError, SignalError
 from ..pipeline import DetectionPipeline, PipelineConfig
 from ..signals.noise import awgn
@@ -112,10 +113,8 @@ class BandScanner:
         )
         self.engine = engine
         self.pipeline = DetectionPipeline(config, engine=engine)
-        backend = self.pipeline.backend
-        self._batch_capable = (
-            backend.capabilities.supports_batch
-            or self.pipeline.batch.estimator_plan is not None
+        self._batch_capable = isinstance(
+            self.pipeline.engine.plan(config), BatchExecutionPlan
         )
         self._threshold: float | None = None
 
@@ -266,12 +265,9 @@ class BandScanner:
             bool(batched) and self._batch_capable
         )
         if use_batch:
-            if self.engine is not None:
-                # Same cached plan, sharded across the engine's
-                # workers when it carries jobs > 1 — bitwise equal to
-                # the in-process pass below.
-                return self.engine.statistics(bands, config=self.config)
-            return self.pipeline.batch.statistics(bands)
+            # Sharded across the engine's workers when it carries
+            # jobs > 1 — bitwise equal to the in-process pass.
+            return self.pipeline.engine.statistics(bands, config=self.config)
         return np.array(
             [self.pipeline.statistic(series) for series in bands]
         )

@@ -33,7 +33,10 @@ Failures reply ``{"ok": false, "error": "<exception class>",
 "message": "..."}`` and keep the connection open: backpressure
 (``ServiceOverloadedError``), circuit fast-fails and deadline sheds
 are ordinary replies a client backs off on, not connection teardowns.
-Malformed JSON and invalid UTF-8 get the same typed-error treatment.
+Malformed JSON and invalid UTF-8 get the same typed-error treatment,
+and so does an unexpected exception inside a request: the client gets
+a typed reply, the traceback goes to this module's logger, and the
+connection stays open.
 Only two conditions end a connection from the server side: a line
 longer than ``max_line_bytes`` (one ``RequestTooLargeError`` reply,
 then a clean close — the framing is unrecoverable past an overrun)
@@ -45,12 +48,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 
 from .._util import require_positive_int
 from ..errors import ConfigurationError, ReproError, RequestTooLargeError
 from .service import SensingService
+
+logger = logging.getLogger(__name__)
 
 
 def decode_samples(pairs) -> np.ndarray:
@@ -205,7 +211,13 @@ class SensingServer:
             if not isinstance(request, dict):
                 raise ConfigurationError("request must be a JSON object")
             return await self._dispatch(request)
-        except (ReproError, ValueError, KeyError, TypeError) as error:
+        except Exception as error:
+            expected = (ReproError, ValueError, KeyError, TypeError)
+            if not isinstance(error, expected):
+                # A bug or an unexpected backend failure: the client
+                # still gets a typed reply on a live connection, and
+                # the traceback is kept for the operator.
+                logger.exception("unexpected error serving a request")
             return {
                 "ok": False,
                 "error": type(error).__name__,

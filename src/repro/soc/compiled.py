@@ -14,13 +14,12 @@ activity instead of per-cycle increments.
 ``soc`` pipeline backend hands to the execution engine when
 ``PipelineConfig.soc_compiled`` is set — it conforms to the
 :class:`repro.engine.plans.TrialExecutor` protocol (``dscf_exact``
-flavour), so :class:`~repro.engine.plans.BatchExecutionPlan` (and
-therefore :class:`~repro.pipeline.BatchRunner`) dispatch whole trial
-sets through one vectorised replay, with each trial bit-for-bit equal
-to a stand-alone run.  Instances are cached by the backend's
-:class:`~repro.engine.cache.PlanCache` — compiling a schedule
-interprets the platform's full instruction stream, so cache hits here
-dominate the engine benchmark's plan-cache speedup
+flavour), so :class:`~repro.engine.plans.BatchExecutionPlan`
+dispatches whole trial sets through one vectorised replay, with each
+trial bit-for-bit equal to a stand-alone run.  Instances are cached by
+the backend's :class:`~repro.engine.cache.PlanCache` — compiling a
+schedule interprets the platform's full instruction stream, so cache
+hits here dominate the engine benchmark's plan-cache speedup
 (``BENCH_engine.json``).
 """
 
@@ -220,16 +219,16 @@ class CompiledSoC:
 class CompiledSoCPlan:
     """Batched Monte-Carlo executor for the compiled ``soc`` backend.
 
-    The hook :class:`~repro.pipeline.BatchRunner` dispatches through
+    The hook :class:`~repro.engine.plans.BatchExecutionPlan` dispatches through
     when the configured backend is ``soc`` and
     ``PipelineConfig.soc_compiled`` is set.  ``dscf_exact`` marks the
     plan as producing exact expression-3 complex values on the
     ``(f, a)`` grid (unlike the full-plane FAM/SSCA plans, which bin
-    magnitudes), so the runner keeps its DSCF semantics — coherence
+    magnitudes), so the plan keeps its DSCF semantics — coherence
     normalisation, searched columns, thresholding — unchanged.
     """
 
-    #: Exact complex DSCF values — BatchRunner uses :meth:`values`.
+    #: Exact complex DSCF values — the batch plan uses :meth:`values`.
     dscf_exact = True
 
     def __init__(self, config) -> None:

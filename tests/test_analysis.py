@@ -13,9 +13,9 @@ from repro.analysis.roc import (
     RocCurve,
     auc,
     detection_probability,
-    monte_carlo_statistics,
     roc_curve,
 )
+from repro.engine import CallableStatisticPlan, Engine
 from repro.core.scf import dscf_from_signal
 from repro.errors import ConfigurationError, SignalError
 from repro.signals.modulators import bpsk_signal
@@ -86,13 +86,19 @@ class TestMonteCarlo:
             calls.append(trial)
             return np.ones(4) * trial
 
-        stats = monte_carlo_statistics(lambda x: float(x.sum()), factory, 5)
+        stats = Engine().monte_carlo_statistics(
+            factory, 5, plan=CallableStatisticPlan(lambda x: float(x.sum()))
+        )
         assert calls == [0, 1, 2, 3, 4]
         assert stats.shape == (5,)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigurationError):
-            monte_carlo_statistics(lambda x: 0.0, lambda t: np.zeros(1), 0)
+            Engine().monte_carlo_statistics(
+                lambda t: np.zeros(1),
+                0,
+                plan=CallableStatisticPlan(lambda x: 0.0),
+            )
 
 
 class TestMetrics:

@@ -29,14 +29,16 @@ from repro.core.cfar import (
     analytic_threshold,
     null_model,
 )
-from repro.core.detection import (
-    calibrate_threshold,
-    calibration_quantile,
+from repro.core.detection import calibration_quantile
+from repro.engine import (
+    CallableStatisticPlan,
+    Engine,
+    PlanCache,
+    default_noise_factory,
+    shared_plan_cache,
 )
-from repro.engine import Engine
-from repro.engine.plans import calibration_quantile as plans_quantile
 from repro.errors import CalibrationWarning, ConfigurationError
-from repro.pipeline import BatchRunner, DetectionPipeline, PipelineConfig
+from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.scanner import BandScanner
 from repro.signals.modulators import bpsk_signal
 from repro.signals.noise import awgn
@@ -91,7 +93,7 @@ def test_analytic_realized_pfa_matches_target(kwargs, band):
     threshold = DetectionPipeline(config).calibrate()
     assert 0.0 < threshold < 1.0
     trials = 400
-    statistics = BatchRunner(config).statistics(
+    statistics = Engine().plan(config).statistics(
         _noise_batch(config, trials)
     )
     realized = float(np.mean(statistics > threshold))
@@ -109,7 +111,7 @@ def test_analytic_realized_pfa_paper_operating_point():
         fft_size=256, num_blocks=8, pfa=0.1, calibration="analytic"
     )
     threshold = DetectionPipeline(config).calibrate()
-    statistics = BatchRunner(config).statistics(_noise_batch(config, 300))
+    statistics = Engine().plan(config).statistics(_noise_batch(config, 300))
     realized = float(np.mean(statistics > threshold))
     assert 0.05 <= realized <= 0.16
 
@@ -117,8 +119,8 @@ def test_analytic_realized_pfa_paper_operating_point():
 def test_analytic_matches_monte_carlo_quantile():
     """Analytic and MC thresholds agree on the same operating point."""
     config = PipelineConfig(fft_size=64, num_blocks=8, pfa=0.1)
-    runner = BatchRunner(config)
-    statistics = runner.statistics(_noise_batch(config, 500))
+    plan = Engine().plan(config)
+    statistics = plan.statistics(_noise_batch(config, 500))
     mc = calibration_quantile(statistics, config.pfa)
     analytic = analytic_threshold(config)
     assert analytic == pytest.approx(mc, rel=0.03)
@@ -144,6 +146,32 @@ def test_analytic_needs_zero_trials():
             config, noise_factory=factory
         ) == pytest.approx(threshold)
     assert calls == []
+
+
+@pytest.mark.parametrize("backend", ["fam", "ssca"])
+def test_analytic_lattice_calibration_uses_the_engines_plan_cache(backend):
+    """A lattice null model reads its geometry from the engine's own
+    plan: a private-cache (``--no-cache``-style) engine builds the plan
+    in its cache and never warms the process-wide one."""
+    config = PipelineConfig(
+        fft_size=64, num_blocks=11, backend=backend, calibration="analytic"
+    )
+    shared = shared_plan_cache()
+    assert config not in shared
+    engine = Engine(cache=PlanCache())
+    threshold = engine.calibrate_threshold(config)
+    assert config in engine.cache
+    assert config not in shared
+    sweep = engine.map_operating_points(
+        lambda trial: awgn(config.samples_per_decision, seed=trial),
+        lambda snr, trial: awgn(config.samples_per_decision, seed=trial),
+        [0.0],
+        config=config,
+        pfa=config.pfa,
+        trials=20,
+    )
+    assert sweep.points[0].threshold == threshold
+    assert config not in shared
 
 
 def test_gram_model_distinct_pair_count():
@@ -209,7 +237,7 @@ def test_analytic_is_noise_power_invariant():
     )
     threshold = DetectionPipeline(config).calibrate()
     loud = 100.0 * _noise_batch(config, 200)
-    statistics = BatchRunner(config).statistics(loud)
+    statistics = Engine().plan(config).statistics(loud)
     realized = float(np.mean(statistics > threshold))
     assert realized <= 3.0 * config.pfa
 
@@ -222,8 +250,6 @@ def test_quantile_rule_is_shared_and_bit_identical():
     statistics = rng.random(200)
     expected = float(np.quantile(statistics, 1.0 - 0.05))
     assert calibration_quantile(statistics, 0.05) == expected
-    # The engine re-export is literally the same rule.
-    assert plans_quantile(statistics, 0.05) == expected
 
 
 def test_per_trial_and_batched_calibration_bit_identical():
@@ -232,15 +258,18 @@ def test_per_trial_and_batched_calibration_bit_identical():
         fft_size=32, num_blocks=8, backend="reference", calibration_trials=24
     )
     pipeline = DetectionPipeline(config)  # reference: per-trial loop
-    factory = pipeline.batch.default_noise_factory()
+    factory = default_noise_factory(config)
     loop_threshold = pipeline.calibrate(noise_factory=factory)
 
     batched = DetectionPipeline(config.with_backend("vectorized"))
     batched_threshold = batched.calibrate(noise_factory=factory)
     assert loop_threshold == batched_threshold
 
-    detector_threshold = calibrate_threshold(
-        DetectionPipeline(config).statistic, factory, config.pfa, trials=24
+    detector_threshold = calibration_quantile(
+        Engine().monte_carlo_statistics(
+            factory, 24, plan=CallableStatisticPlan(pipeline.statistic)
+        ),
+        config.pfa,
     )
     assert detector_threshold == batched_threshold
 
@@ -274,7 +303,7 @@ def test_undersampled_warning_through_runner():
         fft_size=32, num_blocks=8, pfa=0.01, calibration_trials=16
     )
     with pytest.warns(CalibrationWarning):
-        BatchRunner(config).calibrate_threshold()
+        Engine().calibrate_threshold(config)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +388,7 @@ def test_pruned_search_finds_full_sweep_peak(sps):
     )
     signal = _occupied(full_config, sps, seed=13 + sps)
 
-    full = BatchRunner(full_config)
+    full = Engine().plan(full_config)
     surface = full.surfaces(signal[None])[0]
     columns = full.searched_columns
     m = full_config.m
@@ -368,7 +397,7 @@ def test_pruned_search_finds_full_sweep_peak(sps):
     )
     full_statistic = float(full.statistics(signal[None])[0])
 
-    plan = BatchRunner(pruned_config).execution_plan
+    plan = Engine().plan(pruned_config)
     statistics, peaks = plan.pruned_search(signal[None])
     assert int(peaks[0]) == full_peak == 64 // (2 * sps)
     assert statistics[0] == pytest.approx(full_statistic, rel=1e-6)
@@ -385,16 +414,16 @@ def test_pruned_search_golden_k256_operating_point():
         fft_size=256, num_blocks=8, alpha_search="pruned"
     )
     signal = _occupied(full_config, sps=8, seed=99)
-    full = BatchRunner(full_config)
+    full = Engine().plan(full_config)
     surface = full.surfaces(signal[None])[0]
     columns = full.searched_columns
     full_peak = abs(
         int(columns[np.argmax(surface[:, columns].max(axis=0))])
         - full_config.m
     )
-    statistics, peaks = BatchRunner(
-        pruned_config
-    ).execution_plan.pruned_search(signal[None])
+    statistics, peaks = Engine().plan(pruned_config).pruned_search(
+        signal[None]
+    )
     assert int(peaks[0]) == full_peak == 256 // 16
     assert statistics[0] == pytest.approx(
         float(full.statistics(signal[None])[0]), rel=1e-6
@@ -406,10 +435,10 @@ def test_full_sweep_unchanged_by_pruned_knob_existence():
     config = PipelineConfig(fft_size=32, num_blocks=8)
     assert config.alpha_search == "full"
     signal = _occupied(config, sps=4, seed=5)
-    runner = BatchRunner(config)
-    surfaces = runner.surfaces(signal[None])
-    stats = runner.statistics(signal[None])
-    expected = surfaces[:, :, runner.searched_columns].max(axis=(1, 2))
+    plan = Engine().plan(config)
+    surfaces = plan.surfaces(signal[None])
+    stats = plan.statistics(signal[None])
+    expected = surfaces[:, :, plan.searched_columns].max(axis=(1, 2))
     assert np.array_equal(stats, expected)
 
 
@@ -451,6 +480,6 @@ def test_analytic_with_pruned_search_is_conservative():
         calibration="analytic",
     )
     threshold = DetectionPipeline(config).calibrate()
-    statistics = BatchRunner(config).statistics(_noise_batch(config, 300))
+    statistics = Engine().plan(config).statistics(_noise_batch(config, 300))
     realized = float(np.mean(statistics > threshold))
     assert realized <= 1.6 * config.pfa

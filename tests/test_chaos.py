@@ -27,7 +27,7 @@ from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.serve import CircuitBreaker, SensingServer, SensingService, encode_samples
 from repro.signals.noise import awgn
 
-TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=8)
+TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=20)
 
 
 def _signals(count: int, seed0: int = 100) -> np.ndarray:

@@ -115,7 +115,7 @@ class TestBackendsCommand:
         code = main([
             "sense", "--fft-size", "16", "--blocks", "8",
             "--snr-db", "10", "--sps", "4",
-            "--calibration-trials", "10", "--seed", "3",
+            "--calibration-trials", "20", "--seed", "3",
             "--backend", "soc", "--soc-compiled",
         ])
         assert code == 0
@@ -139,7 +139,10 @@ class TestBackendsCommand:
 class TestScanCommand:
     def test_smoke_recovers_and_writes_bench_json(self, capsys, tmp_path):
         bench = tmp_path / "BENCH_scanner.json"
-        code = main(["scan", "--smoke", "--bench-json", str(bench)])
+        code = main([
+            "scan", "--smoke", "--calibration-trials", "20",
+            "--bench-json", str(bench),
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "occupancy map" in out
@@ -154,7 +157,7 @@ class TestScanCommand:
     def test_preset_choice_and_backend(self, capsys, tmp_path):
         code = main([
             "scan", "--smoke", "--preset", "single-qpsk",
-            "--backend", "fam",
+            "--backend", "fam", "--calibration-trials", "20",
             "--bench-json", str(tmp_path / "bench.json"),
         ])
         assert code == 0
@@ -167,6 +170,7 @@ class TestScanCommand:
         for; an explicit --preset five-emitter stays five-emitter."""
         code = main([
             "scan", "--smoke", "--preset", "five-emitter",
+            "--calibration-trials", "20",
             "--bench-json", str(tmp_path / "bench.json"),
         ])
         out = capsys.readouterr().out
@@ -211,7 +215,7 @@ class TestEngineFlags:
     def test_sense_with_jobs_and_no_cache(self, capsys):
         code = main([
             "sense", "--fft-size", "32", "--blocks", "16",
-            "--snr-db", "6", "--calibration-trials", "10",
+            "--snr-db", "6", "--calibration-trials", "20",
             "--jobs", "2", "--no-cache",
         ])
         assert code == 0
@@ -221,7 +225,7 @@ class TestEngineFlags:
     def test_sense_reports_cache_usage(self, capsys):
         code = main([
             "sense", "--fft-size", "32", "--blocks", "16",
-            "--snr-db", "6", "--calibration-trials", "10",
+            "--snr-db", "6", "--calibration-trials", "20",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -231,7 +235,7 @@ class TestEngineFlags:
     def test_scan_accepts_jobs(self, capsys):
         code = main([
             "scan", "--preset", "linear-pair", "--fft-size", "32",
-            "--blocks", "32", "--calibration-trials", "10", "--seed", "9",
+            "--blocks", "32", "--calibration-trials", "20", "--seed", "9",
             "--jobs", "2",
         ])
         assert code == 0
@@ -259,7 +263,7 @@ class TestServeCommand:
     def test_smoke_drives_full_protocol(self, capsys):
         assert main([
             "serve", "--smoke", "--fft-size", "32", "--blocks", "8",
-            "--calibration-trials", "8",
+            "--calibration-trials", "20",
         ]) == 0
         out = capsys.readouterr().out
         assert "serving on 127.0.0.1:" in out
@@ -281,7 +285,7 @@ class TestSweepCommand:
     def test_sweep_prints_table(self, capsys):
         code = main([
             "sweep", "--fft-size", "32", "--blocks", "16",
-            "--points", "2", "--trials", "6",
+            "--points", "2", "--trials", "10",
             "--backends", "vectorized", "fam",
         ])
         assert code == 0
@@ -294,7 +298,7 @@ class TestSweepCommand:
     def test_sweep_with_jobs_matches_serial(self, capsys):
         argv = [
             "sweep", "--fft-size", "32", "--blocks", "16",
-            "--points", "2", "--trials", "6",
+            "--points", "2", "--trials", "10",
             "--backends", "vectorized",
         ]
         assert main(argv) == 0

@@ -8,9 +8,10 @@ from repro.core.detection import (
     DetectionReport,
     EnergyDetector,
     MatchedFilterDetector,
-    calibrate_threshold,
+    calibration_quantile,
     inverse_q_function,
 )
+from repro.engine import CallableStatisticPlan, Engine
 from repro.errors import ConfigurationError, SignalError
 from repro.signals.modulators import bpsk_signal
 from repro.signals.noise import awgn
@@ -184,6 +185,14 @@ class TestCyclostationaryDetector:
         report = detector.detect(samples, threshold=np.inf)
         assert not report.detected
         assert report.detector == "cyclostationary"
+
+
+def calibrate_threshold(statistic_fn, noise_factory, pfa, trials=200):
+    """Monte-Carlo threshold of an ad-hoc detector through the engine."""
+    statistics = Engine().monte_carlo_statistics(
+        noise_factory, trials, plan=CallableStatisticPlan(statistic_fn)
+    )
+    return calibration_quantile(statistics, pfa)
 
 
 class TestCalibrateThreshold:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sweeps import DetectionSweep, SweepPoint, pd_vs_snr
+from repro.analysis.sweeps import DetectionSweep, SweepPoint
 from repro.core.detection import EnergyDetector
 from repro.core.io import load_dscf, save_dscf
 from repro.core.scf import dscf_from_signal
 from repro.core.sampling import SampledSignal
+from repro.engine import CallableStatisticPlan, Engine
 from repro.errors import ConfigurationError
 from repro.signals.noise import awgn
 
@@ -67,11 +68,11 @@ class TestDetectionSweep:
                 2j * np.pi * rng.uniform() * np.arange(num)
             )
 
-        return pd_vs_snr(
-            detector.statistic,
+        return Engine().map_operating_points(
             h0,
             h1,
             snrs_db=(-15.0, -10.0, -5.0, 0.0, 5.0),
+            plan=CallableStatisticPlan(detector.statistic),
             pfa=0.1,
             trials=40,
             detector_name="energy",
@@ -105,5 +106,7 @@ class TestDetectionSweep:
 
     def test_pfa_validated(self):
         with pytest.raises(ConfigurationError):
-            pd_vs_snr(lambda x: 0.0, lambda t: np.zeros(4),
-                      lambda s, t: np.zeros(4), (0.0,), pfa=0.0)
+            Engine().map_operating_points(
+                lambda t: np.zeros(4), lambda s, t: np.zeros(4), (0.0,),
+                plan=CallableStatisticPlan(lambda x: 0.0), pfa=0.0,
+            )

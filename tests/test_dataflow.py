@@ -28,14 +28,12 @@ from repro._compute import (
     complex_dtype,
     fft_fast_kwargs,
     fft_namespace,
-    get_namespace,
     real_dtype,
     tile_trials,
     validate_precision,
 )
 from repro.engine import (
     PLAN_KEY_FIELDS,
-    TRANSPORTS,
     Engine,
     SharedArraySegment,
     build_plan,
@@ -124,14 +122,6 @@ class TestPrecisionPolicy:
         assert fft_namespace("float64") is np.fft
         assert fft_fast_kwargs(np.fft) == {}
 
-    def test_compute_namespace_registry(self):
-        namespace = get_namespace("numpy")
-        assert namespace.xp is np
-        assert namespace.fft_for("float64") is np.fft
-        assert namespace.fft_for("float32") is namespace.fft_single
-        with pytest.raises(ConfigurationError, match="unknown compute"):
-            get_namespace("torch")
-
     def test_tile_trials_bounds(self):
         assert tile_trials(0) == 1
         assert tile_trials(10**12) == 1
@@ -188,11 +178,11 @@ class TestFloat32GoldenAgreement:
     def test_detection_decisions_agree(self, backend):
         base = PipelineConfig(
             fft_size=256, num_blocks=8, backend=backend,
-            calibration_trials=16,
+            calibration_trials=20,
         )
         fast = PipelineConfig(
             fft_size=256, num_blocks=8, backend=backend,
-            calibration_trials=16, precision="float32",
+            calibration_trials=20, precision="float32",
         )
         signals = _signals(base, trials=6)
         with Engine() as engine:
@@ -220,17 +210,17 @@ class TestFloat32GoldenAgreement:
 # ----------------------------------------------------------------------
 # Shared-memory shard transport
 # ----------------------------------------------------------------------
-TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=8)
+TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=20)
 TINY32 = PipelineConfig(
-    fft_size=32, num_blocks=8, calibration_trials=8, precision="float32"
+    fft_size=32, num_blocks=8, calibration_trials=20, precision="float32"
 )
 
 
 class TestSharedTransport:
     def test_transport_validated(self):
-        assert set(TRANSPORTS) == {"shared", "pickle"}
-        with pytest.raises(ConfigurationError, match="transport"):
-            Engine(transport="carrier-pigeon")
+        # Shared memory is the only shard transport; there is no knob.
+        with pytest.raises(TypeError):
+            Engine(transport="shared")
 
     @pytest.mark.parametrize("config", [TINY, TINY32], ids=["f64", "f32"])
     @pytest.mark.parametrize("jobs", [2, 4])
@@ -238,19 +228,10 @@ class TestSharedTransport:
         signals = _signals(config, trials=6)
         with Engine(jobs=1) as engine:
             serial = engine.statistics(signals, config=config)
-        with Engine(jobs=jobs, transport="shared") as engine:
+        with Engine(jobs=jobs) as engine:
             sharded = engine.statistics(signals, config=config)
             assert engine.last_transport == "shared"
         assert sharded.dtype == serial.dtype
-        assert np.array_equal(serial, sharded)
-
-    def test_pickle_transport_still_bitwise(self):
-        signals = _signals(TINY, trials=5)
-        with Engine(jobs=1) as engine:
-            serial = engine.statistics(signals, config=TINY)
-        with Engine(jobs=2, transport="pickle") as engine:
-            sharded = engine.statistics(signals, config=TINY)
-            assert engine.last_transport == "pickle"
         assert np.array_equal(serial, sharded)
 
     def test_serial_path_reports_in_process(self):
@@ -300,7 +281,7 @@ class TestSegmentLifecycle:
     def test_no_segments_leaked_on_clean_runs(self):
         before = _shm_segments()
         signals = _signals(TINY, trials=6)
-        with Engine(jobs=2, transport="shared") as engine:
+        with Engine(jobs=2) as engine:
             engine.statistics(signals, config=TINY)
             engine.statistics(signals, config=TINY)
         assert _shm_segments() <= before
@@ -311,7 +292,7 @@ class TestSegmentLifecycle:
         # Trials shorter than one decision: every worker raises while
         # the parent still owns a published segment.
         starved = np.ones((4, 16), dtype=np.complex128)
-        with Engine(jobs=2, transport="shared") as engine:
+        with Engine(jobs=2) as engine:
             good = _signals(TINY, trials=4)
             engine.statistics(good, config=TINY)  # warm pool
             with pytest.raises(ConfigurationError):
@@ -323,7 +304,7 @@ class TestSegmentLifecycle:
         assert _shm_segments() <= before
 
     def test_close_destroys_tracked_segments(self):
-        engine = Engine(jobs=2, transport="shared")
+        engine = Engine(jobs=2)
         segment = SharedArraySegment(np.ones(16))
         engine._segments.add(segment)
         engine.close()

@@ -20,8 +20,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.sweeps import pd_vs_snr
+from repro.core.detection import calibration_quantile
 from repro.engine import (
+    default_noise_factory,
     MAX_TESTED_JOBS,
     BatchExecutionPlan,
     CallableStatisticPlan,
@@ -36,15 +37,15 @@ from repro.engine import (
     shared_plan_cache,
 )
 from repro.errors import ConfigurationError
-from repro.pipeline import BatchRunner, DetectionPipeline, PipelineConfig
+from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.scanner import BandScanner
 from repro.signals.noise import awgn
 from repro.signals.modulators import bpsk_signal
 
-TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=8)
+TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=20)
 TINY_SOC = PipelineConfig(
     fft_size=16, num_blocks=4, m=3, backend="soc", soc_compiled=True,
-    soc_tiles=2, calibration_trials=6,
+    soc_tiles=2, calibration_trials=20,
 )
 
 
@@ -163,7 +164,6 @@ class TestBuildPlan:
         assert plan.kind == "gram"
         assert plan.executor is None
         assert isinstance(plan, ExecutionPlan)
-        assert plan.shardable
 
     def test_fam_is_lattice(self):
         plan = build_plan(replace(TINY, backend="fam"))
@@ -182,7 +182,6 @@ class TestBuildPlan:
             assert isinstance(plan, LoopExecutionPlan)
             assert plan.kind == "loop"
             assert isinstance(plan, ExecutionPlan)
-            assert plan.shardable
 
     def test_interpreted_soc_gets_loop_plan(self):
         plan = build_plan(replace(TINY_SOC, soc_compiled=False))
@@ -197,28 +196,36 @@ class TestBuildPlan:
 
 class TestEngineSerial:
     def test_statistics_needs_source(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             Engine().statistics(_signals(TINY))
 
     def test_matches_batch_runner(self):
         signals = _signals(TINY)
         assert np.array_equal(
             Engine().statistics(signals, config=TINY),
-            BatchRunner(TINY).statistics(signals),
+            Engine().plan(TINY).statistics(signals),
         )
 
     def test_plan_override_runs_runner(self):
-        signals = _signals(TINY)
-        runner = BatchRunner(TINY)
-        assert np.array_equal(
-            Engine().statistics(signals, plan=runner),
-            runner.statistics(signals),
-        )
+        # Batch execution has one source — the configuration; ad-hoc
+        # plans run through monte_carlo_statistics instead.
+        with pytest.raises(TypeError):
+            Engine().statistics(
+                _signals(TINY), config=TINY, plan=Engine().plan(TINY)
+            )
+        with pytest.raises(TypeError):
+            Engine().spectra_statistics(
+                np.zeros((1, 8, 32), dtype=complex),
+                config=TINY,
+                plan=Engine().plan(TINY),
+            )
 
     def test_callable_plan(self):
         signals = _signals(TINY, trials=4)
         plan = CallableStatisticPlan(lambda x: float(np.abs(x).sum()))
-        stats = Engine().statistics(signals, plan=plan)
+        stats = Engine().monte_carlo_statistics(
+            lambda trial: signals[trial], 4, plan=plan
+        )
         assert stats.shape == (4,)
         assert stats[0] == float(np.abs(signals[0]).sum())
 
@@ -234,8 +241,14 @@ class TestEngineSerial:
         )
 
     def test_calibrate_threshold_matches_runner(self):
-        runner = BatchRunner(TINY)
-        assert Engine().calibrate_threshold(TINY) == runner.calibrate_threshold()
+        factory = default_noise_factory(TINY)
+        noise = np.stack(
+            [factory(trial) for trial in range(TINY.calibration_trials)]
+        )
+        expected = calibration_quantile(
+            Engine().plan(TINY).statistics(noise), TINY.pfa
+        )
+        assert Engine().calibrate_threshold(TINY) == expected
 
 
 BITWISE_CONFIGS = {
@@ -290,20 +303,23 @@ class TestShardedBitwiseEquality:
 
     def test_runner_plan_shards_through_config(self):
         signals = _signals(TINY)
-        runner = BatchRunner(TINY)
-        assert runner.shardable
         with Engine(jobs=2) as engine:
-            sharded = engine.statistics(signals, plan=runner)
-        assert np.array_equal(sharded, runner.statistics(signals))
+            sharded = engine.statistics(signals, config=TINY)
+        assert np.array_equal(sharded, Engine().plan(TINY).statistics(signals))
 
     def test_sequential_runner_is_not_shardable(self):
-        runner = BatchRunner(replace(TINY, backend="reference"))
-        assert not runner.shardable
-        # Served in-process by the runner's host math, not a worker.
+        # A sequential backend runs (and shards) its own loop plan; the
+        # vectorised host mathematics is reached only by asking for
+        # the vectorized backend explicitly.
+        config = replace(TINY, backend="reference")
         signals = _signals(TINY, trials=3)
         with Engine(jobs=2) as engine:
-            stats = engine.statistics(signals, plan=runner)
-        assert np.array_equal(stats, runner.statistics(signals))
+            stats = engine.statistics(signals, config=config)
+        assert np.array_equal(stats, Engine().plan(config).statistics(signals))
+        host = Engine().statistics(
+            signals, config=config.with_backend("vectorized")
+        )
+        np.testing.assert_allclose(stats, host, rtol=1e-9)
 
 
 class TestMapOperatingPoints:
@@ -322,37 +338,39 @@ class TestMapOperatingPoints:
 
     def test_matches_pd_vs_snr_runner_path(self):
         h0, h1 = self._factories(TINY)
-        runner = BatchRunner(TINY)
-        legacy = pd_vs_snr(
-            None, h0, h1, [-6.0, 0.0], pfa=0.1, trials=8, runner=runner
+        per_trial = Engine().map_operating_points(
+            h0, h1, [-6.0, 0.0], pfa=0.1, trials=10,
+            plan=CallableStatisticPlan(DetectionPipeline(TINY).statistic),
         )
         engine = Engine().map_operating_points(
-            h0, h1, [-6.0, 0.0], config=TINY, pfa=0.1, trials=8
+            h0, h1, [-6.0, 0.0], config=TINY, pfa=0.1, trials=10
         )
         assert engine.detector_name == "cyclostationary/vectorized"
-        assert [p.pd for p in engine.points] == [p.pd for p in legacy.points]
-        assert engine.points[0].threshold == legacy.points[0].threshold
+        assert [p.pd for p in engine.points] == [p.pd for p in per_trial.points]
+        assert engine.points[0].threshold == per_trial.points[0].threshold
 
     def test_sharded_sweep_bitwise(self):
         h0, h1 = self._factories(TINY)
         serial = Engine().map_operating_points(
-            h0, h1, [-3.0], config=TINY, trials=8
+            h0, h1, [-3.0], config=TINY, trials=10
         )
         with Engine(jobs=2) as engine:
             sharded = engine.map_operating_points(
-                h0, h1, [-3.0], config=TINY, trials=8
+                h0, h1, [-3.0], config=TINY, trials=10
             )
         assert sharded.points[0].threshold == serial.points[0].threshold
         assert sharded.points[0].pd == serial.points[0].pd
 
-    def test_map_statistic_callable(self):
+    def test_callable_plan_sweep(self):
         h0, h1 = self._factories(TINY)
-        sweep = Engine().map_statistic(
-            lambda x: float(np.mean(np.abs(x) ** 2)),
+        sweep = Engine().map_operating_points(
             h0,
             h1,
             [0.0],
-            trials=8,
+            plan=CallableStatisticPlan(
+                lambda x: float(np.mean(np.abs(x) ** 2))
+            ),
+            trials=10,
             detector_name="energy-ish",
         )
         assert sweep.detector_name == "energy-ish"
@@ -361,7 +379,7 @@ class TestMapOperatingPoints:
 
 class TestScannerWithEngine:
     def test_scan_statistics_shard_invariant(self):
-        config = replace(TINY, scan_bands=4, calibration_trials=6)
+        config = replace(TINY, scan_bands=4)
         scanner = BandScanner(config)
         capture = awgn(scanner.required_samples, seed=77)
         bands = scanner.channelize(capture)
@@ -372,7 +390,7 @@ class TestScannerWithEngine:
         assert np.array_equal(baseline, sharded)
 
     def test_full_scan_agrees(self):
-        config = replace(TINY, scan_bands=4, calibration_trials=6)
+        config = replace(TINY, scan_bands=4)
         scanner = BandScanner(config)
         capture = awgn(scanner.required_samples, seed=78)
         baseline = scanner.scan(capture, classify=False)
@@ -390,19 +408,19 @@ class TestSharedCacheIntegration:
     def test_batch_runner_reuses_shared_plan(self):
         cache = shared_plan_cache()
         config = replace(TINY, fft_size=64, num_blocks=4)
-        first = BatchRunner(config)
+        first = Engine().plan(config)
         hits_before = cache.stats.hits
-        second = BatchRunner(config)
-        assert second.execution_plan is first.execution_plan
+        second = Engine().plan(config)
+        assert second is first
         assert cache.stats.hits == hits_before + 1
 
     def test_scanner_shares_one_plan_across_scans(self):
         cache = shared_plan_cache()
         config = replace(TINY, scan_bands=4, fft_size=64, num_blocks=4)
         scanner = BandScanner(config)
-        plan = scanner.pipeline.batch.execution_plan
+        plan = scanner.pipeline.engine.plan(config)
         again = BandScanner(config)
-        assert again.pipeline.batch.execution_plan is plan
+        assert again.pipeline.engine.plan(config) is plan
         assert cache.backend_entries("vectorized") >= 1
 
 
@@ -410,12 +428,11 @@ class TestPerTrialStreaming:
     """The legacy monte_carlo loop contract survives the engine port."""
 
     def test_variable_length_factory(self):
-        from repro.analysis.roc import monte_carlo_statistics
-
-        stats = monte_carlo_statistics(
-            lambda x: float(np.abs(np.asarray(x)).sum()),
-            lambda t: np.ones(4 + t),
-            3,
+        plan = CallableStatisticPlan(
+            lambda x: float(np.abs(np.asarray(x)).sum())
+        )
+        stats = Engine().monte_carlo_statistics(
+            lambda t: np.ones(4 + t), 3, plan=plan
         )
         assert stats.tolist() == [4.0, 5.0, 6.0]
 
@@ -453,9 +470,11 @@ class TestCachePurityAndAmbiguity:
 
     def test_rejects_config_and_plan_together(self):
         signals = _signals(TINY, trials=2)
-        runner = BatchRunner(TINY)
-        with pytest.raises(ConfigurationError):
-            Engine().statistics(signals, config=TINY, plan=runner)
+        plan = CallableStatisticPlan(lambda x: 0.0)
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            Engine().monte_carlo_statistics(
+                lambda t: signals[t], 2, config=TINY, plan=plan
+            )
 
     def test_disabled_cache_never_touches_shared_cache(self):
         config = replace(TINY, backend="streaming", fft_size=16, m=3)
@@ -470,6 +489,7 @@ class TestCachePurityAndAmbiguity:
     def test_retaining_cache_dedupes_loop_host(self):
         cache = PlanCache()
         config = replace(TINY, backend="streaming")
-        host = cache.get(replace(config, backend="vectorized"))
-        loop = cache.get(config)
-        assert loop.host_plan is host
+        cache.get(replace(config, backend="vectorized"))
+        cache.get(config)
+        # The loop plan's vectorized host was a hit, not a second build.
+        assert (cache.stats.hits, cache.stats.misses, len(cache)) == (1, 2, 2)

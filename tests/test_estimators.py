@@ -30,8 +30,8 @@ from repro.estimators import (
     SSCAEstimator,
     bin_to_plane,
 )
+from repro.engine import Engine
 from repro.pipeline import (
-    BatchRunner,
     DetectionPipeline,
     EstimatorBackend,
     PipelineConfig,
@@ -265,8 +265,8 @@ class TestDSCFGridAgreement:
         config = PipelineConfig(fft_size=256, num_blocks=32)
         bins = {}
         for name in ("vectorized", "fam", "ssca"):
-            runner = BatchRunner(config.with_backend(name))
-            surface = runner.surfaces(paper_observation[None])[0]
+            plan = Engine().plan(config.with_backend(name))
+            surface = plan.surfaces(paper_observation[None])[0]
             profile = surface.max(axis=0)
             profile[config.m] = 0.0  # exclude a = 0 (the PSD)
             bins[name] = abs(int(np.argmax(profile)) - config.m)
@@ -324,10 +324,10 @@ class TestEstimatorBackends:
     def test_batch_bitwise_equals_singletons(self, small_batch):
         config, signals = small_batch
         for name in ("fam", "ssca"):
-            runner = BatchRunner(config.with_backend(name))
-            batched = runner.statistics(signals)
+            plan = Engine().plan(config.with_backend(name))
+            batched = plan.statistics(signals)
             singles = np.array(
-                [runner.statistics(signal[None])[0] for signal in signals]
+                [plan.statistics(signal[None])[0] for signal in signals]
             )
             assert (batched == singles).all()
 
@@ -335,8 +335,8 @@ class TestEstimatorBackends:
         config, signals = small_batch
         for name in ("fam", "ssca"):
             named = config.with_backend(name)
-            runner = BatchRunner(named)
-            values = runner.dscf_values(signals[:2])
+            plan = Engine().plan(named)
+            values = plan.dscf_values(signals[:2])
             for trial in range(2):
                 computed = get_backend(name).compute(signals[trial], named)
                 assert (values[trial] == computed.values).all()
@@ -345,7 +345,9 @@ class TestEstimatorBackends:
         config, signals = small_batch
         for name in ("fam", "ssca"):
             pipeline = DetectionPipeline(config.with_backend(name))
-            batched = pipeline.batch.statistics(signals[:3])
+            batched = Engine().statistics(
+                signals[:3], config=config.with_backend(name)
+            )
             per_trial = np.array(
                 [pipeline.statistic(signal) for signal in signals[:3]]
             )
@@ -353,9 +355,9 @@ class TestEstimatorBackends:
 
     def test_results_record_estimator_averaging_length(self, small_batch):
         config, signals = small_batch
-        runner = BatchRunner(config.with_backend("fam"))
-        results = runner.results(signals[:2])
-        assert results[0].num_blocks == runner.estimator_plan.averaging_length
+        plan = Engine().plan(config.with_backend("fam"))
+        results = plan.results(signals[:2])
+        assert results[0].num_blocks == plan.executor.averaging_length
 
     def test_detection_end_to_end(self):
         config = PipelineConfig(
@@ -411,7 +413,7 @@ class TestConfigValidation:
             fft_size=32, num_blocks=4, backend="fam", fam_blocks=10_000
         )
         with pytest.raises(ConfigurationError, match="frames"):
-            BatchRunner(config)
+            Engine().plan(config)
 
     def test_fam_estimator_rejects_tiny_channel_count(self):
         with pytest.raises(ConfigurationError, match="channels"):
@@ -450,7 +452,7 @@ class TestAnalysisIntegration:
             return 10 ** (snr_db / 20.0) * user + awgn(num, rng=rng)
 
         sweeps = pd_vs_snr_by_backend(
-            config, h0, h1, snrs_db=(10.0,), trials=6,
+            config, h0, h1, snrs_db=(10.0,), trials=10,
             backends=("vectorized", "fam"),
         )
         assert set(sweeps) == {"vectorized", "fam"}

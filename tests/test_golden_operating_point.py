@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.pipeline import BatchRunner, PipelineConfig
+from repro.engine import Engine
+from repro.pipeline import PipelineConfig
 from repro.signals import awgn, bpsk_signal
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_pd.json"
@@ -48,9 +49,9 @@ def compute_curve(
         calibration_seed=point["calibration_seed"],
         precision=precision,
     )
-    runner = BatchRunner(config)
+    engine = Engine()
     needed = config.samples_per_decision
-    threshold = runner.calibrate_threshold()
+    threshold = engine.calibrate_threshold(config)
 
     def h1_factory(snr_db: float, trial: int) -> np.ndarray:
         rng = np.random.default_rng(point["h1_seed_base"] + trial)
@@ -64,9 +65,10 @@ def compute_curve(
     points = []
     for entry in fixture["points"]:
         snr_db = entry["snr_db"]
-        statistics = runner.monte_carlo_statistics(
+        statistics = engine.monte_carlo_statistics(
             lambda trial, snr=snr_db: h1_factory(snr, trial),
             point["trials"],
+            config=config,
         )
         points.append(
             {"snr_db": snr_db, "pd": float(np.mean(statistics > threshold))}

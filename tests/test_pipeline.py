@@ -5,23 +5,30 @@ The two contracts the subsystem promises:
 * **cross-backend parity** — every registered backend produces DSCFs
   equal (within floating tolerance) to ``dscf_reference`` on a shared
   fixture;
-* **batch/per-trial parity** — :class:`BatchRunner` results are
-  bit-for-bit identical to the pipeline's per-trial path.
+* **batch/per-trial parity** — the engine's batched
+  :class:`~repro.engine.BatchExecutionPlan` results are bit-for-bit
+  identical to the pipeline's per-trial path.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.roc import batched_monte_carlo_statistics, monte_carlo_statistics
-from repro.analysis.sweeps import pd_vs_snr
 from repro.cli import main
-from repro.core.detection import CyclostationaryFeatureDetector, calibrate_threshold
+from repro.core.detection import (
+    CyclostationaryFeatureDetector,
+    calibration_quantile,
+)
 from repro.core.fourier import block_spectra
 from repro.core.scf import dscf, dscf_reference
 from repro.core.sampling import SampledSignal
+from repro.engine import (
+    CallableStatisticPlan,
+    Engine,
+    PlanCache,
+    default_noise_factory,
+)
 from repro.errors import ConfigurationError
 from repro.pipeline import (
-    BatchRunner,
     DetectionPipeline,
     EstimatorBackend,
     PipelineConfig,
@@ -265,11 +272,16 @@ class TestCrossBackendParity:
 
 
 class TestBatchRunnerParity:
-    """Batched results are bit-for-bit equal to the per-trial path."""
+    """Batched results are bit-for-bit equal to the per-trial path.
+
+    The engine's :class:`~repro.engine.BatchExecutionPlan` is under
+    test; the class keeps the name of the runner that plan replaced so
+    its test ids stay stable across the port.
+    """
 
     def test_block_spectra_bitwise_vs_core(self, batch_config, batch_signals):
-        runner = BatchRunner(batch_config)
-        batched = runner.block_spectra(batch_signals)
+        plan = Engine().plan(batch_config)
+        batched = plan.block_spectra(batch_signals)
         for trial, signal in enumerate(batch_signals):
             expected = block_spectra(
                 signal, batch_config.fft_size,
@@ -280,10 +292,10 @@ class TestBatchRunnerParity:
     def test_statistics_bitwise_vs_singleton_batches(
         self, batch_config, batch_signals
     ):
-        runner = BatchRunner(batch_config)
-        batched = runner.statistics(batch_signals)
+        plan = Engine().plan(batch_config)
+        batched = plan.statistics(batch_signals)
         looped = np.array(
-            [runner.statistics(signal[None])[0] for signal in batch_signals]
+            [plan.statistics(signal[None])[0] for signal in batch_signals]
         )
         assert (batched == looped).all()
 
@@ -291,7 +303,7 @@ class TestBatchRunnerParity:
         self, batch_config, batch_signals
     ):
         pipeline = DetectionPipeline(batch_config)
-        batched = pipeline.batch.statistics(batch_signals)
+        batched = Engine().statistics(batch_signals, config=batch_config)
         per_trial = np.array(
             [pipeline.statistic(signal) for signal in batch_signals]
         )
@@ -300,16 +312,16 @@ class TestBatchRunnerParity:
     def test_dscf_values_bitwise_vs_singleton_batches(
         self, batch_config, batch_signals
     ):
-        runner = BatchRunner(batch_config)
-        batched = runner.dscf_values(batch_signals)
+        plan = Engine().plan(batch_config)
+        batched = plan.dscf_values(batch_signals)
         for trial, signal in enumerate(batch_signals):
-            assert (batched[trial] == runner.dscf_values(signal[None])[0]).all()
+            assert (batched[trial] == plan.dscf_values(signal[None])[0]).all()
 
     def test_dscf_values_match_vectorised_estimator(
         self, batch_config, batch_signals
     ):
-        runner = BatchRunner(batch_config)
-        batched = runner.dscf_values(batch_signals)
+        plan = Engine().plan(batch_config)
+        batched = plan.dscf_values(batch_signals)
         for trial, signal in enumerate(batch_signals):
             spectra = block_spectra(
                 signal, batch_config.fft_size,
@@ -323,7 +335,7 @@ class TestBatchRunnerParity:
         detector = CyclostationaryFeatureDetector(
             batch_config.fft_size, batch_config.num_blocks, m=batch_config.m
         )
-        batched = BatchRunner(batch_config).statistics(batch_signals)
+        batched = Engine().plan(batch_config).statistics(batch_signals)
         legacy = np.array(
             [detector.statistic(signal) for signal in batch_signals]
         )
@@ -334,7 +346,7 @@ class TestBatchRunnerParity:
         detector = CyclostationaryFeatureDetector(
             32, 6, normalize=False
         )
-        batched = BatchRunner(config).statistics(batch_signals)
+        batched = Engine().plan(config).statistics(batch_signals)
         legacy = np.array(
             [detector.statistic(signal) for signal in batch_signals]
         )
@@ -345,47 +357,88 @@ class TestBatchRunnerParity:
         detector = CyclostationaryFeatureDetector(
             32, 6, cyclic_bins=(2, -2)
         )
-        batched = BatchRunner(config).statistics(batch_signals)
+        batched = Engine().plan(config).statistics(batch_signals)
         legacy = np.array(
             [detector.statistic(signal) for signal in batch_signals]
         )
         np.testing.assert_allclose(batched, legacy, rtol=1e-10)
 
     def test_results_wrap_per_trial_dscf(self, batch_config, batch_signals):
-        results = BatchRunner(batch_config).results(batch_signals[:3])
+        results = Engine().plan(batch_config).results(batch_signals[:3])
         assert len(results) == 3
         for result in results:
             assert result.extent == batch_config.extent
             assert result.num_blocks == batch_config.num_blocks
 
     def test_rejects_short_trials(self, batch_config):
-        runner = BatchRunner(batch_config)
+        plan = Engine().plan(batch_config)
         with pytest.raises(ConfigurationError, match="samples"):
-            runner.statistics(np.zeros((2, 8), dtype=complex))
+            plan.statistics(np.zeros((2, 8), dtype=complex))
 
     def test_rejects_3d_input(self, batch_config):
-        runner = BatchRunner(batch_config)
+        plan = Engine().plan(batch_config)
         with pytest.raises(ConfigurationError):
-            runner.statistics(np.zeros((2, 2, 8), dtype=complex))
+            plan.statistics(np.zeros((2, 2, 8), dtype=complex))
 
 
 class TestBatchCalibration:
     def test_matches_per_trial_calibration(self, batch_config):
         pipeline = DetectionPipeline(batch_config)
-        factory = pipeline.batch.default_noise_factory()
-        batched = pipeline.batch.calibrate_threshold(trials=16)
-        per_trial = calibrate_threshold(
-            pipeline.statistic, factory,
-            pfa=batch_config.pfa, trials=16,
+        engine = Engine()
+        factory = default_noise_factory(batch_config)
+        batched = engine.calibrate_threshold(batch_config, trials=20)
+        per_trial = calibration_quantile(
+            engine.monte_carlo_statistics(
+                factory, 20, plan=CallableStatisticPlan(pipeline.statistic)
+            ),
+            batch_config.pfa,
         )
         assert batched == per_trial  # same statistics bit-for-bit
 
     def test_batched_monte_carlo_matches_loop(self, batch_config):
         pipeline = DetectionPipeline(batch_config)
-        factory = pipeline.batch.default_noise_factory()
-        batched = batched_monte_carlo_statistics(pipeline.batch, factory, 9)
-        looped = monte_carlo_statistics(pipeline.statistic, factory, 9)
+        engine = Engine()
+        factory = default_noise_factory(batch_config)
+        batched = engine.monte_carlo_statistics(factory, 9, config=batch_config)
+        looped = engine.monte_carlo_statistics(
+            factory, 9, plan=CallableStatisticPlan(pipeline.statistic)
+        )
         assert (batched == looped).all()
+
+
+#: Every registered execution substrate, as the pipeline sees it.
+UNIFIED_BACKENDS = {
+    "reference": dict(backend="reference"),
+    "vectorized": dict(backend="vectorized"),
+    "streaming": dict(backend="streaming"),
+    "soc-interpreted": dict(backend="soc"),
+    "soc-compiled": dict(backend="soc", soc_compiled=True),
+    "fam": dict(backend="fam"),
+    "ssca": dict(backend="ssca"),
+}
+
+
+class TestEngineUnification:
+    """The pipeline has no execution path of its own: statistic,
+    surface and threshold are the engine's, bit for bit, on every
+    backend (the engine side builds its plan cold, independently)."""
+
+    @pytest.mark.parametrize("name", sorted(UNIFIED_BACKENDS))
+    def test_pipeline_matches_engine_bitwise(self, name, shared_signal):
+        config = PipelineConfig(
+            **SMALL, calibration_trials=20, **UNIFIED_BACKENDS[name]
+        )
+        pipeline = DetectionPipeline(config)
+        engine = Engine(cache=PlanCache(maxsize=0))
+        batch = shared_signal[None]
+        assert pipeline.statistic(shared_signal) == (
+            engine.statistics(batch, config=config)[0]
+        )
+        assert np.array_equal(
+            pipeline.feature_surface(shared_signal),
+            engine.plan(config).surfaces(batch)[0],
+        )
+        assert pipeline.calibrate() == engine.calibrate_threshold(config)
 
 
 class TestDetectionPipeline:
@@ -456,12 +509,12 @@ class TestDetectionPipeline:
             impaired = DetectionPipeline(
                 config, channel=lambda s: apply_cfo(s, 1e4)
             )
-            assert plain.calibrate(trials=5) == impaired.calibrate(trials=5)
+            assert plain.calibrate(trials=20) == impaired.calibrate(trials=20)
 
     def test_nonbatch_backend_calibration_loops_through_backend(self):
         config = PipelineConfig(
             fft_size=16, num_blocks=4, m=3, backend="streaming",
-            calibration_trials=6,
+            calibration_trials=20,
         )
         streaming = DetectionPipeline(config)
         vectorized = DetectionPipeline(config.with_backend("vectorized"))
@@ -491,20 +544,29 @@ class TestSweepIntegration:
             return awgn(needed, rng=rng) + 10 ** (snr_db / 20.0) * tone
 
         kwargs = dict(snrs_db=(-6.0, 0.0), pfa=0.2, trials=8)
-        batched = pd_vs_snr(None, h0, h1, runner=pipeline.batch, **kwargs)
-        looped = pd_vs_snr(pipeline.statistic, h0, h1, **kwargs)
+        engine = Engine()
+        batched = engine.map_operating_points(
+            h0, h1, config=batch_config, **kwargs
+        )
+        looped = engine.map_operating_points(
+            h0, h1, plan=CallableStatisticPlan(pipeline.statistic), **kwargs
+        )
         assert batched.pds().tolist() == looped.pds().tolist()
 
     def test_pd_vs_snr_requires_statistic_or_runner(self):
-        with pytest.raises(ConfigurationError):
-            pd_vs_snr(None, lambda t: np.zeros(4), lambda s, t: np.zeros(4),
-                      snrs_db=(0.0,))
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            Engine().map_operating_points(
+                lambda t: np.zeros(4), lambda s, t: np.zeros(4),
+                snrs_db=(0.0,),
+            )
 
     def test_pd_vs_snr_rejects_statistic_and_runner_together(self, batch_config):
-        with pytest.raises(ConfigurationError, match="not both"):
-            pd_vs_snr(lambda s: 0.0, lambda t: np.zeros(4),
-                      lambda s, t: np.zeros(4), snrs_db=(0.0,),
-                      runner=BatchRunner(batch_config))
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            Engine().map_operating_points(
+                lambda t: np.zeros(4), lambda s, t: np.zeros(4),
+                snrs_db=(0.0,), config=batch_config,
+                plan=CallableStatisticPlan(lambda s: 0.0),
+            )
 
 
 class TestCliIntegration:

@@ -44,7 +44,7 @@ from repro.serve import (
 )
 from repro.signals.noise import awgn
 
-TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=8)
+TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=20)
 
 
 def _stream(num_samples: int, seed: int) -> np.ndarray:
@@ -182,7 +182,7 @@ class TestSensingSession:
         session = SensingSession(TINY)
         session.ingest(_stream(TINY.samples_per_decision, seed=12))
         other = PipelineConfig(
-            fft_size=64, num_blocks=8, calibration_trials=8
+            fft_size=64, num_blocks=8, calibration_trials=20
         )
         with pytest.raises(ConfigurationError):
             SensingSession.from_state(other, session.state())
@@ -245,7 +245,7 @@ class TestCoalescing:
 
     def test_mixed_configs_group_into_separate_engine_batches(self):
         other = PipelineConfig(
-            fft_size=64, num_blocks=8, calibration_trials=8
+            fft_size=64, num_blocks=8, calibration_trials=20
         )
         tiny_windows = [
             _stream(TINY.samples_per_decision, seed=40 + i) for i in range(3)
@@ -501,6 +501,58 @@ class TestServerRobustness:
         assert array["ok"] is False
         assert array["error"] == "ConfigurationError"
         assert stats["ok"] is True
+
+    def test_unexpected_exception_gets_typed_reply_and_keeps_connection(
+        self, monkeypatch, caplog
+    ):
+        def broken_calibration(*args, **kwargs):
+            raise RuntimeError("calibration backend exploded")
+
+        async def run():
+            server = await self._server()
+            monkeypatch.setattr(
+                server.service.engine, "calibrate_threshold", broken_calibration
+            )
+            reader, writer = await asyncio.open_connection(*server.address)
+
+            async def rpc(request):
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), timeout=10)
+                return json.loads(line)
+
+            try:
+                session = (await rpc({"op": "open"}))["session"]
+                stream = _stream(TINY.samples_per_decision, seed=83)
+                await rpc(
+                    {
+                        "op": "ingest",
+                        "session": session,
+                        "samples": encode_samples(stream),
+                    }
+                )
+                detect = await rpc({"op": "detect", "session": session})
+                # Same connection, still answering.
+                health = await rpc({"op": "health"})
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.close()
+            return detect, health
+
+        with caplog.at_level("ERROR", logger="repro.serve.server"):
+            detect, health = asyncio.run(run())
+        assert detect == {
+            "ok": False,
+            "error": "RuntimeError",
+            "message": "calibration backend exploded",
+        }
+        assert health["ok"] is True
+        # The traceback is recorded for the operator.
+        assert any(
+            record.exc_info and record.exc_info[0] is RuntimeError
+            for record in caplog.records
+        )
 
     def test_oversized_line_replies_typed_then_closes_cleanly(self):
         async def run():

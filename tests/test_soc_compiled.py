@@ -12,7 +12,8 @@ from repro.montium.compiler import (
     replay_dscf_values,
 )
 from repro.montium.energy import estimate_energy
-from repro.pipeline import BatchRunner, DetectionPipeline, PipelineConfig
+from repro.engine import Engine
+from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.pipeline.backends import get_backend
 from repro.signals.noise import awgn
 from repro.soc import (
@@ -211,7 +212,7 @@ class TestPipelineIntegration:
             m=3,
             backend="soc",
             soc_tiles=2,
-            calibration_trials=6,
+            calibration_trials=20,
         )
         return (
             PipelineConfig(**base),
@@ -245,16 +246,16 @@ class TestPipelineIntegration:
 
     def test_batch_equals_singletons_and_interpreted_loop(self, configs):
         interpreted_config, compiled_config = configs
-        runner = BatchRunner(compiled_config)
+        plan = Engine().plan(compiled_config)
         signals = np.stack(
             [
                 awgn(compiled_config.samples_per_decision, seed=70 + trial)
                 for trial in range(5)
             ]
         )
-        batch = runner.statistics(signals)
+        batch = plan.statistics(signals)
         singletons = np.array(
-            [runner.statistics(signal[None])[0] for signal in signals]
+            [plan.statistics(signal[None])[0] for signal in signals]
         )
         assert (batch == singletons).all()
         interpreted = DetectionPipeline(interpreted_config)
@@ -329,7 +330,7 @@ class TestAnalysisSweeps:
         )
         h0, h1 = self._factories(config)
         sweeps = pd_vs_snr_by_backend(
-            config, h0, h1, [0.0], backends=("soc",), trials=4
+            config, h0, h1, [0.0], backends=("soc",), trials=10
         )
         assert sweeps["soc"].detector_name == "cyclostationary/soc"
         assert len(sweeps["soc"].points) == 1
@@ -345,7 +346,7 @@ class TestAnalysisSweeps:
         h0, h1 = self._factories(config)
         with pytest.raises(ConfigurationError):
             pd_vs_snr_by_backend(
-                config, h0, h1, [0.0], backends=("soc",), trials=4
+                config, h0, h1, [0.0], backends=("soc",), trials=10
             )
 
 

@@ -127,8 +127,8 @@ class TestIsPowerOfTwo:
 
 
 class TestSpawnSubstreams:
-    """The package-wide seeding contract (PR-5 dedup of wideband /
-    BatchRunner / scanner substream spawning)."""
+    """The package-wide seeding contract (dedup of wideband /
+    calibration / scanner substream spawning)."""
 
     def test_arithmetic_mode(self):
         seeds = spawn_substreams(4, base_seed=100)
