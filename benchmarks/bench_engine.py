@@ -92,18 +92,11 @@ def _operating_point(config: PipelineConfig, trials: int) -> dict:
 def _drop_cached_plans(config: PipelineConfig) -> None:
     """Make the next plan build genuinely cold.
 
-    The engine's own cache is bypassed with ``maxsize=0``, but the
-    caching the PR-5 layer unified spans every level: the registered
-    backend's executor cache (compiled SoC schedules, FAM/SSCA
-    channelizer banks) and the Montium trace cache underneath the SoC
-    compiler.  Clearing them all is what "no plan caching" actually
-    means for a repeated sweep.
+    The engine's plan cache is bypassed with ``maxsize=0`` (it is the
+    only plan cache: executors live inside the plans).  What remains
+    is the Montium trace memo underneath the SoC compiler, cleared
+    here so "no plan caching" also recompiles the soc schedule.
     """
-    from repro.pipeline import get_backend
-
-    backend_cache = getattr(get_backend(config.backend), "plan_cache", None)
-    if backend_cache is not None:
-        backend_cache.clear()
     if config.backend == "soc" and config.soc_compiled:
         from repro.montium.compiler import clear_trace_cache
 

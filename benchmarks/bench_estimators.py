@@ -50,11 +50,11 @@ BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_estimators.json"
 # paper's K = 256 / 127 x 127 grid, a realistic integration length
 # (the CLI's `sense` default is 64 blocks) and a calibration-sized
 # trial count.
-MC_CONFIG = PipelineConfig(fft_size=256, num_blocks=32, trial_chunk=4)
+MC_CONFIG = PipelineConfig(fft_size=256, num_blocks=32)
 MC_TRIALS = 64
 
 # Tiny --smoke geometry (CI artifact run, no gating).
-SMOKE_MC_CONFIG = PipelineConfig(fft_size=32, num_blocks=8, trial_chunk=4)
+SMOKE_MC_CONFIG = PipelineConfig(fft_size=32, num_blocks=8)
 SMOKE_MC_TRIALS = 8
 
 

@@ -23,8 +23,8 @@ The package is organised in layers:
   registered substrate (reference, vectorised, streaming, SoC), with
   batched multi-trial execution for Monte-Carlo workloads.
 * :mod:`repro.engine` — the unified execution engine: per-operating-
-  point :class:`~repro.engine.ExecutionPlan` objects (prepared FFT
-  constants, channelizer banks, compiled SoC schedules) behind an LRU
+  point execution plans (prepared FFT constants, channelizer banks,
+  compiled SoC schedules) behind one LRU
   :class:`~repro.engine.PlanCache`, scheduled by the
   :class:`~repro.engine.Engine` front-end in-process or sharded
   across a multi-process worker pool — bitwise equal to serial

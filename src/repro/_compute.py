@@ -40,6 +40,12 @@ _DTYPES = {
 #: paths — sized to sit comfortably inside a typical L2/L3 share.
 TILE_BUDGET_BYTES = 4 * 1024 * 1024
 
+#: Trials per vectorised slab of the batch executors (the Gram-path
+#: plan, the SSCA channelizer and the compiled SoC replay): bounds the
+#: per-slab intermediates independently of the trial count.  Per-trial
+#: results do not depend on it.
+SLAB_TRIALS = 4
+
 
 def validate_precision(precision) -> str:
     """Validate a precision name, returning it canonicalised."""

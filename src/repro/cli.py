@@ -66,6 +66,7 @@ from .engine import (
     PlanCache,
     plan_support,
     shared_plan_cache,
+    spectra_refusal,
 )
 from ._compute import PRECISIONS
 from .errors import ConfigurationError
@@ -74,7 +75,6 @@ from .pipeline import (
     PipelineConfig,
     available_backends,
     get_backend,
-    spectra_serve_support,
 )
 from .pipeline.config import FLOAT32_BACKENDS
 from .serve import (
@@ -150,10 +150,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="reuse execution plans through the shared plan cache "
-        "(--no-cache rebuilds engine-level plans per use; "
-        "backend-internal executor caches still apply — "
-        "benchmarks/bench_engine.py clears those too for true "
-        "cold timings)",
+        "(--no-cache rebuilds every plan, executor included, per use)",
     )
     parser.add_argument(
         "--precision",
@@ -570,22 +567,18 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         print(f"  {'':<12s} precision: {precisions}")
         if not session_capable(name):
             serving = "offline only (neither streaming nor batched execution)"
-        elif spectra_serve_support(name):
+        elif spectra_refusal(
+            PipelineConfig(backend=name), serving=True
+        ) is None:
             serving = (
                 "session-capable; spectra fast path + engine fallback "
-                "(serve_path=auto routes dscf-exact float64 detects "
+                "(serve_path=auto routes full-search float64 detects "
                 "through the session's resident spectra)"
             )
         else:
             serving = "session-capable; engine path only"
         print(f"  {'':<12s} serve: {serving}")
-        executor_cache = getattr(get_backend(name), "plan_cache", None)
         caching = "shared engine LRU"
-        if executor_cache is not None:
-            caching += (
-                f" + backend executor cache "
-                f"(up to {executor_cache.maxsize} entries)"
-            )
         entries = cache.backend_entries(name)
         if entries:
             caching += f"; {entries} plan(s) cached this process"

@@ -3,14 +3,16 @@
 There is exactly one place where work is planned, cached and
 scheduled:
 
-* :mod:`repro.engine.plans` — :class:`ExecutionPlan` (the prepared,
-  reusable form of one operating point) and :func:`build_plan`, which
-  resolves any registered backend to a vectorised
-  :class:`BatchExecutionPlan` or a sequential
-  :class:`LoopExecutionPlan`;
+* :mod:`repro.engine.plans` — the prepared, reusable form of one
+  operating point: :func:`build_plan` resolves any registered backend
+  to a vectorised :class:`BatchExecutionPlan` (holding the backend's
+  executor, if it has one) or a sequential :class:`LoopExecutionPlan`,
+  and :func:`spectra_refusal` is the one rule for scoring a
+  configuration straight from block spectra;
 * :mod:`repro.engine.cache` — the LRU :class:`PlanCache` with
-  hit/miss accounting, and the process-wide
-  :func:`shared_plan_cache` every executor defaults to;
+  hit/miss accounting (the only plan cache: backends keep none of
+  their own), and the process-wide :func:`shared_plan_cache` every
+  engine defaults to;
 * :mod:`repro.engine.engine` — the :class:`Engine` front-end running
   plans over trial batches in-process or sharded across a worker pool
   (``jobs=N``, bitwise equal to serial execution), and the one entry
@@ -37,12 +39,11 @@ from .plans import (
     MAX_TESTED_JOBS,
     BatchExecutionPlan,
     CallableStatisticPlan,
-    ExecutionPlan,
     LoopExecutionPlan,
-    TrialExecutor,
     build_plan,
     default_noise_factory,
     plan_support,
+    spectra_refusal,
 )
 
 __all__ = [
@@ -52,17 +53,16 @@ __all__ = [
     "CallableStatisticPlan",
     "Engine",
     "EngineHealth",
-    "ExecutionPlan",
     "LoopExecutionPlan",
     "PlanCache",
     "PlanCacheStats",
     "SharedArrayDescriptor",
     "SharedArraySegment",
-    "TrialExecutor",
     "available_cpus",
     "build_plan",
     "default_noise_factory",
     "plan_key",
     "plan_support",
     "shared_plan_cache",
+    "spectra_refusal",
 ]

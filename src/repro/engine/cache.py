@@ -6,10 +6,11 @@ table and Gram index grids for the DSCF, channelizer banks for the
 full-plane estimators, the compiled Montium schedule for the SoC
 backend, preallocated workspaces for all of them.  Building those
 constants dominates start-up cost (compiling the SoC trace interprets
-the whole instruction stream), and before this layer each consumer
-grew its own ad-hoc cache.
+the whole instruction stream).
 
-:class:`PlanCache` is the one LRU that replaces them: plans are keyed
+:class:`PlanCache` is the only plan cache: a plan holds its backend's
+executor, so retaining the plan retains the executor, and a disabled
+cache (``maxsize=0``) rebuilds both on every lookup.  Plans are keyed
 by :func:`plan_key` — the subset of :class:`~repro.pipeline.config.
 PipelineConfig` fields a plan actually consumes (backend, K, N, M,
 hop, window, grid and estimator knobs) — so configurations differing
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 from .._util import require_non_negative_int
 from ..errors import ConfigurationError
@@ -51,7 +51,6 @@ PLAN_KEY_FIELDS = (
     # computes, so pruned and full plans must never collide.
     "alpha_search",
     "alpha_top",
-    "trial_chunk",
     "soc_tiles",
     "soc_compiled",
     "fam_channels",
@@ -108,25 +107,13 @@ class PlanCacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def _default_builder(config, cache=None):
-    # Deferred: plans.py imports the pipeline layer, which imports this
-    # module's consumers.
-    from .plans import build_plan
-
-    return build_plan(config, cache=cache)
-
-
 class PlanCache:
     """LRU cache of execution plans keyed by :func:`plan_key`.
 
+    Misses build through :func:`repro.engine.plans.build_plan`.
+
     Parameters
     ----------
-    builder:
-        ``config -> plan`` factory invoked on a miss; defaults to
-        :func:`repro.engine.plans.build_plan`.  Backend-internal caches
-        pass their own executor factories (``fam_plan``,
-        ``CompiledSoCPlan``) so every plan flavour shares one caching
-        implementation.
     maxsize:
         Entries retained before least-recently-used eviction.  ``0``
         disables retention entirely (every lookup builds afresh) — the
@@ -135,22 +122,9 @@ class PlanCache:
         Label shown in diagnostics.
     """
 
-    def __init__(
-        self,
-        builder: Callable | None = None,
-        maxsize: int = 32,
-        name: str = "plans",
-    ) -> None:
+    def __init__(self, maxsize: int = 32, name: str = "plans") -> None:
         self.maxsize = require_non_negative_int(maxsize, "maxsize")
         self.name = str(name)
-        if builder is None:
-            # The default builder gets a handle on this cache so nested
-            # plan lookups (a loop plan's vectorized host) resolve
-            # through it — deduped when retaining, cold when disabled.
-            def builder(config, _cache=self):
-                return _default_builder(config, cache=_cache)
-
-        self._builder = builder
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -167,8 +141,12 @@ class PlanCache:
             self._hits += 1
             self._entries.move_to_end(key)
             return plan
+        # Deferred: plans.py imports the pipeline layer, which imports
+        # this module's consumers.
+        from .plans import build_plan
+
         self._misses += 1
-        plan = self._builder(config)
+        plan = build_plan(config)
         if self.maxsize > 0:
             while len(self._entries) >= self.maxsize:
                 self._entries.popitem(last=False)

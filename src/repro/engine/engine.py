@@ -3,8 +3,8 @@
 :class:`Engine` is the single front-end through which every
 Monte-Carlo workload in the package runs: threshold calibration,
 ROC/Pd-vs-SNR sweeps (:meth:`Engine.map_operating_points`), band-scan
-statistics.  It resolves each request to an
-:class:`~repro.engine.plans.ExecutionPlan` through the shared
+statistics.  It resolves each request to an execution plan
+(:func:`~repro.engine.plans.build_plan`) through the shared
 :class:`~repro.engine.cache.PlanCache`, then executes trial batches
 either in-process (``jobs=1``, the default) or sharded across a
 persistent ``multiprocessing`` worker pool (``jobs=N``).
@@ -258,8 +258,9 @@ class Engine:
         return self._cache
 
     def plan(self, config):
-        """The (cached) :class:`~repro.engine.plans.ExecutionPlan` for
-        *config*."""
+        """The (cached) execution plan for *config* — a
+        :class:`~repro.engine.plans.BatchExecutionPlan` or
+        :class:`~repro.engine.plans.LoopExecutionPlan`."""
         return self._cache.get(config)
 
     def close(self) -> None:
@@ -350,9 +351,11 @@ class Engine:
         """Per-trial statistics of a ``(trials, N, K)`` block-spectra
         batch.
 
-        The spectra-domain twin of :meth:`statistics` for plans exposing
-        ``statistics_from_spectra`` (the Gram-path DSCF and the
-        spectra-accepting sequential backends): re-blocking and the
+        The spectra-domain twin of :meth:`statistics` for the
+        configurations :func:`~repro.engine.plans.spectra_refusal`
+        admits (the Gram-path DSCF and the spectra-accepting sequential
+        backends; the rest raise
+        :class:`~repro.errors.ConfigurationError`): re-blocking and the
         N-block FFT sweep are skipped because the caller already holds
         the centered block spectra in the batch phase convention — the
         serve layer's session-resident fast path.  Statistics are
@@ -373,15 +376,8 @@ class Engine:
         if self.fault_injector is not None:
             self.fault_injector.fire("engine.batch")
         plan = self.plan(config)
-        entry = getattr(plan, "statistics_from_spectra", None)
-        if entry is None:
-            raise ConfigurationError(
-                f"the plan for backend "
-                f"{getattr(plan, 'backend_name', '?')!r} has no "
-                f"spectra-domain entry point (statistics_from_spectra)"
-            )
         self.last_transport = "in-process"
-        return np.asarray(entry(spectra))
+        return np.asarray(plan.statistics_from_spectra(spectra))
 
     def _sharded_statistics(
         self, config, signals: np.ndarray, jobs: int

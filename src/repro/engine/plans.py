@@ -16,16 +16,23 @@ Two plan classes cover every registered backend:
   backend-provided *executor*
   (:class:`~repro.estimators.fam.BatchedFAM`,
   :class:`~repro.estimators.ssca.BatchedSSCA`,
-  :class:`~repro.soc.compiled.CompiledSoCPlan`) when the backend
-  exposes one through ``batch_plan``.
+  :class:`~repro.soc.compiled.CompiledSoCPlan`) when the backend's
+  uncached ``batch_plan`` factory returns one.
 * :class:`LoopExecutionPlan` — the per-trial fallback for inherently
   sequential substrates (the literal reference loop, the streaming
   accumulator, the interpreted cycle-level SoC).  Statistics match the
   :class:`~repro.pipeline.DetectionPipeline` per-trial path bit for
   bit, so the engine can run — and shard — *any* registered backend.
 
-Both are **stateless after construction** and **deterministic per
-trial**: a trial's statistic does not depend on which other trials
+:func:`build_plan` is the one place that decides which flavour a
+configuration gets (and builds its executor, exactly once per plan);
+:func:`spectra_refusal` is the one rule deciding whether a
+configuration can be scored straight from block spectra.  The plan
+cache holds the only copy of each plan and executor, so a disabled
+cache (``PlanCache(maxsize=0)``) is genuinely cold.
+
+Both plans are **stateless after construction** and **deterministic
+per trial**: a trial's statistic does not depend on which other trials
 share its batch, slab, or shard.  That property is what makes sharded
 execution bitwise equal to the serial path (asserted by the engine
 test battery for ``jobs in {1, 2, 4}``).
@@ -38,7 +45,7 @@ energy detector, matched filters) run through the same sweeps.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import cgemm
@@ -46,6 +53,7 @@ from scipy.linalg.blas import cgemm
 from ..core.scf import COHERENCE_FLOOR, DSCFResult, spectral_coherence
 from ..errors import ConfigurationError
 from .._compute import (
+    SLAB_TRIALS,
     complex_dtype,
     fft_fast_kwargs,
     fft_namespace,
@@ -62,47 +70,6 @@ MAX_TESTED_JOBS = 4
 #: envelope-periodic signals; the small non-zero lags see
 #: constant-modulus pulse trains whose instantaneous power is flat.
 PRUNE_SCREEN_LAGS = (0, 1, 2, 3)
-
-
-@runtime_checkable
-class ExecutionPlan(Protocol):
-    """What the engine requires of a plan.
-
-    ``statistics`` is the hot path.  Every plan is rebuildable from its
-    ``config``, which is what lets the engine shard it: workers receive
-    the configuration and build the same plan in their own process.
-    """
-
-    config: object
-    backend_name: str
-
-    def statistics(self, signals: np.ndarray) -> np.ndarray:
-        """Per-trial detection statistics of a ``(trials, samples)``
-        array."""
-        ...  # pragma: no cover - protocol
-
-    def surfaces(self, signals: np.ndarray) -> np.ndarray:
-        """Per-trial ``(2M+1, 2M+1)`` detection surfaces."""
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class TrialExecutor(Protocol):
-    """The backend-provided vectorised executor a
-    :class:`BatchExecutionPlan` dispatches to (what ``batch_plan``
-    returns): :class:`~repro.estimators.fam.BatchedFAM`,
-    :class:`~repro.estimators.ssca.BatchedSSCA` and
-    :class:`~repro.soc.compiled.CompiledSoCPlan` all conform.
-
-    ``dscf_exact`` executors produce exact complex expression-3 values
-    through ``values``; full-plane executors bin peak magnitudes
-    through ``magnitudes``/``surfaces`` instead.
-    """
-
-    averaging_length: int
-
-    def magnitudes(self, signals: np.ndarray) -> np.ndarray:
-        ...  # pragma: no cover - protocol
 
 
 class BatchExecutionPlan:
@@ -122,20 +89,27 @@ class BatchExecutionPlan:
       conj(X[n, c+v])`` computed by one BLAS matmul (``u = f+a``,
       ``v = f-a``), instead of gathering an ``(N, 2M+1, 2M+1)`` tensor;
     * **trial chunking** — trials stream through in slabs of
-      ``config.trial_chunk``, bounding the Gram intermediate
-      independently of the trial count.
+      :data:`~repro._compute.SLAB_TRIALS`, bounding the Gram
+      intermediate independently of the trial count.
 
     Every per-trial slice of a batched result is bit-for-bit identical
     to running that trial alone, and independent of slab and shard
     boundaries.
+
+    *executor* is the backend-provided vectorised executor
+    :func:`build_plan` obtained from the backend's ``batch_plan``
+    factory, or ``None`` for the Gram path.  Two flavours exist: the
+    full-plane estimators bin peak magnitudes onto the ``(f, a)`` grid
+    (``magnitudes``/``surfaces``), while the compiled SoC executor
+    marks itself ``dscf_exact`` and produces exact complex expression-3
+    ``values``, so this plan's coherence normalisation applies
+    unchanged.
     """
 
-    def __init__(self, config) -> None:
+    def __init__(self, config, executor=None) -> None:
         from ..core.windows import get_window
-        from ..pipeline.backends import get_backend
 
         self.config = config
-        self.backend_name = config.backend
         cfg = config
         # Precision policy (see repro._compute): float64 is the bitwise
         # parity reference — its constants and FFT namespace are exactly
@@ -171,18 +145,7 @@ class BatchExecutionPlan:
         else:
             columns = np.arange(2 * m + 1)
             self._columns = columns[columns != m]
-        # Backends may carry their own vectorised executor; when the
-        # configured backend exposes one, surfaces and DSCF values
-        # route through it instead of the Gram-matrix DSCF mathematics
-        # below.  Two executor flavours exist (see TrialExecutor): the
-        # full-plane estimators bin peak magnitudes onto the (f, a)
-        # grid, while the compiled SoC executor marks itself
-        # ``dscf_exact`` and produces exact complex expression-3
-        # values, so this plan's coherence normalisation applies
-        # unchanged.
-        backend = get_backend(cfg.backend)
-        plan_factory = getattr(backend, "batch_plan", None)
-        self._executor = plan_factory(cfg) if callable(plan_factory) else None
+        self._executor = executor
         self._exact = bool(getattr(self._executor, "dscf_exact", False))
         # Pruned cycle-frequency search (config validation restricts it
         # to the Gram path): statistics() screens every column with the
@@ -198,7 +161,7 @@ class BatchExecutionPlan:
     # ------------------------------------------------------------------
     @property
     def executor(self):
-        """The backend-provided :class:`TrialExecutor`, if any."""
+        """The backend-provided vectorised executor, if any."""
         return self._executor
 
     @property
@@ -213,14 +176,6 @@ class BatchExecutionPlan:
         if self._executor is not None:
             return self._executor.averaging_length
         return self.config.num_blocks
-
-    @property
-    def kind(self) -> str:
-        """Plan flavour: ``gram`` (host DSCF), ``exact`` (platform
-        replay) or ``lattice`` (full-plane magnitude binning)."""
-        if self._executor is None:
-            return "gram"
-        return "exact" if self._exact else "lattice"
 
     # ------------------------------------------------------------------
     # Input handling
@@ -313,7 +268,8 @@ class BatchExecutionPlan:
 
         Each trial's grid is the Gram gather described on
         :class:`BatchExecutionPlan`, streamed in
-        ``config.trial_chunk`` slabs into a preallocated accumulator.
+        :data:`~repro._compute.SLAB_TRIALS` slabs into a preallocated
+        accumulator.
         On a full-plane backend the grid is instead the estimator
         lattice's per-cell peak magnitudes (cast to complex —
         max-binned cells have no meaningful phase); on the compiled
@@ -333,8 +289,8 @@ class BatchExecutionPlan:
         values = np.empty((trials, extent, extent), dtype=self._cdtype)
         windowed = spectra[:, :, self._sub]
         if self._precision == "float64":
-            for start in range(0, trials, cfg.trial_chunk):
-                stop = start + cfg.trial_chunk
+            for start in range(0, trials, SLAB_TRIALS):
+                stop = start + SLAB_TRIALS
                 slab = windowed[start:stop]
                 gram = np.matmul(slab.transpose(0, 2, 1), np.conj(slab))
                 values[start:stop] = gram[:, self._gram_u, self._gram_v]
@@ -411,22 +367,14 @@ class BatchExecutionPlan:
         raw window (the mathematics from the spectra onward are the
         same code path).
 
-        Only the Gram-path plan can enter here: backend-provided
-        executors (the FAM/SSCA lattices, the compiled SoC replay)
-        consume raw samples, and the pruned search screens raw sample
-        blocks — both raise :class:`~repro.errors.ConfigurationError`.
+        Configurations :func:`spectra_refusal` rejects — backends with
+        raw-sample executors (the FAM/SSCA lattices, the compiled SoC
+        replay) and the pruned search — raise
+        :class:`~repro.errors.ConfigurationError`.
         """
-        if self._executor is not None:
-            raise ConfigurationError(
-                f"backend {self.backend_name!r} executes trials from raw "
-                f"samples (estimator lattice or platform replay) and has "
-                f"no spectra-domain entry point"
-            )
-        if self._pruned:
-            raise ConfigurationError(
-                "alpha_search='pruned' screens raw sample blocks and has "
-                "no spectra-domain entry point; use alpha_search='full'"
-            )
+        refusal = spectra_refusal(self.config)
+        if refusal is not None:
+            raise ConfigurationError(refusal)
         batch = self.as_spectra_batch(spectra)
         surfaces = self.surfaces(None, spectra=batch)
         return surfaces[:, :, self._columns].max(axis=(1, 2))
@@ -546,35 +494,22 @@ class LoopExecutionPlan:
     worker processes instead of tiles.
     """
 
-    def __init__(self, config, host_cache=None) -> None:
+    def __init__(self, config) -> None:
         from ..pipeline.backends import get_backend
 
         self.config = config
-        self.backend_name = config.backend
         registered = get_backend(config.backend)
         fresh = getattr(registered, "fresh", None)
         self._backend = fresh() if callable(fresh) else registered
         # Host-side gram plan: spectra geometry for the coherence
-        # denominator, so both paths window identically.  When the
-        # building cache retains plans it is
-        # resolved through it (deduping with any vectorized plan at
-        # this geometry); with caching disabled the host is built
-        # directly so cold timings stay cold.
-        host_config = config.with_backend("vectorized")
-        if host_cache is not None and host_cache.maxsize > 0:
-            self._spectra = host_cache.get(host_config)
-        else:
-            self._spectra = BatchExecutionPlan(host_config)
+        # denominator, so both paths window identically.  Building it
+        # is cheap (a taper, a phase table and index grids).
+        self._spectra = BatchExecutionPlan(config.with_backend("vectorized"))
 
     @property
     def searched_columns(self) -> np.ndarray:
         """Surface columns scanned by the statistic."""
         return self._spectra.searched_columns
-
-    @property
-    def kind(self) -> str:
-        """Plan flavour marker (``loop``)."""
-        return "loop"
 
     @property
     def averaging_length(self) -> int:
@@ -626,14 +561,12 @@ class LoopExecutionPlan:
         bitwise equal to the host plan's :meth:`~BatchExecutionPlan.
         block_spectra` slices yield statistics bitwise identical to
         :meth:`statistics` on the raw window.  Raw-sample substrates
-        (the cycle-level soc interpreter) raise
-        :class:`~repro.errors.ConfigurationError`.
+        (the cycle-level soc interpreter) fail :func:`spectra_refusal`
+        and raise :class:`~repro.errors.ConfigurationError`.
         """
-        if not self._backend.capabilities.accepts_spectra:
-            raise ConfigurationError(
-                f"backend {self.backend_name!r} operates on raw samples "
-                f"and has no spectra-domain entry point"
-            )
+        refusal = spectra_refusal(self.config)
+        if refusal is not None:
+            raise ConfigurationError(refusal)
         batch = self._spectra.as_spectra_batch(spectra)
         columns = self.searched_columns
         return np.array(
@@ -657,9 +590,6 @@ class CallableStatisticPlan:
     and streaming keeps memory constant in the trial count).
     """
 
-    config = None
-    backend_name = "callable"
-
     def __init__(self, statistic_fn: Callable[[np.ndarray], float]) -> None:
         if not callable(statistic_fn):
             raise ConfigurationError(
@@ -675,55 +605,64 @@ class CallableStatisticPlan:
         legacy per-trial loop's contract exactly."""
         return float(self._statistic_fn(signal))
 
-    def statistics(self, signals) -> np.ndarray:
-        """Apply the wrapped callable per trial row of a
-        ``(trials, samples)`` batch (a 1-D array is one trial).
 
-        Only for homogeneous stacked batches — per-trial drivers that
-        may carry non-ndarray or 2-D single observations must call
-        :meth:`statistic` per realisation instead (the engine's
-        Monte-Carlo driver does).
-        """
-        signals = np.asarray(signals)
-        if signals.ndim == 1:
-            signals = signals[None, :]
-        return np.array(
-            [self.statistic(samples) for samples in signals]
-        )
+def build_plan(config):
+    """Build the execution plan for one operating point.
 
-    def surfaces(self, signals: np.ndarray) -> np.ndarray:
-        raise ConfigurationError(
-            "a callable statistic has no detection surface"
-        )
-
-
-def build_plan(config, cache=None):
-    """Build the :class:`ExecutionPlan` for one operating point.
-
-    Batch-capable backends — and backends handing over a vectorised
-    :class:`TrialExecutor` (the compiled SoC) — get a
-    :class:`BatchExecutionPlan`; sequential substrates get a
-    :class:`LoopExecutionPlan`.  Callers should prefer
-    :func:`repro.engine.cache.shared_plan_cache` over calling this
-    directly, so identical operating points share one build.
-
-    *cache* is the :class:`~repro.engine.cache.PlanCache` invoking
-    this builder (when any): nested plan lookups — the loop plan's
-    vectorized host — resolve through it, so a retaining cache dedupes
-    and a disabled one stays genuinely cold.
+    The one place that decides how a configuration executes.  The
+    backend's ``batch_plan`` factory (when it has one) is called
+    exactly once: an executor it returns — the FAM/SSCA lattices, the
+    compiled SoC replay — goes into a :class:`BatchExecutionPlan`, as
+    do batch-capable backends without one (the Gram path); sequential
+    substrates get a :class:`LoopExecutionPlan`.  Callers should go
+    through a :class:`~repro.engine.cache.PlanCache` (usually
+    :func:`~repro.engine.cache.shared_plan_cache`) rather than calling
+    this directly, so identical operating points share one build.
     """
     from ..pipeline.backends import get_backend
 
     backend = get_backend(config.backend)
-    if backend.capabilities.supports_batch:
-        return BatchExecutionPlan(config)
-    # Probe for a backend-provided executor before building anything:
-    # the probe itself is served by the backend's own executor cache,
-    # so the BatchExecutionPlan constructor's second call is a hit.
     plan_factory = getattr(backend, "batch_plan", None)
-    if callable(plan_factory) and plan_factory(config) is not None:
-        return BatchExecutionPlan(config)
-    return LoopExecutionPlan(config, host_cache=cache)
+    executor = plan_factory(config) if callable(plan_factory) else None
+    if executor is not None or backend.capabilities.supports_batch:
+        return BatchExecutionPlan(config, executor=executor)
+    return LoopExecutionPlan(config)
+
+
+def spectra_refusal(config, serving: bool = False) -> str | None:
+    """Why *config* cannot be scored from centered block spectra, or
+    ``None`` when it can.
+
+    The one spectra-route rule, asked by both plans'
+    ``statistics_from_spectra``,
+    :meth:`repro.serve.SensingService.resolve_serve_path` and
+    ``repro-cfd backends``.  It is static (capabilities and config
+    fields only; no plan is built).  A config qualifies when its
+    backend's ``compute`` accepts precomputed spectra — raw-sample
+    substrates (FAM/SSCA lattices, compiled SoC replay, soc
+    interpreter) do not — and the full cycle-frequency search is on.
+    *serving* (a session scoring its float64 ring spectra) also
+    requires float64, the only precision bitwise equal to the engine
+    sample path.
+    """
+    from ..pipeline.backends import get_backend
+
+    if not get_backend(config.backend).capabilities.accepts_spectra:
+        return (
+            f"backend {config.backend!r} executes trials from raw "
+            f"samples and has no spectra-domain entry point"
+        )
+    if config.alpha_search == "pruned":
+        return (
+            "alpha_search='pruned' screens raw sample blocks and has no "
+            "spectra-domain entry point; use alpha_search='full'"
+        )
+    if serving and config.precision != "float64":
+        return (
+            "serving from session spectra requires precision='float64' "
+            "(session ring spectra are double precision)"
+        )
+    return None
 
 
 def plan_support(backend_name: str) -> str:

@@ -8,13 +8,16 @@ DSCF substrates, under the names ``fam`` and ``ssca``:
   ``(f, a)`` grid (max magnitude per cell), so downstream detector
   code — coherence normalisation, searched-column reduction, threshold
   test — runs unchanged;
-* ``batch_plan`` hands the execution engine a vectorised multi-trial
-  executor (:class:`~repro.estimators.fam.BatchedFAM` /
-  :class:`~repro.estimators.ssca.BatchedSSCA`, both conforming to the
-  :class:`repro.engine.plans.TrialExecutor` protocol and cached by a
-  shared :class:`~repro.engine.cache.PlanCache`), which is also what
-  a batch of one runs through, keeping per-trial and batched results
-  bit-for-bit identical;
+* ``batch_plan`` builds the vectorised multi-trial executor
+  (:class:`~repro.estimators.fam.BatchedFAM` /
+  :class:`~repro.estimators.ssca.BatchedSSCA`) that
+  :func:`repro.engine.plans.build_plan` puts into the operating
+  point's :class:`~repro.engine.plans.BatchExecutionPlan`.  It is an
+  uncached factory: the engine's plan cache is the one place the
+  executor lives, and ``compute``/``estimate`` read it from the
+  shared cache's plan, so a batch of one runs through the very
+  executor the engine uses — per-trial and batched results stay
+  bit-for-bit identical and the channelizer bank is built once;
 * ``estimate`` exposes the native full-plane
   :class:`~repro.estimators.result.CyclicSpectrum` for blind-search
   consumers (see ``examples/blind_search.py``).
@@ -37,7 +40,7 @@ import numpy as np
 
 from ..core.sampling import SampledSignal
 from ..core.scf import DSCFResult
-from ..engine.cache import PlanCache
+from ..engine.cache import shared_plan_cache
 from ..pipeline.backends import (
     BackendCapabilities,
     _require_samples,
@@ -47,8 +50,6 @@ from ..pipeline.config import PipelineConfig
 from .fam import BatchedFAM
 from .result import CyclicSpectrum
 from .ssca import BatchedSSCA
-
-_PLAN_CACHE_LIMIT = 8
 
 
 def default_estimator_channels(fft_size: int) -> int:
@@ -77,7 +78,6 @@ def fam_plan(config: PipelineConfig) -> BatchedFAM:
         num_blocks=config.fam_blocks,
         window=config.estimator_window,
         normalize=config.normalize,
-        trial_chunk=config.trial_chunk,
         precision=config.precision,
     )
 
@@ -95,7 +95,6 @@ def ssca_plan(config: PipelineConfig) -> BatchedSSCA:
         ),
         window=config.estimator_window,
         normalize=config.normalize,
-        trial_chunk=config.trial_chunk,
         precision=config.precision,
     )
 
@@ -105,31 +104,11 @@ class _FullPlaneBackend:
 
     name = ""  # overridden
 
-    def __init__(self) -> None:
-        self._plans = PlanCache(
-            builder=self._build_plan,
-            maxsize=_PLAN_CACHE_LIMIT,
-            name=f"{self.name or 'full-plane'}-executors",
-        )
-
-    def fresh(self):
-        """A private instance for one pipeline (isolates the plan cache)."""
-        return type(self)()
-
-    def _build_plan(self, config: PipelineConfig):
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    @property
-    def plan_cache(self) -> PlanCache:
-        """This backend's executor cache (hit/miss accounting included)."""
-        return self._plans
-
-    def batch_plan(self, config: PipelineConfig):
-        """The (cached) vectorised :class:`~repro.engine.plans.
-        TrialExecutor` for *config* — the hook
-        :class:`~repro.engine.plans.BatchExecutionPlan` dispatches
-        through."""
-        return self._plans.get(config)
+    def _executor(self, config: PipelineConfig):
+        """The executor of *config*'s plan in the shared plan cache."""
+        if config.backend != self.name:
+            config = config.with_backend(self.name)
+        return shared_plan_cache().get(config).executor
 
     def compute(
         self,
@@ -144,12 +123,12 @@ class _FullPlaneBackend:
         normalisation behave exactly as for the DSCF backends.
         """
         samples, sample_rate = _require_samples(signal, self.name)
-        plan = self.batch_plan(config)
-        values = plan.magnitudes(samples[None])[0].astype(np.complex128)
+        executor = self._executor(config)
+        values = executor.magnitudes(samples[None])[0].astype(np.complex128)
         return DSCFResult(
             values=values,
             m=config.m,
-            num_blocks=plan.averaging_length,
+            num_blocks=executor.averaging_length,
             fft_size=config.fft_size,
             sample_rate_hz=(
                 sample_rate if sample_rate is not None else config.sample_rate_hz
@@ -165,8 +144,8 @@ class _FullPlaneBackend:
         samples, sample_rate = _require_samples(signal, self.name)
         if sample_rate is None:
             sample_rate = config.sample_rate_hz
-        plan = self.batch_plan(config)
-        return plan.estimator.estimate(samples, sample_rate_hz=sample_rate)
+        estimator = self._executor(config).estimator
+        return estimator.estimate(samples, sample_rate_hz=sample_rate)
 
 
 class FAMBackend(_FullPlaneBackend):
@@ -183,8 +162,7 @@ class FAMBackend(_FullPlaneBackend):
         dscf_exact=False,
     )
 
-    def _build_plan(self, config: PipelineConfig) -> BatchedFAM:
-        return fam_plan(config)
+    batch_plan = staticmethod(fam_plan)
 
 
 class SSCABackend(_FullPlaneBackend):
@@ -202,8 +180,7 @@ class SSCABackend(_FullPlaneBackend):
         dscf_exact=False,
     )
 
-    def _build_plan(self, config: PipelineConfig) -> BatchedSSCA:
-        return ssca_plan(config)
+    batch_plan = staticmethod(ssca_plan)
 
 
 register_backend(FAMBackend())

@@ -239,7 +239,6 @@ class BatchedFAM:
         num_blocks: int | None = None,
         window: str = "hann",
         normalize: bool = True,
-        trial_chunk: int = 4,
         precision: str = "float64",
     ) -> None:
         self.precision = precision
@@ -257,7 +256,6 @@ class BatchedFAM:
             samples_per_decision, "samples_per_decision"
         )
         self.normalize = bool(normalize)
-        self.trial_chunk = require_positive_int(trial_chunk, "trial_chunk")
         available = self.estimator.channelizer.num_frames(samples_per_decision)
         self.num_frames = (
             available if num_blocks is None else int(num_blocks)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._compute import (
+    SLAB_TRIALS,
     complex_dtype,
     fft_fast_kwargs,
     fft_namespace,
@@ -178,9 +179,10 @@ class BatchedSSCA:
     tables (channelizer plan, strip lattice in natural second-FFT bin
     order, DSCF projection, coherence strip-pair map) are built once
     per configuration, and every call runs the channelizer as bulk
-    FFTs over ``trial_chunk`` slabs with the memory-heavy strip FFTs
-    streaming trial-at-a-time in squared-magnitude arithmetic (one
-    small square root on the projected grid at the end).
+    FFTs over :data:`~repro._compute.SLAB_TRIALS` slabs with the
+    memory-heavy strip FFTs streaming trial-at-a-time in
+    squared-magnitude arithmetic (one small square root on the
+    projected grid at the end).
     """
 
     estimator_name = "ssca"
@@ -193,7 +195,6 @@ class BatchedSSCA:
         num_channels: int = 64,
         window: str = "hann",
         normalize: bool = True,
-        trial_chunk: int = 4,
         precision: str = "float64",
     ) -> None:
         self.precision = precision
@@ -207,7 +208,6 @@ class BatchedSSCA:
             samples_per_decision, "samples_per_decision"
         )
         self.normalize = bool(normalize)
-        self.trial_chunk = require_positive_int(trial_chunk, "trial_chunk")
         # Strip-major lattice in natural (unshifted) second-FFT bin
         # order, matching the fused per-trial (N', N) layout below.
         strips = self.estimator.channelizer.channels()
@@ -275,8 +275,8 @@ class BatchedSSCA:
         extent = self.projection.extent
         out = np.empty((trials, extent, extent), dtype=self._rdtype)
         gain = self.estimator.channelizer.coherent_gain
-        for start in range(0, trials, self.trial_chunk):
-            slab = batch[start : start + self.trial_chunk]
+        for start in range(0, trials, SLAB_TRIALS):
+            slab = batch[start : start + SLAB_TRIALS]
             demodulates = self.estimator.channelizer.demodulates_batch(slab)
             demodulates /= gain
             for offset in range(slab.shape[0]):

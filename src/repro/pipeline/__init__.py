@@ -33,7 +33,6 @@ from .backends import (
     available_backends,
     get_backend,
     register_backend,
-    spectra_serve_support,
 )
 from .config import PipelineConfig
 from .pipeline import DetectionPipeline
@@ -56,5 +55,4 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "spectra_serve_support",
 ]

@@ -14,11 +14,16 @@ Backends accept either raw samples (a 1-D array or
 block spectra (a 2-D ``(N, K)`` array), so pipelines that already hold
 the spectra — e.g. for coherence normalisation — never recompute them.
 
+Backends keep no plan state of their own: a backend with a vectorised
+multi-trial executor exposes it through an uncached ``batch_plan``
+factory, and :func:`repro.engine.plans.build_plan` places the result in
+the plan the engine's :class:`~repro.engine.PlanCache` retains.
+
 Registry
 --------
 >>> from repro.pipeline import available_backends, get_backend
 >>> available_backends()
-('reference', 'soc', 'streaming', 'vectorized')
+('fam', 'reference', 'soc', 'ssca', 'streaming', 'vectorized')
 >>> backend = get_backend("streaming")
 """
 
@@ -32,7 +37,6 @@ import numpy as np
 from ..core.fourier import block_spectra
 from ..core.sampling import SampledSignal
 from ..core.scf import DSCFResult, StreamingDSCF, compute_dscf, dscf_reference
-from ..engine.cache import PlanCache
 from ..errors import ConfigurationError
 from .config import PipelineConfig
 
@@ -50,7 +54,11 @@ class BackendCapabilities:
         Blocks can be integrated one at a time (hardware-style).
     accepts_spectra:
         ``compute`` also takes precomputed ``(N, K)`` block spectra, so
-        pipelines can share one spectra pass across stages.
+        pipelines can share one spectra pass across stages and the
+        engine can score configurations straight from block spectra
+        (see :func:`repro.engine.plans.spectra_refusal`).  Backends
+        whose ``batch_plan`` hands over a raw-sample executor must
+        leave it False.
     cycle_accurate:
         The backend also produces platform cycle counts.
     description:
@@ -237,9 +245,9 @@ class SoCBackend:
     With ``config.soc_compiled`` the same runner executes on the
     trace-compiled engine (:mod:`repro.soc.compiled`) — identical
     values, cycle tables and energy, replayed as vectorised NumPy —
-    and :meth:`batch_plan` additionally hands the engine's
-    :class:`~repro.engine.BatchExecutionPlan` a batched multi-trial
-    executor so Monte-Carlo workloads run in bulk.
+    and :meth:`batch_plan` additionally builds the batched multi-trial
+    executor the engine's :class:`~repro.engine.BatchExecutionPlan`
+    holds, so Monte-Carlo workloads run in bulk.
 
     :attr:`last_run` holds the :class:`~repro.soc.runner.SoCRunResult`
     of the *most recent* :meth:`compute` on this instance — read it
@@ -264,44 +272,26 @@ class SoCBackend:
         complexity="O(N (2M+1)^2) MACs, cycle-counted, df=fs/K, da=2fs/K",
     )
 
-    _PLAN_CACHE_LIMIT = 8
-
-    def __init__(self) -> None:
-        self.last_run = None
-        self._plans = PlanCache(
-            builder=self._build_plan,
-            maxsize=self._PLAN_CACHE_LIMIT,
-            name="soc-executors",
-        )
+    last_run = None
 
     def fresh(self) -> "SoCBackend":
         """A private instance for one pipeline (isolates :attr:`last_run`)."""
         return SoCBackend()
 
-    @staticmethod
-    def _build_plan(config: PipelineConfig):
+    def batch_plan(self, config: PipelineConfig):
+        """A new batched trace-replay executor
+        (:class:`~repro.soc.compiled.CompiledSoCPlan`) when the
+        configuration opts in via ``soc_compiled``; ``None`` otherwise
+        (the interpreter is inherently per-trial, so execution falls
+        back to the loop plan).  Uncached: the engine's plan cache
+        retains the plan holding it."""
+        if not config.soc_compiled:
+            return None
         # Deferred so ``import repro`` stays light: compiling the trace
         # pulls in the whole Montium compiler.
         from ..soc.compiled import CompiledSoCPlan
 
         return CompiledSoCPlan(config)
-
-    @property
-    def plan_cache(self) -> PlanCache:
-        """The compiled-trace executor cache (hit/miss accounting
-        included) — compiling a schedule interprets the full Montium
-        instruction stream, so hits here matter most."""
-        return self._plans
-
-    def batch_plan(self, config: PipelineConfig):
-        """The batched trace-replay :class:`~repro.engine.plans.
-        TrialExecutor`, when the configuration opts in via
-        ``soc_compiled``; ``None`` otherwise (the interpreter is
-        inherently per-trial, so execution falls back to the loop
-        plan)."""
-        if not config.soc_compiled:
-            return None
-        return self._plans.get(config)
 
     def compute(
         self, signal: SampledSignal | np.ndarray, config: PipelineConfig
@@ -376,29 +366,6 @@ def get_backend(name: str) -> EstimatorBackend:
 def available_backends() -> tuple[str, ...]:
     """Sorted names of every registered backend."""
     return tuple(sorted(_REGISTRY))
-
-
-def spectra_serve_support(name: str) -> bool:
-    """Whether the serve layer's spectra-reuse fast path covers *name*.
-
-    A backend qualifies when it is serve-capable (batched or streaming
-    execution), consumes precomputed ``(N, K)`` block spectra, and
-    evaluates expression 3 exactly on the ``(f, a)`` grid — then a
-    session's reconciled ring spectra can feed the plan layer's
-    ``statistics_from_spectra`` entry point with bitwise-identical
-    results.  Full-plane estimators (``fam``/``ssca``) re-channelize
-    raw samples onto their own lattice and the cycle-level ``soc``
-    interpreter replays raw blocks, so their serve detects keep the
-    engine sample path; the per-trial ``reference`` oracle is not
-    serve-capable at all.  ``repro-cfd backends`` reports this flag and
-    :meth:`repro.serve.SensingService.resolve_serve_path` enforces it.
-    """
-    capabilities = get_backend(name).capabilities
-    return (
-        (capabilities.supports_batch or capabilities.supports_streaming)
-        and capabilities.accepts_spectra
-        and capabilities.dscf_exact
-    )
 
 
 register_backend(ReferenceBackend())

@@ -102,12 +102,6 @@ class PipelineConfig:
         executor, so soc Monte-Carlo sweeps run like the DSCF batch
         paths.  Default False (instruction-level
         interpretation).
-    trial_chunk:
-        Trials processed per vectorised slab by the
-        :class:`~repro.engine.BatchExecutionPlan` (bounds peak memory at
-        roughly ``trial_chunk * (4M+1)^2`` complex values; for the
-        full-plane backends it bounds the ``(chunk, P, N', N')`` /
-        ``(chunk, N, N')`` product tensors instead).
     fam_channels:
         Channelizer length N' for ``backend="fam"``; ``None`` derives
         ``clamp(fft_size // 4, 8, 64)`` (64 at the paper's K = 256).
@@ -142,14 +136,16 @@ class PipelineConfig:
         whenever the backend supports it, the engine sample path
         otherwise), ``"engine"`` (always re-run the full block-FFT
         front-end on the raw window — the parity oracle), or
-        ``"spectra"`` (require the fast path; the serving layer raises
-        :class:`~repro.errors.ConfigurationError` for backends without
-        a spectra-domain entry point).  Both routes are bitwise
-        identical; the knob only chooses what gets recomputed.  The
-        fast path needs the exact Gram/coherence mathematics, so
-        ``"spectra"`` is rejected here for ``alpha_search="pruned"``
-        and ``precision="float32"`` (backend eligibility is checked by
-        :meth:`repro.serve.SensingService.resolve_serve_path`).
+        ``"spectra"`` (require the fast path).  Both routes are bitwise
+        identical; the knob only chooses what gets recomputed.
+        Eligibility is one rule,
+        :func:`repro.engine.plans.spectra_refusal` (a backend accepting
+        precomputed spectra, the full cycle-frequency search, float64);
+        :meth:`repro.serve.SensingService.resolve_serve_path` applies it
+        and raises :class:`~repro.errors.ConfigurationError` for
+        ``"spectra"`` on an ineligible configuration at service
+        construction, ``open_session`` or ``restore_session`` — before
+        the first detect.
     """
 
     fft_size: int = 256
@@ -169,7 +165,6 @@ class PipelineConfig:
     sample_rate_hz: float | None = None
     soc_tiles: int = 4
     soc_compiled: bool = False
-    trial_chunk: int = 4
     fam_channels: int | None = None
     fam_hop: int | None = None
     fam_blocks: int | None = None
@@ -199,7 +194,6 @@ class PipelineConfig:
                 require_positive_int(value, field_name)
         require_positive_int(self.scan_bands, "scan_bands")
         require_positive_int(self.soc_tiles, "soc_tiles")
-        require_positive_int(self.trial_chunk, "trial_chunk")
         require_positive_int(self.calibration_trials, "calibration_trials")
         # Every validation raises ConfigurationError — no bare
         # ValueError escapes a PipelineConfig constructor.
@@ -239,25 +233,6 @@ class PipelineConfig:
                 f"serve_path must be 'auto', 'engine' or 'spectra', got "
                 f"{self.serve_path!r}"
             )
-        if self.serve_path == "spectra":
-            # Backend eligibility (dscf-exact, accepts spectra) is the
-            # serving layer's call; the structural conflicts are
-            # rejected here so an impossible config never constructs.
-            if self.alpha_search == "pruned":
-                raise ConfigurationError(
-                    "serve_path='spectra' computes statistics from "
-                    "session-resident block spectra, but "
-                    "alpha_search='pruned' screens raw sample blocks; "
-                    "use serve_path='auto'/'engine' or "
-                    "alpha_search='full'"
-                )
-            if self.precision == "float32":
-                raise ConfigurationError(
-                    "serve_path='spectra' requires the float64 parity "
-                    "path (session ring spectra are double precision); "
-                    "use serve_path='auto'/'engine' or "
-                    "precision='float64'"
-                )
         if self.alpha_search == "pruned":
             if self.backend != "vectorized":
                 raise ConfigurationError(

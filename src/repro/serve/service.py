@@ -14,12 +14,12 @@ subsystem together:
   clients are batched into single engine calls while staying bitwise
   identical to offline :class:`~repro.pipeline.DetectionPipeline`
   runs;
-* session detects on dscf-exact serve-capable configurations take the
-  **spectra-reuse fast path** automatically (``serve_path="auto"``):
-  the session's reconciled ring spectra feed the plan layer's
-  spectra-domain entry point, skipping re-blocking and the N-block FFT
-  sweep while producing bit-for-bit the engine path's statistic — see
-  :meth:`SensingService.resolve_serve_path`;
+* session detects on configurations the spectra-route rule admits
+  take the **spectra-reuse fast path** automatically
+  (``serve_path="auto"``): the session's reconciled ring spectra feed
+  the plan layer's spectra-domain entry point, skipping re-blocking
+  and the N-block FFT sweep while producing bit-for-bit the engine
+  path's statistic — see :meth:`SensingService.resolve_serve_path`;
 * it calibrates detection thresholds on first use per operating point
   and caches them (the Monte-Carlo calibration is deterministic given
   the config, so the cache is exact, not approximate);
@@ -43,8 +43,8 @@ import numpy as np
 
 from ..engine import Engine
 from ..engine.cache import plan_key
+from ..engine.plans import spectra_refusal
 from ..errors import ConfigurationError, SessionStateError
-from ..pipeline.backends import spectra_serve_support
 from ..pipeline.config import PipelineConfig
 from .breaker import CircuitBreaker
 from .metrics import ServiceMetrics
@@ -94,9 +94,9 @@ class SensingService:
     ) -> None:
         require_serve_capable(config)
         self.config = config
-        # Fail fast on an impossible route (serve_path="spectra" with a
-        # backend lacking a spectra-domain entry point) instead of at
-        # the first detect.
+        # Fail fast on an impossible route (serve_path="spectra" on a
+        # configuration the spectra rule refuses) instead of at the
+        # first detect.
         self.resolve_serve_path(config)
         self._owns_engine = engine is None
         self._engine = Engine(jobs=jobs) if engine is None else engine
@@ -149,45 +149,33 @@ class SensingService:
     ) -> str:
         """The detection route session detects at *config* will take.
 
-        ``"spectra"`` — the session-resident fast path: the detection
-        statistic is computed straight from the session's reconciled
-        ring spectra through the plan layer's spectra-domain entry
-        point, skipping re-blocking and the N-block FFT sweep.
-        Requires a backend the fast path covers (see
-        :func:`~repro.pipeline.backends.spectra_serve_support`), the
-        full cycle-frequency search, and float64 arithmetic.
-
-        ``"engine"`` — the sample-domain batch path: the raw window is
-        re-run through the full block-FFT front-end.  Kept as the
-        fallback for the full-plane estimators (``fam``/``ssca``), the
-        raw-sample ``soc`` substrate, pruned search and float32 — and
-        as the parity oracle for the fast path.
+        ``"spectra"`` — the session-resident fast path: the statistic
+        is computed straight from the session's reconciled ring spectra
+        (no re-blocking, no N-block FFT sweep), whenever
+        :func:`~repro.engine.plans.spectra_refusal` admits *config* for
+        serving.  ``"engine"`` — the raw window re-runs the full
+        block-FFT front-end: the fallback for everything the rule
+        refuses, and the parity oracle for the fast path.
 
         Both routes produce bitwise-identical statistics; ``auto``
         simply prefers the one that recomputes less.  Requesting
-        ``serve_path="spectra"`` on an ineligible configuration raises
+        ``serve_path="spectra"`` on a refused configuration raises
         :class:`~repro.errors.ConfigurationError` (this runs eagerly at
-        service construction and session open, not at first detect).
+        service construction, session open and restore, not at first
+        detect).
         """
         config = self.config if config is None else config
-        eligible = (
-            spectra_serve_support(config.backend)
-            and config.alpha_search == "full"
-            and config.precision == "float64"
-        )
         if config.serve_path == "engine":
             return "engine"
-        if config.serve_path == "spectra":
-            if not eligible:
-                raise ConfigurationError(
-                    f"serve_path='spectra' needs a backend with a "
-                    f"spectra-domain entry point (dscf-exact, accepts "
-                    f"precomputed spectra) under the full float64 "
-                    f"search; backend {config.backend!r} does not "
-                    f"qualify — use serve_path='auto' or 'engine'"
-                )
+        refusal = spectra_refusal(config, serving=True)
+        if refusal is None:
             return "spectra"
-        return "spectra" if eligible else "engine"
+        if config.serve_path == "spectra":
+            raise ConfigurationError(
+                f"serve_path='spectra' is unavailable: {refusal}; use "
+                f"serve_path='auto' or 'engine'"
+            )
+        return "engine"
 
     def open_session(
         self,

@@ -11,22 +11,22 @@ identical link-transfer statistics and identical activity-based energy
 activity instead of per-cycle increments.
 
 :class:`CompiledSoCPlan` is the batched Monte-Carlo executor the
-``soc`` pipeline backend hands to the execution engine when
-``PipelineConfig.soc_compiled`` is set — it conforms to the
-:class:`repro.engine.plans.TrialExecutor` protocol (``dscf_exact``
-flavour), so :class:`~repro.engine.plans.BatchExecutionPlan`
-dispatches whole trial sets through one vectorised replay, with each
-trial bit-for-bit equal to a stand-alone run.  Instances are cached by
-the backend's :class:`~repro.engine.cache.PlanCache` — compiling a
-schedule interprets the platform's full instruction stream, so cache
-hits here dominate the engine benchmark's plan-cache speedup
-(``BENCH_engine.json``).
+``soc`` pipeline backend's ``batch_plan`` factory builds when
+``PipelineConfig.soc_compiled`` is set (``dscf_exact`` flavour), so
+:class:`~repro.engine.plans.BatchExecutionPlan` dispatches whole trial
+sets through one vectorised replay, with each trial bit-for-bit equal
+to a stand-alone run.  The engine's
+:class:`~repro.engine.cache.PlanCache` retains it inside the plan —
+compiling a schedule interprets the platform's full instruction
+stream, so cache hits here dominate the engine benchmark's plan-cache
+speedup (``BENCH_engine.json``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .._compute import SLAB_TRIALS
 from ..errors import ConfigurationError
 from ..montium.compiler import (
     MontiumTrace,
@@ -249,7 +249,6 @@ class CompiledSoCPlan:
         )
         self.trace = compile_platform(self.platform)
         self._num_blocks = config.num_blocks
-        self._trial_chunk = config.trial_chunk
 
     @property
     def averaging_length(self) -> int:
@@ -279,8 +278,8 @@ class CompiledSoCPlan:
         blocks = signals[:, :needed].reshape(trials, self._num_blocks, fft_size)
         extent = self.trace.extent
         values = np.empty((trials, extent, extent), dtype=np.complex128)
-        for start in range(0, trials, self._trial_chunk):
-            stop = start + self._trial_chunk
+        for start in range(0, trials, SLAB_TRIALS):
+            stop = start + SLAB_TRIALS
             values[start:stop] = replay_dscf_values(self.trace, blocks[start:stop])
         return values
 

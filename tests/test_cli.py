@@ -247,7 +247,9 @@ class TestEngineFlags:
         assert "plan: batched plan (Gram-matrix DSCF)" in out
         assert "plan: per-trial loop plan" in out
         assert "cache: shared engine LRU" in out
-        assert "backend executor cache" in out
+        # The engine's plan cache is the only one: no backend reports
+        # a private executor cache any more.
+        assert "backend executor cache" not in out
         assert "shared plan cache: capacity" in out
         assert "up to jobs=4" in out
 

@@ -27,20 +27,20 @@ from repro.engine import (
     BatchExecutionPlan,
     CallableStatisticPlan,
     Engine,
-    ExecutionPlan,
     LoopExecutionPlan,
     PlanCache,
-    TrialExecutor,
     build_plan,
     plan_key,
     plan_support,
     shared_plan_cache,
 )
 from repro.errors import ConfigurationError
+from repro.estimators import BatchedFAM, BatchedSSCA
 from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.scanner import BandScanner
 from repro.signals.noise import awgn
 from repro.signals.modulators import bpsk_signal
+from repro.soc.compiled import CompiledSoCPlan
 
 TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=20)
 TINY_SOC = PipelineConfig(
@@ -76,7 +76,6 @@ class TestPlanKey:
             {"m": 5},
             {"window": "hann"},
             {"backend": "fam"},
-            {"trial_chunk": 8},
             {"normalize": False},
         ):
             assert plan_key(replace(TINY, **change)) != plan_key(TINY)
@@ -161,27 +160,23 @@ class TestBuildPlan:
     def test_vectorized_is_gram(self):
         plan = build_plan(TINY)
         assert isinstance(plan, BatchExecutionPlan)
-        assert plan.kind == "gram"
         assert plan.executor is None
-        assert isinstance(plan, ExecutionPlan)
 
     def test_fam_is_lattice(self):
         plan = build_plan(replace(TINY, backend="fam"))
-        assert plan.kind == "lattice"
-        assert isinstance(plan.executor, TrialExecutor)
+        assert isinstance(plan, BatchExecutionPlan)
+        assert isinstance(plan.executor, BatchedFAM)
 
     def test_compiled_soc_is_exact(self):
         plan = build_plan(TINY_SOC)
-        assert plan.kind == "exact"
-        assert isinstance(plan.executor, TrialExecutor)
+        assert isinstance(plan, BatchExecutionPlan)
+        assert isinstance(plan.executor, CompiledSoCPlan)
         assert plan.executor.dscf_exact
 
     def test_sequential_backends_get_loop_plans(self):
         for backend in ("reference", "streaming"):
             plan = build_plan(replace(TINY, backend=backend))
             assert isinstance(plan, LoopExecutionPlan)
-            assert plan.kind == "loop"
-            assert isinstance(plan, ExecutionPlan)
 
     def test_interpreted_soc_gets_loop_plan(self):
         plan = build_plan(replace(TINY_SOC, soc_compiled=False))
@@ -451,7 +446,8 @@ class TestPerTrialStreaming:
         streamed = Engine().monte_carlo_statistics(
             lambda t: signals[t], 4, plan=plan
         )
-        assert np.array_equal(streamed, plan.statistics(signals))
+        stacked = np.abs(signals).max(axis=1)
+        assert np.array_equal(streamed, stacked)
 
 
 class TestNoCacheSharding:
@@ -465,8 +461,8 @@ class TestNoCacheSharding:
 
 
 class TestCachePurityAndAmbiguity:
-    """Review hardening: disabled caches stay cold, ambiguous calls
-    are rejected, retaining caches dedupe the loop plan's host."""
+    """Review hardening: disabled caches stay cold (executors
+    included), ambiguous calls are rejected."""
 
     def test_rejects_config_and_plan_together(self):
         signals = _signals(TINY, trials=2)
@@ -486,10 +482,22 @@ class TestCachePurityAndAmbiguity:
         assert first is not second  # genuinely cold rebuilds
         assert (len(shared), shared.stats.lookups) == before
 
-    def test_retaining_cache_dedupes_loop_host(self):
-        cache = PlanCache()
-        config = replace(TINY, backend="streaming")
-        cache.get(replace(config, backend="vectorized"))
-        cache.get(config)
-        # The loop plan's vectorized host was a hit, not a second build.
-        assert (cache.stats.hits, cache.stats.misses, len(cache)) == (1, 2, 2)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            replace(TINY, backend="fam"),
+            replace(TINY, backend="ssca"),
+            TINY_SOC,
+        ],
+        ids=["fam", "ssca", "soc-compiled"],
+    )
+    def test_disabled_cache_rebuilds_executors(self, config):
+        # The plan cache is the only cache: with it disabled, every
+        # plan() call builds a new plan *and* a new backend executor.
+        engine = Engine(cache=PlanCache(maxsize=0))
+        first = engine.plan(config)
+        second = engine.plan(config)
+        assert first.executor is not second.executor
+        assert isinstance(
+            first.executor, (BatchedFAM, BatchedSSCA, CompiledSoCPlan)
+        )

@@ -384,18 +384,34 @@ class TestEstimatorBackends:
         assert isinstance(spectrum, CyclicSpectrum)
         assert spectrum.estimator == "fam"
 
-    def test_fresh_isolates_plan_cache(self, small_batch):
+    def test_batch_plan_is_an_uncached_factory(self, small_batch):
         config, _ = small_batch
         backend = get_backend("fam")
-        private = backend.fresh()
-        assert private is not backend
-        assert type(private) is type(backend)
-
-    def test_plan_cache_reuses_plans(self, small_batch):
-        config, _ = small_batch
-        backend = get_backend("fam").fresh()
         named = config.with_backend("fam")
-        assert backend.batch_plan(named) is backend.batch_plan(named)
+        assert backend.batch_plan(named) is not backend.batch_plan(named)
+
+    def test_pipeline_builds_the_channelizer_bank_once(
+        self, small_batch, monkeypatch
+    ):
+        # The engine's plan cache is the only home of the executor:
+        # after statistic() built the plan, neither compute() nor the
+        # backend's native estimate() constructs another BatchedFAM.
+        config, signals = small_batch
+        config = config.with_backend("fam")
+        built = []
+        original = BatchedFAM.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedFAM, "__init__", counting_init)
+        pipeline = DetectionPipeline(config)
+        pipeline.statistic(signals[0])
+        after_statistic = len(built)
+        pipeline.compute(signals[0])
+        get_backend("fam").estimate(signals[0], config)
+        assert len(built) == after_statistic
 
 
 class TestConfigValidation:

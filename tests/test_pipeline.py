@@ -56,12 +56,13 @@ def shared_signal(small_config):
 
 @pytest.fixture(scope="module")
 def batch_config():
-    return PipelineConfig(fft_size=32, num_blocks=6, trial_chunk=4)
+    return PipelineConfig(fft_size=32, num_blocks=6)
 
 
 @pytest.fixture(scope="module")
 def batch_signals(batch_config):
-    # 11 trials: not a multiple of trial_chunk, so slab boundaries are hit.
+    # 11 trials: not a multiple of SLAB_TRIALS (4), so slab boundaries
+    # are hit.
     return np.stack(
         [awgn(batch_config.samples_per_decision, seed=100 + t) for t in range(11)]
     )
@@ -127,7 +128,6 @@ class TestConfig:
             {"fft_size": -1},
             {"num_blocks": 0},
             {"pfa": 2.0},
-            {"trial_chunk": 0},
             {"window": "bogus"},
             {"backend": None},
             {"sample_rate_hz": -1.0},

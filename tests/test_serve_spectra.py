@@ -15,14 +15,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import Engine
+from repro.engine import Engine, spectra_refusal
 from repro.engine.shm import live_segment_names
 from repro.errors import ConfigurationError, SessionStateError
-from repro.pipeline import (
-    DetectionPipeline,
-    PipelineConfig,
-    spectra_serve_support,
-)
+from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.serve import (
     SensingServer,
     SensingService,
@@ -160,12 +156,20 @@ class TestSpectraStatistics:
 
     def test_executor_backends_have_no_spectra_entry(self):
         spectra = np.zeros((1, TINY.num_blocks, TINY.fft_size), complex)
+        soc = dataclasses.replace(
+            TINY, backend="soc", fft_size=16, m=3, soc_tiles=2
+        )
+        refused = (
+            TINY.with_backend("fam"),
+            TINY.with_backend("ssca"),
+            soc,
+            dataclasses.replace(soc, soc_compiled=True),
+            dataclasses.replace(TINY, alpha_search="pruned"),
+        )
         with Engine(jobs=1) as engine:
-            for backend in ("fam", "ssca"):
+            for config in refused:
                 with pytest.raises(ConfigurationError):
-                    engine.spectra_statistics(
-                        spectra, config=TINY.with_backend(backend)
-                    )
+                    engine.spectra_statistics(spectra, config=config)
 
     def test_shape_and_argument_validation(self):
         with Engine(jobs=1) as engine:
@@ -185,34 +189,54 @@ class TestServePathConfig:
     """The `serve_path` knob: validation and eligibility."""
 
     def test_eligibility_table(self):
-        assert spectra_serve_support("vectorized")
-        assert spectra_serve_support("streaming")
-        assert not spectra_serve_support("reference")
-        assert not spectra_serve_support("soc")
-        assert not spectra_serve_support("fam")
-        assert not spectra_serve_support("ssca")
+        # The one spectra-route rule: static, per configuration.
+        for backend in ("vectorized", "streaming", "reference"):
+            assert spectra_refusal(TINY.with_backend(backend)) is None
+        for backend in ("soc", "fam", "ssca"):
+            assert "raw samples" in spectra_refusal(
+                TINY.with_backend(backend)
+            )
+        pruned = dataclasses.replace(TINY, alpha_search="pruned")
+        assert "pruned" in spectra_refusal(pruned)
+        single = dataclasses.replace(TINY, precision="float32")
+        assert spectra_refusal(single) is None  # the engine accepts it
+        assert "float64" in spectra_refusal(single, serving=True)
 
     def test_bad_literal_rejected(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig(fft_size=32, num_blocks=8, serve_path="fast")
 
+    @staticmethod
+    def _assert_rejected_before_first_detect(config):
+        with pytest.raises(ConfigurationError, match="serve_path='spectra'"):
+            SensingService(config)
+        service = SensingService(TINY)
+        with pytest.raises(ConfigurationError, match="serve_path='spectra'"):
+            service.open_session(config)
+        session = SensingSession(TINY)
+        with pytest.raises(ConfigurationError, match="serve_path='spectra'"):
+            service.restore_session(session.state(), config=config)
+        assert service.stats()["sessions"] == 0
+
     def test_spectra_path_rejects_pruned_search(self):
-        with pytest.raises(ConfigurationError):
+        self._assert_rejected_before_first_detect(
             PipelineConfig(
                 fft_size=32,
                 num_blocks=8,
                 serve_path="spectra",
                 alpha_search="pruned",
             )
+        )
 
     def test_spectra_path_rejects_float32(self):
-        with pytest.raises(ConfigurationError):
+        self._assert_rejected_before_first_detect(
             PipelineConfig(
                 fft_size=32,
                 num_blocks=8,
                 serve_path="spectra",
                 precision="float32",
             )
+        )
 
     def test_spectra_path_rejects_ineligible_backend_at_service(self):
         config = dataclasses.replace(
