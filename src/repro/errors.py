@@ -17,6 +17,16 @@ class ConfigurationError(ReproError):
     """A component was constructed with inconsistent or invalid parameters."""
 
 
+class NonFiniteInputError(ReproError):
+    """A sample chunk held NaN or ±inf.
+
+    Raised at the serve ingest boundary before any session state
+    changes: a non-finite sample would otherwise poison every decision
+    whose window covers it with ``statistic=nan`` read as "channel
+    free".
+    """
+
+
 class MappingError(ReproError):
     """A space-time mapping is invalid (non-injective, acausal, or ill-shaped)."""
 

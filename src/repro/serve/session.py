@@ -32,6 +32,10 @@ Ingestion is O(total samples) regardless of chunking: chunks too short
 to complete a block park in a pending list and flush into the
 contiguous buffer only when a block can form, so a stream of tiny
 chunks never degenerates into concatenate-per-chunk O(chunks^2).
+Every block a chunk completes goes through one bulk FFT, bitwise equal
+to transforming the blocks one at a time.  A chunk holding NaN or ±inf
+is rejected (:class:`~repro.errors.NonFiniteInputError`) before it
+touches the session.
 
 Sessions are plain synchronous state machines (the asyncio service
 layers concurrency on top): they checkpoint/restore bitwise via
@@ -54,7 +58,11 @@ import numpy as np
 
 from ..core.fourier import block_spectra
 from ..core.scf import DSCFResult, StreamingDSCF
-from ..errors import ConfigurationError, SessionStateError
+from ..errors import (
+    ConfigurationError,
+    NonFiniteInputError,
+    SessionStateError,
+)
 from ..pipeline.backends import available_backends, get_backend
 from ..pipeline.config import PipelineConfig
 
@@ -133,6 +141,13 @@ class SensingSession:
             config.fft_size, m=config.m, window_blocks=config.num_blocks
         )
         self._phase: np.ndarray | None = None  # lazy batch-phase table
+        # block_spectra's phase row for a block that starts at 0: all
+        # ones, but the multiply sets the signed zeros exactly as a
+        # per-block ``num_blocks=1`` call does.
+        self._start_phase = np.exp(
+            -2j * np.pi * np.outer([0], np.arange(config.fft_size))
+            / config.fft_size
+        )
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -184,34 +199,45 @@ class SensingSession:
                 f"ingest takes a 1-D chunk of samples, got shape "
                 f"{chunk.shape}"
             )
+        # astype copies, so the session never aliases caller memory.
+        chunk = chunk.astype(np.complex128)
+        if not np.isfinite(chunk).all():
+            raise NonFiniteInputError(
+                f"session {self.session_id!r}: ingest chunk holds NaN or "
+                f"inf samples; the chunk was rejected and the session is "
+                f"unchanged"
+            )
         cfg = self.config
         if chunk.size:
-            # astype copies, so the session never aliases caller memory
-            # (the concatenate-per-chunk path copied too).  The pending
-            # list defers the contiguous concatenate to block
-            # completion.
-            self._pending.append(chunk.astype(np.complex128))
+            # The pending list defers the contiguous concatenate to
+            # block completion.
+            self._pending.append(chunk)
             self._pending_size += chunk.size
             self._total_samples += chunk.size
-        # Consume every block now complete.  Each block's spectrum is
-        # computed through the canonical expression-2 path with the
-        # block itself as the time reference (num_blocks=1), the
-        # natural phase convention for an unbounded stream.
+        # Consume every block now complete, all through one bulk FFT.
+        # Each block is its own time reference (the natural phase
+        # convention for an unbounded stream): the spectra skip the
+        # window-relative phase and take the start-0 row instead,
+        # bitwise equal to a per-block ``num_blocks=1`` call.
         next_start = self._blocks * cfg.hop
         available = self._buffer_start + self._buffer.size + self._pending_size
         if next_start + cfg.fft_size <= available:
             self._flush_pending()
-            buffer_end = self._buffer_start + self._buffer.size
-            while next_start + cfg.fft_size <= buffer_end:
-                low = next_start - self._buffer_start
-                block = self._buffer[low : low + cfg.fft_size]
-                self._scf.update(
-                    block_spectra(
-                        block, cfg.fft_size, num_blocks=1, window=cfg.window
-                    )[0]
-                )
-                self._blocks += 1
-                next_start += cfg.hop
+            count = (available - next_start - cfg.fft_size) // cfg.hop + 1
+            low = next_start - self._buffer_start
+            span = (count - 1) * cfg.hop + cfg.fft_size
+            spectra = block_spectra(
+                self._buffer[low : low + span],
+                cfg.fft_size,
+                num_blocks=count,
+                hop=cfg.hop,
+                window=cfg.window,
+                phase_reference=False,
+            ) * self._start_phase
+            for spectrum in spectra:
+                self._scf.update(spectrum)
+            self._blocks += count
+            next_start += count * cfg.hop
             # Trim everything no decision can reach any more: samples
             # before both the next unconsumed block and the current
             # detection window's start.

@@ -271,12 +271,11 @@ class TestCrossBackendParity:
         np.testing.assert_allclose(values, values[0], rtol=1e-9)
 
 
-class TestBatchRunnerParity:
+class TestBatchPlanParity:
     """Batched results are bit-for-bit equal to the per-trial path.
 
     The engine's :class:`~repro.engine.BatchExecutionPlan` is under
-    test; the class keeps the name of the runner that plan replaced so
-    its test ids stay stable across the port.
+    test.
     """
 
     def test_block_spectra_bitwise_vs_core(self, batch_config, batch_signals):

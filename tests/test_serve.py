@@ -7,6 +7,7 @@ chunkings, concurrency, checkpoint/restore, and estimator backends.
 """
 
 import asyncio
+import base64
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core.fourier import block_spectra
 from repro.core.scf import StreamingDSCF, dscf
+from repro.engine import Engine
 from repro.engine.shm import (
     SharedArraySegment,
     _reap_live_segments,
@@ -25,6 +27,7 @@ from repro.engine.shm import (
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
+    NonFiniteInputError,
     ServiceOverloadedError,
     SessionStateError,
     SignalError,
@@ -56,6 +59,20 @@ def _offline_window(config: PipelineConfig, stream: np.ndarray) -> np.ndarray:
     blocks = (stream.size - config.fft_size) // config.hop + 1
     start = (blocks - config.num_blocks) * config.hop
     return stream[start : start + config.samples_per_decision]
+
+
+def _bits(value):
+    """*value* with every float array viewed as raw uint64 words.
+
+    Equality on the result is bit-for-bit (signed zeros, NaN payloads);
+    dicts compare key by key, other values as they are.
+    """
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fc":
+        bits = np.ascontiguousarray(value).view(np.uint64)
+        return (value.shape, bits.tolist())
+    return value
 
 
 class TestStreamingWindow:
@@ -196,6 +213,129 @@ class TestSensingSession:
             require_serve_capable(TINY.with_backend("reference"))
         with pytest.raises(ConfigurationError):
             SensingSession(TINY.with_backend("reference"))
+
+
+class TestNonFiniteIngest:
+    @pytest.mark.parametrize(
+        "bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf]
+    )
+    def test_rejects_before_any_state_changes(self, bad):
+        stream = _stream(TINY.samples_per_decision + 40, seed=9)
+        session = SensingSession(TINY)
+        session.ingest(stream[:50])  # leaves a partial block pending
+        before = _bits(session.state())
+        chunk = stream[50:].copy()
+        chunk[17] = bad
+        with pytest.raises(NonFiniteInputError):
+            session.ingest(chunk)
+        assert _bits(session.state()) == before
+        assert session.total_samples == 50
+        session.ingest(stream[50:])
+        reference = SensingSession(TINY, session_id=session.session_id)
+        reference.ingest(stream)
+        assert _bits(session.state()) == _bits(reference.state())
+
+
+class TestBulkIngest:
+    """One bulk FFT per chunk is bitwise the per-block front end."""
+
+    @staticmethod
+    def _config(hop: int, window: str) -> PipelineConfig:
+        return PipelineConfig(
+            fft_size=32, num_blocks=6, hop=hop, window=window,
+            calibration_trials=20,
+        )
+
+    @staticmethod
+    def _per_block(config: PipelineConfig, stream: np.ndarray):
+        """A ring fed one ``num_blocks=1`` spectrum per block."""
+        scf = StreamingDSCF(
+            config.fft_size, m=config.m, window_blocks=config.num_blocks
+        )
+        blocks = (stream.size - config.fft_size) // config.hop + 1
+        for index in range(max(blocks, 0)):
+            block = stream[index * config.hop :][: config.fft_size]
+            scf.update(
+                block_spectra(
+                    block, config.fft_size, num_blocks=1,
+                    window=config.window,
+                )[0]
+            )
+        return scf
+
+    @staticmethod
+    def _batch_phase(config: PipelineConfig) -> np.ndarray:
+        starts = np.arange(config.num_blocks) * config.hop
+        bins = np.arange(config.fft_size)
+        phase = np.exp(-2j * np.pi * np.outer(starts, bins) / config.fft_size)
+        return np.fft.fftshift(phase, axes=1)
+
+    def _assert_matches_per_block(self, session, stream):
+        """Ring and window spectra bitwise equal to the per-block path.
+
+        The offline plan's spectra are compared bitwise too, except on
+        signed-zero input: the ring applies its start-0 phase row and
+        then the batch phase, the plan only the batch phase, so zero
+        bins may differ in sign (as they did before bulk ingest).
+        """
+        config = session.config
+        reference = self._per_block(config, stream)
+        assert session.blocks_ingested == reference.total_blocks
+        assert _bits(session.scf.state()) == _bits(reference.state())
+        if session.ready:
+            expected = reference.window_spectra() * self._batch_phase(config)
+            resident = session.window_spectra()
+            assert _bits(resident) == _bits(expected)
+            offline = Engine().plan(config).block_spectra(
+                session.window_samples()[None]
+            )[0]
+            if np.any(stream):
+                assert _bits(resident) == _bits(offline)
+            else:
+                assert np.array_equal(resident, offline)
+
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("hop", [8, 16, 32])
+    @pytest.mark.parametrize(
+        "chunking",
+        ["1-sample", "63-sample", "window", "three-windows", "zeros"],
+    )
+    def test_ring_and_window_spectra_bitwise_vs_per_block(
+        self, hop, window, chunking
+    ):
+        config = self._config(hop, window)
+        span = config.samples_per_decision
+        stream = _stream(3 * span + 5, seed=hop)
+        step = {
+            "1-sample": 1, "63-sample": 63, "window": span,
+            "three-windows": 3 * span, "zeros": 63,
+        }[chunking]
+        if chunking == "zeros":
+            # Signed zeros: a bulk FFT that skipped the per-block phase
+            # multiply would flip the sign of some zero outputs.
+            stream = np.zeros_like(stream)
+            stream.real[::2] = -0.0
+            stream.imag[1::3] = -0.0
+        session = SensingSession(config)
+        for start in range(0, stream.size, step):
+            session.ingest(stream[start : start + step])
+            self._assert_matches_per_block(session, stream[: start + step])
+
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("hop", [8, 16, 32])
+    def test_checkpoint_restore_mid_stream_stays_bitwise(self, hop, window):
+        config = self._config(hop, window)
+        stream = _stream(3 * config.samples_per_decision + 5, seed=hop + 1)
+        original = SensingSession(config)
+        cut = stream.size // 2
+        for start in range(0, cut, 63):
+            original.ingest(stream[start : min(start + 63, cut)])
+        restored = SensingSession.from_state(config, original.state())
+        for start in range(cut, stream.size, 63):
+            original.ingest(stream[start : start + 63])
+            restored.ingest(stream[start : start + 63])
+        assert _bits(restored.state()) == _bits(original.state())
+        self._assert_matches_per_block(restored, stream)
 
 
 class TestCoalescing:
@@ -455,10 +595,38 @@ class TestServer:
         assert malformed["error"] == "ConfigurationError"
 
     def test_sample_codec_round_trips(self):
-        samples = _stream(33, seed=81)
-        assert np.array_equal(decode_samples(encode_samples(samples)), samples)
-        with pytest.raises(ConfigurationError):
-            decode_samples([1.0, 2.0, 3.0])  # odd length
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        edges = np.array(
+            [-0.0, 0.0, tiny, -tiny, 3 * tiny, big, -big, np.pi], dtype=float
+        )
+        samples = np.concatenate(
+            [
+                edges + 1j * edges[::-1],
+                edges * 1j,
+                _stream(33, seed=81),
+            ]
+        )
+        decoded = decode_samples(encode_samples(samples))
+        assert decoded.dtype == np.complex128
+        assert _bits(decoded) == _bits(samples)
+        with pytest.raises(ConfigurationError, match="base64"):
+            decode_samples([1.0, 2.0])  # the retired float-list format
+        with pytest.raises(ConfigurationError, match="base64"):
+            decode_samples("AAAA\u00e9AAA")  # non-ASCII text
+        # A strided view encodes its values, not its memory.
+        assert _bits(decode_samples(encode_samples(samples[::3]))) == _bits(
+            samples[::3]
+        )
+
+    def test_paper_point_ingest_line_fits_the_byte_budget(self):
+        config = PipelineConfig(fft_size=256, num_blocks=32)
+        assert config.samples_per_decision == 8192
+        window = _stream(config.samples_per_decision, seed=82)
+        request = {"op": "ingest", "session": "s1"}
+        request["samples"] = encode_samples(window)
+        line = json.dumps(request).encode() + b"\n"
+        assert len(line) <= 180_000
 
 
 class TestServerRobustness:
@@ -552,6 +720,112 @@ class TestServerRobustness:
         assert any(
             record.exc_info and record.exc_info[0] is RuntimeError
             for record in caplog.records
+        )
+
+    @staticmethod
+    async def _json_rpc(reader, writer, request: dict) -> dict:
+        writer.write(json.dumps(request).encode() + b"\n")
+        await writer.drain()
+        line = await asyncio.wait_for(reader.readline(), timeout=10)
+        return json.loads(line)
+
+    def test_malformed_sample_payloads_get_typed_replies(self):
+        stream = _stream(TINY.samples_per_decision, seed=84)
+        payloads = {
+            "non-string": 12345,
+            "non-alphabet": "AAAA*AAA",
+            "bad-padding": "AAAAA",
+            "not-16-bytes": base64.b64encode(bytes(15)).decode(),
+            "legacy-float-list": [1.0, 2.0, 3.0, 4.0],
+        }
+
+        async def run():
+            server = await self._server()
+            reader, writer = await asyncio.open_connection(*server.address)
+
+            def rpc(request):
+                return self._json_rpc(reader, writer, request)
+
+            try:
+                session = (await rpc({"op": "open"}))["session"]
+                replies = {
+                    name: await rpc(
+                        {"op": "ingest", "session": session, "samples": bad}
+                    )
+                    for name, bad in payloads.items()
+                }
+                # The same connection still serves valid requests.
+                ingest = await rpc(
+                    {
+                        "op": "ingest",
+                        "session": session,
+                        "samples": encode_samples(stream),
+                    }
+                )
+                detect = await rpc({"op": "detect", "session": session})
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.close()
+            return replies, ingest, detect
+
+        replies, ingest, detect = asyncio.run(run())
+        for name, reply in replies.items():
+            assert reply["ok"] is False, name
+            assert reply["error"] == "ConfigurationError", name
+        assert "base64" in replies["legacy-float-list"]["message"]
+        assert ingest["ok"] and ingest["total_samples"] == stream.size
+        pipeline = DetectionPipeline(TINY)
+        assert detect["statistic"] == pipeline.statistic(stream)
+
+    def test_non_finite_chunks_get_typed_replies_and_change_nothing(self):
+        stream = _stream(TINY.samples_per_decision + TINY.hop, seed=85)
+        head = stream[: TINY.samples_per_decision]
+        nan_chunk = stream[head.size :].copy()
+        nan_chunk[3] = complex(np.nan, 1.0)
+        inf_chunk = stream[head.size :].copy()
+        inf_chunk[-1] = complex(1.0, -np.inf)
+
+        async def run():
+            server = await self._server()
+            reader, writer = await asyncio.open_connection(*server.address)
+
+            def rpc(request):
+                return self._json_rpc(reader, writer, request)
+
+            def ingest(samples):
+                return rpc(
+                    {
+                        "op": "ingest",
+                        "session": session,
+                        "samples": encode_samples(samples),
+                    }
+                )
+
+            try:
+                session = (await rpc({"op": "open"}))["session"]
+                before = await ingest(head)
+                bad = [await ingest(nan_chunk), await ingest(inf_chunk)]
+                unchanged = await ingest(np.zeros(0, dtype=complex))
+                after = await ingest(stream[head.size :])
+                detect = await rpc({"op": "detect", "session": session})
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.close()
+            return before, bad, unchanged, after, detect
+
+        before, bad, unchanged, after, detect = asyncio.run(run())
+        for reply in bad:
+            assert reply["ok"] is False
+            assert reply["error"] == "NonFiniteInputError"
+        for field in ("blocks", "total_samples"):
+            assert unchanged[field] == before[field]
+        assert after["total_samples"] == stream.size
+        assert after["blocks"] == before["blocks"] + 1
+        offline = DetectionPipeline(TINY).statistic(stream[TINY.hop :])
+        assert _bits(np.array([detect["statistic"]])) == _bits(
+            np.array([offline])
         )
 
     def test_oversized_line_replies_typed_then_closes_cleanly(self):
