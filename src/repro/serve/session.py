@@ -32,8 +32,9 @@ Ingestion is O(total samples) regardless of chunking: chunks too short
 to complete a block park in a pending list and flush into the
 contiguous buffer only when a block can form, so a stream of tiny
 chunks never degenerates into concatenate-per-chunk O(chunks^2).
-Every block a chunk completes goes through one bulk FFT, bitwise equal
-to transforming the blocks one at a time.  A chunk holding NaN or ±inf
+The blocks a chunk completes go through bulk FFTs of at most N blocks
+each (bounded memory for any chunk length), bitwise equal to
+transforming the blocks one at a time.  A chunk holding NaN or ±inf
 is rejected (:class:`~repro.errors.NonFiniteInputError`) before it
 touches the session.
 
@@ -214,30 +215,35 @@ class SensingSession:
             self._pending.append(chunk)
             self._pending_size += chunk.size
             self._total_samples += chunk.size
-        # Consume every block now complete, all through one bulk FFT.
-        # Each block is its own time reference (the natural phase
-        # convention for an unbounded stream): the spectra skip the
-        # window-relative phase and take the start-0 row instead,
-        # bitwise equal to a per-block ``num_blocks=1`` call.
+        # Consume every block now complete through bulk FFTs of at most
+        # one window's worth of blocks each (a long chunk on a small hop
+        # must not allocate chunk/hop x K temporaries at once).  Each
+        # block is its own time reference (the natural phase convention
+        # for an unbounded stream): the spectra skip the window-relative
+        # phase and take the start-0 row instead, bitwise equal to a
+        # per-block ``num_blocks=1`` call.
         next_start = self._blocks * cfg.hop
         available = self._buffer_start + self._buffer.size + self._pending_size
         if next_start + cfg.fft_size <= available:
             self._flush_pending()
-            count = (available - next_start - cfg.fft_size) // cfg.hop + 1
-            low = next_start - self._buffer_start
-            span = (count - 1) * cfg.hop + cfg.fft_size
-            spectra = block_spectra(
-                self._buffer[low : low + span],
-                cfg.fft_size,
-                num_blocks=count,
-                hop=cfg.hop,
-                window=cfg.window,
-                phase_reference=False,
-            ) * self._start_phase
-            for spectrum in spectra:
-                self._scf.update(spectrum)
-            self._blocks += count
-            next_start += count * cfg.hop
+            remaining = (available - next_start - cfg.fft_size) // cfg.hop + 1
+            while remaining:
+                count = min(remaining, cfg.num_blocks)
+                low = next_start - self._buffer_start
+                span = (count - 1) * cfg.hop + cfg.fft_size
+                spectra = block_spectra(
+                    self._buffer[low : low + span],
+                    cfg.fft_size,
+                    num_blocks=count,
+                    hop=cfg.hop,
+                    window=cfg.window,
+                    phase_reference=False,
+                ) * self._start_phase
+                for spectrum in spectra:
+                    self._scf.update(spectrum)
+                self._blocks += count
+                next_start += count * cfg.hop
+                remaining -= count
             # Trim everything no decision can reach any more: samples
             # before both the next unconsumed block and the current
             # detection window's start.

@@ -321,6 +321,27 @@ class TestBulkIngest:
             session.ingest(stream[start : start + step])
             self._assert_matches_per_block(session, stream[: start + step])
 
+    def test_long_chunk_on_small_hop_ffts_at_most_a_window_at_once(
+        self, monkeypatch
+    ):
+        import repro.serve.session as session_module
+
+        config = self._config(1, "hann")
+        stream = _stream(4 * config.samples_per_decision + 300, seed=4)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs["num_blocks"])
+            return block_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "block_spectra", recording)
+        session = SensingSession(config)
+        session.ingest(stream)
+        blocks = stream.size - config.fft_size + 1
+        assert sum(calls) == blocks
+        assert max(calls) == config.num_blocks
+        self._assert_matches_per_block(session, stream)
+
     @pytest.mark.parametrize("window", ["rectangular", "hann"])
     @pytest.mark.parametrize("hop", [8, 16, 32])
     def test_checkpoint_restore_mid_stream_stays_bitwise(self, hop, window):
