@@ -40,10 +40,11 @@ _DTYPES = {
 #: paths — sized to sit comfortably inside a typical L2/L3 share.
 TILE_BUDGET_BYTES = 4 * 1024 * 1024
 
-#: Trials per vectorised slab of the batch executors (the Gram-path
-#: plan, the SSCA channelizer and the compiled SoC replay): bounds the
-#: per-slab intermediates independently of the trial count.  Per-trial
-#: results do not depend on it.
+#: Trials per vectorised slab of the SSCA channelizer and the compiled
+#: SoC replay: bounds the per-slab intermediates independently of the
+#: trial count.  Per-trial results do not depend on it.  (The Gram-path
+#: plan scores one trial at a time instead; see
+#: :class:`repro.engine.plans.BatchExecutionPlan`.)
 SLAB_TRIALS = 4
 
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NonFiniteInputError
 
 
 def require(condition: bool, message: str) -> None:
@@ -66,6 +66,16 @@ def require_in_range(value: int, low: int, high: int, name: str) -> int:
             f"{name} must be in [{low}, {high}], got {value}"
         )
     return int(value)
+
+
+def require_finite(array: np.ndarray, name: str) -> None:
+    """Raise :class:`~repro.errors.NonFiniteInputError` unless every
+    element of *array* is finite."""
+    if not np.isfinite(array).all():
+        raise NonFiniteInputError(
+            f"{name} hold NaN or inf values; a non-finite input has no "
+            f"detection statistic"
+        )
 
 
 def as_complex_vector(samples: Sequence[complex] | np.ndarray, name: str) -> np.ndarray:

@@ -50,7 +50,11 @@ from typing import Callable
 
 import numpy as np
 
-from .._util import require_non_negative_int, require_positive_int
+from .._util import (
+    require_finite,
+    require_non_negative_int,
+    require_positive_int,
+)
 from ..core.detection import calibration_quantile, validate_pfa
 from ..errors import ConfigurationError
 from ..faults import FaultInjector, fire_worker
@@ -329,7 +333,10 @@ class Engine:
 
         *config* resolves the plan through the cache.  With
         ``jobs > 1`` the batch is split into contiguous shards across
-        the worker pool — bitwise equal to the serial path.
+        the worker pool — bitwise equal to the serial path.  A batch
+        holding NaN or ±inf raises
+        :class:`~repro.errors.NonFiniteInputError` before any plan
+        work.
         """
         signals = np.asarray(signals)
         if signals.ndim == 1:
@@ -339,6 +346,7 @@ class Engine:
                 f"signals must be a (trials, samples) array, got shape "
                 f"{signals.shape}"
             )
+        require_finite(signals, "signals")
         if self.fault_injector is not None:
             self.fault_injector.fire("engine.batch")
         jobs = min(self.jobs, signals.shape[0])
@@ -364,6 +372,9 @@ class Engine:
         exists to avoid recomputation and data movement, and a
         ``(trials, N, K)`` batch is the largest object in the request —
         sharding it would ship more bytes than the FFTs it saves.
+        Non-finite spectra raise
+        :class:`~repro.errors.NonFiniteInputError`, as in
+        :meth:`statistics`.
         """
         spectra = np.asarray(spectra)
         if spectra.ndim == 2:
@@ -373,6 +384,7 @@ class Engine:
                 f"spectra must be a (trials, num_blocks, fft_size) array "
                 f"of centered block spectra, got shape {spectra.shape}"
             )
+        require_finite(spectra, "spectra")
         if self.fault_injector is not None:
             self.fault_injector.fire("engine.batch")
         plan = self.plan(config)

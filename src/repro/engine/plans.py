@@ -31,11 +31,12 @@ configuration can be scored straight from block spectra.  The plan
 cache holds the only copy of each plan and executor, so a disabled
 cache (``PlanCache(maxsize=0)``) is genuinely cold.
 
-Both plans are **stateless after construction** and **deterministic
-per trial**: a trial's statistic does not depend on which other trials
-share its batch, slab, or shard.  That property is what makes sharded
-execution bitwise equal to the serial path (asserted by the engine
-test battery for ``jobs in {1, 2, 4}``).
+Both plans are **stateless after construction** (the Gram path's
+per-thread scoring scratch is overwritten in full on every use) and
+**deterministic per trial**: a trial's statistic does not depend on
+which other trials share its batch or shard.  That property is what
+makes sharded execution bitwise equal to the serial path (asserted by
+the engine test battery for ``jobs in {1, 2, 4}``).
 
 :class:`CallableStatisticPlan` adapts an arbitrary
 ``statistic(samples) -> float`` callable (e.g. an energy detector) to
@@ -45,6 +46,7 @@ energy detector, matched filters) run through the same sweeps.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -53,10 +55,10 @@ from scipy.linalg.blas import cgemm
 from ..core.scf import COHERENCE_FLOOR, DSCFResult, spectral_coherence
 from ..errors import ConfigurationError
 from .._compute import (
-    SLAB_TRIALS,
     complex_dtype,
     fft_fast_kwargs,
     fft_namespace,
+    real_dtype,
     tile_trials,
 )
 from .._util import spawn_substreams
@@ -88,13 +90,18 @@ class BatchExecutionPlan:
       ``(4M+1) x (4M+1)`` Gram matrix ``G[u, v] = sum_n X[n, c+u]
       conj(X[n, c+v])`` computed by one BLAS matmul (``u = f+a``,
       ``v = f-a``), instead of gathering an ``(N, 2M+1, 2M+1)`` tensor;
-    * **trial chunking** — trials stream through in slabs of
-      :data:`~repro._compute.SLAB_TRIALS`, bounding the Gram
-      intermediate independently of the trial count.
+    * **per-trial, cache-resident scoring** — one loop (:meth:`_score`)
+      takes each trial from its block spectra through the Gram
+      product, gather, coherence normalisation and peak while its
+      planes sit in L2: one reused Gram buffer per thread (1 MB at the
+      paper point) instead of multi-trial Gram slabs, and the
+      statistic paths never materialise a ``(trials, 2M+1, 2M+1)``
+      tensor.  As on the Montium tiles, the working set is sized to
+      the local memory, independently of the trial count.
 
     Every per-trial slice of a batched result is bit-for-bit identical
-    to running that trial alone, and independent of slab and shard
-    boundaries.
+    to running that trial alone, and independent of batch order and
+    shard boundaries.
 
     *executor* is the backend-provided vectorised executor
     :func:`build_plan` obtained from the backend's ``batch_plan``
@@ -117,6 +124,7 @@ class BatchExecutionPlan:
         # to single precision once here so the hot loops never promote.
         self._precision = cfg.precision
         self._cdtype = complex_dtype(cfg.precision)
+        self._rdtype = real_dtype(cfg.precision)
         self._fft = fft_namespace(cfg.precision)
         self._taper = get_window(cfg.window, cfg.fft_size)
         starts = np.arange(cfg.num_blocks) * cfg.hop
@@ -133,10 +141,21 @@ class BatchExecutionPlan:
         m = cfg.m
         center = cfg.fft_size // 2
         offsets = np.arange(-m, m + 1)
-        # Gram-window bins u = f + a and v = f - a, both in [-2M, 2M].
+        # Gram-window bins u = f + a and v = f - a, both in [-2M, 2M],
+        # as flat positions in the reused Gram buffer's memory order:
+        # row-major for the float64 matmul, column-major for the
+        # Fortran-ordered float32 cgemm output.
         self._sub = np.arange(center - 2 * m, center + 2 * m + 1)
-        self._gram_u = offsets[:, None] + offsets[None, :] + 2 * m
-        self._gram_v = offsets[:, None] - offsets[None, :] + 2 * m
+        width = self._sub.size
+        self._gram_order = "C" if self._precision == "float64" else "F"
+        self._gram_cells = np.ravel_multi_index(
+            (
+                offsets[:, None] + offsets[None, :] + 2 * m,
+                offsets[:, None] - offsets[None, :] + 2 * m,
+            ),
+            (width, width),
+            order=self._gram_order,
+        )
         # Full-spectrum index grids for the coherence denominator.
         self._plus = center + offsets[:, None] + offsets[None, :]
         self._minus = center + offsets[:, None] - offsets[None, :]
@@ -147,6 +166,10 @@ class BatchExecutionPlan:
             self._columns = columns[columns != m]
         self._executor = executor
         self._exact = bool(getattr(self._executor, "dscf_exact", False))
+        # Scoring scratch, one set per thread: a cached plan is shared
+        # by every thread that scores it (e.g. the serve layer's
+        # to_thread batches).
+        self._scratch = threading.local()
         # Pruned cycle-frequency search (config validation restricts it
         # to the Gram path): statistics() screens every column with the
         # cyclic autocorrelation of the block powers, then refines only
@@ -230,9 +253,13 @@ class BatchExecutionPlan:
         """
         batch = self.as_batch(signals)
         if self._precision == "float64":
-            blocks = batch[:, self._gather] * self._taper
+            # In-place taper and phase products: the same elementwise
+            # multiplies, with at most two (trials, N, K) tensors live.
+            blocks = batch[:, self._gather]
+            blocks *= self._taper
             spectra = np.fft.fft(blocks, axis=2)
-            spectra = spectra * self._phase
+            del blocks
+            spectra *= self._phase
             return np.fft.fftshift(spectra, axes=2)
         # float32 fast path: the (trials, N, K) plane is processed in
         # cache-sized trial tiles through the single-precision FFT
@@ -267,9 +294,8 @@ class BatchExecutionPlan:
         """Batched DSCF estimates, shape ``(trials, 2M+1, 2M+1)``.
 
         Each trial's grid is the Gram gather described on
-        :class:`BatchExecutionPlan`, streamed in
-        :data:`~repro._compute.SLAB_TRIALS` slabs into a preallocated
-        accumulator.
+        :class:`BatchExecutionPlan`, written by the per-trial scoring
+        loop (:meth:`_score`) straight into its slice of the result.
         On a full-plane backend the grid is instead the estimator
         lattice's per-cell peak magnitudes (cast to complex —
         max-binned cells have no meaningful phase); on the compiled
@@ -283,35 +309,8 @@ class BatchExecutionPlan:
             return self._executor.magnitudes(batch).astype(self._cdtype)
         if spectra is None:
             spectra = self.block_spectra(signals)
-        cfg = self.config
-        extent = cfg.extent
-        trials = spectra.shape[0]
-        values = np.empty((trials, extent, extent), dtype=self._cdtype)
-        windowed = spectra[:, :, self._sub]
-        if self._precision == "float64":
-            for start in range(0, trials, SLAB_TRIALS):
-                stop = start + SLAB_TRIALS
-                slab = windowed[start:stop]
-                gram = np.matmul(slab.transpose(0, 2, 1), np.conj(slab))
-                values[start:stop] = gram[:, self._gram_u, self._gram_v]
-            # The 1/N pass runs on the gathered (2M+1)^2 grid — a 4x
-            # smaller array than the full (4M+1)^2 Gram plane, and
-            # elementwise division commutes with the gather, so the
-            # values are bitwise unchanged.
-            values /= cfg.num_blocks
-            return values
-        # float32 fast path: the whole Gram gather is one cgemm per
-        # trial.  For X = windowed[t] (N x K'), X.T is
-        # Fortran-contiguous for free, and
-        # ``cgemm(alpha=1/N, a=X.T, b=X.T, trans_b='C')`` computes
-        # (X.T)(X.T)^H / N = X^T conj(X) / N — the 1/N normalisation
-        # folded into alpha and the conjugated operand expressed as a
-        # BLAS op instead of a materialised ``conj`` copy.
-        scale = 1.0 / cfg.num_blocks
-        for trial in range(trials):
-            transposed = windowed[trial].T
-            gram = cgemm(scale, transposed, transposed, trans_b=2)
-            values[trial] = gram[self._gram_u, self._gram_v]
+        values = self._planes(spectra.shape[0], self._cdtype)
+        self._score(spectra, values=values)
         return values
 
     def surfaces(
@@ -321,22 +320,19 @@ class BatchExecutionPlan:
         ``config.normalize`` is False)."""
         if self._executor is not None and not self._exact:
             return self._executor.surfaces(self.as_batch(signals))
-        if spectra is None and self._executor is None:
-            spectra = self.block_spectra(signals)
-        values = self.dscf_values(signals, spectra=spectra)
-        if not self.config.normalize:
-            return np.abs(values)
         if spectra is None:
-            # exact executor: values come from the platform replay, but
-            # the coherence denominator uses the host block spectra —
-            # the same convention as the per-trial pipeline path.
             spectra = self.block_spectra(signals)
-        mean_square = np.mean(np.abs(spectra) ** 2, axis=1)
-        denominator = np.sqrt(
-            mean_square[:, self._plus] * mean_square[:, self._minus]
-        )
-        denominator = np.maximum(denominator, COHERENCE_FLOOR)
-        return np.abs(values) / denominator
+        surfaces = self._planes(spectra.shape[0], self._rdtype)
+        if self._executor is None:
+            self._score(spectra, surfaces=surfaces)
+            return surfaces
+        # exact executor: values come from the platform replay, but the
+        # coherence denominator uses the host block spectra — the same
+        # convention as the per-trial pipeline path.
+        values = self._executor.values(self.as_batch(signals))
+        for trial, plane in enumerate(values):
+            self._surface(plane, spectra[trial], out=surfaces[trial])
+        return surfaces
 
     def statistics(self, signals: np.ndarray) -> np.ndarray:
         """The detection statistic of every trial in one pass.
@@ -344,12 +340,16 @@ class BatchExecutionPlan:
         Peak surface value over the searched cyclic offsets — the same
         reduction as
         :meth:`repro.core.detection.CyclostationaryFeatureDetector.statistic`.
+        On the Gram path the peak is taken inside the per-trial scoring
+        loop, so no ``(trials, 2M+1, 2M+1)`` tensor is materialised.
         With ``config.alpha_search="pruned"`` the peak is instead taken
         over the exactly-refined top-scoring columns of the coarse
         cycle-frequency screen (see :meth:`pruned_search`).
         """
         if self._pruned:
             return self.pruned_search(signals)[0]
+        if self._executor is None:
+            return self._score(self.block_spectra(signals))
         surfaces = self.surfaces(signals)
         return surfaces[:, :, self._columns].max(axis=(1, 2))
 
@@ -361,11 +361,10 @@ class BatchExecutionPlan:
         serve session's reconciled ring (see
         :meth:`repro.serve.SensingSession.window_spectra`) — this skips
         re-blocking and the N-block FFT sweep entirely and runs only
-        the Gram gather plus coherence normalisation.  Rows that are
-        bitwise equal to the matching :meth:`block_spectra` slices
-        yield statistics bitwise identical to :meth:`statistics` on the
-        raw window (the mathematics from the spectra onward are the
-        same code path).
+        the per-trial scoring loop.  Rows that are bitwise equal to
+        the matching :meth:`block_spectra` slices yield statistics
+        bitwise identical to :meth:`statistics` on the raw window (the
+        mathematics from the spectra onward are the same code path).
 
         Configurations :func:`spectra_refusal` rejects — backends with
         raw-sample executors (the FAM/SSCA lattices, the compiled SoC
@@ -375,9 +374,107 @@ class BatchExecutionPlan:
         refusal = spectra_refusal(self.config)
         if refusal is not None:
             raise ConfigurationError(refusal)
-        batch = self.as_spectra_batch(spectra)
-        surfaces = self.surfaces(None, spectra=batch)
-        return surfaces[:, :, self._columns].max(axis=(1, 2))
+        return self._score(self.as_spectra_batch(spectra))
+
+    # ------------------------------------------------------------------
+    # The per-trial scoring loop
+    # ------------------------------------------------------------------
+    def _planes(self, trials: int, dtype) -> np.ndarray:
+        extent = self.config.extent
+        return np.empty((trials, extent, extent), dtype=dtype)
+
+    def _score(
+        self,
+        spectra: np.ndarray,
+        values: np.ndarray | None = None,
+        surfaces: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Score every trial of a ``(trials, N, K)`` spectra batch.
+
+        One cache-resident pass per trial: the ``(4M+1)^2`` Gram plane
+        (one BLAS call into this thread's reused buffer), the
+        ``[u, v]`` gather and ``1/N`` scaling into the DSCF grid, the
+        coherence normalisation and the peak over
+        :attr:`searched_columns`.  A trial's planes stay in L2 from
+        the Gram product to the peak instead of streaming through a
+        batch-sized tensor.  Given a ``(trials, 2M+1, 2M+1)`` *values*
+        or *surfaces* output, the loop stops at that stage and writes
+        each trial's slice; otherwise it returns the per-trial
+        statistics.
+
+        Every step is per trial or elementwise, so each trial's
+        results are bitwise independent of its batch-mates.
+        """
+        cfg = self.config
+        trials = spectra.shape[0]
+        gram, value, surface = self._scoring_buffers()
+        cells = gram.ravel(order=self._gram_order)
+        statistics = np.empty(trials, dtype=self._rdtype)
+        for trial in range(trials):
+            rows = spectra[trial]
+            windowed = rows[:, self._sub]
+            if values is not None:
+                value = values[trial]
+            if self._precision == "float64":
+                np.matmul(windowed.T, np.conj(windowed), out=gram)
+            else:
+                # For X = windowed (N x K'), X.T is Fortran-contiguous
+                # for free, and ``cgemm(1/N, X.T, X.T, trans_b='C')``
+                # computes X^T conj(X) / N — the 1/N folded into alpha
+                # and the conjugate expressed as a BLAS op.
+                transposed = windowed.T
+                cgemm(
+                    1.0 / cfg.num_blocks,
+                    transposed,
+                    transposed,
+                    c=gram,
+                    trans_b=2,
+                    overwrite_c=1,
+                )
+            np.take(cells, self._gram_cells, out=value, mode="clip")
+            if self._precision == "float64":
+                value /= cfg.num_blocks
+            if values is not None:
+                continue
+            if surfaces is not None:
+                self._surface(value, rows, out=surfaces[trial])
+                continue
+            self._surface(value, rows, out=surface)
+            statistics[trial] = surface.max(axis=0)[self._columns].max()
+        return statistics
+
+    def _scoring_buffers(self) -> tuple[np.ndarray, ...]:
+        """This thread's reused Gram buffer and value and surface planes.
+
+        They stay resident across calls instead of going back to the
+        allocator, which can unmap them and page-fault about a megabyte
+        back in on the next call at the paper point.  Every use
+        overwrites them in full, so no result depends on their earlier
+        contents.
+        """
+        buffers = getattr(self._scratch, "buffers", None)
+        if buffers is None:
+            width = self._sub.size
+            buffers = self._scratch.buffers = (
+                np.empty((width, width), self._cdtype, order=self._gram_order),
+                self._planes(1, self._cdtype)[0],
+                self._planes(1, self._rdtype)[0],
+            )
+        return buffers
+
+    def _surface(
+        self, values: np.ndarray, rows: np.ndarray, out: np.ndarray
+    ) -> None:
+        """One trial's detection surface from its DSCF grid *values*
+        and ``(N, K)`` block spectra *rows*, written into *out*."""
+        np.abs(values, out=out)
+        if self.config.normalize:
+            mean_square = np.mean(np.abs(rows) ** 2, axis=0)
+            denominator = np.sqrt(
+                mean_square[self._plus] * mean_square[self._minus]
+            )
+            np.maximum(denominator, COHERENCE_FLOOR, out=denominator)
+            out /= denominator
 
     # ------------------------------------------------------------------
     # Pruned cycle-frequency search (arXiv:0903.1183-style)

@@ -18,12 +18,14 @@ class ConfigurationError(ReproError):
 
 
 class NonFiniteInputError(ReproError):
-    """A sample chunk held NaN or ±inf.
+    """Samples or block spectra held NaN or ±inf.
 
     Raised at the serve ingest boundary before any session state
-    changes: a non-finite sample would otherwise poison every decision
-    whose window covers it with ``statistic=nan`` read as "channel
-    free".
+    changes, and by :meth:`repro.engine.Engine.statistics`,
+    :meth:`~repro.engine.Engine.spectra_statistics` and
+    :meth:`repro.pipeline.DetectionPipeline.detect` before any plan
+    work: a non-finite sample would otherwise yield ``statistic=nan``,
+    read as "channel free".
     """
 
 

@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._util import require_finite
 from ..core.detection import DetectionReport
 from ..core.sampling import SampledSignal
 from ..core.scf import DSCFResult
@@ -177,7 +178,13 @@ class DetectionPipeline:
         signal: SampledSignal | np.ndarray,
         threshold: float | None = None,
     ) -> DetectionReport:
-        """Full decision: statistic vs (given or calibrated) threshold."""
+        """Full decision: statistic vs (given or calibrated) threshold.
+
+        A signal holding NaN or ±inf raises
+        :class:`~repro.errors.NonFiniteInputError` before any
+        calibration or plan work.
+        """
+        require_finite(_samples_of(signal), "signal samples")
         if threshold is None:
             threshold = self._threshold
         if threshold is None:

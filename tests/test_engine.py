@@ -15,6 +15,9 @@ Pins the PR-5 contracts:
   pre-engine counterparts bit for bit.
 """
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +37,7 @@ from repro.engine import (
     plan_support,
     shared_plan_cache,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NonFiniteInputError
 from repro.estimators import BatchedFAM, BatchedSSCA
 from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.scanner import BandScanner
@@ -244,6 +247,92 @@ class TestEngineSerial:
             Engine().plan(TINY).statistics(noise), TINY.pfa
         )
         assert Engine().calibrate_threshold(TINY) == expected
+
+
+NON_FINITE = [complex(np.nan, 0.0), complex(1.0, np.inf)]
+
+
+class TestFailClosedInput:
+    """One NaN or ±inf sample is a typed error, raised before any plan
+    work — never a ``nan`` statistic read as "channel free"."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_statistics(self, bad):
+        engine = Engine(cache=PlanCache())
+        signals = _signals(TINY, trials=3)
+        signals[1, 5] = bad
+        with pytest.raises(NonFiniteInputError):
+            engine.statistics(signals, config=TINY)
+        assert len(engine.cache) == 0
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_spectra_statistics(self, bad):
+        engine = Engine(cache=PlanCache())
+        spectra = Engine().plan(TINY).block_spectra(_signals(TINY, trials=2))
+        spectra[0, 2, 7] = bad
+        with pytest.raises(NonFiniteInputError):
+            engine.spectra_statistics(spectra, config=TINY)
+        assert len(engine.cache) == 0
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_pipeline_detect(self, bad):
+        pipeline = DetectionPipeline(TINY, engine=Engine(cache=PlanCache()))
+        samples = _signals(TINY, trials=1)[0]
+        samples[-1] = bad
+        with pytest.raises(NonFiniteInputError):
+            pipeline.detect(samples)
+        assert pipeline.threshold is None
+        assert len(pipeline.engine.cache) == 0
+
+
+class TestScoringMemory:
+    """Gram-path statistics stream trials through one cache-sized Gram
+    buffer: no ``(T, 4M+1, 4M+1)`` slab and no ``(T, 2M+1, 2M+1)``
+    surfaces tensor is ever allocated."""
+
+    def test_peak_bounded_by_spectra_plus_planes(self):
+        config = PipelineConfig(fft_size=256, num_blocks=8)
+        trials = 48
+        engine = Engine(cache=PlanCache())
+        signals = _signals(config, trials=trials)
+        engine.statistics(signals, config=config)  # build the plan
+        spectra_bytes = trials * config.num_blocks * config.fft_size * 16
+        gram_plane_bytes = (4 * config.m + 1) ** 2 * 16
+        tracemalloc.start()
+        try:
+            engine.statistics(signals, config=config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A (T, 127, 127) float64 surfaces tensor alone is 6.2 MB, and a
+        # 4-trial Gram slab 4.1 MB; this bound is 4.6 MB.
+        assert peak < spectra_bytes + 3 * gram_plane_bytes
+
+    def test_concurrent_threads_score_bitwise(self):
+        # Each thread scores through its own scratch buffers, so plans
+        # shared across threads (the serve layer's to_thread batches)
+        # stay bitwise equal to serial scoring.
+        config = PipelineConfig(fft_size=64, num_blocks=8)
+        plan = Engine(cache=PlanCache()).plan(config)
+        batches = [_signals(config, trials=5, seed=40 * k) for k in range(8)]
+        expected = [plan.statistics(batch).tobytes() for batch in batches]
+
+        def score(index):
+            return [
+                plan.statistics(batches[index]).tobytes() for _ in range(20)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(
+                    pool.map(score, range(len(batches)), timeout=120)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for index, runs in enumerate(results):
+            assert runs == [expected[index]] * 20
 
 
 BITWISE_CONFIGS = {

@@ -61,8 +61,8 @@ def batch_config():
 
 @pytest.fixture(scope="module")
 def batch_signals(batch_config):
-    # 11 trials: not a multiple of SLAB_TRIALS (4), so slab boundaries
-    # are hit.
+    # 11 trials: an odd batch, so per-trial results cannot lean on any
+    # power-of-two trial grouping.
     return np.stack(
         [awgn(batch_config.samples_per_decision, seed=100 + t) for t in range(11)]
     )
