@@ -14,8 +14,15 @@ Two things are notable about this definition:
   it matters for overlapping blocks so we implement it faithfully.
 * the paper's expression 2 prints a ``+j`` exponent; every standard SCF
   formulation (and the cited detector literature) uses ``-j``, so we
-  treat the sign as a typo and default to ``-1`` while still accepting
-  ``sign=+1`` for completeness.
+  treat the sign as a typo and use ``-1``.
+
+The block-spectra front end is one batched kernel,
+:func:`framed_spectra` (gather → taper → FFT → phase → fftshift), fed
+by :func:`block_gather` and :func:`phase_table` — the only place the
+expression-2 phase is built.  Every consumer runs it: the engine's
+batch plans, the FAM/SSCA channelizer, serve-session ingest and the
+``numpy`` engine of :func:`block_spectra`, so their spectra agree bit
+for bit by construction.
 
 Three DFT engines are provided:
 
@@ -26,13 +33,19 @@ Three DFT engines are provided:
     A from-scratch iterative radix-2 decimation-in-time FFT, the
     algorithm the Montium runs (1040 cycles for K=256, Table 1).
 ``numpy``
-    ``numpy.fft.fft`` for fast bulk processing in the estimators.
+    The :func:`framed_spectra` kernel, for fast bulk processing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .._compute import (
+    complex_dtype,
+    fft_fast_kwargs,
+    fft_namespace,
+    tile_trials,
+)
 from .._util import (
     as_complex_vector,
     require,
@@ -169,18 +182,88 @@ def fft_to_centered_index(index: int, fft_size: int) -> int:
     return index if index < fft_size // 2 else index - fft_size
 
 
+def block_gather(starts: np.ndarray, fft_size: int) -> np.ndarray:
+    """Sample indices ``(P, K)`` of the blocks starting at *starts*."""
+    return np.asarray(starts)[:, None] + np.arange(fft_size)[None, :]
+
+
+def phase_table(starts: np.ndarray, fft_size: int) -> np.ndarray:
+    """Expression 2's absolute-time phase of blocks starting at *starts*.
+
+    Row ``p`` holds ``e^{-j 2 pi v s_p / K}`` for the natural-order
+    bins ``v = 0 .. K-1``: multiplied into a plain FFT of block ``p`` it
+    references the block to absolute sample time.  Integer starts make
+    every row K-periodic in ``v``, so the table commutes with fftshift.
+    """
+    return np.exp(
+        -2j * np.pi * np.outer(starts, np.arange(fft_size)) / fft_size
+    )
+
+
+def framed_spectra(
+    batch: np.ndarray,
+    gather: np.ndarray,
+    taper: np.ndarray,
+    phase: np.ndarray | None = None,
+    precision: str = "float64",
+) -> np.ndarray:
+    """The block-spectra front end: ``(T, P, K)`` centered spectra.
+
+    Block ``p`` of trial ``t`` is ``batch[t, gather[p]]`` (*batch* and
+    *taper* at the working *precision*); it is multiplied by *taper*,
+    transformed by one K-point FFT, multiplied by ``phase[p]`` when a
+    natural-order :func:`phase_table` is given, and fftshifted so
+    column ``c`` holds bin ``c - K/2``.  ``"float64"`` is the bitwise
+    parity reference (``numpy.fft``, products in place); ``"float32"``
+    runs cache-sized trial tiles through ``scipy.fft`` with its input
+    overwritten and writes the fftshift as two slice assignments.
+    """
+    cdtype = complex_dtype(precision)
+    if phase is not None:
+        # A complex128 table would round complex64 products differently.
+        phase = np.asarray(phase, dtype=cdtype)
+    if precision == "float64":
+        # At most two (T, P, K) tensors live.
+        blocks = batch[:, gather]
+        blocks *= taper
+        spectra = np.fft.fft(blocks, axis=2)
+        del blocks
+        if phase is not None:
+            spectra *= phase
+        return np.fft.fftshift(spectra, axes=2)
+    fft = fft_namespace(precision)
+    trials = batch.shape[0]
+    size = gather.shape[1]
+    out = np.empty((trials, gather.shape[0], size), dtype=cdtype)
+    tile = tile_trials(3 * gather.size * out.itemsize)
+    shift = size // 2
+    split = size - shift
+    for start in range(0, trials, tile):
+        stop = min(start + tile, trials)
+        blocks = batch[start:stop, gather]
+        blocks *= taper
+        spectra = fft.fft(blocks, axis=2, **fft_fast_kwargs(fft))
+        if phase is not None:
+            spectra *= phase
+        out[start:stop, :, shift:] = spectra[:, :, :split]
+        out[start:stop, :, :shift] = spectra[:, :, split:]
+    return out
+
+
 def block_spectra(
     signal: SampledSignal | np.ndarray,
     fft_size: int,
     num_blocks: int | None = None,
     hop: int | None = None,
     window: str = "rectangular",
-    sign: int = -1,
-    phase_reference: bool = True,
     engine: str = "numpy",
     centered: bool = True,
 ) -> np.ndarray:
     """Compute the short-time spectra ``X[n, v]`` of expression 2.
+
+    Every block is referenced to absolute sample time (the factor
+    ``e^{-j 2 pi v (n*hop) / K}``, identically 1 for ``hop ==
+    fft_size``), so the result is the paper's expression 2 for any hop.
 
     Parameters
     ----------
@@ -195,16 +278,10 @@ def block_spectra(
         (non-overlapping blocks, the paper's operating point).
     window:
         Name of the analysis window (default rectangular, as the paper).
-    sign:
-        DFT exponent sign (see module docstring).
-    phase_reference:
-        If True (default), apply the absolute-time phase factor
-        ``e^{sign * j 2 pi v (n*hop) / K}`` so the result matches the
-        paper's expression 2 for any hop.  With ``hop == fft_size`` the
-        factor is identically 1.
     engine:
-        ``"numpy"`` (default), ``"radix2"`` (our from-scratch FFT) or
-        ``"direct"`` (O(K^2) DFT).
+        ``"numpy"`` (default, the :func:`framed_spectra` kernel),
+        ``"radix2"`` (our from-scratch FFT) or ``"direct"`` (O(K^2)
+        DFT).
     centered:
         If True (default), return spectra with bins in centered order
         (index ``c`` holds bin ``v = c - K/2``); otherwise natural FFT
@@ -227,8 +304,6 @@ def block_spectra(
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {_ENGINES}"
         )
-    if sign not in (-1, 1):
-        raise ConfigurationError(f"sign must be -1 or +1, got {sign}")
 
     available = (samples.size - fft_size) // hop + 1 if samples.size >= fft_size else 0
     if num_blocks is None:
@@ -242,30 +317,20 @@ def block_spectra(
 
     taper = get_window(window, fft_size)
     starts = np.arange(num_blocks) * hop
-    blocks = samples[starts[:, None] + np.arange(fft_size)[None, :]] * taper
+    gather = block_gather(starts, fft_size)
+    phase = phase_table(starts, fft_size)
 
     if engine == "numpy":
-        spectra = np.fft.fft(blocks, axis=1)
-        if sign == +1:
-            # numpy implements the -j kernel; +j is its element-wise
-            # conjugate applied to conjugated input.
-            spectra = np.conj(np.fft.fft(np.conj(blocks), axis=1))
-    elif engine == "radix2":
+        spectra = framed_spectra(samples[None], gather, taper, phase)[0]
+        return spectra if centered else np.fft.ifftshift(spectra, axes=1)
+    blocks = samples[gather] * taper
+    if engine == "radix2":
         require_power_of_two(fft_size, "fft_size (radix2 engine)")
-        spectra = np.stack([fft_radix2(row, sign=sign) for row in blocks])
+        spectra = np.stack([fft_radix2(row) for row in blocks])
     else:  # direct
-        spectra = np.stack([dft(row, sign=sign) for row in blocks])
-
-    if phase_reference:
-        bins = np.arange(fft_size)
-        phase = np.exp(
-            sign * 2j * np.pi * np.outer(starts, bins) / fft_size
-        )
-        spectra = spectra * phase
-
-    if centered:
-        spectra = np.fft.fftshift(spectra, axes=1)
-    return spectra
+        spectra = np.stack([dft(row) for row in blocks])
+    spectra = spectra * phase
+    return np.fft.fftshift(spectra, axes=1) if centered else spectra
 
 
 def power_spectral_density(spectra: np.ndarray) -> np.ndarray:

@@ -52,15 +52,10 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import cgemm
 
+from ..core.fourier import block_gather, framed_spectra, phase_table
 from ..core.scf import COHERENCE_FLOOR, DSCFResult, spectral_coherence
 from ..errors import ConfigurationError
-from .._compute import (
-    complex_dtype,
-    fft_fast_kwargs,
-    fft_namespace,
-    real_dtype,
-    tile_trials,
-)
+from .._compute import complex_dtype, real_dtype
 from .._util import spawn_substreams
 
 #: Highest worker count the bitwise-equality battery pins (see
@@ -119,25 +114,15 @@ class BatchExecutionPlan:
         self.config = config
         cfg = config
         # Precision policy (see repro._compute): float64 is the bitwise
-        # parity reference — its constants and FFT namespace are exactly
-        # the pre-policy ones — while float32 casts the plan constants
-        # to single precision once here so the hot loops never promote.
+        # parity reference, while float32 casts the plan constants to
+        # single precision once here so the hot loops never promote.
         self._precision = cfg.precision
         self._cdtype = complex_dtype(cfg.precision)
         self._rdtype = real_dtype(cfg.precision)
-        self._fft = fft_namespace(cfg.precision)
-        self._taper = get_window(cfg.window, cfg.fft_size)
         starts = np.arange(cfg.num_blocks) * cfg.hop
-        self._gather = starts[:, None] + np.arange(cfg.fft_size)[None, :]
-        # Expression 2's absolute-time phase reference (identically 1 in
-        # exact arithmetic for hop == K, but kept so batched spectra are
-        # bit-for-bit equal to repro.core.fourier.block_spectra).
-        self._phase = np.exp(
-            -2j * np.pi * np.outer(starts, np.arange(cfg.fft_size)) / cfg.fft_size
-        )
-        if self._precision == "float32":
-            self._taper = self._taper.astype(np.float32)
-            self._phase = self._phase.astype(np.complex64)
+        self._gather = block_gather(starts, cfg.fft_size)
+        self._taper = get_window(cfg.window, cfg.fft_size).astype(self._rdtype)
+        self._phase = phase_table(starts, cfg.fft_size).astype(self._cdtype)
         m = cfg.m
         center = cfg.fft_size // 2
         offsets = np.arange(-m, m + 1)
@@ -249,44 +234,16 @@ class BatchExecutionPlan:
 
         Returns a ``(trials, N, K)`` tensor whose slice ``[t]`` is
         bit-for-bit equal to
-        ``repro.core.fourier.block_spectra(signals[t], ...)``.
+        ``repro.core.fourier.block_spectra(signals[t], ...)`` — both run
+        the :func:`~repro.core.fourier.framed_spectra` kernel.
         """
-        batch = self.as_batch(signals)
-        if self._precision == "float64":
-            # In-place taper and phase products: the same elementwise
-            # multiplies, with at most two (trials, N, K) tensors live.
-            blocks = batch[:, self._gather]
-            blocks *= self._taper
-            spectra = np.fft.fft(blocks, axis=2)
-            del blocks
-            spectra *= self._phase
-            return np.fft.fftshift(spectra, axes=2)
-        # float32 fast path: the (trials, N, K) plane is processed in
-        # cache-sized trial tiles through the single-precision FFT
-        # namespace (scipy.fft preserves complex64; numpy's dispatch
-        # would silently be slower than complex128).
-        cfg = self.config
-        trials = batch.shape[0]
-        out = np.empty(
-            (trials, cfg.num_blocks, cfg.fft_size), dtype=self._cdtype
+        return framed_spectra(
+            self.as_batch(signals),
+            self._gather,
+            self._taper,
+            self._phase,
+            self._precision,
         )
-        bytes_per_trial = 3 * cfg.num_blocks * cfg.fft_size * out.itemsize
-        tile = tile_trials(bytes_per_trial)
-        shift = cfg.fft_size // 2
-        split = cfg.fft_size - shift
-        for start in range(0, trials, tile):
-            stop = min(start + tile, trials)
-            blocks = batch[start:stop, self._gather]
-            blocks *= self._taper
-            spectra = self._fft.fft(
-                blocks, axis=2, **fft_fast_kwargs(self._fft)
-            )
-            spectra *= self._phase
-            # fftshift as two direct slice assignments (no shifted
-            # temporary).
-            out[start:stop, :, shift:] = spectra[:, :, :split]
-            out[start:stop, :, :shift] = spectra[:, :, split:]
-        return out
 
     def dscf_values(
         self, signals: np.ndarray, spectra: np.ndarray | None = None

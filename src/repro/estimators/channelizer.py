@@ -15,7 +15,8 @@ bit-for-bit equal to that function for ``center=False`` and adds
   alignment SSCA needs so each demodulate is time-registered to the
   full-rate sample it is conjugate-multiplied with;
 * a **batched path** — one bulk FFT over every frame of every trial,
-  mirroring :meth:`repro.engine.BatchExecutionPlan.block_spectra`.
+  through the same :func:`~repro.core.fourier.framed_spectra` kernel
+  as :meth:`repro.engine.BatchExecutionPlan.block_spectra`.
 
 The demodulate of channel ``k`` (centered bin, column ``k + N'/2``) is
 
@@ -30,13 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._compute import (
-    complex_dtype,
-    fft_fast_kwargs,
-    fft_namespace,
-    tile_trials,
-)
+from .._compute import complex_dtype, real_dtype
 from .._util import require_positive_int
+from ..core.fourier import block_gather, framed_spectra, phase_table
 from ..core.sampling import SampledSignal
 from ..core.windows import get_window
 from ..errors import ConfigurationError, SignalError
@@ -80,13 +77,11 @@ class ChannelizerPlan:
         self.center = bool(center)
         self.precision = precision
         self._cdtype = complex_dtype(precision)
-        self._fft = fft_namespace(precision)
-        self._taper = get_window(window, self.num_channels)
-        self._gain = float(np.sum(self._taper))
+        taper = get_window(window, self.num_channels)
+        self._gain = float(np.sum(taper))
         if self._gain == 0.0:
             raise ConfigurationError("channelizer window must have non-zero sum")
-        if precision == "float32":
-            self._taper = self._taper.astype(np.float32)
+        self._taper = taper.astype(real_dtype(precision))
 
     @property
     def taper(self) -> np.ndarray:
@@ -172,44 +167,15 @@ class ChannelizerPlan:
             )
             padded[:, pad:-pad] = batch
             batch = padded
-        gather = (starts + pad)[:, None] + np.arange(self.num_channels)[None, :]
-        # Absolute-time phase reference (expression 2): demodulates each
-        # channel to baseband.  Well defined under fftshift because the
-        # starts are integers, making the factor N'-periodic in k.
-        phase = np.exp(
-            -2j
-            * np.pi
-            * np.outer(starts, np.arange(self.num_channels))
-            / self.num_channels
+        # The absolute-time phase (expression 2) demodulates each channel
+        # to baseband; it references the unpadded signal's sample time.
+        return framed_spectra(
+            batch,
+            block_gather(starts + pad, self.num_channels),
+            self._taper,
+            phase_table(starts, self.num_channels),
+            self.precision,
         )
-        if self.precision == "float64":
-            frames = batch[:, gather] * self._taper
-            spectra = np.fft.fft(frames, axis=2)
-            spectra = spectra * phase
-            return np.fft.fftshift(spectra, axes=2)
-        # float32 fast path: cache-sized trial tiles through the
-        # single-precision FFT namespace.  Every pass over the tile is
-        # in place (taper multiply, FFT, phase), and the final
-        # fftshift is two direct slice assignments into the output
-        # instead of a shifted temporary.
-        phase = phase.astype(np.complex64)
-        trials = batch.shape[0]
-        out = np.empty(
-            (trials, gather.shape[0], self.num_channels), dtype=self._cdtype
-        )
-        tile = tile_trials(3 * gather.size * out.itemsize)
-        shift = self.num_channels // 2
-        for lo in range(0, trials, tile):
-            hi = min(lo + tile, trials)
-            frames = batch[lo:hi, gather]
-            frames *= self._taper
-            spectra = self._fft.fft(
-                frames, axis=2, **fft_fast_kwargs(self._fft)
-            )
-            spectra *= phase
-            out[lo:hi, :, shift:] = spectra[:, :, : self.num_channels - shift]
-            out[lo:hi, :, :shift] = spectra[:, :, self.num_channels - shift:]
-        return out
 
     def demodulates(
         self,

@@ -21,22 +21,24 @@ configured ``(fft_size, hop)`` lattice, and two views stay current:
   shared the engine batch.
 
 The ring spectra the online SCF already holds double as the serving
-layer's **spectra-reuse fast path**: :meth:`SensingSession.
-window_spectra` reconciles them to the offline batch phase convention
-(bitwise equal to re-running the block-FFT front-end on the window),
-so a ``serve_path="spectra"`` detect skips re-blocking and the N-block
-FFT sweep entirely while producing bit-for-bit the engine path's
+layer's **spectra-reuse fast path**.  The ring stores each block's
+un-phased centered FFT; :meth:`SensingSession.window_spectra` applies
+the offline batch phase in one multiply (bitwise equal to re-running
+the block-FFT front end on the window, signed zeros included), so a
+``serve_path="spectra"`` detect skips re-blocking and the N-block FFT
+sweep entirely while producing bit-for-bit the engine path's
 statistic.
 
 Ingestion is O(total samples) regardless of chunking: chunks too short
 to complete a block park in a pending list and flush into the
 contiguous buffer only when a block can form, so a stream of tiny
 chunks never degenerates into concatenate-per-chunk O(chunks^2).
-The blocks a chunk completes go through bulk FFTs of at most N blocks
-each (bounded memory for any chunk length), bitwise equal to
-transforming the blocks one at a time.  A chunk holding NaN or ±inf
-is rejected (:class:`~repro.errors.NonFiniteInputError`) before it
-touches the session.
+The blocks a chunk completes go through the shared
+:func:`~repro.core.fourier.framed_spectra` front end in bulk FFTs of
+at most N blocks each (bounded memory for any chunk length), bitwise
+equal to transforming the blocks one at a time.  A chunk holding NaN
+or ±inf is rejected (:class:`~repro.errors.NonFiniteInputError`)
+before it touches the session.
 
 Sessions are plain synchronous state machines (the asyncio service
 layers concurrency on top): they checkpoint/restore bitwise via
@@ -57,8 +59,9 @@ import itertools
 
 import numpy as np
 
-from ..core.fourier import block_spectra
+from ..core.fourier import block_gather, framed_spectra, phase_table
 from ..core.scf import DSCFResult, StreamingDSCF
+from ..core.windows import get_window
 from ..errors import (
     ConfigurationError,
     NonFiniteInputError,
@@ -142,12 +145,11 @@ class SensingSession:
             config.fft_size, m=config.m, window_blocks=config.num_blocks
         )
         self._phase: np.ndarray | None = None  # lazy batch-phase table
-        # block_spectra's phase row for a block that starts at 0: all
-        # ones, but the multiply sets the signed zeros exactly as a
-        # per-block ``num_blocks=1`` call does.
-        self._start_phase = np.exp(
-            -2j * np.pi * np.outer([0], np.arange(config.fft_size))
-            / config.fft_size
+        # Front-end constants of one window's worth of blocks; ingest
+        # transforms at most that many at once.
+        self._taper = get_window(config.window, config.fft_size)
+        self._gather = block_gather(
+            np.arange(config.num_blocks) * config.hop, config.fft_size
         )
         self._closed = False
 
@@ -217,11 +219,10 @@ class SensingSession:
             self._total_samples += chunk.size
         # Consume every block now complete through bulk FFTs of at most
         # one window's worth of blocks each (a long chunk on a small hop
-        # must not allocate chunk/hop x K temporaries at once).  Each
-        # block is its own time reference (the natural phase convention
-        # for an unbounded stream): the spectra skip the window-relative
-        # phase and take the start-0 row instead, bitwise equal to a
-        # per-block ``num_blocks=1`` call.
+        # must not allocate chunk/hop x K temporaries at once).  The
+        # ring stores un-phased spectra — each block its own time
+        # reference, the natural convention for an unbounded stream —
+        # bitwise equal to transforming the blocks one at a time.
         next_start = self._blocks * cfg.hop
         available = self._buffer_start + self._buffer.size + self._pending_size
         if next_start + cfg.fft_size <= available:
@@ -231,14 +232,11 @@ class SensingSession:
                 count = min(remaining, cfg.num_blocks)
                 low = next_start - self._buffer_start
                 span = (count - 1) * cfg.hop + cfg.fft_size
-                spectra = block_spectra(
-                    self._buffer[low : low + span],
-                    cfg.fft_size,
-                    num_blocks=count,
-                    hop=cfg.hop,
-                    window=cfg.window,
-                    phase_reference=False,
-                ) * self._start_phase
+                spectra = framed_spectra(
+                    self._buffer[None, low : low + span],
+                    self._gather[:count],
+                    self._taper,
+                )[0]
                 for spectrum in spectra:
                     self._scf.update(spectrum)
                 self._blocks += count
@@ -290,13 +288,14 @@ class SensingSession:
     def window_spectra(self) -> np.ndarray:
         """The window's block spectra in the batch phase convention.
 
-        The online SCF ring stores each block's spectrum with the block
-        itself as the time reference (``num_blocks=1`` — the natural
+        The online SCF ring stores each block's un-phased centered FFT
+        (the block itself is the time reference — the natural
         convention for an unbounded stream); the offline batch path
         references every block to the window start (expression 2's
-        absolute-time phase).  This reconciles the two by applying the
-        batch phase table row-wise on the way out of the ring, so the
-        returned ``(N, K)`` array is **bitwise equal** to
+        absolute-time phase).  This applies the batch phase table
+        row-wise on the way out of the ring — the one multiply the
+        offline front end makes — so the returned ``(N, K)`` array is
+        **bitwise equal**, signed zeros included, to
         ``BatchExecutionPlan.block_spectra(window_samples()[None])[0]``
         — without re-blocking or a single FFT.  It is the input of the
         serving layer's session-resident detection fast path
@@ -313,24 +312,20 @@ class SensingSession:
         return self._scf.window_spectra(phase=self._batch_phase())
 
     def _batch_phase(self) -> np.ndarray:
-        """The cached ring-to-batch phase reconciliation table.
+        """The cached ring-to-batch phase table.
 
-        Exactly the :class:`~repro.engine.plans.BatchExecutionPlan`
-        phase table (expression 2 with window-relative block starts,
-        the same numpy expression so the bits match), fftshifted along
-        the frequency axis because the ring holds *centered* spectra —
-        an elementwise multiply commutes with the permutation.
+        The :class:`~repro.engine.plans.BatchExecutionPlan` phase table
+        (:func:`~repro.core.fourier.phase_table` at window-relative
+        block starts), fftshifted along the frequency axis because the
+        ring holds *centered* spectra — an elementwise multiply
+        commutes with the permutation.
         """
         if self._phase is None:
             cfg = self.config
             starts = np.arange(cfg.num_blocks) * cfg.hop
-            phase = np.exp(
-                -2j
-                * np.pi
-                * np.outer(starts, np.arange(cfg.fft_size))
-                / cfg.fft_size
+            self._phase = np.fft.fftshift(
+                phase_table(starts, cfg.fft_size), axes=1
             )
-            self._phase = np.fft.fftshift(phase, axes=1)
         return self._phase
 
     def scf_result(self) -> DSCFResult:

@@ -45,6 +45,12 @@ SAMPLE_RATE = 1e6
 SPS = 8  # BPSK samples/symbol -> cyclic feature at fs/8
 
 
+def _bits(array):
+    """Raw bits of a complex array, one unsigned word per component."""
+    array = np.ascontiguousarray(array)
+    return array.view(f"u{array.real.itemsize}")
+
+
 @pytest.fixture(scope="module")
 def paper_observation():
     """BPSK + noise at the paper's K = 256, N = 32 operating point."""
@@ -75,6 +81,34 @@ class TestChannelizer:
         batched = plan.demodulates_batch(signals)
         for trial, signal in enumerate(signals):
             assert (batched[trial] == plan.demodulates(signal)).all()
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("hop", [1, 3])
+    def test_front_end_cross_pin_plan_channelizer_core(self, hop, precision):
+        # Hops 1 and 3 give phase tables whose complex64 rounding
+        # differs from complex128 (hop = K/4 or K do not), so a float32
+        # multiply fed the complex128 table would show here.
+        config = PipelineConfig(
+            fft_size=32, num_blocks=8, hop=hop, window="hann",
+            precision=precision,
+        )
+        signals = np.stack(
+            [awgn(config.samples_per_decision, seed=40 + t) for t in range(3)]
+        )
+        spectra = Engine().plan(config).block_spectra(signals)
+        channelizer = ChannelizerPlan(
+            32, hop, "hann", center=False, precision=precision
+        )
+        for trial, signal in enumerate(signals):
+            demodulates = channelizer.demodulates(signal, num_frames=8)
+            np.testing.assert_array_equal(
+                _bits(spectra[trial]), _bits(demodulates)
+            )
+            if precision == "float64":
+                core = block_spectra(signal, 32, 8, hop=hop, window="hann")
+                np.testing.assert_array_equal(
+                    _bits(spectra[trial]), _bits(core)
+                )
 
     def test_centered_frame_count_is_one_per_hop_position(self):
         plan = ChannelizerPlan(16, hop=1, center=True)

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants.
 
-Five invariant families:
+Six invariant families:
 
 * Q15 arithmetic: closure, saturation bounds, commutativity.
 * The DSCF estimators: vectorised == literal triple loop on arbitrary
@@ -11,15 +11,18 @@ Five invariant families:
   arbitrary signals.
 * Batch composition: every Gram-path plan entry point scores a trial
   bitwise identically whatever its batch-mates and their order.
+* Session chunking: any split of a stream (signed zeros and subnormals
+  included) leaves a serve session in the same bitwise state, and its
+  ring-served window spectra equal the offline plan's bit for bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fourier import block_spectra, fft_radix2
 from repro.core.scf import dscf, dscf_reference
-from repro.engine import build_plan
+from repro.engine import Engine, build_plan
 from repro.mapping.architecture import FoldedArray
 from repro.mapping.folding import Fold
 from repro.mapping.projections import step2_mapping
@@ -32,6 +35,7 @@ from repro.montium.fixedpoint import (
     to_q15,
 )
 from repro.pipeline import PipelineConfig
+from repro.serve import SensingSession
 from repro.signals.noise import awgn
 
 q15_values = st.integers(min_value=Q15_MIN, max_value=Q15_MAX)
@@ -337,3 +341,73 @@ class TestBatchCompositionProperties:
                     whole[trial],
                     err_msg=f"{name}, trial {trial} alone",
                 )
+
+
+# Signed zeros and subnormals: FFTs of such blocks have exact-zero bins
+# whose sign depends on every multiply the front end makes.
+signed_zeros = st.sampled_from((0.0, -0.0))
+tiny_floats = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310))
+stream_values = (signed_zeros, tiny_floats, st.one_of(tiny_floats, small_floats))
+
+
+@st.composite
+def chunked_streams(draw):
+    fft_size, num_blocks = 32, 4
+    hop = draw(st.sampled_from((fft_size // 4, fft_size // 2, fft_size, 3)))
+    window = draw(st.sampled_from(("rectangular", "hann")))
+    config = PipelineConfig(
+        fft_size=fft_size, num_blocks=num_blocks, hop=hop, window=window,
+        calibration_trials=20,
+    )
+    size = config.samples_per_decision + draw(st.integers(0, 2 * fft_size))
+    values = draw(st.sampled_from(stream_values))
+    parts = draw(st.lists(values, min_size=2 * size, max_size=2 * size))
+    # Assign the parts (not real + 1j * imag), so signed zeros survive.
+    stream = np.empty(size, dtype=np.complex128)
+    stream.real = parts[:size]
+    stream.imag = parts[size:]
+    cuts = draw(st.lists(st.integers(0, size), max_size=6))
+    return config, stream, sorted(cuts)
+
+
+def _signed_zero_case(hop, window):
+    """A stream of zeros of mixed sign: every FFT bin is a signed zero,
+    so a phase multiply the offline plan does not make shows up."""
+    config = PipelineConfig(
+        fft_size=32, num_blocks=4, hop=hop, window=window,
+        calibration_trials=20,
+    )
+    stream = np.zeros(config.samples_per_decision + 40, dtype=np.complex128)
+    stream.real[::2] = -0.0
+    stream.imag[1::3] = -0.0
+    return config, stream, [63, 126]
+
+
+def _state_bits(state):
+    return {
+        key: _bits(value).tolist() if isinstance(value, np.ndarray) else (
+            _state_bits(value) if isinstance(value, dict) else value
+        )
+        for key, value in state.items()
+    }
+
+
+class TestSessionChunkingProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(chunked_streams())
+    @example(_signed_zero_case(8, "hann"))
+    @example(_signed_zero_case(16, "rectangular"))
+    def test_state_and_window_spectra_ignore_chunking(self, case):
+        config, stream, cuts = case
+        whole = SensingSession(config, session_id="s")
+        whole.ingest(stream)
+        chunked = SensingSession(config, session_id="s")
+        for low, high in zip([0, *cuts], [*cuts, stream.size]):
+            chunked.ingest(stream[low:high])
+        assert _state_bits(chunked.state()) == _state_bits(whole.state())
+        offline = Engine().plan(config).block_spectra(
+            chunked.window_samples()[None]
+        )[0]
+        np.testing.assert_array_equal(
+            _bits(chunked.window_spectra()), _bits(offline)
+        )

@@ -16,8 +16,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.fourier import block_spectra
+from repro.core.fourier import block_spectra, framed_spectra
 from repro.core.scf import StreamingDSCF, dscf
+from repro.core.windows import get_window
 from repro.engine import Engine
 from repro.engine.shm import (
     SharedArraySegment,
@@ -248,19 +249,15 @@ class TestBulkIngest:
 
     @staticmethod
     def _per_block(config: PipelineConfig, stream: np.ndarray):
-        """A ring fed one ``num_blocks=1`` spectrum per block."""
+        """A ring fed one un-phased centered spectrum per block."""
         scf = StreamingDSCF(
             config.fft_size, m=config.m, window_blocks=config.num_blocks
         )
+        taper = get_window(config.window, config.fft_size)
         blocks = (stream.size - config.fft_size) // config.hop + 1
         for index in range(max(blocks, 0)):
             block = stream[index * config.hop :][: config.fft_size]
-            scf.update(
-                block_spectra(
-                    block, config.fft_size, num_blocks=1,
-                    window=config.window,
-                )[0]
-            )
+            scf.update(np.fft.fftshift(np.fft.fft(block * taper)))
         return scf
 
     @staticmethod
@@ -271,13 +268,8 @@ class TestBulkIngest:
         return np.fft.fftshift(phase, axes=1)
 
     def _assert_matches_per_block(self, session, stream):
-        """Ring and window spectra bitwise equal to the per-block path.
-
-        The offline plan's spectra are compared bitwise too, except on
-        signed-zero input: the ring applies its start-0 phase row and
-        then the batch phase, the plan only the batch phase, so zero
-        bins may differ in sign (as they did before bulk ingest).
-        """
+        """Ring, window and offline spectra bitwise equal to the
+        per-block path (signed zeros included)."""
         config = session.config
         reference = self._per_block(config, stream)
         assert session.blocks_ingested == reference.total_blocks
@@ -289,10 +281,7 @@ class TestBulkIngest:
             offline = Engine().plan(config).block_spectra(
                 session.window_samples()[None]
             )[0]
-            if np.any(stream):
-                assert _bits(resident) == _bits(offline)
-            else:
-                assert np.array_equal(resident, offline)
+            assert _bits(resident) == _bits(offline)
 
     @pytest.mark.parametrize("window", ["rectangular", "hann"])
     @pytest.mark.parametrize("hop", [8, 16, 32])
@@ -311,8 +300,9 @@ class TestBulkIngest:
             "three-windows": 3 * span, "zeros": 63,
         }[chunking]
         if chunking == "zeros":
-            # Signed zeros: a bulk FFT that skipped the per-block phase
-            # multiply would flip the sign of some zero outputs.
+            # Signed zeros: a ring holding anything but the un-phased
+            # FFT, or a second phase multiply on the way out, would flip
+            # the sign of some zero bins against the offline plan.
             stream = np.zeros_like(stream)
             stream.real[::2] = -0.0
             stream.imag[1::3] = -0.0
@@ -330,11 +320,11 @@ class TestBulkIngest:
         stream = _stream(4 * config.samples_per_decision + 300, seed=4)
         calls = []
 
-        def recording(*args, **kwargs):
-            calls.append(kwargs["num_blocks"])
-            return block_spectra(*args, **kwargs)
+        def recording(batch, gather, *args, **kwargs):
+            calls.append(gather.shape[0])
+            return framed_spectra(batch, gather, *args, **kwargs)
 
-        monkeypatch.setattr(session_module, "block_spectra", recording)
+        monkeypatch.setattr(session_module, "framed_spectra", recording)
         session = SensingSession(config)
         session.ingest(stream)
         blocks = stream.size - config.fft_size + 1
