@@ -37,7 +37,7 @@ The package is organised in layers:
   blind (unknown-alpha) searches.
 * :mod:`repro.serve` — detection-as-a-service: a long-running asyncio
   sensing service on top of the engine, with per-client chunked
-  ingestion sessions (sliding-window online SCF, bitwise
+  ingestion sessions (a ring of the last N block spectra, bitwise
   checkpoint/restore), a coalescing scheduler (concurrent requests
   batched into single engine calls, bounded-queue backpressure,
   per-request deadlines), a latency/coalescing metrics surface, and a

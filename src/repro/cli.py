@@ -606,6 +606,8 @@ async def _serve_smoke_client(
 ) -> None:
     """Self-drive one loopback client through the whole protocol.
 
+    The client sends exactly one window, so the served statistic must
+    equal the offline engine's on it, bit for bit, on either route.
     With *injected* (``--inject`` was given) the client additionally
     verifies the plan's faults actually fired and were absorbed: the
     final ``health`` probe must report recovered faults or serve-layer
@@ -645,6 +647,13 @@ async def _serve_smoke_client(
             f"threshold={result['threshold']:.6g} "
             f"detected={result['detected']} (noise-only input)"
         )
+        offline = server.service.engine.statistics(samples[None], config)[0]
+        if result["statistic"] != offline:
+            raise ConfigurationError(
+                f"smoke detect served statistic {result['statistic']!r} "
+                f"but the offline engine gives {float(offline)!r} on the "
+                "same window"
+            )
         expected_path = server.service.resolve_serve_path()
         if result.get("serve_path") != expected_path:
             raise ConfigurationError(

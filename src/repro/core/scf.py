@@ -342,46 +342,17 @@ def dscf_from_signal(
 
 
 class StreamingDSCF:
-    """Block-at-a-time DSCF accumulator, cumulative or sliding-window.
+    """Block-at-a-time DSCF accumulator.
 
     Mirrors the hardware integration structure of Figure 3/4: each call
     to :meth:`update` feeds one block spectrum (one value of ``n``) into
-    the running estimate, exactly as the Montium's multiply-accumulate
-    loop adds into its integration memories.
-
-    Two accumulation modes exist:
-
-    * **cumulative** (``window_blocks=None``, the legacy behaviour):
-      every update multiplies and adds into one running sum; after N
-      updates :meth:`result` divides by N.  Numerically identical (up
-      to float associativity) to :func:`dscf` over the same spectra,
-      which the tests assert.
-    * **sliding window** (``window_blocks=W``): the last W spectra are
-      retained in a ring buffer and the estimate always covers exactly
-      the most recent ``min(count, W)`` blocks.  Eviction is *exact*:
-      an evicted block simply leaves the ring, and the window estimate
-      is evaluated over the surviving spectra with the same chunked
-      arithmetic as :func:`dscf` — **bitwise** equal to
-      ``dscf(window_spectra())`` at every step.  (A subtract-the-old-
-      term running sum would be cheaper per result but accumulates
-      rounding drift and can never be bitwise against the batch
-      estimator; this repo pins bitwise parity everywhere, so the ring
-      recompute — lazily cached until the next update — is the
-      contract.)  This is the online path the serve sessions
-      (:mod:`repro.serve`) stream unbounded captures through.
-
-    The full accumulator state round-trips bitwise through
-    :meth:`state`/:meth:`from_state`, so a live stream can be
-    suspended, migrated to another process, or recovered after a crash
-    without perturbing a single bit of any subsequent result.
+    one running sum, exactly as the Montium's multiply-accumulate loop
+    adds into its integration memories; after N updates :meth:`result`
+    divides by N.  Numerically identical (up to float associativity) to
+    :func:`dscf` over the same spectra, which the tests assert.
     """
 
-    def __init__(
-        self,
-        fft_size: int,
-        m: int | None = None,
-        window_blocks: int | None = None,
-    ) -> None:
+    def __init__(self, fft_size: int, m: int | None = None) -> None:
         self._fft_size = require_positive_int(fft_size, "fft_size")
         self._m = validate_m(fft_size, m)
         offsets = np.arange(-self._m, self._m + 1)
@@ -389,19 +360,8 @@ class StreamingDSCF:
         self._plus_index = center + offsets[:, None] + offsets[None, :]
         self._minus_index = center + offsets[:, None] - offsets[None, :]
         extent = 2 * self._m + 1
-        self._window = (
-            None
-            if window_blocks is None
-            else require_positive_int(window_blocks, "window_blocks")
-        )
         self._sum = np.zeros((extent, extent), dtype=np.complex128)
-        self._ring = (
-            None
-            if self._window is None
-            else np.zeros((self._window, fft_size), dtype=np.complex128)
-        )
         self._count = 0
-        self._cached: tuple[int, np.ndarray] | None = None
 
     @property
     def m(self) -> int:
@@ -414,171 +374,39 @@ class StreamingDSCF:
         return self._fft_size
 
     @property
-    def window_blocks(self) -> int | None:
-        """Sliding-window length W (``None`` = cumulative)."""
-        return self._window
-
-    @property
-    def total_blocks(self) -> int:
-        """Blocks ever fed through :meth:`update` (never retired)."""
+    def num_blocks(self) -> int:
+        """Blocks accumulated so far."""
         return self._count
 
-    @property
-    def num_blocks(self) -> int:
-        """Blocks contributing to the current estimate.
-
-        Equal to :attr:`total_blocks` in cumulative mode; capped at
-        :attr:`window_blocks` once a sliding window fills.
-        """
-        if self._window is None:
-            return self._count
-        return min(self._count, self._window)
-
     def update(self, spectrum: np.ndarray) -> None:
-        """Feed one centered K-point spectrum (one value of n).
-
-        Cumulative mode multiply-accumulates into the running sum;
-        window mode writes the spectrum over the ring slot of the block
-        it retires (O(K), no DSCF arithmetic until a result is asked
-        for).
-        """
+        """Multiply-accumulate one centered K-point spectrum (one n)."""
         spectrum = np.asarray(spectrum, dtype=np.complex128)
         if spectrum.shape != (self._fft_size,):
             raise ConfigurationError(
                 f"spectrum must have shape ({self._fft_size},), got "
                 f"{spectrum.shape}"
             )
-        if self._ring is None:
-            self._sum += spectrum[self._plus_index] * np.conj(
-                spectrum[self._minus_index]
-            )
-        else:
-            self._ring[self._count % self._window] = spectrum
+        self._sum += spectrum[self._plus_index] * np.conj(
+            spectrum[self._minus_index]
+        )
         self._count += 1
-        self._cached = None
-
-    def window_spectra(self, phase: np.ndarray | None = None) -> np.ndarray:
-        """The in-window spectra in arrival order (oldest first).
-
-        Only meaningful in window mode; shape
-        ``(min(count, W), fft_size)``.  With *phase* — a
-        ``(min(count, W), fft_size)`` table — each spectrum is
-        multiplied elementwise by its row on the way out, fused into
-        the ring copy (one pass instead of copy-then-multiply) but
-        bitwise equal to ``window_spectra() * phase``.  The serve
-        sessions use this to reconcile ring spectra to the batch phase
-        convention on the spectra-reuse detection fast path (see
-        :meth:`repro.serve.SensingSession.window_spectra`).
-        """
-        if self._ring is None:
-            raise ConfigurationError(
-                "window_spectra requires a sliding-window StreamingDSCF "
-                "(window_blocks was None)"
-            )
-        count = min(self._count, self._window)
-        if phase is not None and phase.shape != (count, self._fft_size):
-            raise ConfigurationError(
-                f"phase must have shape ({count}, {self._fft_size}) to "
-                f"match the current window, got {phase.shape}"
-            )
-        if self._count <= self._window:
-            live = self._ring[: self._count]
-            return live.copy() if phase is None else live * phase
-        cut = self._count % self._window
-        if phase is None:
-            return np.concatenate([self._ring[cut:], self._ring[:cut]])
-        out = np.empty_like(self._ring)
-        head = self._window - cut
-        np.multiply(self._ring[cut:], phase[:head], out=out[:head])
-        np.multiply(self._ring[:cut], phase[head:], out=out[head:])
-        return out
-
-    def _values(self) -> np.ndarray:
-        if self._ring is None:
-            return self._sum / self._count
-        if self._cached is not None and self._cached[0] == self._count:
-            return self._cached[1]
-        # Exactly the batch estimator over the surviving window — this
-        # is what makes window results bitwise equal to dscf().
-        values = dscf(self.window_spectra(), m=self._m)
-        self._cached = (self._count, values)
-        return values
 
     def result(self, sample_rate_hz: float | None = None) -> DSCFResult:
-        """The DSCF over the current window (or everything, cumulative)."""
+        """The DSCF averaged over every block accumulated so far."""
         if self._count == 0:
             raise SignalError("StreamingDSCF has accumulated no blocks yet")
         return DSCFResult(
-            values=self._values(),
+            values=self._sum / self._count,
             m=self._m,
-            num_blocks=self.num_blocks,
+            num_blocks=self._count,
             fft_size=self._fft_size,
             sample_rate_hz=sample_rate_hz,
         )
 
     def reset(self) -> None:
-        """Clear the accumulator (ring, running sum and counters)."""
+        """Clear the running sum and the block count."""
         self._sum[:] = 0
-        if self._ring is not None:
-            self._ring[:] = 0
         self._count = 0
-        self._cached = None
-
-    # ------------------------------------------------------------------
-    # Checkpoint / restore
-    # ------------------------------------------------------------------
-    def state(self) -> dict:
-        """An exact (bitwise) checkpoint of the accumulator.
-
-        The returned dict owns copies of every array, so it stays valid
-        after further updates and pickles cleanly across processes.
-        Restore with :meth:`from_state`.
-        """
-        state = {
-            "fft_size": self._fft_size,
-            "m": self._m,
-            "window_blocks": self._window,
-            "count": self._count,
-        }
-        if self._ring is None:
-            state["sum"] = self._sum.copy()
-        else:
-            state["ring"] = self._ring.copy()
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "StreamingDSCF":
-        """Rebuild an accumulator from a :meth:`state` checkpoint.
-
-        Every subsequent :meth:`update`/:meth:`result` is bitwise
-        identical to the sequence the checkpointed instance would have
-        produced.
-        """
-        try:
-            accumulator = cls(
-                state["fft_size"],
-                m=state["m"],
-                window_blocks=state["window_blocks"],
-            )
-            count = require_non_negative_int(state["count"], "count")
-            payload_key = "sum" if state["window_blocks"] is None else "ring"
-            payload = np.asarray(state[payload_key], dtype=np.complex128)
-        except KeyError as error:
-            raise ConfigurationError(
-                f"StreamingDSCF state is missing field {error}"
-            ) from None
-        target = (
-            accumulator._sum if accumulator._ring is None
-            else accumulator._ring
-        )
-        if payload.shape != target.shape:
-            raise ConfigurationError(
-                f"StreamingDSCF state {payload_key!r} must have shape "
-                f"{target.shape}, got {payload.shape}"
-            )
-        target[...] = payload
-        accumulator._count = count
-        return accumulator
 
 
 def spectral_coherence(

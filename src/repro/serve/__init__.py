@@ -6,7 +6,7 @@ spectrum", lifted from a batch experiment to an always-on facility):
 
 ``session``
     Per-client chunked ingestion over the ``(fft_size, hop)`` block
-    lattice, an online sliding-window DSCF, and bitwise
+    lattice into a ring of the last N block spectra, and bitwise
     checkpoint/restore.
 ``scheduler``
     Request coalescing into engine trial batches, bounded-queue

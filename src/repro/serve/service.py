@@ -209,10 +209,6 @@ class SensingService:
         self.metrics.record_ingest(int(np.asarray(samples).size))
         return info
 
-    def session_scf(self, session_id: str):
-        """The session's live sliding-window DSCF result."""
-        return self._session(session_id).scf_result()
-
     def checkpoint_session(self, session_id: str) -> dict:
         """A bitwise-exact checkpoint of one session's state."""
         return self._session(session_id).state()

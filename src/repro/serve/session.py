@@ -5,29 +5,25 @@ service: raw samples arrive in arbitrarily-sized chunks (network
 packets, SDR driver buffers), the session re-blocks them on the
 configured ``(fft_size, hop)`` lattice, and two views stay current:
 
-* an **online SCF** — every completed block's centered spectrum feeds
-  a sliding-window :class:`~repro.core.scf.StreamingDSCF`
-  (``window_blocks = num_blocks``), so the live spectral-correlation
-  estimate over the most recent N blocks is available at any time
-  without recomputing history (and is bitwise equal to the batch
-  :func:`~repro.core.scf.dscf` over the same window — the contract the
-  window accumulator pins);
-* a **detection window** — the raw samples spanning the last N
-  completed blocks, exactly the observation an offline
+* a **spectra ring** — one ``(N, K)`` complex128 array holding the
+  un-phased centered FFT of each of the last N completed blocks
+  (block ``b`` in row ``b % N``);
+* a **detection window** — the raw samples spanning those N blocks,
+  exactly the observation an offline
   :class:`~repro.pipeline.DetectionPipeline` would consume.  Detection
   requests hand this window to the service's coalescing scheduler, so
   every decision is **bitwise identical** to the equivalent offline
   batch run no matter how the stream was chunked or which requests
   shared the engine batch.
 
-The ring spectra the online SCF already holds double as the serving
-layer's **spectra-reuse fast path**.  The ring stores each block's
-un-phased centered FFT; :meth:`SensingSession.window_spectra` applies
-the offline batch phase in one multiply (bitwise equal to re-running
-the block-FFT front end on the window, signed zeros included), so a
+The ring is the serving layer's **spectra-reuse fast path**:
+:meth:`SensingSession.window_spectra` applies the offline batch phase
+as it reorders the rows oldest-first (bitwise equal to re-running the
+block-FFT front end on the window, signed zeros included), so a
 ``serve_path="spectra"`` detect skips re-blocking and the N-block FFT
 sweep entirely while producing bit-for-bit the engine path's
-statistic.
+statistic.  :meth:`SensingSession.scf_result` is the DSCF of those
+spectra: the offline DSCF of the detection window.
 
 Ingestion is O(total samples) regardless of chunking: chunks too short
 to complete a block park in a pending list and flush into the
@@ -36,7 +32,8 @@ chunks never degenerates into concatenate-per-chunk O(chunks^2).
 The blocks a chunk completes go through the shared
 :func:`~repro.core.fourier.framed_spectra` front end in bulk FFTs of
 at most N blocks each (bounded memory for any chunk length), bitwise
-equal to transforming the blocks one at a time.  A chunk holding NaN
+equal to transforming the blocks one at a time; each slab lands in the
+ring with at most two slice assignments.  A chunk holding NaN
 or ±inf is rejected (:class:`~repro.errors.NonFiniteInputError`)
 before it touches the session.
 
@@ -59,8 +56,9 @@ import itertools
 
 import numpy as np
 
+from .._util import require, require_non_negative_int
 from ..core.fourier import block_gather, framed_spectra, phase_table
-from ..core.scf import DSCFResult, StreamingDSCF
+from ..core.scf import DSCFResult, compute_dscf
 from ..core.windows import get_window
 from ..errors import (
     ConfigurationError,
@@ -76,9 +74,9 @@ _SESSION_COUNTER = itertools.count(1)
 def session_capable(backend_name: str) -> bool:
     """Whether serve sessions may run on *backend_name*.
 
-    A session needs block-at-a-time streaming (the online SCF path) or
-    batched trial execution (the coalescing scheduler path).  Only the
-    literal ``reference`` oracle offers neither.
+    A session needs block-at-a-time streaming or batched trial
+    execution (the coalescing scheduler path).  Only the literal
+    ``reference`` oracle offers neither.
     """
     capabilities = get_backend(backend_name).capabilities
     return capabilities.supports_batch or capabilities.supports_streaming
@@ -141,8 +139,9 @@ class SensingSession:
         self._pending_size = 0
         self._blocks = 0  # completed blocks consumed from the stream
         self._total_samples = 0
-        self._scf = StreamingDSCF(
-            config.fft_size, m=config.m, window_blocks=config.num_blocks
+        # Un-phased centered spectrum of block b in row b % N.
+        self._ring = np.zeros(
+            (config.num_blocks, config.fft_size), dtype=np.complex128
         )
         self._phase: np.ndarray | None = None  # lazy batch-phase table
         # Front-end constants of one window's worth of blocks; ingest
@@ -176,19 +175,14 @@ class SensingSession:
         """Whether a full N-block detection window is available."""
         return self._blocks >= self.config.num_blocks
 
-    @property
-    def scf(self) -> StreamingDSCF:
-        """The online sliding-window accumulator (read-only use)."""
-        return self._scf
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def ingest(self, samples: np.ndarray) -> dict:
         """Feed one chunk of the stream (any length, any chunking).
 
-        Completed blocks are consumed as they form; the online SCF and
-        the detection window advance identically no matter how the
+        Completed blocks are consumed as they form; the spectra ring
+        and the detection window advance identically no matter how the
         stream is split into chunks.  Returns a plain-data summary
         (``blocks``, ``ready``, ``total_samples``).
         """
@@ -237,8 +231,10 @@ class SensingSession:
                     self._gather[:count],
                     self._taper,
                 )[0]
-                for spectrum in spectra:
-                    self._scf.update(spectrum)
+                row = self._blocks % cfg.num_blocks
+                head = min(count, cfg.num_blocks - row)
+                self._ring[row : row + head] = spectra[:head]
+                self._ring[: count - head] = spectra[head:]
                 self._blocks += count
                 next_start += count * cfg.hop
                 remaining -= count
@@ -267,6 +263,14 @@ class SensingSession:
         """Absolute index of the detection window's first sample."""
         return max(0, self._blocks - self.config.num_blocks) * self.config.hop
 
+    def _require_ready(self) -> None:
+        if not self.ready:
+            raise SessionStateError(
+                f"session {self.session_id!r} has {self._blocks} complete "
+                f"block(s); a detection window needs "
+                f"{self.config.num_blocks}"
+            )
+
     def window_samples(self) -> np.ndarray:
         """The raw samples spanning the last N completed blocks.
 
@@ -274,12 +278,7 @@ class SensingSession:
         :class:`~repro.pipeline.DetectionPipeline` would be handed, so
         detection on it is bitwise comparable to the batch run.
         """
-        if not self.ready:
-            raise SessionStateError(
-                f"session {self.session_id!r} has {self._blocks} complete "
-                f"block(s); a detection window needs "
-                f"{self.config.num_blocks}"
-            )
+        self._require_ready()
         low = self._window_start() - self._buffer_start
         return self._buffer[
             low : low + self.config.samples_per_decision
@@ -288,14 +287,14 @@ class SensingSession:
     def window_spectra(self) -> np.ndarray:
         """The window's block spectra in the batch phase convention.
 
-        The online SCF ring stores each block's un-phased centered FFT
-        (the block itself is the time reference — the natural
-        convention for an unbounded stream); the offline batch path
-        references every block to the window start (expression 2's
-        absolute-time phase).  This applies the batch phase table
-        row-wise on the way out of the ring — the one multiply the
-        offline front end makes — so the returned ``(N, K)`` array is
-        **bitwise equal**, signed zeros included, to
+        The ring stores each block's un-phased centered FFT (the block
+        itself is the time reference — the natural convention for an
+        unbounded stream); the offline batch path references every
+        block to the window start (expression 2's absolute-time phase).
+        This applies the batch phase table row-wise as it copies the
+        ring out oldest-first — the one multiply the offline front end
+        makes — so the returned ``(N, K)`` array is **bitwise equal**,
+        signed zeros included, to
         ``BatchExecutionPlan.block_spectra(window_samples()[None])[0]``
         — without re-blocking or a single FFT.  It is the input of the
         serving layer's session-resident detection fast path
@@ -303,13 +302,14 @@ class SensingSession:
         statistics bitwise identical to the offline
         :class:`~repro.pipeline.DetectionPipeline`.
         """
-        if not self.ready:
-            raise SessionStateError(
-                f"session {self.session_id!r} has {self._blocks} complete "
-                f"block(s); a detection window needs "
-                f"{self.config.num_blocks}"
-            )
-        return self._scf.window_spectra(phase=self._batch_phase())
+        self._require_ready()
+        phase = self._batch_phase()
+        oldest = self._blocks % self.config.num_blocks
+        head = self.config.num_blocks - oldest
+        out = np.empty_like(self._ring)
+        np.multiply(self._ring[oldest:], phase[:head], out=out[:head])
+        np.multiply(self._ring[:oldest], phase[head:], out=out[head:])
+        return out
 
     def _batch_phase(self) -> np.ndarray:
         """The cached ring-to-batch phase table.
@@ -329,8 +329,16 @@ class SensingSession:
         return self._phase
 
     def scf_result(self) -> DSCFResult:
-        """The live sliding-window DSCF over the most recent blocks."""
-        return self._scf.result(sample_rate_hz=self.config.sample_rate_hz)
+        """The DSCF of the detection window.
+
+        Bitwise equal to :func:`~repro.core.scf.dscf` over the offline
+        block spectra of :meth:`window_samples`.
+        """
+        return compute_dscf(
+            self.window_spectra(),
+            m=self.config.m,
+            sample_rate_hz=self.config.sample_rate_hz,
+        )
 
     def close(self) -> None:
         """Mark the session closed; further ingestion raises."""
@@ -345,8 +353,8 @@ class SensingSession:
         Owns copies of every array; restore with :meth:`from_state`
         (the configuration itself travels separately — it is already
         the service's source of truth).  Parked pending chunks flush
-        into the buffer first, so the checkpoint format is unchanged:
-        ``buffer`` holds every unconsumed sample.
+        into the buffer first, so ``buffer`` holds every unconsumed
+        sample.
         """
         self._flush_pending()
         return {
@@ -355,7 +363,7 @@ class SensingSession:
             "buffer_start": self._buffer_start,
             "blocks": self._blocks,
             "total_samples": self._total_samples,
-            "scf": self._scf.state(),
+            "ring": self._ring.copy(),
         }
 
     @classmethod
@@ -365,31 +373,49 @@ class SensingSession:
         """Rebuild a session from a :meth:`state` checkpoint.
 
         Every subsequent ingest/detect is bitwise identical to what the
-        checkpointed session would have produced.
+        checkpointed session would have produced.  A state that does
+        not fit *config*, or whose counters contradict each other or
+        the buffer, raises :class:`~repro.errors.ConfigurationError`.
         """
         try:
             session = cls(config, session_id=state["session_id"])
-            session._buffer = np.asarray(
-                state["buffer"], dtype=np.complex128
-            ).copy()
-            session._buffer_start = int(state["buffer_start"])
-            session._blocks = int(state["blocks"])
-            session._total_samples = int(state["total_samples"])
-            session._scf = StreamingDSCF.from_state(state["scf"])
+            buffer = np.asarray(state["buffer"], dtype=np.complex128)
+            ring = np.asarray(state["ring"], dtype=np.complex128)
+            buffer_start = require_non_negative_int(
+                state["buffer_start"], "buffer_start"
+            )
+            blocks = require_non_negative_int(state["blocks"], "blocks")
+            total = require_non_negative_int(
+                state["total_samples"], "total_samples"
+            )
         except KeyError as error:
             raise ConfigurationError(
                 f"SensingSession state is missing field {error}"
             ) from None
-        if (
-            session._scf.fft_size != config.fft_size
-            or session._scf.m != config.m
-            or session._scf.window_blocks != config.num_blocks
-        ):
-            raise ConfigurationError(
-                "SensingSession state does not match the configuration: "
-                f"checkpointed SCF is K={session._scf.fft_size}, "
-                f"m={session._scf.m}, window={session._scf.window_blocks}; "
-                f"config wants K={config.fft_size}, m={config.m}, "
-                f"window={config.num_blocks}"
-            )
+        require(
+            ring.shape == session._ring.shape,
+            f"SensingSession state ring has shape {ring.shape}; the "
+            f"configuration wants {session._ring.shape}",
+        )
+        require(
+            buffer.ndim == 1 and buffer_start + buffer.size == total,
+            f"SensingSession state buffer of {buffer.size} sample(s) at "
+            f"{buffer_start} does not end at total_samples={total}",
+        )
+        complete = max(0, (total - config.fft_size) // config.hop + 1)
+        require(
+            blocks == complete,
+            f"SensingSession state has blocks={blocks}, but {total} "
+            f"samples hold {complete} complete block(s)",
+        )
+        session._blocks = blocks
+        require(
+            buffer_start <= session._window_start(),
+            f"SensingSession state buffer starts at {buffer_start}, after "
+            f"the detection window start {session._window_start()}",
+        )
+        session._buffer = buffer.copy()
+        session._buffer_start = buffer_start
+        session._total_samples = total
+        session._ring[...] = ring
         return session

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.fourier import block_spectra, framed_spectra
-from repro.core.scf import StreamingDSCF, dscf
+from repro.core.fourier import framed_spectra
+from repro.core.scf import dscf
 from repro.core.windows import get_window
 from repro.engine import Engine
 from repro.engine.shm import (
@@ -31,7 +31,6 @@ from repro.errors import (
     NonFiniteInputError,
     ServiceOverloadedError,
     SessionStateError,
-    SignalError,
 )
 from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.serve import (
@@ -76,55 +75,6 @@ def _bits(value):
     return value
 
 
-class TestStreamingWindow:
-    """The bounded-window StreamingDSCF the sessions are built on."""
-
-    def test_sliding_window_matches_batch_dscf_at_every_step(self):
-        k, m, window = 16, 3, 5
-        rng = np.random.default_rng(3)
-        streaming = StreamingDSCF(k, m, window_blocks=window)
-        spectra = rng.standard_normal((12, k)) + 1j * rng.standard_normal((12, k))
-        for count in range(1, 13):
-            streaming.update(spectra[count - 1])
-            recent = spectra[max(0, count - window) : count]
-            assert np.array_equal(
-                streaming.result().values, dscf(recent, m=m)
-            )
-            assert streaming.num_blocks == min(count, window)
-            assert streaming.total_blocks == count
-
-    def test_checkpoint_restore_is_bitwise_mid_stream(self):
-        k, m, window = 16, 3, 4
-        rng = np.random.default_rng(4)
-        spectra = rng.standard_normal((9, k)) + 1j * rng.standard_normal((9, k))
-        original = StreamingDSCF(k, m, window_blocks=window)
-        for spectrum in spectra[:6]:
-            original.update(spectrum)
-        restored = StreamingDSCF.from_state(original.state())
-        for spectrum in spectra[6:]:
-            original.update(spectrum)
-            restored.update(spectrum)
-        assert np.array_equal(
-            original.result().values, restored.result().values
-        )
-
-    def test_reset_returns_to_empty(self):
-        streaming = StreamingDSCF(16, 3, window_blocks=4)
-        streaming.update(np.ones(16, dtype=np.complex128))
-        streaming.reset()
-        assert streaming.num_blocks == 0
-        with pytest.raises(SignalError):
-            streaming.result()
-
-    def test_from_state_rejects_corrupted_state(self):
-        streaming = StreamingDSCF(16, 3, window_blocks=4)
-        streaming.update(np.ones(16, dtype=np.complex128))
-        state = streaming.state()
-        state.pop("fft_size")
-        with pytest.raises(ConfigurationError):
-            StreamingDSCF.from_state(state)
-
-
 class TestSensingSession:
     def test_chunking_is_invariant(self):
         """Any chunking of the same stream yields identical session state."""
@@ -154,25 +104,23 @@ class TestSensingSession:
             session.window_samples(), _offline_window(TINY, stream)
         )
 
-    def test_online_scf_matches_batch_dscf_over_window_blocks(self):
-        stream = _stream(TINY.samples_per_decision + 3 * TINY.hop, seed=8)
-        session = SensingSession(TINY)
-        session.ingest(stream)
-        blocks = session.blocks_ingested
-        spectra = np.stack(
-            [
-                block_spectra(
-                    stream[index * TINY.hop :][: TINY.fft_size],
-                    TINY.fft_size,
-                    num_blocks=1,
-                    window=TINY.window,
-                )[0]
-                for index in range(blocks - TINY.num_blocks, blocks)
-            ]
+    @pytest.mark.parametrize("hop", [32, 16, 8, 12])
+    def test_scf_result_is_offline_dscf_of_window(self, hop):
+        config = PipelineConfig(
+            fft_size=32, num_blocks=8, hop=hop, calibration_trials=20
         )
-        assert np.array_equal(
-            session.scf_result().values, dscf(spectra, m=TINY.m)
-        )
+        stream = _stream(config.samples_per_decision + 3 * hop + 5, seed=8)
+        session = SensingSession(config)
+        session.ingest(stream[:40])
+        with pytest.raises(SessionStateError):
+            session.scf_result()
+        session.ingest(stream[40:])
+        offline = Engine().plan(config).block_spectra(
+            session.window_samples()[None]
+        )[0]
+        result = session.scf_result()
+        assert _bits(result.values) == _bits(dscf(offline, m=config.m))
+        assert result.num_blocks == config.num_blocks
 
     def test_not_ready_and_closed_raise(self):
         session = SensingSession(TINY)
@@ -204,6 +152,49 @@ class TestSensingSession:
         )
         with pytest.raises(ConfigurationError):
             SensingSession.from_state(other, session.state())
+
+    @staticmethod
+    def _corrupt(state: dict, corruption: str) -> dict:
+        state = dict(state)
+        if corruption == "ring-shape":
+            state["ring"] = state["ring"][1:]
+        elif corruption == "negative-blocks":
+            state["blocks"] = -3
+        elif corruption == "cut-buffer":
+            state["buffer"] = state["buffer"][:10]
+        elif corruption == "shifted-buffer":
+            state["buffer_start"] += 100
+        elif corruption == "blocks-off-by-one":
+            state["blocks"] += 1
+        else:  # buffer-after-window: consistent length, late start
+            window_start = (state["blocks"] - TINY.num_blocks) * TINY.hop
+            late = window_start + 1
+            state["buffer"] = state["buffer"][late - state["buffer_start"] :]
+            state["buffer_start"] = late
+        return state
+
+    @pytest.mark.parametrize("route", ["session", "service"])
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            "ring-shape", "negative-blocks", "cut-buffer",
+            "shifted-buffer", "blocks-off-by-one", "buffer-after-window",
+        ],
+    )
+    def test_restore_rejects_corrupted_state(self, corruption, route):
+        session = SensingSession(TINY)
+        session.ingest(
+            _stream(TINY.samples_per_decision + 3 * TINY.hop + 5, seed=13)
+        )
+        state = self._corrupt(session.state(), corruption)
+        if route == "session":
+            with pytest.raises(ConfigurationError):
+                SensingSession.from_state(TINY, state)
+        else:
+            service = SensingService(TINY)
+            with pytest.raises(ConfigurationError):
+                service.restore_session(state)
+            assert service.stats()["sessions"] == 0
 
     def test_serve_capability_gate(self):
         assert session_capable("vectorized")
@@ -249,16 +240,19 @@ class TestBulkIngest:
 
     @staticmethod
     def _per_block(config: PipelineConfig, stream: np.ndarray):
-        """A ring fed one un-phased centered spectrum per block."""
-        scf = StreamingDSCF(
-            config.fft_size, m=config.m, window_blocks=config.num_blocks
+        """A ring fed one un-phased centered spectrum per block, block
+        b in row b % N; returns it and the block count."""
+        ring = np.zeros(
+            (config.num_blocks, config.fft_size), dtype=np.complex128
         )
         taper = get_window(config.window, config.fft_size)
-        blocks = (stream.size - config.fft_size) // config.hop + 1
-        for index in range(max(blocks, 0)):
+        blocks = max((stream.size - config.fft_size) // config.hop + 1, 0)
+        for index in range(blocks):
             block = stream[index * config.hop :][: config.fft_size]
-            scf.update(np.fft.fftshift(np.fft.fft(block * taper)))
-        return scf
+            ring[index % config.num_blocks] = np.fft.fftshift(
+                np.fft.fft(block * taper)
+            )
+        return ring, blocks
 
     @staticmethod
     def _batch_phase(config: PipelineConfig) -> np.ndarray:
@@ -271,11 +265,13 @@ class TestBulkIngest:
         """Ring, window and offline spectra bitwise equal to the
         per-block path (signed zeros included)."""
         config = session.config
-        reference = self._per_block(config, stream)
-        assert session.blocks_ingested == reference.total_blocks
-        assert _bits(session.scf.state()) == _bits(reference.state())
+        ring, blocks = self._per_block(config, stream)
+        assert session.blocks_ingested == blocks
+        assert _bits(session.state()["ring"]) == _bits(ring)
         if session.ready:
-            expected = reference.window_spectra() * self._batch_phase(config)
+            oldest = blocks % config.num_blocks
+            in_order = np.concatenate([ring[oldest:], ring[:oldest]])
+            expected = in_order * self._batch_phase(config)
             resident = session.window_spectra()
             assert _bits(resident) == _bits(expected)
             offline = Engine().plan(config).block_spectra(
