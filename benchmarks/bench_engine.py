@@ -17,11 +17,18 @@ the trajectory is tracked across PRs (and guarded by
   here too); the wall-clock speedup depends on the cores actually
   available, so the emitted JSON records ``cpus`` alongside the
   timings and the >= 1.5x gate at jobs = 4 is enforced only when the
-  machine has >= 4 usable cores.
+  machine has >= 4 usable cores;
+* **per-trial scoring layers** — at the golden Pd point (N = 8, 48
+  trials) and the paper point (N = 32, one trial), float64 and
+  float32: the Gram BLAS call alone, replayed on the plan's exact
+  operands, against ``plan.statistics_from_spectra`` (Gram through
+  peak).  Their difference is the scoring epilogue: grid, ``|S|``,
+  coherence normalisation and peak.
 
-Regenerate the JSON::
+Regenerate the JSON (one BLAS thread keeps the small Gram products
+off OpenBLAS's thread hand-off, and the JSON records the setting)::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_engine.py
 
 ``--smoke`` runs tiny geometries for CI artifact runs (no gating);
 ``--jobs`` overrides the sharding ladder, e.g. ``--jobs 2`` for the
@@ -30,12 +37,14 @@ CI multi-process smoke leg.
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import cgemm
 
 from repro.engine import Engine, PlanCache, available_cpus
 from repro.pipeline import PipelineConfig
@@ -56,9 +65,16 @@ CACHE_POINTS = {
     ),
 }
 
+#: Scoring-layer points: (num_blocks, trials) at K = 256, M = 63 — the
+#: golden Pd point's 48-trial Monte-Carlo batch and one paper-point
+#: decision.
+SCORING_POINTS = ((8, 48), (32, 1))
+SCORING_REPEATS = 15
+
 #: Tiny --smoke geometries (CI artifact run, no gating).
 SMOKE_SHARD_CONFIG = PipelineConfig(fft_size=32, num_blocks=8)
 SMOKE_SHARD_TRIALS = 8
+SMOKE_SCORING_POINTS = ((8, 4),)
 SMOKE_CACHE_POINTS = {
     "dscf": (PipelineConfig(fft_size=32, num_blocks=8), 8),
     "soc-compiled": (
@@ -171,6 +187,70 @@ def _sharding_ladder(
     return rows
 
 
+def _gram_replay(config: PipelineConfig, spectra: np.ndarray):
+    """The scoring loop's Gram BLAS call alone, per trial, on the same
+    operands: the contiguous ``(N, 4M+1)`` Gram window and, at float64,
+    its conjugate (both built untimed)."""
+    m, center = config.m, config.fft_size // 2
+    windows = np.ascontiguousarray(
+        spectra[:, :, center - 2 * m : center + 2 * m + 1]
+    )
+    width = windows.shape[2]
+    if config.precision == "float64":
+        conjugates = np.conj(windows)
+        gram = np.empty((width, width), windows.dtype)
+
+        def replay() -> None:
+            for window, conjugate in zip(windows, conjugates):
+                np.matmul(window.T, conjugate, out=gram)
+
+        return replay
+    gram = np.empty((width, width), windows.dtype, order="F")
+
+    def replay() -> None:
+        for window in windows:
+            cgemm(
+                1.0 / config.num_blocks, window.T, window.T, c=gram,
+                trans_b=2, overwrite_c=1,
+            )
+
+    return replay
+
+
+def _scoring_layers(points, repeats: int) -> dict:
+    """Per-trial Gram vs whole-statistic time at each scoring point."""
+    engine = Engine(cache=PlanCache(name="bench-scoring"))
+    rows = {}
+    for num_blocks, trials in points:
+        for precision in ("float64", "float32"):
+            config = PipelineConfig(
+                fft_size=256, num_blocks=num_blocks, precision=precision
+            )
+            plan = engine.plan(config)
+            signals = np.stack(
+                [
+                    awgn(config.samples_per_decision, seed=9500 + trial)
+                    for trial in range(trials)
+                ]
+            )
+            spectra = plan.block_spectra(signals)
+            plan.statistics_from_spectra(spectra)  # warm the scratch
+            gram = _best_seconds(_gram_replay(config, spectra), repeats)
+            statistic = _best_seconds(
+                lambda: plan.statistics_from_spectra(spectra), repeats
+            )
+            rows[f"N={num_blocks},{precision}"] = {
+                **_operating_point(config, trials),
+                "precision": precision,
+                "gram_us_per_trial": gram / trials * 1e6,
+                "statistic_us_per_trial": statistic / trials * 1e6,
+                "epilogue_us_per_trial": (statistic - gram) / trials * 1e6,
+                "epilogue_share": (statistic - gram) / statistic,
+                "seconds_per_estimate": statistic / trials,
+            }
+    return rows
+
+
 def emit(smoke: bool, jobs_ladder, json_path: Path) -> dict:
     repeats = 2 if smoke else 3
     shard_config = SMOKE_SHARD_CONFIG if smoke else SHARD_CONFIG
@@ -183,6 +263,7 @@ def emit(smoke: bool, jobs_ladder, json_path: Path) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": available_cpus(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "engine": {
             "plan_cache": {
                 name: _plan_cache_point(name, config, trials, repeats)
@@ -190,6 +271,10 @@ def emit(smoke: bool, jobs_ladder, json_path: Path) -> dict:
             },
             "sharding": _sharding_ladder(
                 shard_config, shard_trials, jobs_ladder, repeats
+            ),
+            "scoring": _scoring_layers(
+                SMOKE_SCORING_POINTS if smoke else SCORING_POINTS,
+                repeats if smoke else SCORING_REPEATS,
             ),
         },
     }
@@ -235,6 +320,12 @@ def main(argv=None) -> int:
             f"{row['seconds_per_batch'] * 1e3:.1f} ms per batch "
             f"({row['speedup_vs_jobs1']:.2f}x vs jobs=1, bitwise "
             f"{'ok' if row['bitwise_equal_to_jobs1'] else 'MISMATCH'})"
+        )
+    for label, row in payload["engine"]["scoring"].items():
+        print(
+            f"  scoring [{label}]: Gram {row['gram_us_per_trial']:.0f} us "
+            f"+ epilogue {row['epilogue_us_per_trial']:.0f} us = "
+            f"{row['statistic_us_per_trial']:.0f} us per trial"
         )
 
     if args.smoke:

@@ -1,8 +1,8 @@
 """Plan caching: build once per operating point, reuse everywhere.
 
 Every execution substrate prepares per-configuration constants before
-it can process a single trial — window tapers, the expression-2 phase
-table and Gram index grids for the DSCF, channelizer banks for the
+it can process a single trial — window tapers, block gathers and the
+expression-2 phase table for the DSCF, channelizer banks for the
 full-plane estimators, the compiled Montium schedule for the SoC
 backend, preallocated workspaces for all of them.  Building those
 constants dominates start-up cost (compiling the SoC trace interprets

@@ -2,12 +2,11 @@
 
 An *execution plan* is everything a backend computes once per
 configuration and reuses across every trial: the DSCF window taper,
-block gather indices, the expression-2 phase table and Gram index
-grids; a full-plane estimator's channelizer bank; the compiled SoC
-trace.  Plans are built by :func:`build_plan`, cached by
-:class:`~repro.engine.cache.PlanCache`, and executed by
-:class:`~repro.engine.Engine` — in-process or sharded across a worker
-pool.
+block gather indices and the expression-2 phase table; a full-plane
+estimator's channelizer bank; the compiled SoC trace.  Plans are built
+by :func:`build_plan`, cached by :class:`~repro.engine.cache.PlanCache`,
+and executed by :class:`~repro.engine.Engine` — in-process or sharded
+across a worker pool.
 
 Two plan classes cover every registered backend:
 
@@ -50,6 +49,7 @@ import threading
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg.blas import cgemm
 
 from ..core.fourier import block_gather, framed_spectra, phase_table
@@ -78,21 +78,22 @@ class BatchExecutionPlan:
 
     * **one bulk FFT** — every block of every trial goes through a
       single FFT call on a ``(trials, N, K)`` tensor;
-    * **cached constants** — window taper, expression-2 phase table,
-      index grids and searched-column masks are built once per
-      configuration;
-    * **Gram-matrix DSCF** — per trial, ``S_f^a`` is a gather from the
+    * **cached constants** — window taper, expression-2 phase table
+      and searched columns are built once per configuration;
+    * **Gram-matrix DSCF** — per trial, ``S_f^a`` is read from the
       ``(4M+1) x (4M+1)`` Gram matrix ``G[u, v] = sum_n X[n, c+u]
       conj(X[n, c+v])`` computed by one BLAS matmul (``u = f+a``,
       ``v = f-a``), instead of gathering an ``(N, 2M+1, 2M+1)`` tensor;
+      the ``(f, a)`` grid is a strided view of ``G``;
     * **per-trial, cache-resident scoring** — one loop (:meth:`_score`)
       takes each trial from its block spectra through the Gram
-      product, gather, coherence normalisation and peak while its
-      planes sit in L2: one reused Gram buffer per thread (1 MB at the
-      paper point) instead of multi-trial Gram slabs, and the
-      statistic paths never materialise a ``(trials, 2M+1, 2M+1)``
-      tensor.  As on the Montium tiles, the working set is sized to
-      the local memory, independently of the trial count.
+      product, ``|S|``, coherence normalisation and peak while its
+      planes sit in L2, inside one fixed set of buffers per thread
+      (:class:`_ScoringScratch`; 1.9 MB at the paper point): no
+      per-trial allocation, no index-array gather, and the statistic
+      paths never materialise a ``(trials, 2M+1, 2M+1)`` tensor.  As
+      on the Montium tiles, the working set is sized to the local
+      memory, independently of the trial count.
 
     Every per-trial slice of a batched result is bit-for-bit identical
     to running that trial alone, and independent of batch order and
@@ -126,24 +127,12 @@ class BatchExecutionPlan:
         m = cfg.m
         center = cfg.fft_size // 2
         offsets = np.arange(-m, m + 1)
-        # Gram-window bins u = f + a and v = f - a, both in [-2M, 2M],
-        # as flat positions in the reused Gram buffer's memory order:
-        # row-major for the float64 matmul, column-major for the
-        # Fortran-ordered float32 cgemm output.
-        self._sub = np.arange(center - 2 * m, center + 2 * m + 1)
-        width = self._sub.size
+        # The Gram window: bins u = f + a and v = f - a both lie in
+        # [-2M, 2M], i.e. centered columns [c - 2M, c + 2M].
+        self._window = slice(center - 2 * m, center + 2 * m + 1)
+        # The float32 Gram is the Fortran-ordered cgemm output.
         self._gram_order = "C" if self._precision == "float64" else "F"
-        self._gram_cells = np.ravel_multi_index(
-            (
-                offsets[:, None] + offsets[None, :] + 2 * m,
-                offsets[:, None] - offsets[None, :] + 2 * m,
-            ),
-            (width, width),
-            order=self._gram_order,
-        )
-        # Full-spectrum index grids for the coherence denominator.
-        self._plus = center + offsets[:, None] + offsets[None, :]
-        self._minus = center + offsets[:, None] - offsets[None, :]
+        self._scale = 1.0 / cfg.num_blocks
         if cfg.cyclic_bins is not None:
             self._columns = np.asarray([a + m for a in cfg.cyclic_bins])
         else:
@@ -250,9 +239,10 @@ class BatchExecutionPlan:
     ) -> np.ndarray:
         """Batched DSCF estimates, shape ``(trials, 2M+1, 2M+1)``.
 
-        Each trial's grid is the Gram gather described on
-        :class:`BatchExecutionPlan`, written by the per-trial scoring
-        loop (:meth:`_score`) straight into its slice of the result.
+        Each trial's grid is the Gram view described on
+        :class:`BatchExecutionPlan`, divided by ``N`` and written by the
+        per-trial scoring loop (:meth:`_score`) straight into its slice
+        of the result.
         On a full-plane backend the grid is instead the estimator
         lattice's per-cell peak magnitudes (cast to complex —
         max-binned cells have no meaningful phase); on the compiled
@@ -287,8 +277,12 @@ class BatchExecutionPlan:
         # coherence denominator uses the host block spectra — the same
         # convention as the per-trial pipeline path.
         values = self._executor.values(self.as_batch(signals))
+        scratch = self._scoring_buffers()
         for trial, plane in enumerate(values):
-            self._surface(plane, spectra[trial], out=surfaces[trial])
+            np.abs(plane, out=surfaces[trial])
+            if self.config.normalize:
+                np.copyto(scratch.window, spectra[trial][:, self._window])
+                self._normalise(scratch, surfaces[trial])
         return surfaces
 
     def statistics(self, signals: np.ndarray) -> np.ndarray:
@@ -348,90 +342,121 @@ class BatchExecutionPlan:
     ) -> np.ndarray:
         """Score every trial of a ``(trials, N, K)`` spectra batch.
 
-        One cache-resident pass per trial: the ``(4M+1)^2`` Gram plane
-        (one BLAS call into this thread's reused buffer), the
-        ``[u, v]`` gather and ``1/N`` scaling into the DSCF grid, the
-        coherence normalisation and the peak over
-        :attr:`searched_columns`.  A trial's planes stay in L2 from
-        the Gram product to the peak instead of streaming through a
-        batch-sized tensor.  Given a ``(trials, 2M+1, 2M+1)`` *values*
-        or *surfaces* output, the loop stops at that stage and writes
-        each trial's slice; otherwise it returns the per-trial
-        statistics.
+        One cache-resident pass per trial, entirely inside this
+        thread's :class:`_ScoringScratch`: the Gram window is copied
+        out of the trial's rows, the ``(4M+1)^2`` Gram plane is one
+        BLAS call, the DSCF grid is a strided view of that plane,
+        ``|S|`` and the coherence normalisation are elementwise passes
+        into fixed planes, and the peak over :attr:`searched_columns`
+        reduces one column-max vector.  No per-trial array is
+        allocated and no index array is gathered.  Given a
+        ``(trials, 2M+1, 2M+1)`` *values* or *surfaces* output, the
+        loop stops at that stage and writes each trial's slice;
+        otherwise it returns the per-trial statistics.
 
         Every step is per trial or elementwise, so each trial's
         results are bitwise independent of its batch-mates.
         """
         cfg = self.config
-        trials = spectra.shape[0]
-        gram, value, surface = self._scoring_buffers()
-        cells = gram.ravel(order=self._gram_order)
-        statistics = np.empty(trials, dtype=self._rdtype)
-        for trial in range(trials):
-            rows = spectra[trial]
-            windowed = rows[:, self._sub]
-            if values is not None:
-                value = values[trial]
+        scratch = self._scoring_buffers()
+        statistics = np.empty(spectra.shape[0], dtype=self._rdtype)
+        for trial, rows in enumerate(spectra):
+            np.copyto(scratch.window, rows[:, self._window])
             if self._precision == "float64":
-                np.matmul(windowed.T, np.conj(windowed), out=gram)
+                np.conjugate(scratch.window, out=scratch.conjugate)
+                np.matmul(
+                    scratch.window.T, scratch.conjugate, out=scratch.gram
+                )
             else:
-                # For X = windowed (N x K'), X.T is Fortran-contiguous
-                # for free, and ``cgemm(1/N, X.T, X.T, trans_b='C')``
+                # For X = window (N x K'), X.T is Fortran-contiguous for
+                # free, and ``cgemm(1/N, X.T, X.T, trans_b='C')``
                 # computes X^T conj(X) / N — the 1/N folded into alpha
                 # and the conjugate expressed as a BLAS op.
-                transposed = windowed.T
+                transposed = scratch.window.T
                 cgemm(
-                    1.0 / cfg.num_blocks,
+                    self._scale,
                     transposed,
                     transposed,
-                    c=gram,
+                    c=scratch.gram,
                     trans_b=2,
                     overwrite_c=1,
                 )
-            np.take(cells, self._gram_cells, out=value, mode="clip")
-            if self._precision == "float64":
-                value /= cfg.num_blocks
+            value = scratch.value if values is None else values[trial]
+            np.copyto(value, scratch.grid)
             if values is not None:
+                if self._precision == "float64":
+                    value /= cfg.num_blocks
                 continue
-            if surfaces is not None:
-                self._surface(value, rows, out=surfaces[trial])
-                continue
-            self._surface(value, rows, out=surface)
-            statistics[trial] = surface.max(axis=0)[self._columns].max()
+            surface = scratch.surface if surfaces is None else surfaces[trial]
+            self._magnitude(scratch, surface)
+            if cfg.normalize:
+                self._normalise(scratch, surface)
+            if surfaces is None:
+                np.maximum.reduce(surface, axis=0, out=scratch.column_max)
+                statistics[trial] = scratch.column_max[self._columns].max()
         return statistics
 
-    def _scoring_buffers(self) -> tuple[np.ndarray, ...]:
-        """This thread's reused Gram buffer and value and surface planes.
+    def _scoring_buffers(self) -> "_ScoringScratch":
+        """This thread's scoring scratch, built on its first use.
 
-        They stay resident across calls instead of going back to the
-        allocator, which can unmap them and page-fault about a megabyte
-        back in on the next call at the paper point.  Every use
-        overwrites them in full, so no result depends on their earlier
-        contents.
+        It stays resident across calls instead of going back to the
+        allocator, which can unmap the buffers and page-fault about a
+        megabyte back in on the next call at the paper point.  A cached
+        plan is shared by every thread that scores it (e.g. the serve
+        layer's ``to_thread`` batches), so each thread owns its own set.
         """
-        buffers = getattr(self._scratch, "buffers", None)
-        if buffers is None:
-            width = self._sub.size
-            buffers = self._scratch.buffers = (
-                np.empty((width, width), self._cdtype, order=self._gram_order),
-                self._planes(1, self._cdtype)[0],
-                self._planes(1, self._rdtype)[0],
-            )
-        return buffers
+        scratch = getattr(self._scratch, "buffers", None)
+        if scratch is None:
+            scratch = self._scratch.buffers = _ScoringScratch(self)
+        return scratch
 
-    def _surface(
-        self, values: np.ndarray, rows: np.ndarray, out: np.ndarray
-    ) -> None:
-        """One trial's detection surface from its DSCF grid *values*
-        and ``(N, K)`` block spectra *rows*, written into *out*."""
-        np.abs(values, out=out)
-        if self.config.normalize:
-            mean_square = np.mean(np.abs(rows) ** 2, axis=0)
-            denominator = np.sqrt(
-                mean_square[self._plus] * mean_square[self._minus]
-            )
-            np.maximum(denominator, COHERENCE_FLOOR, out=denominator)
-            out /= denominator
+    def _magnitude(self, scratch: "_ScoringScratch", out: np.ndarray) -> None:
+        """``|S|`` of the trial's DSCF grid in ``scratch.value``, into
+        *out*.
+
+        At float64 the ``1/N`` scale is one real multiply on the float
+        view of the grid.  Complex division by ``N`` (numpy's Smith
+        algorithm) multiplies each part by the same ``1/N`` after
+        adding the other part times zero, so for finite cells the two
+        differ only in the sign of a zero and ``|S|`` is bit-identical.
+        Cells whose parts are both inf or NaN are where they would
+        differ (NaN against inf, or another NaN payload), so when
+        ``|S|`` holds any non-finite cell the plane is redone by
+        complex division: overflowed inputs keep their exact results.
+        At float32 the scale is already in the cgemm alpha.
+        """
+        if self._precision != "float64":
+            np.abs(scratch.value, out=out)
+            return
+        floats = scratch.value_floats
+        np.multiply(floats, self._scale, out=floats)
+        np.abs(scratch.value, out=out)
+        if not np.isfinite(out.max()):
+            np.copyto(scratch.value, scratch.grid)
+            scratch.value /= self.config.num_blocks
+            np.abs(scratch.value, out=out)
+
+    @staticmethod
+    def _normalise(scratch: "_ScoringScratch", surface: np.ndarray) -> None:
+        """Divide ``|S|`` in *surface* by the coherence denominator of
+        the Gram window in ``scratch.window``, in place.
+
+        The denominator ``sqrt(P[f+a] P[f-a])`` of the window's mean
+        square power ``P`` is one multiply of the two Hankel views of
+        ``scratch.mean_square`` (see :class:`_ScoringScratch`).
+        """
+        np.abs(scratch.window, out=scratch.power)
+        np.square(scratch.power, out=scratch.power)
+        # np.mean's sum and division, without its Python wrapper.
+        np.add.reduce(scratch.power, axis=0, out=scratch.mean_square)
+        np.divide(
+            scratch.mean_square, len(scratch.power), out=scratch.mean_square
+        )
+        denominator = scratch.denominator
+        np.multiply(scratch.plus, scratch.minus, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        np.maximum(denominator, COHERENCE_FLOOR, out=denominator)
+        np.divide(surface, denominator, out=surface)
 
     # ------------------------------------------------------------------
     # Pruned cycle-frequency search (arXiv:0903.1183-style)
@@ -491,7 +516,7 @@ class BatchExecutionPlan:
         cfg = self.config
         top = min(cfg.alpha_top, self._columns.size)
         candidates = np.argpartition(scores, -top, axis=1)[:, -top:]
-        windowed = spectra[:, :, self._sub]
+        windowed = spectra[:, :, self._window]
         if cfg.normalize:
             mean_square = np.mean(np.abs(spectra) ** 2, axis=1)
         center = cfg.fft_size // 2
@@ -535,6 +560,57 @@ class BatchExecutionPlan:
         ]
 
 
+class _ScoringScratch:
+    """One thread's scoring buffers and the fixed views into them.
+
+    Everything the per-trial loop of :class:`BatchExecutionPlan` writes
+    lives here, sized once for the plan's geometry (M, N, precision)
+    and overwritten in full on every use:
+
+    * ``window`` (and its ``conjugate`` at float64) — the trial's Gram
+      window ``X[:, c-2M : c+2M+1]``, the BLAS operands;
+    * ``gram`` — the ``(4M+1)^2`` Gram plane, and ``grid``, the DSCF
+      grid as a strided view of it: ``S[f', a'] = G[f'+a', f'-a'+2M]``,
+      so a step in ``f'`` moves one row and one column on and a step
+      in ``a'`` one row on and one column back;
+    * ``value`` (and ``value_floats``, its real/imaginary float view)
+      — the grid copied out of the Gram plane and scaled;
+    * ``surface``, ``denominator`` and ``column_max``;
+    * ``power`` (``|X|^2`` of the window) and ``mean_square`` (its
+      block mean ``P`` over the window's bins), with ``plus`` and
+      ``minus``, the two Hankel views of the coherence denominator:
+      ``plus[f', a'] = P[f'+a']`` (bin ``f+a``) is a sliding window of
+      ``P``, and ``minus[f', a'] = P[f'+2M-a']`` (bin ``f-a``) the
+      same window read backwards in ``a'``.
+
+    The views alias this thread's buffers, which is why a plan keeps
+    one scratch per thread.
+    """
+
+    def __init__(self, plan: BatchExecutionPlan) -> None:
+        m = plan.config.m
+        extent, width = 2 * m + 1, 4 * m + 1
+        cdtype, rdtype = plan._cdtype, plan._rdtype
+        self.window = np.empty((plan.config.num_blocks, width), cdtype)
+        self.conjugate = np.empty_like(self.window)
+        self.gram = np.empty((width, width), cdtype, order=plan._gram_order)
+        rows, columns = self.gram.strides
+        self.grid = as_strided(
+            self.gram[0, 2 * m :],
+            shape=(extent, extent),
+            strides=(rows + columns, rows - columns),
+        )
+        self.value = np.empty((extent, extent), cdtype)
+        self.value_floats = self.value.view(rdtype)
+        self.surface = np.empty((extent, extent), rdtype)
+        self.denominator = np.empty((extent, extent), rdtype)
+        self.column_max = np.empty(extent, rdtype)
+        self.power = np.empty(self.window.shape, rdtype)
+        self.mean_square = np.empty(width, rdtype)
+        self.plus = sliding_window_view(self.mean_square, extent)
+        self.minus = self.plus[:, ::-1]
+
+
 class LoopExecutionPlan:
     """Per-trial plan for inherently sequential substrates.
 
@@ -557,7 +633,7 @@ class LoopExecutionPlan:
         self._backend = fresh() if callable(fresh) else registered
         # Host-side gram plan: spectra geometry for the coherence
         # denominator, so both paths window identically.  Building it
-        # is cheap (a taper, a phase table and index grids).
+        # is cheap (a taper, a gather and a phase table).
         self._spectra = BatchExecutionPlan(config.with_backend("vectorized"))
 
     @property

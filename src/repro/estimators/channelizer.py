@@ -82,6 +82,9 @@ class ChannelizerPlan:
         if self._gain == 0.0:
             raise ConfigurationError("channelizer window must have non-zero sum")
         self._taper = taper.astype(real_dtype(precision))
+        # ((samples, num_frames), (block gather, phase table)) of the
+        # last geometry demodulated; see _frame_tables.
+        self._frames = None
 
     @property
     def taper(self) -> np.ndarray:
@@ -114,25 +117,6 @@ class ChannelizerPlan:
     # ------------------------------------------------------------------
     # Demodulates
     # ------------------------------------------------------------------
-    def _frame_geometry(
-        self, num_samples: int, num_frames: int | None
-    ) -> tuple[np.ndarray, int]:
-        """Resolve (frame start times, pad) and validate the frame count."""
-        available = self.num_frames(num_samples)
-        if num_frames is None:
-            num_frames = available
-        else:
-            num_frames = require_positive_int(num_frames, "num_frames")
-        if num_frames > available or available == 0:
-            raise SignalError(
-                f"channelizer needs {self.num_channels} samples per frame "
-                f"(hop {self.hop}): {num_samples} samples yield "
-                f"{available} frames, {num_frames} requested"
-            )
-        pad = self.num_channels // 2 if self.center else 0
-        starts = np.arange(num_frames) * self.hop - pad
-        return starts, pad
-
     def demodulates_batch(
         self, signals: np.ndarray, num_frames: int | None = None
     ) -> np.ndarray:
@@ -160,22 +144,55 @@ class ChannelizerPlan:
                 f"signals must be a (trials, samples) array, got shape "
                 f"{batch.shape}"
             )
-        starts, pad = self._frame_geometry(batch.shape[1], num_frames)
-        if pad:
+        gather, phase = self._frame_tables(batch.shape[1], num_frames)
+        if self.center:
+            pad = self.num_channels // 2
             padded = np.zeros(
                 (batch.shape[0], batch.shape[1] + 2 * pad), dtype=self._cdtype
             )
             padded[:, pad:-pad] = batch
             batch = padded
+        return framed_spectra(
+            batch, gather, self._taper, phase, self.precision
+        )
+
+    def _frame_tables(
+        self, num_samples: int, num_frames: int | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate the frame count and return the block gather (into
+        the padded signal) and phase table of one ``(num_samples,
+        num_frames)`` geometry.
+
+        The tables of the last geometry are kept: the FAM/SSCA
+        executors demodulate batch after batch of one geometry, so
+        repeated calls skip the rebuild, and one entry bounds the
+        memory.
+        """
+        key = (num_samples, num_frames)
+        cached = self._frames
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        available = self.num_frames(num_samples)
+        if num_frames is None:
+            num_frames = available
+        else:
+            num_frames = require_positive_int(num_frames, "num_frames")
+        if num_frames > available or available == 0:
+            raise SignalError(
+                f"channelizer needs {self.num_channels} samples per frame "
+                f"(hop {self.hop}): {num_samples} samples yield "
+                f"{available} frames, {num_frames} requested"
+            )
+        pad = self.num_channels // 2 if self.center else 0
+        starts = np.arange(num_frames) * self.hop - pad
         # The absolute-time phase (expression 2) demodulates each channel
         # to baseband; it references the unpadded signal's sample time.
-        return framed_spectra(
-            batch,
+        tables = (
             block_gather(starts + pad, self.num_channels),
-            self._taper,
-            phase_table(starts, self.num_channels),
-            self.precision,
+            phase_table(starts, self.num_channels).astype(self._cdtype),
         )
+        self._frames = (key, tables)
+        return tables
 
     def demodulates(
         self,

@@ -16,6 +16,7 @@ Pins the PR-5 contracts:
 """
 
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -309,30 +310,59 @@ class TestScoringMemory:
         assert peak < spectra_bytes + 3 * gram_plane_bytes
 
     def test_concurrent_threads_score_bitwise(self):
-        # Each thread scores through its own scratch buffers, so plans
-        # shared across threads (the serve layer's to_thread batches)
-        # stay bitwise equal to serial scoring.
-        config = PipelineConfig(fft_size=64, num_blocks=8)
-        plan = Engine(cache=PlanCache()).plan(config)
-        batches = [_signals(config, trials=5, seed=40 * k) for k in range(8)]
-        expected = [plan.statistics(batch).tobytes() for batch in batches]
+        # Four threads score one cached plan at once, as the serve
+        # layer's to_thread batches do.  The Gram grid and the Hankel
+        # denominator views alias the scratch they were built on, so
+        # every entry point stays bitwise equal to serial scoring only
+        # while each thread keeps its own scratch.
+        for precision in ("float64", "float32"):
+            config = PipelineConfig(
+                fft_size=64, num_blocks=8, precision=precision
+            )
+            engine = Engine(cache=PlanCache())
+            plan = engine.plan(config)
+            batches = [
+                _signals(config, trials=3, seed=70 * k + 1) for k in range(4)
+            ]
+            results, expected = self._score_in_threads(plan, batches)
+            assert engine.plan(config) is plan
+            for index, runs in enumerate(results):
+                assert runs == [expected[index]] * 10, precision
+
+    @staticmethod
+    def _score_in_threads(plan, batches):
+        """Every entry point's bytes per batch, serially, and ten rounds
+        of the same from one thread per batch, all started together."""
+
+        def run(batch):
+            spectra = plan.block_spectra(batch)
+            return [
+                np.ascontiguousarray(result).tobytes()
+                for result in (
+                    plan.statistics(batch),
+                    plan.statistics_from_spectra(spectra),
+                    plan.surfaces(batch),
+                    plan.dscf_values(batch),
+                )
+            ]
+
+        expected = [run(batch) for batch in batches]
+        start = threading.Barrier(len(batches))
 
         def score(index):
-            return [
-                plan.statistics(batches[index]).tobytes() for _ in range(20)
-            ]
+            start.wait(timeout=60)
+            return [run(batches[index]) for _ in range(10)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
+            with ThreadPoolExecutor(max_workers=len(batches)) as pool:
                 results = list(
                     pool.map(score, range(len(batches)), timeout=120)
                 )
         finally:
             sys.setswitchinterval(interval)
-        for index, runs in enumerate(results):
-            assert runs == [expected[index]] * 20
+        return results, expected
 
 
 BITWISE_CONFIGS = {

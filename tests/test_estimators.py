@@ -30,7 +30,8 @@ from repro.estimators import (
     SSCAEstimator,
     bin_to_plane,
 )
-from repro.engine import Engine
+from repro.engine import Engine, PlanCache
+from repro.estimators import channelizer as channelizer_module
 from repro.pipeline import (
     DetectionPipeline,
     EstimatorBackend,
@@ -109,6 +110,62 @@ class TestChannelizer:
                 np.testing.assert_array_equal(
                     _bits(spectra[trial]), _bits(core)
                 )
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_frame_tables_cached_for_the_last_geometry(
+        self, center, precision, monkeypatch
+    ):
+        signals = np.stack([awgn(300, seed=50 + t) for t in range(2)])
+
+        def channelizer():
+            return ChannelizerPlan(
+                32, hop=3, window="hann", center=center, precision=precision
+            )
+
+        calls = [(signals, 8), (signals, 8), (signals, None),
+                 (signals[:, :200], 8), (signals, 8), (signals, 8)]
+        expected = [
+            channelizer().demodulates_batch(x, num_frames=frames)
+            for x, frames in calls
+        ]
+        builds = []
+        original = channelizer_module.phase_table
+        monkeypatch.setattr(
+            channelizer_module, "phase_table",
+            lambda *args: builds.append(args) or original(*args),
+        )
+        plan = channelizer()
+        for (x, frames), want in zip(calls, expected):
+            np.testing.assert_array_equal(
+                _bits(plan.demodulates_batch(x, num_frames=frames)),
+                _bits(want),
+            )
+        # Rebuilt only when the (samples, num_frames) geometry changes.
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize("backend", ["fam", "ssca"])
+    def test_repeated_batches_bitwise_equal(self, backend):
+        config = PipelineConfig(fft_size=32, num_blocks=8, backend=backend)
+        signals = np.stack(
+            [awgn(config.samples_per_decision, seed=60 + t) for t in range(2)]
+        )
+
+        def outputs(plan):
+            return [
+                _bits(result)
+                for result in (
+                    plan.statistics(signals),
+                    plan.surfaces(signals),
+                    plan.dscf_values(signals),
+                )
+            ]
+
+        plan = Engine().plan(config)
+        fresh = outputs(Engine(cache=PlanCache(maxsize=0)).plan(config))
+        for _ in range(3):
+            for got, want in zip(outputs(plan), fresh):
+                np.testing.assert_array_equal(got, want)
 
     def test_centered_frame_count_is_one_per_hop_position(self):
         plan = ChannelizerPlan(16, hop=1, center=True)

@@ -14,14 +14,19 @@ Six invariant families:
 * Session chunking: any split of a stream (signed zeros and subnormals
   included) leaves a serve session in the same bitwise state, and its
   ring-served window spectra equal the offline plan's bit for bit.
+* Gram-path scoring: the plan's in-place, gather-free scoring loop
+  equals the plain fancy-index/complex-division expressions bit for
+  bit, from subnormal to overflowing input scales and on signed zeros.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import cgemm
 
 from repro.core.fourier import block_spectra, fft_radix2
-from repro.core.scf import dscf, dscf_reference
+from repro.core.scf import COHERENCE_FLOOR, dscf, dscf_reference
 from repro.engine import Engine, build_plan
 from repro.mapping.architecture import FoldedArray
 from repro.mapping.folding import Fold
@@ -411,3 +416,119 @@ class TestSessionChunkingProperties:
         np.testing.assert_array_equal(
             _bits(chunked.window_spectra()), _bits(offline)
         )
+
+
+def _plain_scoring(plan, spectra):
+    """Gram-path ``(statistics, surfaces, dscf_values)`` written as
+    plain expressions: the Gram window and the coherence bins gathered
+    with index arrays, ``/= N`` as a complex division, the mean square
+    over the full rows.  The plan's scoring loop must equal these bit
+    for bit."""
+    cfg = plan.config
+    m, center, count = cfg.m, cfg.fft_size // 2, cfg.num_blocks
+    offsets = np.arange(-m, m + 1)
+    plus = center + offsets[:, None] + offsets[None, :]
+    minus = center + offsets[:, None] - offsets[None, :]
+    window = np.arange(center - 2 * m, center + 2 * m + 1)
+    statistics, surfaces, values = [], [], []
+    for rows in spectra:
+        windowed = rows[:, window]
+        if cfg.precision == "float64":
+            gram = np.matmul(windowed.T, np.conj(windowed))
+        else:
+            gram = cgemm(1.0 / count, windowed.T, windowed.T, trans_b=2)
+        value = gram[plus - center + 2 * m, minus - center + 2 * m]
+        if cfg.precision == "float64":
+            value /= count
+        surface = np.abs(value)
+        if cfg.normalize:
+            mean_square = np.mean(np.abs(rows) ** 2, axis=0)
+            denominator = np.sqrt(mean_square[plus] * mean_square[minus])
+            np.maximum(denominator, COHERENCE_FLOOR, out=denominator)
+            surface /= denominator
+        statistics.append(surface.max(axis=0)[plan.searched_columns].max())
+        surfaces.append(surface)
+        values.append(value)
+    return np.array(statistics), np.stack(surfaces), np.stack(values)
+
+
+#: Input scales from subnormal-prone to overflowing: |X|^2 overflows
+#: near 1e19 at float32 and 1e153 at float64, the Gram plane past them.
+SCORING_SCALES = (1e-150, 1e-20, 1.0, 1e17, 1e19, 1e76, 1e153, 1e200)
+
+
+def _scoring_batch(config):
+    samples = config.samples_per_decision
+    tone = np.exp(2j * np.pi * 0.11 * np.arange(samples))
+    noisy = awgn(samples, seed=71) + 0.3 * tone
+    signed_zeros = np.zeros(samples, dtype=np.complex128)
+    signed_zeros.real[::2] = -0.0
+    signed_zeros.imag[1::3] = -0.0
+    scaled = [noisy * scale for scale in SCORING_SCALES]
+    return np.stack(scaled + [signed_zeros])
+
+
+@st.composite
+def arbitrary_spectra(draw):
+    num_blocks = draw(st.sampled_from((3, 8)))
+    precision = draw(st.sampled_from(("float64", "float32")))
+    values = st.one_of(
+        tiny_floats, small_floats, st.sampled_from((1e150, -1e160))
+    )
+    size = 2 * num_blocks * 16
+    parts = draw(st.lists(values, min_size=size, max_size=size))
+    return num_blocks, precision, parts
+
+
+class TestScoringProperties:
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("fft_size, m", [(16, 3), (64, 10), (256, 63)])
+    @pytest.mark.parametrize("num_blocks", [3, 5, 6, 7, 8, 32])
+    def test_scoring_loop_equals_plain_expressions(
+        self, num_blocks, fft_size, m, window, precision
+    ):
+        for normalize in (True, False):
+            plan = build_plan(
+                PipelineConfig(
+                    fft_size=fft_size, m=m, num_blocks=num_blocks,
+                    window=window, precision=precision, normalize=normalize,
+                )
+            )
+            with np.errstate(all="ignore"):
+                batch = plan.as_batch(_scoring_batch(plan.config))
+                spectra = plan.block_spectra(batch)
+                statistics, surfaces, values = _plain_scoring(plan, spectra)
+                results = {
+                    "statistics": (plan.statistics(batch), statistics),
+                    "statistics_from_spectra": (
+                        plan.statistics_from_spectra(spectra), statistics
+                    ),
+                    "surfaces": (plan.surfaces(batch), surfaces),
+                    "dscf_values": (plan.dscf_values(batch), values),
+                }
+            for name, (result, expected) in results.items():
+                np.testing.assert_array_equal(
+                    _bits(result), _bits(expected),
+                    err_msg=f"{name}, normalize={normalize}",
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(arbitrary_spectra())
+    def test_arbitrary_spectra_score_like_plain_expressions(self, case):
+        # Spectra straight from hypothesis: signed zeros, subnormals and
+        # overflowing cells in any arrangement, not just FFT outputs.
+        num_blocks, precision, parts = case
+        plan = build_plan(
+            PipelineConfig(
+                fft_size=16, m=3, num_blocks=num_blocks, precision=precision
+            )
+        )
+        dtype = np.complex128 if precision == "float64" else np.complex64
+        spectra = np.empty((1, num_blocks, 16), dtype=dtype)
+        with np.errstate(all="ignore"):
+            spectra.real.flat = parts[: spectra.size]
+            spectra.imag.flat = parts[spectra.size :]
+            statistics, _, _ = _plain_scoring(plan, spectra)
+            result = plan.statistics_from_spectra(spectra)
+        np.testing.assert_array_equal(_bits(result), _bits(statistics))
