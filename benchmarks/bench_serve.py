@@ -34,9 +34,20 @@ Every served decision is checked bitwise against the offline
 (statistic *and* threshold) — the serving layer must never trade
 correctness for throughput.
 
-Regenerate the JSON::
+A ``cold_start`` row times a fresh interpreter from launch to its first
+served decision (``cold_start_seconds``, gated by the perf guard) and
+splits it into stages, each a median of five launches: interpreter
+start (``interpreter_seconds``), ``import repro.serve``
+(``import_seconds``), service start plus the first threshold
+calibration (``threshold_seconds``) and the first session
+open/ingest/detect (``decision_seconds``), plus the child's peak RSS.
+The smoke geometry's row is recorded on full runs too, so the CI smoke
+run always has a baseline to compare against.
 
-    PYTHONPATH=src python benchmarks/bench_serve.py
+Regenerate the JSON (one BLAS thread, recorded in the JSON: two
+OpenBLAS threads slow these small Gram products)::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_serve.py
 
 ``--smoke`` runs a tiny geometry for CI artifact runs (no gating).
 """
@@ -44,7 +55,9 @@ Regenerate the JSON::
 import argparse
 import asyncio
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -70,6 +83,57 @@ SMOKE_CLIENTS = (1, 4)
 SMOKE_REQUESTS_PER_CLIENT = {"service": 3, "naive": 2}
 
 MAX_BATCH_COALESCED = 32
+
+#: Fresh-interpreter launches per cold-start row (medians reported).
+COLD_START_REPEATS = 5
+COLD_START_SEED = 7100
+
+#: The cold-start child: one served decision, timed stage by stage.
+#: It prints one JSON line the moment the decision is made.
+_COLD_START_CHILD = """
+import time
+started = time.perf_counter()
+import repro.serve
+imported = time.perf_counter()
+import asyncio, json, resource, sys
+from repro.pipeline import PipelineConfig
+from repro.signals.noise import awgn
+
+config = PipelineConfig(**json.loads(sys.argv[1]))
+
+
+async def run():
+    async with repro.serve.SensingService(config) as service:
+        await service.threshold()
+        calibrated = time.perf_counter()
+        session = service.open_session()
+        service.ingest(
+            session, awgn(config.samples_per_decision, seed=int(sys.argv[2]))
+        )
+        result = await service.detect(session)
+        return calibrated, time.perf_counter(), result
+
+
+calibrated, decided, result = asyncio.run(run())
+# Linux's ru_maxrss survives exec, so it would report the launching
+# process's peak; VmHWM is this interpreter's own.
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(
+            int(line.split()[1]) for line in status if line.startswith("VmHWM:")
+        )
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_kb = peak / 1024 if sys.platform == "darwin" else peak
+print(json.dumps({
+    "import_seconds": imported - started,
+    "threshold_seconds": calibrated - imported,
+    "decision_seconds": decided - calibrated,
+    "peak_rss_mb": peak_kb / 1024,
+    "statistic": result["statistic"],
+    "threshold": result["threshold"],
+}), flush=True)
+"""
 
 
 def _windows(config: PipelineConfig, clients: int) -> list[np.ndarray]:
@@ -224,6 +288,75 @@ async def _naive_loop(
     )
 
 
+def _cold_start_once(config: PipelineConfig) -> dict:
+    """Launch one fresh interpreter and time it to its first decision."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    geometry = {
+        "fft_size": config.fft_size,
+        "num_blocks": config.num_blocks,
+        "calibration_trials": config.calibration_trials,
+    }
+    launched = time.perf_counter()
+    child = subprocess.Popen(
+        [
+            sys.executable, "-c", _COLD_START_CHILD,
+            json.dumps(geometry), str(COLD_START_SEED),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    line = child.stdout.readline()
+    cold_start = time.perf_counter() - launched
+    _, errors = child.communicate()
+    if child.returncode != 0 or not line:
+        raise RuntimeError(f"cold-start child failed:\n{errors}")
+    sample = json.loads(line)
+    sample["cold_start_seconds"] = cold_start
+    sample["interpreter_seconds"] = cold_start - (
+        sample["import_seconds"]
+        + sample["threshold_seconds"]
+        + sample["decision_seconds"]
+    )
+    return sample
+
+
+def _cold_start_row(config: PipelineConfig) -> dict:
+    """Medians of :data:`COLD_START_REPEATS` fresh-interpreter launches."""
+    samples = [_cold_start_once(config) for _ in range(COLD_START_REPEATS)]
+    window = awgn(config.samples_per_decision, seed=COLD_START_SEED)
+    (statistic,), threshold = _offline_reference(config, [window])
+    for sample in samples:
+        assert (sample["statistic"], sample["threshold"]) == (
+            statistic, threshold
+        ), (
+            f"cold-start decision diverged from the offline pipeline: "
+            f"{sample!r} vs ({statistic!r}, {threshold!r})"
+        )
+    stages = (
+        "cold_start_seconds",
+        "interpreter_seconds",
+        "import_seconds",
+        "threshold_seconds",
+        "decision_seconds",
+        "peak_rss_mb",
+    )
+    return {
+        "fft_size": config.fft_size,
+        "num_blocks": config.num_blocks,
+        "m": config.m,
+        "mode": "cold_start",
+        "repeats": COLD_START_REPEATS,
+        **{
+            stage: float(np.median([sample[stage] for sample in samples]))
+            for stage in stages
+        },
+        "bitwise_equal_to_offline": True,  # asserted above
+    }
+
+
 async def _ladder(
     config: PipelineConfig, clients_ladder, requests: dict
 ) -> dict:
@@ -251,6 +384,11 @@ def emit(smoke: bool, json_path: Path) -> dict:
     requests = SMOKE_REQUESTS_PER_CLIENT if smoke else FULL_REQUESTS_PER_CLIENT
 
     rows = asyncio.run(_ladder(config, clients_ladder, requests))
+    cold_configs = (SMOKE_CONFIG,) if smoke else (SMOKE_CONFIG, FULL_CONFIG)
+    cold_start = {
+        f"fft_size={cold.fft_size}": _cold_start_row(cold)
+        for cold in cold_configs
+    }
     top = f"clients={max(clients_ladder)}"
     coalesced = rows["coalesced"][top]
     payload = {
@@ -259,8 +397,10 @@ def emit(smoke: bool, json_path: Path) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": available_cpus(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "serve": {
             **rows,
+            "cold_start": cold_start,
             "coalescing_speedup": {
                 "fft_size": config.fft_size,
                 "num_blocks": config.num_blocks,
@@ -307,6 +447,15 @@ def main(argv=None) -> int:
                 f"{row['requests_per_second']:.1f} req/s "
                 f"(coalescing {row['coalescing_factor']:.2f})"
             )
+    for label, row in payload["serve"]["cold_start"].items():
+        print(
+            f"  cold start [{label}]: {row['cold_start_seconds']:.3f} s "
+            f"(interpreter {row['interpreter_seconds']:.3f}, "
+            f"import {row['import_seconds']:.3f}, "
+            f"threshold {row['threshold_seconds']:.3f}, "
+            f"decision {row['decision_seconds']:.3f}), "
+            f"peak RSS {row['peak_rss_mb']:.0f} MB"
+        )
     gate = payload["serve"]["coalescing_speedup"]
     print(
         f"  speedup at clients={gate['clients']}: "

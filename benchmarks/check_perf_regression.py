@@ -100,6 +100,9 @@ TIMING_KEYS = (
     # BENCH_streaming.json: wall-clock per detect-every-hop decision on
     # the row's serve path (window extraction + statistic).
     "seconds_per_detect",
+    # BENCH_serve.json cold-start rows: a fresh interpreter's launch to
+    # its first served decision (imports, calibration, first detect).
+    "cold_start_seconds",
 )
 
 #: Fault-tolerance counters (BENCH_serve.json load-ladder rows).  Not

@@ -13,6 +13,10 @@
     double precision and is *slower* on complex64 input, while SciPy's
     preserves single precision at full speed.
 
+This is the only module that imports SciPy, and it does so on the
+first float32 use (:func:`fft_namespace`, :func:`blas_cgemm`), so a
+float64 process never loads SciPy.
+
 Kernels additionally tile their trials×channels work through
 :func:`tile_trials` so single-precision slabs stay cache-resident
 instead of streaming one monolithic array.
@@ -23,7 +27,6 @@ from __future__ import annotations
 from types import ModuleType
 
 import numpy as np
-import scipy.fft as _scipy_fft
 
 from .errors import ConfigurationError
 
@@ -71,13 +74,15 @@ def fft_namespace(precision: str) -> ModuleType:
     """The FFT module the kernels use at *precision*.
 
     ``float64`` returns ``numpy.fft`` — the parity reference — and
-    ``float32`` returns ``scipy.fft`` (numpy's complex64 FFTs are
-    slower than its complex128 ones; SciPy's pocketfft keeps single
-    precision fast).
+    ``float32`` returns ``scipy.fft``, imported on the first such call
+    (numpy's complex64 FFTs are slower than its complex128 ones;
+    SciPy's pocketfft keeps single precision fast).
     """
     if validate_precision(precision) == "float64":
         return np.fft
-    return _scipy_fft
+    import scipy.fft
+
+    return scipy.fft
 
 
 def fft_fast_kwargs(fft: ModuleType) -> dict:
@@ -89,7 +94,14 @@ def fft_fast_kwargs(fft: ModuleType) -> dict:
     extra arguments.  Only pass the result when the input array is a
     temporary the caller never reads again.
     """
-    return {"overwrite_x": True} if fft is _scipy_fft else {}
+    return {} if fft is np.fft else {"overwrite_x": True}
+
+
+def blas_cgemm():
+    """SciPy's single-precision BLAS ``cgemm`` (the float32 Gram)."""
+    from scipy.linalg.blas import cgemm
+
+    return cgemm
 
 
 def tile_trials(

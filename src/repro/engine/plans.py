@@ -50,12 +50,11 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.linalg.blas import cgemm
 
 from ..core.fourier import block_gather, framed_spectra, phase_table
 from ..core.scf import COHERENCE_FLOOR, DSCFResult, spectral_coherence
 from ..errors import ConfigurationError
-from .._compute import complex_dtype, real_dtype
+from .._compute import blas_cgemm, complex_dtype, real_dtype
 from .._util import spawn_substreams
 
 #: Highest worker count the bitwise-equality battery pins (see
@@ -132,6 +131,7 @@ class BatchExecutionPlan:
         self._window = slice(center - 2 * m, center + 2 * m + 1)
         # The float32 Gram is the Fortran-ordered cgemm output.
         self._gram_order = "C" if self._precision == "float64" else "F"
+        self._cgemm = blas_cgemm() if self._precision == "float32" else None
         self._scale = 1.0 / cfg.num_blocks
         if cfg.cyclic_bins is not None:
             self._columns = np.asarray([a + m for a in cfg.cyclic_bins])
@@ -373,7 +373,7 @@ class BatchExecutionPlan:
                 # computes X^T conj(X) / N — the 1/N folded into alpha
                 # and the conjugate expressed as a BLAS op.
                 transposed = scratch.window.T
-                cgemm(
+                self._cgemm(
                     self._scale,
                     transposed,
                     transposed,
