@@ -23,16 +23,22 @@ the trajectory is tracked across PRs (and guarded by
   float32: the Gram BLAS call alone, replayed on the plan's exact
   operands, against ``plan.statistics_from_spectra`` (Gram through
   peak).  Their difference is the scoring epilogue: grid, ``|S|``,
-  coherence normalisation and peak.
+  coherence normalisation and peak;
+* **large-trial calibration** — a 1000-trial Monte-Carlo calibration
+  at the serve geometry (K = 256, N = 32, hop 64), also under
+  ``--smoke``: its time per trial and its tracemalloc ``peak_bytes``.
+  The batch path draws and scores in tile-sized slabs, so the peak
+  does not grow with the trial count; the perf guard gates
+  ``peak_bytes`` absolutely.
 
 Regenerate the JSON (one BLAS thread keeps the small Gram products
 off OpenBLAS's thread hand-off, and the JSON records the setting)::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_engine.py
 
-``--smoke`` runs tiny geometries for CI artifact runs (no gating);
-``--jobs`` overrides the sharding ladder, e.g. ``--jobs 2`` for the
-CI multi-process smoke leg.
+``--smoke`` runs tiny geometries for CI artifact runs (no gating) in
+every row but the calibration one; ``--jobs`` overrides the sharding
+ladder, e.g. ``--jobs 2`` for the CI multi-process smoke leg.
 """
 
 import argparse
@@ -41,6 +47,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +77,13 @@ CACHE_POINTS = {
 #: decision.
 SCORING_POINTS = ((8, 48), (32, 1))
 SCORING_REPEATS = 15
+
+#: Large-trial calibration point: the serve geometry at 1000 trials
+#: (about a second).  ``--smoke`` runs it too: a tiny geometry fits its
+#: whole batch in one slab, so it could not show a whole-batch tensor,
+#: and only a matching operating point lets the perf guard compare the
+#: row against the committed baseline.
+CALIBRATION_POINT = (PipelineConfig(fft_size=256, num_blocks=32, hop=64), 1000)
 
 #: Tiny --smoke geometries (CI artifact run, no gating).
 SMOKE_SHARD_CONFIG = PipelineConfig(fft_size=32, num_blocks=8)
@@ -251,6 +265,31 @@ def _scoring_layers(points, repeats: int) -> dict:
     return rows
 
 
+def _calibration_memory(
+    config: PipelineConfig, trials: int, repeats: int
+) -> dict:
+    """A large-trial calibration: best-of time and traced peak bytes."""
+    engine = Engine(cache=PlanCache(name="bench-calibration"))
+
+    def calibrate() -> None:
+        engine.calibrate_threshold(config, trials=trials)
+
+    calibrate()  # plan and scoring scratch
+    seconds = _best_seconds(calibrate, repeats)
+    tracemalloc.start()
+    try:
+        calibrate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {
+        **_operating_point(config, trials),
+        "hop": config.hop,
+        "seconds_per_estimate": seconds / trials,
+        "peak_bytes": peak,
+    }
+
+
 def emit(smoke: bool, jobs_ladder, json_path: Path) -> dict:
     repeats = 2 if smoke else 3
     shard_config = SMOKE_SHARD_CONFIG if smoke else SHARD_CONFIG
@@ -276,6 +315,11 @@ def emit(smoke: bool, jobs_ladder, json_path: Path) -> dict:
                 SMOKE_SCORING_POINTS if smoke else SCORING_POINTS,
                 repeats if smoke else SCORING_REPEATS,
             ),
+            "calibration": {
+                "serve_geometry": _calibration_memory(
+                    *CALIBRATION_POINT, repeats
+                ),
+            },
         },
     }
     with open(json_path, "w") as handle:
@@ -326,6 +370,13 @@ def main(argv=None) -> int:
             f"  scoring [{label}]: Gram {row['gram_us_per_trial']:.0f} us "
             f"+ epilogue {row['epilogue_us_per_trial']:.0f} us = "
             f"{row['statistic_us_per_trial']:.0f} us per trial"
+        )
+
+    for label, row in payload["engine"]["calibration"].items():
+        print(
+            f"  calibration [{label}]: "
+            f"{row['seconds_per_estimate'] * row['trials']:.3f} s, traced "
+            f"peak {row['peak_bytes'] / 2**20:.1f} MiB"
         )
 
     if args.smoke:

@@ -22,6 +22,11 @@ slower CI runner shifts the median and passes, while a single backend
 falling off its fast path sticks out and fails.  The raw ratios are
 always printed.  ``--calibrate none`` restores absolute comparison.
 
+Memory figures (any key in :data:`MEMORY_KEYS`) are gated at the same
+tolerance but always absolutely: bytes do not scale with runner speed,
+so the median speed factor never touches them.  A batch path that
+starts building whole-batch tensors again fails here.
+
 CI usage (the bench-smoke job)::
 
     cp BENCH_*.json bench-baseline/         # before regenerating
@@ -105,6 +110,11 @@ TIMING_KEYS = (
     "cold_start_seconds",
 )
 
+#: Recognised memory fields (bytes; lower is better), compared without
+#: the speed normalisation.  ``peak_bytes`` is the tracemalloc peak of
+#: BENCH_engine.json's large-trial calibration row.
+MEMORY_KEYS = ("peak_bytes",)
+
 #: Fault-tolerance counters (BENCH_serve.json load-ladder rows).  Not
 #: timings and never gated: a clean benchmark run records zeros, so a
 #: non-zero value is surfaced as an informational note — the run
@@ -114,9 +124,10 @@ COUNTER_KEYS = ("retried", "failed", "shed_deadline", "degraded_batches")
 
 
 def collect_timings(node, path=()):
-    """Yield ``(path, record)`` for every dict carrying a timing."""
+    """Yield ``(path, record)`` for every dict carrying a timing or a
+    memory figure."""
     if isinstance(node, dict):
-        if any(key in node for key in TIMING_KEYS):
+        if any(key in node for key in TIMING_KEYS + MEMORY_KEYS):
             yield path, node
         for key, value in node.items():
             yield from collect_timings(value, path + (str(key),))
@@ -135,9 +146,10 @@ def gather_comparisons(name: str, baseline: dict, current: dict):
     """Pair up timings of one benchmark JSON file.
 
     Returns ``(comparisons, notes)``: comparisons are
-    ``(label, baseline_seconds, current_seconds)`` rows ready for the
-    tolerance check, notes are informational strings (new entries,
-    retired entries, operating-point changes).
+    ``(label, baseline, current, is_memory)`` rows ready for the
+    tolerance check (seconds, or bytes when *is_memory*), notes are
+    informational strings (new entries, retired entries,
+    operating-point changes).
     """
     baseline_entries = dict(collect_timings(baseline))
     current_entries = dict(collect_timings(current))
@@ -159,7 +171,7 @@ def gather_comparisons(name: str, baseline: dict, current: dict):
         if not operating_points_match(reference, record):
             notes.append(f"{prefix}: operating point changed - skipped")
             continue
-        for key in TIMING_KEYS:
+        for key in TIMING_KEYS + MEMORY_KEYS:
             if key not in record and key not in reference:
                 continue
             label = prefix if key == TIMING_KEYS[0] else f"{prefix}.{key}"
@@ -181,7 +193,14 @@ def gather_comparisons(name: str, baseline: dict, current: dict):
             if not isinstance(now_seconds, (int, float)) or now_seconds <= 0:
                 notes.append(f"{label}: unusable current value - skipped")
                 continue
-            comparisons.append((label, float(base_seconds), float(now_seconds)))
+            comparisons.append(
+                (
+                    label,
+                    float(base_seconds),
+                    float(now_seconds),
+                    key in MEMORY_KEYS,
+                )
+            )
     for path in baseline_entries:
         if path not in current_entries:
             notes.append(
@@ -249,9 +268,10 @@ def main(argv=None) -> int:
         notes.extend(file_notes)
 
     calibration = 1.0
-    if args.calibrate == "median" and len(comparisons) >= 3:
+    timings = [row for row in comparisons if not row[3]]
+    if args.calibrate == "median" and len(timings) >= 3:
         calibration = max(
-            _median([now / base for _label, base, now in comparisons]), 1e-12
+            _median([now / base for _label, base, now, _ in timings]), 1e-12
         )
         print(
             f"machine-speed calibration factor (median current/baseline): "
@@ -259,25 +279,27 @@ def main(argv=None) -> int:
         )
 
     failures = []
-    for label, base_seconds, now_seconds in comparisons:
-        ratio = now_seconds / base_seconds
-        normalised = ratio / calibration
+    for label, base, now, is_memory in comparisons:
+        ratio = now / base
+        # Bytes are machine-independent: never speed-normalised.
+        normalised = ratio if is_memory else ratio / calibration
         verdict = f"{ratio:.2f}x"
-        if args.calibrate == "median":
+        if args.calibrate == "median" and not is_memory:
             verdict += f" (norm {normalised:.2f}x)"
         if normalised > args.tolerance:
             verdict += f"  REGRESSION (> {args.tolerance:.1f}x)"
             failures.append(label)
+        scale, unit = (2.0**-20, "MiB") if is_memory else (1e3, "ms")
         print(
-            f"  {label:<70s} {base_seconds * 1e3:10.3f} ms -> "
-            f"{now_seconds * 1e3:10.3f} ms  {verdict}"
+            f"  {label:<70s} {base * scale:10.3f} {unit} -> "
+            f"{now * scale:10.3f} {unit}  {verdict}"
         )
     for note in notes:
         print(f"  [info] {note}")
 
     if failures:
         print(
-            f"\n{len(failures)} timing(s) regressed beyond "
+            f"\n{len(failures)} figure(s) regressed beyond "
             f"{args.tolerance:.1f}x: " + ", ".join(failures),
             file=sys.stderr,
         )

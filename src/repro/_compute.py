@@ -17,9 +17,10 @@ This is the only module that imports SciPy, and it does so on the
 first float32 use (:func:`fft_namespace`, :func:`blas_cgemm`), so a
 float64 process never loads SciPy.
 
-Kernels additionally tile their trials×channels work through
-:func:`tile_trials` so single-precision slabs stay cache-resident
-instead of streaming one monolithic array.
+Batch kernels additionally tile their trials through
+:func:`tile_trials`, at both precisions, so each slab stays
+cache-resident and a batch's working set is bounded by
+:data:`TILE_BUDGET_BYTES` instead of growing with its trial count.
 """
 
 from __future__ import annotations
@@ -39,15 +40,20 @@ _DTYPES = {
     "float64": (np.dtype(np.complex128), np.dtype(np.float64)),
 }
 
-#: Default cache budget (bytes) for one tiled slab of the float32 fast
-#: paths — sized to sit comfortably inside a typical L2/L3 share.
+#: Default budget (bytes) of one trial slab on the batch path — sized
+#: to sit comfortably inside a typical L2/L3 share.  It sizes the
+#: block-spectra front end's tiles
+#: (:func:`~repro.core.fourier.framed_spectra`), the slabs in which
+#: :class:`~repro.engine.plans.BatchExecutionPlan` takes every batch
+#: and the draw slabs of
+#: :meth:`~repro.engine.Engine.monte_carlo_statistics`, so batch
+#: memory depends on the geometry, never on the trial count.
 TILE_BUDGET_BYTES = 4 * 1024 * 1024
 
-#: Trials per vectorised slab of the SSCA channelizer and the compiled
-#: SoC replay: bounds the per-slab intermediates independently of the
-#: trial count.  Per-trial results do not depend on it.  (The Gram-path
-#: plan scores one trial at a time instead; see
-#: :class:`repro.engine.plans.BatchExecutionPlan`.)
+#: Trials per vectorised sub-slab of the SSCA channelizer and the
+#: compiled SoC replay, inside the plan slab they are handed: it bounds
+#: their per-trial intermediates more tightly than the plan slab does.
+#: Per-trial results do not depend on it.
 SLAB_TRIALS = 4
 
 

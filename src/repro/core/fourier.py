@@ -213,24 +213,19 @@ def framed_spectra(
     *taper* at the working *precision*); it is multiplied by *taper*,
     transformed by one K-point FFT, multiplied by ``phase[p]`` when a
     natural-order :func:`phase_table` is given, and fftshifted so
-    column ``c`` holds bin ``c - K/2``.  ``"float64"`` is the bitwise
-    parity reference (``numpy.fft``, products in place); ``"float32"``
-    runs cache-sized trial tiles through ``scipy.fft`` with its input
-    overwritten and writes the fftshift as two slice assignments.
+    column ``c`` holds bin ``c - K/2``.  Both precisions run one loop
+    over cache-sized trial tiles (:func:`~repro._compute.tile_trials`
+    of the gather copy, the FFT output and the result), so besides the
+    result only one tile's two temporaries are ever live.  The fftshift
+    is written as two slice assignments into the result — a
+    permutation, so the bits equal ``numpy.fft.fftshift``'s.
+    ``"float64"`` is the bitwise parity reference (``numpy.fft``);
+    ``"float32"`` runs ``scipy.fft`` with its input overwritten.
     """
     cdtype = complex_dtype(precision)
     if phase is not None:
         # A complex128 table would round complex64 products differently.
         phase = np.asarray(phase, dtype=cdtype)
-    if precision == "float64":
-        # At most two (T, P, K) tensors live.
-        blocks = batch[:, gather]
-        blocks *= taper
-        spectra = np.fft.fft(blocks, axis=2)
-        del blocks
-        if phase is not None:
-            spectra *= phase
-        return np.fft.fftshift(spectra, axes=2)
     fft = fft_namespace(precision)
     trials = batch.shape[0]
     size = gather.shape[1]

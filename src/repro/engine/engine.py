@@ -17,10 +17,11 @@ path** for every plan built by :func:`~repro.engine.plans.build_plan`:
 * trials are seeded per *trial index* (see
   :func:`repro._util.spawn_substreams`), never per shard, so the
   signals entering the computation are independent of ``jobs``;
-* signals are realised once in the parent and split into contiguous
-  shards, and every plan computes each trial independently of its
-  batch-mates, so concatenating shard results reproduces the serial
-  statistics bit for bit (pinned by the ``jobs in {1, 2, 4}`` battery
+* signals are realised once in the parent (Monte-Carlo draws slab by
+  slab) and each batch is split into contiguous shards, and every plan
+  computes each trial independently of its batch-mates, so
+  concatenating shard results reproduces the serial statistics bit
+  for bit (pinned by the ``jobs in {1, 2, 4}`` battery
   in ``tests/test_engine.py`` across dscf, fam, ssca and soc-compiled
   backends);
 * workers receive only ``(PipelineConfig, descriptor, bounds)`` — the
@@ -50,6 +51,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._compute import tile_trials
 from .._util import (
     require_finite,
     require_non_negative_int,
@@ -552,10 +554,15 @@ class Engine:
         """Statistics over *trials* fresh realisations.
 
         ``signal_factory(trial_index)`` returns one observation.
-        Exactly one execution source applies.  With *config* all
-        realisations are drawn in the parent — per trial index, so the
-        input set is independent of ``jobs`` — then executed through
-        :meth:`statistics`.  With *plan* (a
+        Exactly one execution source applies.  With *config* the
+        realisations are drawn in the parent slab by slab — per trial
+        index, so the input set is independent of ``jobs`` — and each
+        slab is executed through :meth:`statistics` (sharded when
+        ``jobs > 1``) before the next is drawn.  A slab holds the
+        :func:`~repro._compute.tile_trials` share of two copies of the
+        first observation (the draws and their stacked rows), so memory
+        stays bounded whatever the trial count, and per-trial
+        independence keeps the bits of one stacked batch.  With *plan* (a
         :class:`~repro.engine.plans.CallableStatisticPlan`) the engine
         instead streams one realisation at a time through
         ``plan.statistic``: constant memory, and the factory may return
@@ -575,10 +582,18 @@ class Engine:
                     for trial in range(trials)
                 ]
             )
-        signals = np.stack(
-            [np.asarray(signal_factory(trial)) for trial in range(trials)]
-        )
-        return self.statistics(signals, config=config)
+        first = np.asarray(signal_factory(0))
+        slab = tile_trials(2 * first.nbytes)
+        results = []
+        for start in range(0, trials, slab):
+            signals = np.stack(
+                [
+                    first if trial == 0 else np.asarray(signal_factory(trial))
+                    for trial in range(start, min(start + slab, trials))
+                ]
+            )
+            results.append(self.statistics(signals, config=config))
+        return np.concatenate(results)
 
     def calibrate_threshold(
         self,

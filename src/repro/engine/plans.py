@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from ..core.fourier import block_gather, framed_spectra, phase_table
 from ..core.scf import COHERENCE_FLOOR, DSCFResult, spectral_coherence
 from ..errors import ConfigurationError
-from .._compute import blas_cgemm, complex_dtype, real_dtype
+from .._compute import blas_cgemm, complex_dtype, real_dtype, tile_trials
 from .._util import spawn_substreams
 
 #: Highest worker count the bitwise-equality battery pins (see
@@ -75,8 +75,9 @@ class BatchExecutionPlan:
     ideally via the shared :class:`~repro.engine.cache.PlanCache` —
     and amortises the per-trial cost of the DSCF:
 
-    * **one bulk FFT** — every block of every trial goes through a
-      single FFT call on a ``(trials, N, K)`` tensor;
+    * **bulk FFTs per slab** — a batch is taken one slab of
+      :attr:`slab_trials` trials at a time, and every block of the
+      slab goes through one FFT call on a ``(slab, N, K)`` tensor;
     * **cached constants** — window taper, expression-2 phase table
       and searched columns are built once per configuration;
     * **Gram-matrix DSCF** — per trial, ``S_f^a`` is read from the
@@ -90,9 +91,16 @@ class BatchExecutionPlan:
       planes sit in L2, inside one fixed set of buffers per thread
       (:class:`_ScoringScratch`; 1.9 MB at the paper point): no
       per-trial allocation, no index-array gather, and the statistic
-      paths never materialise a ``(trials, 2M+1, 2M+1)`` tensor.  As
-      on the Montium tiles, the working set is sized to the local
-      memory, independently of the trial count.
+      paths never materialise a ``(trials, 2M+1, 2M+1)`` tensor.
+
+    As on the Montium tiles, the working set is sized to the local
+    memory, independently of the trial count: each slab goes from the
+    front end (:func:`~repro.core.fourier.framed_spectra`) through the
+    scoring loop — or the executor — into its rows of the caller-sized
+    output, so no ``(trials, N, K)`` tensor is built for a whole batch.
+    The slab is the :func:`~repro._compute.tile_trials` share of
+    :data:`~repro._compute.TILE_BUDGET_BYTES` that the front end's
+    three ``(N, K)`` tensors per trial take.
 
     Every per-trial slice of a batched result is bit-for-bit identical
     to running that trial alone, and independent of batch order and
@@ -123,6 +131,11 @@ class BatchExecutionPlan:
         self._gather = block_gather(starts, cfg.fft_size)
         self._taper = get_window(cfg.window, cfg.fft_size).astype(self._rdtype)
         self._phase = phase_table(starts, cfg.fft_size).astype(self._cdtype)
+        # One front-end tile: the gather copy, FFT output and shifted
+        # spectra of a trial (see framed_spectra).
+        self._slab_trials = tile_trials(
+            3 * self._gather.size * self._cdtype.itemsize
+        )
         m = cfg.m
         center = cfg.fft_size // 2
         offsets = np.arange(-m, m + 1)
@@ -166,6 +179,13 @@ class BatchExecutionPlan:
         """Surface columns scanned by the statistic (offsets ``a != 0``,
         or ``config.cyclic_bins`` when given)."""
         return self._columns
+
+    @property
+    def slab_trials(self) -> int:
+        """Trials per slab: every batch entry point takes its trials
+        this many at a time, so its working set does not grow with the
+        batch."""
+        return self._slab_trials
 
     @property
     def averaging_length(self) -> int:
@@ -219,20 +239,42 @@ class BatchExecutionPlan:
     # Stages
     # ------------------------------------------------------------------
     def block_spectra(self, signals: np.ndarray) -> np.ndarray:
-        """Centered block spectra of every trial: one bulk FFT.
+        """Centered block spectra of every trial.
 
         Returns a ``(trials, N, K)`` tensor whose slice ``[t]`` is
         bit-for-bit equal to
         ``repro.core.fourier.block_spectra(signals[t], ...)`` — both run
-        the :func:`~repro.core.fourier.framed_spectra` kernel.
+        the :func:`~repro.core.fourier.framed_spectra` kernel.  The
+        scoring entry points below never call this on a whole batch:
+        they take the front end one slab at a time.
         """
+        return self._front_end(self.as_batch(signals))
+
+    def _front_end(self, batch: np.ndarray) -> np.ndarray:
         return framed_spectra(
-            self.as_batch(signals),
-            self._gather,
-            self._taper,
-            self._phase,
-            self._precision,
+            batch, self._gather, self._taper, self._phase, self._precision
         )
+
+    def _slabs(self, trials: int):
+        """Row slices of a *trials*-row batch, :attr:`slab_trials` each."""
+        step = self._slab_trials
+        for start in range(0, trials, step):
+            yield slice(start, min(start + step, trials))
+
+    def _scored_planes(self, signals, spectra, stage: str) -> np.ndarray:
+        """The Gram path's ``(trials, 2M+1, 2M+1)`` *stage* output
+        (``"values"`` or ``"surfaces"``), scored slab by slab from the
+        caller's *spectra* rows or else the front end's."""
+        source = self.as_batch(signals) if spectra is None else spectra
+        dtype = self._cdtype if stage == "values" else self._rdtype
+        planes = self._planes(len(source), dtype)
+        for rows in self._slabs(len(source)):
+            slab = (
+                self._front_end(source[rows]) if spectra is None
+                else source[rows]
+            )
+            self._score(slab, **{stage: planes[rows]})
+        return planes
 
     def dscf_values(
         self, signals: np.ndarray, spectra: np.ndarray | None = None
@@ -249,15 +291,16 @@ class BatchExecutionPlan:
         SoC backend it is the platform's exact complex DSCF,
         bit-for-bit equal to a per-trial cycle-level run.
         """
-        if self._executor is not None:
-            batch = self.as_batch(signals)
-            if self._exact:
-                return self._executor.values(batch)
-            return self._executor.magnitudes(batch).astype(self._cdtype)
-        if spectra is None:
-            spectra = self.block_spectra(signals)
-        values = self._planes(spectra.shape[0], self._cdtype)
-        self._score(spectra, values=values)
+        if self._executor is None:
+            return self._scored_planes(signals, spectra, "values")
+        batch = self.as_batch(signals)
+        produce = (
+            self._executor.values if self._exact
+            else self._executor.magnitudes
+        )
+        values = self._planes(len(batch), self._cdtype)
+        for rows in self._slabs(len(batch)):
+            values[rows] = produce(batch[rows])
         return values
 
     def surfaces(
@@ -265,24 +308,28 @@ class BatchExecutionPlan:
     ) -> np.ndarray:
         """Per-trial detection surfaces (coherence, or ``|S|`` when
         ``config.normalize`` is False)."""
-        if self._executor is not None and not self._exact:
-            return self._executor.surfaces(self.as_batch(signals))
-        if spectra is None:
-            spectra = self.block_spectra(signals)
-        surfaces = self._planes(spectra.shape[0], self._rdtype)
         if self._executor is None:
-            self._score(spectra, surfaces=surfaces)
-            return surfaces
-        # exact executor: values come from the platform replay, but the
-        # coherence denominator uses the host block spectra — the same
-        # convention as the per-trial pipeline path.
-        values = self._executor.values(self.as_batch(signals))
-        scratch = self._scoring_buffers()
-        for trial, plane in enumerate(values):
-            np.abs(plane, out=surfaces[trial])
-            if self.config.normalize:
-                np.copyto(scratch.window, spectra[trial][:, self._window])
-                self._normalise(scratch, surfaces[trial])
+            return self._scored_planes(signals, spectra, "surfaces")
+        batch = self.as_batch(signals)
+        surfaces = self._planes(len(batch), self._rdtype)
+        for rows in self._slabs(len(batch)):
+            if not self._exact:
+                surfaces[rows] = self._executor.surfaces(batch[rows])
+                continue
+            # exact executor: values come from the platform replay, but
+            # the coherence denominator uses the host block spectra —
+            # the same convention as the per-trial pipeline path.
+            np.abs(self._executor.values(batch[rows]), out=surfaces[rows])
+            if not self.config.normalize:
+                continue
+            slab = (
+                self._front_end(batch[rows]) if spectra is None
+                else spectra[rows]
+            )
+            scratch = self._scoring_buffers()
+            for surface, trial_spectra in zip(surfaces[rows], slab):
+                np.copyto(scratch.window, trial_spectra[:, self._window])
+                self._normalise(scratch, surface)
         return surfaces
 
     def statistics(self, signals: np.ndarray) -> np.ndarray:
@@ -291,18 +338,27 @@ class BatchExecutionPlan:
         Peak surface value over the searched cyclic offsets — the same
         reduction as
         :meth:`repro.core.detection.CyclostationaryFeatureDetector.statistic`.
-        On the Gram path the peak is taken inside the per-trial scoring
-        loop, so no ``(trials, 2M+1, 2M+1)`` tensor is materialised.
+        Each slab's spectra (or executor surfaces) are reduced before
+        the next slab is built.  On the Gram path the peak is taken
+        inside the per-trial scoring loop, so no ``(trials, 2M+1,
+        2M+1)`` tensor is materialised.
         With ``config.alpha_search="pruned"`` the peak is instead taken
         over the exactly-refined top-scoring columns of the coarse
         cycle-frequency screen (see :meth:`pruned_search`).
         """
         if self._pruned:
             return self.pruned_search(signals)[0]
-        if self._executor is None:
-            return self._score(self.block_spectra(signals))
-        surfaces = self.surfaces(signals)
-        return surfaces[:, :, self._columns].max(axis=(1, 2))
+        batch = self.as_batch(signals)
+        statistics = np.empty(len(batch), dtype=self._rdtype)
+        for rows in self._slabs(len(batch)):
+            if self._executor is None:
+                statistics[rows] = self._score(self._front_end(batch[rows]))
+            else:
+                surfaces = self.surfaces(batch[rows])
+                statistics[rows] = surfaces[:, :, self._columns].max(
+                    axis=(1, 2)
+                )
+        return statistics
 
     def statistics_from_spectra(self, spectra: np.ndarray) -> np.ndarray:
         """Detection statistics straight from centered block spectra.
@@ -510,9 +566,18 @@ class BatchExecutionPlan:
         is reported as its non-negative mirror ``|a|``.
         """
         batch = self.as_batch(signals)
-        spectra = self.block_spectra(batch)
+        statistics = np.empty(len(batch))
+        peaks = np.empty(len(batch), dtype=np.int64)
+        for rows in self._slabs(len(batch)):
+            self._refine(batch[rows], statistics[rows], peaks[rows])
+        return statistics, peaks
+
+    def _refine(
+        self, batch: np.ndarray, statistics: np.ndarray, peaks: np.ndarray
+    ) -> None:
+        """One slab of :meth:`pruned_search`, into its output rows."""
+        spectra = self._front_end(batch)
         scores = self.alpha_screen(batch)
-        trials = batch.shape[0]
         cfg = self.config
         top = min(cfg.alpha_top, self._columns.size)
         candidates = np.argpartition(scores, -top, axis=1)[:, -top:]
@@ -521,15 +586,13 @@ class BatchExecutionPlan:
             mean_square = np.mean(np.abs(spectra) ** 2, axis=1)
         center = cfg.fft_size // 2
         two_m = 2 * cfg.m
-        statistics = np.empty(trials)
-        peaks = np.empty(trials, dtype=np.int64)
-        for trial in range(trials):
+        for trial in range(len(batch)):
             offsets_a = self._columns[candidates[trial]] - cfg.m
             u = self._offsets[:, None] + offsets_a[None, :]
             v = self._offsets[:, None] - offsets_a[None, :]
-            slab = windowed[trial]
+            window = windowed[trial]
             values = np.sum(
-                slab[:, u + two_m] * np.conj(slab[:, v + two_m]), axis=0
+                window[:, u + two_m] * np.conj(window[:, v + two_m]), axis=0
             )
             values /= self.averaging_length
             surface = np.abs(values)
@@ -542,7 +605,6 @@ class BatchExecutionPlan:
             flat = int(np.argmax(surface))
             statistics[trial] = float(surface.ravel()[flat])
             peaks[trial] = abs(int(offsets_a[flat % offsets_a.size]))
-        return statistics, peaks
 
     def results(self, signals: np.ndarray) -> list[DSCFResult]:
         """Batched DSCFs wrapped per trial in :class:`DSCFResult`."""

@@ -3,19 +3,24 @@
 import numpy as np
 import pytest
 
+from repro._compute import tile_trials
 from repro.core.fourier import (
     bit_reverse_indices,
+    block_gather,
     block_spectra,
     centered_to_fft_index,
     dft,
     fft_radix2,
     fft_to_centered_index,
+    framed_spectra,
     ifft_radix2,
+    phase_table,
     power_spectral_density,
 )
 from repro.core.opcount import OperationCounter
 from repro.core.sampling import SampledSignal
 from repro.errors import ConfigurationError
+from repro.core.windows import get_window
 from repro.signals.noise import awgn
 
 
@@ -160,6 +165,53 @@ class TestBlockSpectra:
     def test_unknown_engine(self):
         with pytest.raises(ConfigurationError):
             block_spectra(awgn(32, seed=0), 16, engine="fftw")
+
+
+class TestFramedSpectra:
+    """The front end's tile loop and its slice-written fftshift keep
+    float64 bits equal to the whole-batch ``fftshift(fft(...))``."""
+
+    @staticmethod
+    def _reference(batch, gather, taper, phase):
+        blocks = batch[:, gather]
+        blocks *= taper
+        spectra = np.fft.fft(blocks, axis=2)
+        if phase is not None:
+            spectra *= phase
+        return np.fft.fftshift(spectra, axes=2)
+
+    @pytest.mark.parametrize(
+        "fft_size, hop", [(256, 3), (256, 64), (256, 256), (15, 4)]
+    )
+    @pytest.mark.parametrize("phased", [True, False])
+    @pytest.mark.parametrize("stream", ["noise", "signed-zeros"])
+    def test_float64_bits_equal_fftshift_of_fft(
+        self, fft_size, hop, phased, stream
+    ):
+        num_blocks = 32
+        starts = np.arange(num_blocks) * hop
+        gather = block_gather(starts, fft_size)
+        taper = get_window("hann", fft_size)
+        phase = phase_table(starts, fft_size) if phased else None
+        tile = tile_trials(3 * gather.size * 16)
+        trials = min(2 * tile + tile // 2, 40)  # several tiles at K=256
+        length = int(starts[-1]) + fft_size
+        rng = np.random.default_rng(11)
+        if stream == "noise":
+            batch = rng.normal(size=(trials, length)) + 1j * rng.normal(
+                size=(trials, length)
+            )
+        else:
+            batch = np.empty((trials, length), dtype=np.complex128)
+            batch.real = np.copysign(0.0, rng.normal(size=(trials, length)))
+            batch.imag = np.copysign(0.0, rng.normal(size=(trials, length)))
+        actual = framed_spectra(batch, gather, taper, phase)
+        expected = self._reference(batch, gather, taper, phase)
+        assert actual.dtype == expected.dtype == np.complex128
+        assert np.array_equal(
+            np.ascontiguousarray(actual).view(np.uint64),
+            np.ascontiguousarray(expected).view(np.uint64),
+        )
 
 
 class TestPsd:

@@ -24,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro._compute import TILE_BUDGET_BYTES
 from repro.core.detection import calibration_quantile
 from repro.engine import (
     default_noise_factory,
@@ -289,15 +290,15 @@ class TestFailClosedInput:
 class TestScoringMemory:
     """Gram-path statistics stream trials through one cache-sized Gram
     buffer: no ``(T, 4M+1, 4M+1)`` slab and no ``(T, 2M+1, 2M+1)``
-    surfaces tensor is ever allocated."""
+    surfaces tensor is ever allocated, and the block spectra are built
+    one slab at a time."""
 
-    def test_peak_bounded_by_spectra_plus_planes(self):
+    def test_peak_bounded_by_one_slab_plus_planes(self):
         config = PipelineConfig(fft_size=256, num_blocks=8)
-        trials = 48
+        trials = 480
         engine = Engine(cache=PlanCache())
         signals = _signals(config, trials=trials)
         engine.statistics(signals, config=config)  # build the plan
-        spectra_bytes = trials * config.num_blocks * config.fft_size * 16
         gram_plane_bytes = (4 * config.m + 1) ** 2 * 16
         tracemalloc.start()
         try:
@@ -305,9 +306,10 @@ class TestScoringMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A (T, 127, 127) float64 surfaces tensor alone is 6.2 MB, and a
-        # 4-trial Gram slab 4.1 MB; this bound is 4.6 MB.
-        assert peak < spectra_bytes + 3 * gram_plane_bytes
+        # The 480 trials' (T, N, K) spectra alone are 15.7 MB; one slab
+        # of the front end stays within the tile budget (4.2 MB), and
+        # the bound (7.3 MB) does not grow with the trial count.
+        assert peak < TILE_BUDGET_BYTES + 3 * gram_plane_bytes
 
     def test_concurrent_threads_score_bitwise(self):
         # Four threads score one cached plan at once, as the serve
@@ -363,6 +365,174 @@ class TestScoringMemory:
         finally:
             sys.setswitchinterval(interval)
         return results, expected
+
+
+def _traced_peak(run):
+    """Traced allocation peak of ``run()``, less its result's bytes."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - np.asarray(result).nbytes
+
+
+class TestSlabMemory:
+    """Batch memory is set by the slab, not by the trial count: the
+    traced peak at 4x the trials stays within one slab (the tile
+    budget) of the peak at 1x, output arrays excluded: no extra trial
+    may add its three (N, K) front-end tensors (or, in calibration,
+    its draw) to the peak."""
+
+    @pytest.mark.parametrize(
+        "entry", ["statistics", "surfaces", "dscf_values"]
+    )
+    @pytest.mark.parametrize(
+        "backend, fft_size", [("vectorized", 256), ("fam", 64)]
+    )
+    def test_batch_entry_points(self, backend, fft_size, entry):
+        config = PipelineConfig(
+            fft_size=fft_size, num_blocks=32, backend=backend
+        )
+        engine = Engine(cache=PlanCache())
+        plan = engine.plan(config)
+        if entry == "statistics":
+            def run(signals):
+                return engine.statistics(signals, config=config)
+        else:
+            run = getattr(plan, entry)
+        # Two slabs at 1x: the peak then already holds a full slab.
+        small = _signals(config, trials=2 * plan.slab_trials)
+        large = _signals(config, trials=8 * plan.slab_trials, seed=2000)
+        run(small)  # plan constants and scoring scratch
+        assert _traced_peak(lambda: run(large)) <= (
+            _traced_peak(lambda: run(small)) + TILE_BUDGET_BYTES
+        )
+
+    def test_calibration(self):
+        config = PipelineConfig(fft_size=256, num_blocks=32)
+        engine = Engine(cache=PlanCache())
+        engine.calibrate_threshold(config, trials=20)
+        small = _traced_peak(
+            lambda: engine.calibrate_threshold(config, trials=32)
+        )
+        large = _traced_peak(
+            lambda: engine.calibrate_threshold(config, trials=128)
+        )
+        assert large <= small + TILE_BUDGET_BYTES
+
+
+def _assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(
+        np.ascontiguousarray(actual).view(np.uint8),
+        np.ascontiguousarray(expected).view(np.uint8),
+    )
+
+
+def _assert_slab_invariant(plan, signals, entry):
+    """*entry*(signals) equals the stacked singleton runs, bit for bit."""
+    batched = entry(plan, signals)
+    singles = [entry(plan, signals[t : t + 1]) for t in range(len(signals))]
+    if isinstance(batched, tuple):
+        for index, part in enumerate(batched):
+            _assert_same_bits(
+                part, np.concatenate([single[index] for single in singles])
+            )
+    else:
+        _assert_same_bits(batched, np.concatenate(singles))
+
+
+PLAN_ENTRIES = {
+    "statistics": lambda plan, s: plan.statistics(s),
+    "surfaces": lambda plan, s: plan.surfaces(s),
+    "dscf_values": lambda plan, s: plan.dscf_values(s),
+    "block_spectra": lambda plan, s: plan.block_spectra(s),
+    "statistics_from_spectra": (
+        lambda plan, s: plan.statistics_from_spectra(plan.block_spectra(s))
+    ),
+    "surfaces_given_spectra": (
+        lambda plan, s: plan.surfaces(s, spectra=plan.block_spectra(s))
+    ),
+    "dscf_values_given_spectra": (
+        lambda plan, s: plan.dscf_values(s, spectra=plan.block_spectra(s))
+    ),
+}
+
+
+class TestSlabBitwise:
+    """Slab boundaries never move a bit: on a batch of 2.5 slabs and of
+    less than one slab, every plan entry point equals per-trial
+    singleton runs byte for byte."""
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("entry", sorted(PLAN_ENTRIES))
+    def test_gram_entry_points(self, entry, precision):
+        config = PipelineConfig(
+            fft_size=256, num_blocks=32, precision=precision
+        )
+        plan = Engine(cache=PlanCache()).plan(config)
+        slab = plan.slab_trials
+        for trials in (slab // 2, 2 * slab + slab // 2):
+            _assert_slab_invariant(
+                plan, _signals(config, trials=trials), PLAN_ENTRIES[entry]
+            )
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_pruned_search(self, normalize):
+        config = PipelineConfig(
+            fft_size=256, num_blocks=32, alpha_search="pruned",
+            normalize=normalize,
+        )
+        plan = Engine(cache=PlanCache()).plan(config)
+        slab = plan.slab_trials
+        for trials in (slab // 2, 2 * slab + slab // 2):
+            _assert_slab_invariant(
+                plan,
+                _signals(config, trials=trials),
+                lambda plan, s: plan.pruned_search(s),
+            )
+
+    @pytest.mark.parametrize("name", ["fam", "ssca", "soc-compiled"])
+    @pytest.mark.parametrize(
+        "entry", ["statistics", "surfaces", "dscf_values"]
+    )
+    def test_executor_entry_points(self, name, entry):
+        # A four-trial slab puts 2.5 slabs at ten trials: the slab loop
+        # around the executor is what is under test, at any slab size.
+        plan = build_plan(BITWISE_CONFIGS[name])
+        plan._slab_trials = 4
+        for trials in (3, 10):
+            _assert_slab_invariant(
+                plan,
+                _signals(plan.config, trials=trials),
+                PLAN_ENTRIES[entry],
+            )
+
+    def test_calibration_across_draw_slabs(self):
+        # Draw slabs of 58 trials at this geometry: 150 trials span
+        # three, each sharded across the pool with jobs=2.
+        config = PipelineConfig(fft_size=256, num_blocks=32, hop=64)
+        trials = 150
+        factory = default_noise_factory(config)
+        stacked = Engine(cache=PlanCache()).statistics(
+            np.stack([factory(trial) for trial in range(trials)]),
+            config=config,
+        )
+        for jobs in (1, 2):
+            with Engine(jobs=jobs, cache=PlanCache()) as engine:
+                _assert_same_bits(
+                    engine.monte_carlo_statistics(
+                        factory, trials, config=config
+                    ),
+                    stacked,
+                )
+                assert engine.calibrate_threshold(
+                    config, trials=trials
+                ) == calibration_quantile(stacked, config.pfa)
 
 
 BITWISE_CONFIGS = {
