@@ -1,13 +1,22 @@
 """Harness health — throughput of the DSCF estimator backends.
 
 Not a paper artifact: measures the host-side cost of the equivalent
-estimator substrates (literal triple loop, vectorised numpy, streaming
-accumulator, batched Gram-matrix pipeline) so regressions in the
-reference implementations are visible, and emits the machine-readable
-``BENCH_estimators.json`` at the repo root so the performance
-trajectory — in particular the batch-vs-loop Monte-Carlo speedup at
-the paper's K = 256, 127 x 127 operating point — is tracked across
-PRs.
+estimator substrates (literal triple loop, vectorised Gram kernel,
+streaming accumulator, batched Gram-matrix pipeline) so regressions in
+the reference implementations are visible, and emits the
+machine-readable ``BENCH_estimators.json`` at the repo root so the
+performance trajectory — in particular the batched Monte-Carlo time
+per trial at the paper's K = 256, 127 x 127 operating point — is
+tracked across PRs.
+
+The batch-vs-loop rows time the batch plan against a per-trial loop of
+:class:`~repro.core.detection.CyclostationaryFeatureDetector`.  Both
+score through the same Gram kernel, so the loop's statistics must equal
+the batch's bit for bit; the ratio of their times is reported, not
+gated (it measures the loop's per-call overhead, not the batch).
+``batch_seconds_per_trial`` is what the perf guard
+(``check_perf_regression.py``) compares.  Full runs record the
+``--smoke`` row too, so the guard's CI smoke run has a baseline.
 
 Run under pytest-benchmark::
 
@@ -17,9 +26,10 @@ or regenerate just the JSON without pytest::
 
     PYTHONPATH=src python benchmarks/bench_estimators.py
 
-``--smoke`` runs the batched paths at tiny sizes and skips the speedup
-exit gate — what the CI benchmark-smoke job uses to produce artifact
-JSON quickly on shared runners.
+``--smoke`` runs the batch-vs-loop row at its tiny geometry only —
+what the CI benchmark-smoke job uses to produce artifact JSON quickly
+on shared runners.  Either run exits non-zero when a bitwise check
+fails.
 """
 
 import argparse
@@ -53,7 +63,7 @@ BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_estimators.json"
 MC_CONFIG = PipelineConfig(fft_size=256, num_blocks=32)
 MC_TRIALS = 64
 
-# Tiny --smoke geometry (CI artifact run, no gating).
+# Tiny --smoke geometry (CI artifact run), also recorded by full runs.
 SMOKE_MC_CONFIG = PipelineConfig(fft_size=32, num_blocks=8)
 SMOKE_MC_TRIALS = 8
 
@@ -186,8 +196,8 @@ def _batch_vs_loop(
         "speedup": loop_seconds / batch_seconds,
         "loop_seconds_per_trial": loop_seconds / trials,
         "batch_seconds_per_trial": batch_seconds / trials,
-        "batch_matches_detector_loop": bool(
-            np.allclose(batch_stats, loop_stats, rtol=1e-9)
+        "batch_bitwise_equals_detector_loop": bool(
+            (batch_stats.view(np.uint64) == loop_stats.view(np.uint64)).all()
         ),
         "batch_bitwise_equals_per_trial_runner": bool(
             (batch_stats == per_trial).all()
@@ -197,10 +207,13 @@ def _batch_vs_loop(
 
 def collect_metrics(smoke: bool = False) -> dict:
     """Gather the full benchmark record written to BENCH_estimators.json."""
-    if smoke:
-        batch_vs_loop = _batch_vs_loop(SMOKE_MC_CONFIG, SMOKE_MC_TRIALS)
-    else:
-        batch_vs_loop = _batch_vs_loop()
+    points = [(SMOKE_MC_CONFIG, SMOKE_MC_TRIALS)]
+    if not smoke:
+        points.append((MC_CONFIG, MC_TRIALS))
+    batch_vs_loop = {
+        f"fft_size={config.fft_size}": _batch_vs_loop(config, trials)
+        for config, trials in points
+    }
     return {
         "benchmark": "bench_estimators",
         "smoke": smoke,
@@ -217,28 +230,36 @@ def emit_benchmark_json(path: Path = BENCH_JSON, smoke: bool = False) -> dict:
     return metrics
 
 
-def test_emit_benchmark_json():
-    """Write BENCH_estimators.json and gate the batched speedup.
+def _bitwise_failures(metrics: dict) -> list[str]:
+    """The batch-vs-loop rows whose bitwise checks failed."""
+    return [
+        f"{label}: {check}"
+        for label, record in metrics["batch_vs_loop"].items()
+        for check in (
+            "batch_bitwise_equals_detector_loop",
+            "batch_bitwise_equals_per_trial_runner",
+        )
+        if not record[check]
+    ]
 
-    The acceptance bar is >= 5x at the K = 256, 127 x 127 operating
-    point; the assertion keeps a safety margin for noisy CI boxes
-    while the JSON records the actual figure.
-    """
+
+def _report(metrics: dict) -> None:
+    for label, record in metrics["batch_vs_loop"].items():
+        print(
+            f"batch vs loop [{label}], {record['dscf_grid']}, "
+            f"N={record['num_blocks']}, T={record['trials']}: "
+            f"batch {record['batch_seconds_per_trial'] * 1e3:.3f} ms per "
+            f"trial, loop {record['loop_seconds_per_trial'] * 1e3:.3f} ms "
+            f"({record['speedup']:.1f}x, reported only)"
+        )
+
+
+def test_emit_benchmark_json():
+    """Write BENCH_estimators.json; the detector loop and the per-trial
+    runner must equal the batch bit for bit."""
     metrics = emit_benchmark_json()
-    record = metrics["batch_vs_loop"]
-    print(
-        f"\nbatch vs loop at K=256, {record['dscf_grid']}, "
-        f"N={record['num_blocks']}, T={record['trials']}: "
-        f"{record['speedup']:.1f}x "
-        f"(loop {record['loop_seconds'] * 1e3:.0f} ms, "
-        f"batch {record['batch_seconds'] * 1e3:.0f} ms)"
-    )
-    assert record["batch_matches_detector_loop"]
-    assert record["batch_bitwise_equals_per_trial_runner"]
-    assert record["speedup"] >= 3.0, (
-        "batched Monte-Carlo calibration lost its speedup: "
-        f"{record['speedup']:.2f}x"
-    )
+    _report(metrics)
+    assert not _bitwise_failures(metrics)
 
 
 def main(argv=None) -> int:
@@ -246,28 +267,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run the batched paths at tiny sizes (fast CI artifact run; "
-        "no speedup gate)",
+        help="run the batch-vs-loop row at its tiny geometry only (fast CI "
+        "artifact run)",
     )
     args = parser.parse_args(argv)
     metrics = emit_benchmark_json(smoke=args.smoke)
     print(json.dumps(metrics, indent=2))
-    record = metrics["batch_vs_loop"]
-    if args.smoke:
-        print(
-            f"\nbatch-vs-loop speedup: {record['speedup']:.1f}x "
-            "(smoke geometry, not gated)"
-        )
-        return 0
-    meets_bar = record["speedup"] >= 5.0
-    print(
-        f"\nbatch-vs-loop speedup: {record['speedup']:.1f}x "
-        f"({'meets' if meets_bar else 'BELOW'} the 5x acceptance bar)"
-    )
-    # Exit-gate with the same 3x margin as the pytest assertion so a
-    # noisy shared CI box doesn't fail unrelated PRs; the JSON records
-    # the actual figure either way.
-    return 0 if record["speedup"] >= 3.0 else 1
+    _report(metrics)
+    failures = _bitwise_failures(metrics)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

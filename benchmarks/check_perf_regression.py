@@ -108,6 +108,9 @@ TIMING_KEYS = (
     # BENCH_serve.json cold-start rows: a fresh interpreter's launch to
     # its first served decision (imports, calibration, first detect).
     "cold_start_seconds",
+    # BENCH_estimators.json batch-vs-loop rows: the batch plan's
+    # Monte-Carlo time per trial.
+    "batch_seconds_per_trial",
 )
 
 #: Recognised memory fields (bytes; lower is better), compared without

@@ -50,7 +50,7 @@ import numpy as np
 from .._util import require_positive_float, require_positive_int
 from ..errors import CalibrationWarning, ConfigurationError, SignalError
 from .sampling import SampledSignal
-from .scf import dscf_from_signal, spectral_coherence
+from .scf import compute_dscf, spectral_coherence
 from .fourier import block_spectra
 
 
@@ -127,6 +127,15 @@ def validate_cyclic_bins(
                 f"cyclic bin {a} outside [-{m}, {m}]"
             )
     return cyclic_bins
+
+
+def searched_columns(m: int, cyclic_bins) -> np.ndarray:
+    """Grid columns ``a + M`` a statistic's peak scans: *cyclic_bins*
+    (validated) when given, else every offset ``a != 0``."""
+    if cyclic_bins is not None:
+        return np.asarray([a + m for a in cyclic_bins])
+    columns = np.arange(2 * m + 1)
+    return columns[columns != m]
 
 
 @dataclass(frozen=True)
@@ -350,33 +359,20 @@ class CyclostationaryFeatureDetector:
     def statistic(self, signal: SampledSignal | np.ndarray) -> float:
         """Peak feature magnitude over the searched cyclic offsets."""
         surface = self.feature_surface(signal)
-        columns = self._searched_columns()
+        columns = searched_columns(self._m, self._cyclic_bins)
         return float(surface[:, columns].max())
 
     def feature_surface(self, signal: SampledSignal | np.ndarray) -> np.ndarray:
-        """The (2M+1, 2M+1) detection surface (coherence or |S|)."""
-        result = dscf_from_signal(
-            signal,
-            self._fft_size,
-            num_blocks=self._num_blocks,
-            m=self._m,
+        """The (2M+1, 2M+1) detection surface (coherence or |S|), with
+        one block-spectra pass feeding both the DSCF and the coherence."""
+        spectra = block_spectra(
+            signal, self._fft_size, num_blocks=self._num_blocks
         )
+        result = compute_dscf(spectra, m=self._m)
         if not self._normalize:
             return result.magnitude()
-        samples = (
-            signal.samples if isinstance(signal, SampledSignal) else np.asarray(signal)
-        )
-        spectra = block_spectra(
-            samples, self._fft_size, num_blocks=self._num_blocks
-        )
         mean_square = np.mean(np.abs(spectra) ** 2, axis=0)
         return spectral_coherence(result, mean_square)
-
-    def _searched_columns(self) -> np.ndarray:
-        if self._cyclic_bins is not None:
-            return np.asarray([a + self._m for a in self._cyclic_bins])
-        columns = np.arange(2 * self._m + 1)
-        return columns[columns != self._m]  # exclude a = 0
 
     def detect(
         self, signal: SampledSignal | np.ndarray, threshold: float

@@ -21,7 +21,9 @@ Three estimators are provided and verified against each other:
 ``dscf_reference``
     Literal triple loop over (f, a, n); slow, exact, countable.
 ``dscf``
-    Vectorised numpy implementation for production use.
+    The production evaluator: one BLAS Gram product over the spectra's
+    Gram window (:class:`GramKernel`), the kernel every batch plan
+    scores with, so its grid is bit-for-bit the plan's.
 ``StreamingDSCF``
     Block-at-a-time accumulator mirroring the hardware integration step
     (Figure 3: multiply + running sum in a register/memory).
@@ -39,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .._compute import complex_dtype
+from .._compute import blas_cgemm, complex_dtype, real_dtype
 from .._util import require, require_non_negative_int, require_positive_int
 from ..errors import ConfigurationError, SignalError
 from .fourier import block_spectra
@@ -245,22 +248,174 @@ def dscf_reference(
     return result
 
 
+class GramKernel:
+    """The Gram-window DSCF kernel of one geometry, with its buffers.
+
+    Expression 3 for every ``(f, a)`` at once: the ``(4M+1)^2`` Gram
+    plane ``G[u, v] = sum_n X[n, c+u] conj(X[n, c+v])`` of the Gram
+    window ``X[:, c-2M : c+2M+1]`` is one BLAS call, and ``S_f^a`` is
+    ``G[f+a, f-a] / N``.  Every software DSCF entry point evaluates
+    through this kernel — :func:`dscf` once per call, the
+    :class:`~repro.engine.plans.BatchExecutionPlan` scoring loop once
+    per trial — so they agree bit for bit.
+
+    The buffers are sized once for ``(N, K, M, precision)`` and
+    overwritten in full on every use; the views alias them, so a
+    kernel serves one thread at a time.  ``window`` (and ``conjugate``
+    at float64) are the BLAS operands; ``gram`` is the ``np.matmul``
+    output at float64 and the Fortran-ordered ``cgemm`` output at
+    float32; ``grid`` is the DSCF grid as a strided view of it,
+    ``S[f', a'] = G[f'+a', f'-a'+2M]`` (a step in ``f'`` moves one row
+    and one column on, a step in ``a'`` one row on and one column
+    back); ``value`` holds the grid scaled by ``1/N``; ``mean_square``
+    is the window's block-mean power ``P``, read through its
+    :func:`hankel_views` ``plus`` and ``minus``.
+    """
+
+    def __init__(
+        self, num_blocks: int, fft_size: int, m: int, precision: str
+    ) -> None:
+        cdtype, rdtype = complex_dtype(precision), real_dtype(precision)
+        extent, width = 2 * m + 1, 4 * m + 1
+        center = fft_size // 2
+        self.bins = slice(center - 2 * m, center + 2 * m + 1)
+        self._double = precision == "float64"
+        self._num_blocks = num_blocks
+        self._scale = 1.0 / num_blocks
+        self._cgemm = None if self._double else blas_cgemm()
+        self.window = np.empty((num_blocks, width), cdtype)
+        self.conjugate = np.empty_like(self.window)
+        self.gram = np.empty(
+            (width, width), cdtype, order="C" if self._double else "F"
+        )
+        rows, columns = self.gram.strides
+        self.grid = as_strided(
+            self.gram[0, 2 * m :],
+            shape=(extent, extent),
+            strides=(rows + columns, rows - columns),
+        )
+        self.value = np.empty((extent, extent), cdtype)
+        self.value_floats = self.value.view(rdtype)
+        self.surface = np.empty((extent, extent), rdtype)
+        self.denominator = np.empty((extent, extent), rdtype)
+        self.column_max = np.empty(extent, rdtype)
+        self.power = np.empty(self.window.shape, rdtype)
+        self.mean_square = np.empty(width, rdtype)
+        self.plus, self.minus = hankel_views(self.mean_square, m)
+
+    def load(self, spectra: np.ndarray) -> None:
+        """Copy the Gram window of one ``(N, K)`` centered spectra."""
+        np.copyto(self.window, spectra[:, self.bins])
+
+    def correlate(self, spectra: np.ndarray) -> None:
+        """Load *spectra* and compute its Gram plane (and ``grid``)."""
+        self.load(spectra)
+        if self._double:
+            np.conjugate(self.window, out=self.conjugate)
+            np.matmul(self.window.T, self.conjugate, out=self.gram)
+            return
+        # For X = window (N x K'), X.T is Fortran-contiguous for free,
+        # and ``cgemm(1/N, X.T, X.T, trans_b='C')`` computes
+        # X^T conj(X) / N — the 1/N folded into alpha and the
+        # conjugate expressed as a BLAS op.
+        transposed = self.window.T
+        self._cgemm(
+            self._scale, transposed, transposed, c=self.gram, trans_b=2,
+            overwrite_c=1,
+        )
+
+    def values(self, out: np.ndarray) -> None:
+        """The DSCF grid ``S`` of the correlated spectra, into *out*."""
+        np.copyto(out, self.grid)
+        if self._double:
+            out /= self._num_blocks
+
+    def magnitude(self, out: np.ndarray) -> None:
+        """``|S|`` of the correlated spectra, into *out*.
+
+        At float64 the ``1/N`` scale is one real multiply on the float
+        view of the grid.  Complex division by ``N`` (numpy's Smith
+        algorithm) multiplies each part by the same ``1/N`` after
+        adding the other part times zero, so for finite cells the two
+        differ only in the sign of a zero and ``|S|`` is bit-identical.
+        Cells whose parts are both inf or NaN are where they would
+        differ (NaN against inf, or another NaN payload), so when
+        ``|S|`` holds any non-finite cell the plane is redone by
+        complex division: overflowed inputs keep their exact results.
+        At float32 the scale is already in the cgemm alpha.
+        """
+        np.copyto(self.value, self.grid)
+        if not self._double:
+            np.abs(self.value, out=out)
+            return
+        np.multiply(self.value_floats, self._scale, out=self.value_floats)
+        np.abs(self.value, out=out)
+        if not np.isfinite(out.max()):
+            self.values(self.value)
+            np.abs(self.value, out=out)
+
+    def average_power(self) -> None:
+        """The loaded window's block-mean power into ``mean_square``
+        (and so into the ``plus``/``minus`` views)."""
+        np.abs(self.window, out=self.power)
+        np.square(self.power, out=self.power)
+        # np.mean's sum and division, without its Python wrapper.
+        np.add.reduce(self.power, axis=0, out=self.mean_square)
+        np.divide(self.mean_square, len(self.power), out=self.mean_square)
+
+    def normalise(self, surface: np.ndarray) -> None:
+        """Divide ``|S|`` in *surface* by the coherence denominator of
+        the loaded window, in place."""
+        self.average_power()
+        coherence_denominator(self.plus, self.minus, out=self.denominator)
+        np.divide(surface, self.denominator, out=surface)
+
+
+def hankel_views(power: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coherence denominator's two Hankel views of a Gram window's
+    ``4M+1`` bins of mean square power ``P``.
+
+    ``plus[f', a'] = P[f'+a']`` (bin ``f+a``) is a sliding window of
+    ``P``, and ``minus[f', a'] = P[f'+2M-a']`` (bin ``f-a``) the same
+    window read backwards in ``a'``; neither copies ``P``.
+    """
+    extent, stride = 2 * m + 1, power.strides[0]
+    plus = as_strided(
+        power, shape=(extent, extent), strides=(stride, stride),
+        writeable=False,
+    )
+    return plus, plus[:, ::-1]
+
+
+def coherence_denominator(
+    plus: np.ndarray, minus: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``sqrt(P[f+a] P[f-a])`` from :func:`hankel_views` (or columns of
+    them), floored at :data:`COHERENCE_FLOOR`."""
+    out = np.multiply(plus, minus, out=out)
+    np.sqrt(out, out=out)
+    np.maximum(out, COHERENCE_FLOOR, out=out)
+    return out
+
+
 def dscf(
     spectra: np.ndarray,
     m: int | None = None,
-    chunk_blocks: int = 128,
     precision: str = "float64",
 ) -> np.ndarray:
     """Vectorised DSCF over centered block spectra.
 
-    Equivalent to :func:`dscf_reference` but evaluated with numpy fancy
-    indexing, chunked over blocks to bound peak memory at roughly
-    ``chunk_blocks * (2M+1)^2`` complex values.
+    Equivalent to :func:`dscf_reference`, evaluated by the Gram
+    formulation of :class:`GramKernel`: one BLAS product of the
+    ``(N, 4M+1)`` Gram window with its conjugate, read back as the
+    ``(2M+1, 2M+1)`` grid and divided by ``N``.  Besides the window
+    copy, memory is O((4M+1)^2) whatever ``N``.  The grid is bit-for-bit
+    the :class:`~repro.engine.plans.BatchExecutionPlan` ``dscf_values``
+    of the same spectra, at either precision.
 
-    ``precision="float32"`` runs the whole correlation in complex64 —
-    half the memory traffic through the gather/einsum hot loop — and
-    returns a complex64 grid; the default ``"float64"`` path is the
-    bitwise parity reference.
+    ``precision="float32"`` runs the correlation in complex64 (the
+    single-precision ``cgemm``) and returns a complex64 grid; the
+    default ``"float64"`` path is the bitwise parity reference.
 
     Returns the raw ``(2M+1, 2M+1)`` array; use :func:`compute_dscf`
     or :func:`dscf_from_signal` for a :class:`DSCFResult` wrapper.
@@ -269,19 +424,10 @@ def dscf(
     spectra = np.asarray(spectra, dtype=cdtype)
     num_blocks, fft_size = _validate_spectra(spectra)
     m = validate_m(fft_size, m)
-    chunk_blocks = require_positive_int(chunk_blocks, "chunk_blocks")
-    center = fft_size // 2
-    offsets = np.arange(-m, m + 1)
-    # index grids: rows sweep f, columns sweep a
-    plus_index = center + offsets[:, None] + offsets[None, :]   # f + a
-    minus_index = center + offsets[:, None] - offsets[None, :]  # f - a
-    accumulator = np.zeros((2 * m + 1, 2 * m + 1), dtype=cdtype)
-    for start in range(0, num_blocks, chunk_blocks):
-        chunk = spectra[start : start + chunk_blocks]
-        accumulator += np.einsum(
-            "nfa,nfa->fa", chunk[:, plus_index], np.conj(chunk[:, minus_index])
-        )
-    return accumulator / num_blocks
+    kernel = GramKernel(num_blocks, fft_size, m, precision)
+    kernel.correlate(spectra)
+    kernel.values(kernel.value)
+    return kernel.value
 
 
 def compute_dscf(
@@ -291,13 +437,11 @@ def compute_dscf(
     precision: str = "float64",
 ) -> DSCFResult:
     """Vectorised DSCF wrapped in a :class:`DSCFResult`."""
-    spectra = np.asarray(spectra, dtype=complex_dtype(precision))
-    num_blocks, fft_size = _validate_spectra(spectra)
-    m = validate_m(fft_size, m)
     values = dscf(spectra, m, precision=precision)
+    num_blocks, fft_size = np.shape(spectra)
     return DSCFResult(
         values=values,
-        m=m,
+        m=len(values) // 2,
         num_blocks=num_blocks,
         fft_size=fft_size,
         sample_rate_hz=sample_rate_hz,
@@ -409,16 +553,16 @@ class StreamingDSCF:
         self._count = 0
 
 
-def spectral_coherence(
-    result: DSCFResult, psd: np.ndarray, floor: float = COHERENCE_FLOOR
-) -> np.ndarray:
+def spectral_coherence(result: DSCFResult, psd: np.ndarray) -> np.ndarray:
     """Normalise a DSCF into a spectral coherence in [0, 1].
 
     ``C_f^a = |S_f^a| / sqrt(PSD[f+a] * PSD[f-a])`` where *psd* is the
     centered K-point averaged power spectrum (e.g. from
     :func:`repro.core.fourier.power_spectral_density` scaled by K, i.e.
     ``mean |X|^2``).  The coherence is the detection statistic that is
-    invariant to the absolute noise level.
+    invariant to the absolute noise level.  The denominator
+    (:func:`coherence_denominator`) is floored at
+    :data:`COHERENCE_FLOOR` so empty bins do not divide by zero.
 
     Parameters
     ----------
@@ -427,8 +571,6 @@ def spectral_coherence(
     psd:
         Centered per-bin mean squared spectrum ``mean_n |X[n, v]|^2``,
         length K.
-    floor:
-        Denominator floor to avoid division by zero in empty bins.
     """
     psd = np.asarray(psd, dtype=np.float64)
     if psd.shape != (result.fft_size,):
@@ -437,9 +579,5 @@ def spectral_coherence(
         )
     m = result.m
     center = result.fft_size // 2
-    offsets = np.arange(-m, m + 1)
-    plus_index = center + offsets[:, None] + offsets[None, :]
-    minus_index = center + offsets[:, None] - offsets[None, :]
-    denominator = np.sqrt(psd[plus_index] * psd[minus_index])
-    denominator = np.maximum(denominator, floor)
-    return np.abs(result.values) / denominator
+    plus, minus = hankel_views(psd[center - 2 * m : center + 2 * m + 1], m)
+    return np.abs(result.values) / coherence_denominator(plus, minus)

@@ -49,12 +49,17 @@ import threading
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from ..core.detection import searched_columns
 from ..core.fourier import block_gather, framed_spectra, phase_table
-from ..core.scf import COHERENCE_FLOOR, DSCFResult, spectral_coherence
+from ..core.scf import (
+    DSCFResult,
+    GramKernel,
+    coherence_denominator,
+    spectral_coherence,
+)
 from ..errors import ConfigurationError
-from .._compute import blas_cgemm, complex_dtype, real_dtype, tile_trials
+from .._compute import complex_dtype, real_dtype, tile_trials
 from .._util import spawn_substreams
 
 #: Highest worker count the bitwise-equality battery pins (see
@@ -88,10 +93,10 @@ class BatchExecutionPlan:
     * **per-trial, cache-resident scoring** — one loop (:meth:`_score`)
       takes each trial from its block spectra through the Gram
       product, ``|S|``, coherence normalisation and peak while its
-      planes sit in L2, inside one fixed set of buffers per thread
-      (:class:`_ScoringScratch`; 1.9 MB at the paper point): no
-      per-trial allocation, no index-array gather, and the statistic
-      paths never materialise a ``(trials, 2M+1, 2M+1)`` tensor.
+      planes sit in L2, inside one :class:`~repro.core.scf.GramKernel`
+      per thread (1.9 MB at the paper point): no per-trial allocation,
+      no index-array gather, and the statistic paths never materialise
+      a ``(trials, 2M+1, 2M+1)`` tensor.
 
     As on the Montium tiles, the working set is sized to the local
     memory, independently of the trial count: each slab goes from the
@@ -136,27 +141,10 @@ class BatchExecutionPlan:
         self._slab_trials = tile_trials(
             3 * self._gather.size * self._cdtype.itemsize
         )
-        m = cfg.m
-        center = cfg.fft_size // 2
-        offsets = np.arange(-m, m + 1)
-        # The Gram window: bins u = f + a and v = f - a both lie in
-        # [-2M, 2M], i.e. centered columns [c - 2M, c + 2M].
-        self._window = slice(center - 2 * m, center + 2 * m + 1)
-        # The float32 Gram is the Fortran-ordered cgemm output.
-        self._gram_order = "C" if self._precision == "float64" else "F"
-        self._cgemm = blas_cgemm() if self._precision == "float32" else None
-        self._scale = 1.0 / cfg.num_blocks
-        if cfg.cyclic_bins is not None:
-            self._columns = np.asarray([a + m for a in cfg.cyclic_bins])
-        else:
-            columns = np.arange(2 * m + 1)
-            self._columns = columns[columns != m]
+        self._columns = searched_columns(cfg.m, cfg.cyclic_bins)
         self._executor = executor
         self._exact = bool(getattr(self._executor, "dscf_exact", False))
-        # Scoring scratch, one set per thread: a cached plan is shared
-        # by every thread that scores it (e.g. the serve layer's
-        # to_thread batches).
-        self._scratch = threading.local()
+        self._kernels = threading.local()
         # Pruned cycle-frequency search (config validation restricts it
         # to the Gram path): statistics() screens every column with the
         # cyclic autocorrelation of the block powers, then refines only
@@ -164,7 +152,6 @@ class BatchExecutionPlan:
         self._pruned = (
             cfg.alpha_search == "pruned" and self._executor is None
         )
-        self._offsets = offsets
 
     # ------------------------------------------------------------------
     # Introspection
@@ -326,10 +313,10 @@ class BatchExecutionPlan:
                 self._front_end(batch[rows]) if spectra is None
                 else spectra[rows]
             )
-            scratch = self._scoring_buffers()
+            kernel = self._kernel()
             for surface, trial_spectra in zip(surfaces[rows], slab):
-                np.copyto(scratch.window, trial_spectra[:, self._window])
-                self._normalise(scratch, surface)
+                kernel.load(trial_spectra)
+                kernel.normalise(surface)
         return surfaces
 
     def statistics(self, signals: np.ndarray) -> np.ndarray:
@@ -398,14 +385,12 @@ class BatchExecutionPlan:
     ) -> np.ndarray:
         """Score every trial of a ``(trials, N, K)`` spectra batch.
 
-        One cache-resident pass per trial, entirely inside this
-        thread's :class:`_ScoringScratch`: the Gram window is copied
-        out of the trial's rows, the ``(4M+1)^2`` Gram plane is one
-        BLAS call, the DSCF grid is a strided view of that plane,
-        ``|S|`` and the coherence normalisation are elementwise passes
-        into fixed planes, and the peak over :attr:`searched_columns`
-        reduces one column-max vector.  No per-trial array is
-        allocated and no index array is gathered.  Given a
+        One cache-resident pass per trial through this thread's
+        :class:`~repro.core.scf.GramKernel` (Gram plane, ``|S|`` and
+        coherence normalisation into its fixed planes), then the peak
+        over :attr:`searched_columns` reduces one column-max vector.
+        No per-trial array is allocated and no index array is
+        gathered.  Given a
         ``(trials, 2M+1, 2M+1)`` *values* or *surfaces* output, the
         loop stops at that stage and writes each trial's slice;
         otherwise it returns the per-trial statistics.
@@ -413,106 +398,38 @@ class BatchExecutionPlan:
         Every step is per trial or elementwise, so each trial's
         results are bitwise independent of its batch-mates.
         """
-        cfg = self.config
-        scratch = self._scoring_buffers()
+        kernel = self._kernel()
         statistics = np.empty(spectra.shape[0], dtype=self._rdtype)
         for trial, rows in enumerate(spectra):
-            np.copyto(scratch.window, rows[:, self._window])
-            if self._precision == "float64":
-                np.conjugate(scratch.window, out=scratch.conjugate)
-                np.matmul(
-                    scratch.window.T, scratch.conjugate, out=scratch.gram
-                )
-            else:
-                # For X = window (N x K'), X.T is Fortran-contiguous for
-                # free, and ``cgemm(1/N, X.T, X.T, trans_b='C')``
-                # computes X^T conj(X) / N — the 1/N folded into alpha
-                # and the conjugate expressed as a BLAS op.
-                transposed = scratch.window.T
-                self._cgemm(
-                    self._scale,
-                    transposed,
-                    transposed,
-                    c=scratch.gram,
-                    trans_b=2,
-                    overwrite_c=1,
-                )
-            value = scratch.value if values is None else values[trial]
-            np.copyto(value, scratch.grid)
+            kernel.correlate(rows)
             if values is not None:
-                if self._precision == "float64":
-                    value /= cfg.num_blocks
+                kernel.values(values[trial])
                 continue
-            surface = scratch.surface if surfaces is None else surfaces[trial]
-            self._magnitude(scratch, surface)
-            if cfg.normalize:
-                self._normalise(scratch, surface)
+            surface = kernel.surface if surfaces is None else surfaces[trial]
+            kernel.magnitude(surface)
+            if self.config.normalize:
+                kernel.normalise(surface)
             if surfaces is None:
-                np.maximum.reduce(surface, axis=0, out=scratch.column_max)
-                statistics[trial] = scratch.column_max[self._columns].max()
+                np.maximum.reduce(surface, axis=0, out=kernel.column_max)
+                statistics[trial] = kernel.column_max[self._columns].max()
         return statistics
 
-    def _scoring_buffers(self) -> "_ScoringScratch":
-        """This thread's scoring scratch, built on its first use.
+    def _kernel(self) -> GramKernel:
+        """This thread's scoring kernel, built on its first use.
 
         It stays resident across calls instead of going back to the
         allocator, which can unmap the buffers and page-fault about a
         megabyte back in on the next call at the paper point.  A cached
         plan is shared by every thread that scores it (e.g. the serve
-        layer's ``to_thread`` batches), so each thread owns its own set.
+        layer's ``to_thread`` batches), so each thread owns a kernel.
         """
-        scratch = getattr(self._scratch, "buffers", None)
-        if scratch is None:
-            scratch = self._scratch.buffers = _ScoringScratch(self)
-        return scratch
-
-    def _magnitude(self, scratch: "_ScoringScratch", out: np.ndarray) -> None:
-        """``|S|`` of the trial's DSCF grid in ``scratch.value``, into
-        *out*.
-
-        At float64 the ``1/N`` scale is one real multiply on the float
-        view of the grid.  Complex division by ``N`` (numpy's Smith
-        algorithm) multiplies each part by the same ``1/N`` after
-        adding the other part times zero, so for finite cells the two
-        differ only in the sign of a zero and ``|S|`` is bit-identical.
-        Cells whose parts are both inf or NaN are where they would
-        differ (NaN against inf, or another NaN payload), so when
-        ``|S|`` holds any non-finite cell the plane is redone by
-        complex division: overflowed inputs keep their exact results.
-        At float32 the scale is already in the cgemm alpha.
-        """
-        if self._precision != "float64":
-            np.abs(scratch.value, out=out)
-            return
-        floats = scratch.value_floats
-        np.multiply(floats, self._scale, out=floats)
-        np.abs(scratch.value, out=out)
-        if not np.isfinite(out.max()):
-            np.copyto(scratch.value, scratch.grid)
-            scratch.value /= self.config.num_blocks
-            np.abs(scratch.value, out=out)
-
-    @staticmethod
-    def _normalise(scratch: "_ScoringScratch", surface: np.ndarray) -> None:
-        """Divide ``|S|`` in *surface* by the coherence denominator of
-        the Gram window in ``scratch.window``, in place.
-
-        The denominator ``sqrt(P[f+a] P[f-a])`` of the window's mean
-        square power ``P`` is one multiply of the two Hankel views of
-        ``scratch.mean_square`` (see :class:`_ScoringScratch`).
-        """
-        np.abs(scratch.window, out=scratch.power)
-        np.square(scratch.power, out=scratch.power)
-        # np.mean's sum and division, without its Python wrapper.
-        np.add.reduce(scratch.power, axis=0, out=scratch.mean_square)
-        np.divide(
-            scratch.mean_square, len(scratch.power), out=scratch.mean_square
-        )
-        denominator = scratch.denominator
-        np.multiply(scratch.plus, scratch.minus, out=denominator)
-        np.sqrt(denominator, out=denominator)
-        np.maximum(denominator, COHERENCE_FLOOR, out=denominator)
-        np.divide(surface, denominator, out=surface)
+        kernel = getattr(self._kernels, "kernel", None)
+        if kernel is None:
+            cfg = self.config
+            kernel = self._kernels.kernel = GramKernel(
+                cfg.num_blocks, cfg.fft_size, cfg.m, self._precision
+            )
+        return kernel
 
     # ------------------------------------------------------------------
     # Pruned cycle-frequency search (arXiv:0903.1183-style)
@@ -581,30 +498,28 @@ class BatchExecutionPlan:
         cfg = self.config
         top = min(cfg.alpha_top, self._columns.size)
         candidates = np.argpartition(scores, -top, axis=1)[:, -top:]
-        windowed = spectra[:, :, self._window]
-        if cfg.normalize:
-            mean_square = np.mean(np.abs(spectra) ** 2, axis=1)
-        center = cfg.fft_size // 2
-        two_m = 2 * cfg.m
-        for trial in range(len(batch)):
-            offsets_a = self._columns[candidates[trial]] - cfg.m
-            u = self._offsets[:, None] + offsets_a[None, :]
-            v = self._offsets[:, None] - offsets_a[None, :]
-            window = windowed[trial]
+        kernel = self._kernel()
+        # Window columns of bins f + a and f - a, as in the Gram grid.
+        grid_rows = np.arange(cfg.extent)[:, None]
+        for trial, trial_spectra in enumerate(spectra):
+            columns = self._columns[candidates[trial]]
+            kernel.load(trial_spectra)
+            window = kernel.window
             values = np.sum(
-                window[:, u + two_m] * np.conj(window[:, v + two_m]), axis=0
+                window[:, grid_rows + columns]
+                * np.conj(window[:, grid_rows + 2 * cfg.m - columns]),
+                axis=0,
             )
             values /= self.averaging_length
             surface = np.abs(values)
             if cfg.normalize:
-                trial_power = mean_square[trial]
-                denominator = np.sqrt(
-                    trial_power[center + u] * trial_power[center + v]
+                kernel.average_power()
+                surface /= coherence_denominator(
+                    kernel.plus[:, columns], kernel.minus[:, columns]
                 )
-                surface /= np.maximum(denominator, COHERENCE_FLOOR)
             flat = int(np.argmax(surface))
             statistics[trial] = float(surface.ravel()[flat])
-            peaks[trial] = abs(int(offsets_a[flat % offsets_a.size]))
+            peaks[trial] = abs(int(columns[flat % columns.size] - cfg.m))
 
     def results(self, signals: np.ndarray) -> list[DSCFResult]:
         """Batched DSCFs wrapped per trial in :class:`DSCFResult`."""
@@ -620,57 +535,6 @@ class BatchExecutionPlan:
             )
             for trial_values in values
         ]
-
-
-class _ScoringScratch:
-    """One thread's scoring buffers and the fixed views into them.
-
-    Everything the per-trial loop of :class:`BatchExecutionPlan` writes
-    lives here, sized once for the plan's geometry (M, N, precision)
-    and overwritten in full on every use:
-
-    * ``window`` (and its ``conjugate`` at float64) — the trial's Gram
-      window ``X[:, c-2M : c+2M+1]``, the BLAS operands;
-    * ``gram`` — the ``(4M+1)^2`` Gram plane, and ``grid``, the DSCF
-      grid as a strided view of it: ``S[f', a'] = G[f'+a', f'-a'+2M]``,
-      so a step in ``f'`` moves one row and one column on and a step
-      in ``a'`` one row on and one column back;
-    * ``value`` (and ``value_floats``, its real/imaginary float view)
-      — the grid copied out of the Gram plane and scaled;
-    * ``surface``, ``denominator`` and ``column_max``;
-    * ``power`` (``|X|^2`` of the window) and ``mean_square`` (its
-      block mean ``P`` over the window's bins), with ``plus`` and
-      ``minus``, the two Hankel views of the coherence denominator:
-      ``plus[f', a'] = P[f'+a']`` (bin ``f+a``) is a sliding window of
-      ``P``, and ``minus[f', a'] = P[f'+2M-a']`` (bin ``f-a``) the
-      same window read backwards in ``a'``.
-
-    The views alias this thread's buffers, which is why a plan keeps
-    one scratch per thread.
-    """
-
-    def __init__(self, plan: BatchExecutionPlan) -> None:
-        m = plan.config.m
-        extent, width = 2 * m + 1, 4 * m + 1
-        cdtype, rdtype = plan._cdtype, plan._rdtype
-        self.window = np.empty((plan.config.num_blocks, width), cdtype)
-        self.conjugate = np.empty_like(self.window)
-        self.gram = np.empty((width, width), cdtype, order=plan._gram_order)
-        rows, columns = self.gram.strides
-        self.grid = as_strided(
-            self.gram[0, 2 * m :],
-            shape=(extent, extent),
-            strides=(rows + columns, rows - columns),
-        )
-        self.value = np.empty((extent, extent), cdtype)
-        self.value_floats = self.value.view(rdtype)
-        self.surface = np.empty((extent, extent), rdtype)
-        self.denominator = np.empty((extent, extent), rdtype)
-        self.column_max = np.empty(extent, rdtype)
-        self.power = np.empty(self.window.shape, rdtype)
-        self.mean_square = np.empty(width, rdtype)
-        self.plus = sliding_window_view(self.mean_square, extent)
-        self.minus = self.plus[:, ::-1]
 
 
 class LoopExecutionPlan:

@@ -34,7 +34,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.fourier import block_spectra
 from ..core.sampling import SampledSignal
 from ..core.scf import DSCFResult, StreamingDSCF, compute_dscf, dscf_reference
 from ..errors import ConfigurationError
@@ -123,14 +122,11 @@ def _split_input(
                 f"({config.num_blocks}, {config.fft_size}), got {array.shape}"
             )
         return np.asarray(array, dtype=np.complex128), sample_rate
-    spectra = block_spectra(
-        array,
-        config.fft_size,
-        num_blocks=config.num_blocks,
-        hop=config.hop,
-        window=config.window,
-    )
-    return spectra, sample_rate
+    # The batch plan's front end (block geometry and precision only, not
+    # the backend), so the spectra equal the engine's bit for bit.
+    from ..engine.plans import BatchExecutionPlan
+
+    return BatchExecutionPlan(config).block_spectra(array)[0], sample_rate
 
 
 def _require_samples(
@@ -181,7 +177,8 @@ class ReferenceBackend:
 
 
 class VectorizedBackend:
-    """Vectorised numpy estimator (`repro.core.scf.dscf`)."""
+    """Gram-matrix estimator (`repro.core.scf.dscf`): the kernel the
+    batch plans score with, so its DSCF equals theirs bit for bit."""
 
     name = "vectorized"
     capabilities = BackendCapabilities(
@@ -189,21 +186,20 @@ class VectorizedBackend:
         supports_streaming=False,
         accepts_spectra=True,
         cycle_accurate=False,
-        description="vectorised numpy einsum estimator (production software)",
-        complexity="O(N (2M+1)^2) BLAS, df=fs/K, da=2fs/K",
+        description="Gram-matrix BLAS estimator (production software)",
+        complexity="O(N (4M+1)^2) BLAS, df=fs/K, da=2fs/K",
     )
 
     def compute(
         self, signal: SampledSignal | np.ndarray, config: PipelineConfig
     ) -> DSCFResult:
         spectra, sample_rate = _split_input(signal, config)
-        result = compute_dscf(
+        return compute_dscf(
             spectra,
             m=config.m,
             sample_rate_hz=sample_rate,
             precision=config.precision,
         )
-        return result
 
 
 class StreamingBackend:

@@ -14,8 +14,8 @@ and one worker task that drains it:
   path requests (many sessions' reconciled ring spectra stacked into
   one Gram call).  The batched plans guarantee per-trial slices are
   bitwise identical to singleton runs, so coalescing changes *when*
-  work happens, never *what* is computed — and amortises the FFT/
-  einsum setup the same way the offline batch path does;
+  work happens, never *what* is computed — and amortises the FFT and
+  scoring-kernel setup the same way the offline batch path does;
 * **backpressure** — :meth:`CoalescingScheduler.submit` never blocks
   the producer: when the queue is at ``max_queue_depth`` the request
   is shed immediately with

@@ -71,12 +71,6 @@ class TestEstimatorEquivalence:
             streaming.update(spectrum)
         assert np.allclose(streaming.result().values, dscf(small_spectra, small_m))
 
-    def test_chunked_equals_unchunked(self, small_spectra, small_m):
-        assert np.allclose(
-            dscf(small_spectra, small_m, chunk_blocks=2),
-            dscf(small_spectra, small_m, chunk_blocks=1000),
-        )
-
     def test_single_block(self, small_spectra, small_m):
         one = small_spectra[:1]
         assert np.allclose(dscf_reference(one, small_m), dscf(one, small_m))

@@ -326,8 +326,9 @@ class TestBatchPlanParity:
                 signal, batch_config.fft_size,
                 num_blocks=batch_config.num_blocks,
             )
-            np.testing.assert_allclose(
-                batched[trial], dscf(spectra, batch_config.m), atol=1e-12
+            np.testing.assert_array_equal(
+                batched[trial].view(np.uint64),
+                dscf(spectra, batch_config.m).view(np.uint64),
             )
 
     def test_statistics_match_legacy_detector(self, batch_config, batch_signals):
@@ -338,7 +339,9 @@ class TestBatchPlanParity:
         legacy = np.array(
             [detector.statistic(signal) for signal in batch_signals]
         )
-        np.testing.assert_allclose(batched, legacy, rtol=1e-10)
+        np.testing.assert_array_equal(
+            batched.view(np.uint64), legacy.view(np.uint64)
+        )
 
     def test_unnormalized_statistics_match_legacy_detector(self, batch_signals):
         config = PipelineConfig(fft_size=32, num_blocks=6, normalize=False)
@@ -349,7 +352,9 @@ class TestBatchPlanParity:
         legacy = np.array(
             [detector.statistic(signal) for signal in batch_signals]
         )
-        np.testing.assert_allclose(batched, legacy, rtol=1e-10)
+        np.testing.assert_array_equal(
+            batched.view(np.uint64), legacy.view(np.uint64)
+        )
 
     def test_cyclic_bins_restrict_the_search(self, batch_signals):
         config = PipelineConfig(fft_size=32, num_blocks=6, cyclic_bins=(2, -2))
@@ -360,7 +365,9 @@ class TestBatchPlanParity:
         legacy = np.array(
             [detector.statistic(signal) for signal in batch_signals]
         )
-        np.testing.assert_allclose(batched, legacy, rtol=1e-10)
+        np.testing.assert_array_equal(
+            batched.view(np.uint64), legacy.view(np.uint64)
+        )
 
     def test_results_wrap_per_trial_dscf(self, batch_config, batch_signals):
         results = Engine().plan(batch_config).results(batch_signals[:3])

@@ -17,6 +17,9 @@ Six invariant families:
 * Gram-path scoring: the plan's in-place, gather-free scoring loop
   equals the plain fancy-index/complex-division expressions bit for
   bit, from subnormal to overflowing input scales and on signed zeros.
+* One DSCF kernel: every software entry point (``compute_dscf``,
+  ``dscf_from_signal``, the vectorized backend, the pipeline, the
+  detector and a session's ``scf_result``) equals the plan bit for bit.
 """
 
 import numpy as np
@@ -25,8 +28,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import cgemm
 
+from repro.core.detection import CyclostationaryFeatureDetector
 from repro.core.fourier import block_spectra, fft_radix2
-from repro.core.scf import COHERENCE_FLOOR, dscf, dscf_reference
+from repro.core.scf import (
+    COHERENCE_FLOOR,
+    compute_dscf,
+    default_m,
+    dscf,
+    dscf_from_signal,
+    dscf_reference,
+)
 from repro.engine import Engine, build_plan
 from repro.mapping.architecture import FoldedArray
 from repro.mapping.folding import Fold
@@ -39,7 +50,7 @@ from repro.montium.fixedpoint import (
     q15_multiply,
     to_q15,
 )
-from repro.pipeline import PipelineConfig
+from repro.pipeline import DetectionPipeline, PipelineConfig, get_backend
 from repro.serve import SensingSession
 from repro.signals.noise import awgn
 
@@ -532,3 +543,75 @@ class TestScoringProperties:
             statistics, _, _ = _plain_scoring(plan, spectra)
             result = plan.statistics_from_spectra(spectra)
         np.testing.assert_array_equal(_bits(result), _bits(statistics))
+
+
+@st.composite
+def entry_point_cases(draw):
+    fft_size = draw(st.sampled_from((16, 32, 64, 256)))
+    m = draw(st.integers(min_value=1, max_value=default_m(fft_size)))
+    offsets = [a for a in range(-m, m + 1) if a != 0]
+    cyclic_bins = draw(
+        st.none()
+        | st.lists(st.sampled_from(offsets), min_size=1, max_size=3).map(
+            tuple
+        )
+    )
+    config = PipelineConfig(
+        fft_size=fft_size,
+        num_blocks=draw(st.integers(min_value=1, max_value=12)),
+        m=m,
+        cyclic_bins=cyclic_bins,
+        normalize=draw(st.booleans()),
+        precision=draw(st.sampled_from(("float64", "float32"))),
+    )
+    samples = config.samples_per_decision
+    tone = np.exp(2j * np.pi * draw(st.floats(0.0, 0.5)) * np.arange(samples))
+    signal = awgn(samples, seed=draw(st.integers(0, 2**16))) + 0.5 * tone
+    return config, signal
+
+
+class TestEntryPointProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(entry_point_cases())
+    def test_every_entry_point_equals_the_plan(self, case):
+        config, signal = case
+        engine = Engine()
+        plan = engine.plan(config)
+        values = _bits(plan.dscf_values(signal[None])[0])
+        spectra = plan.block_spectra(signal[None])[0]
+        computed = {
+            "compute_dscf": compute_dscf(
+                spectra, m=config.m, precision=config.precision
+            ),
+            "VectorizedBackend.compute": get_backend("vectorized").compute(
+                signal, config
+            ),
+            "DetectionPipeline.compute": DetectionPipeline(config).compute(
+                signal
+            ),
+        }
+        if config.precision == "float64":
+            # The detector, dscf_from_signal and the session ring are
+            # double precision only.
+            computed["dscf_from_signal"] = dscf_from_signal(
+                signal, config.fft_size, num_blocks=config.num_blocks,
+                m=config.m,
+            )
+            session = SensingSession(config, session_id="s")
+            session.ingest(signal)
+            computed["scf_result"] = session.scf_result()
+            detector = CyclostationaryFeatureDetector(
+                config.fft_size, config.num_blocks, m=config.m,
+                cyclic_bins=config.cyclic_bins, normalize=config.normalize,
+            )
+            np.testing.assert_array_equal(
+                _bits(detector.feature_surface(signal)),
+                _bits(plan.surfaces(signal[None])[0]),
+            )
+            assert _bits(np.float64(detector.statistic(signal))) == _bits(
+                engine.statistics(signal[None], config=config)[0]
+            )
+        for name, result in computed.items():
+            np.testing.assert_array_equal(
+                _bits(result.values), values, err_msg=name
+            )
