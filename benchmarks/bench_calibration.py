@@ -1,21 +1,15 @@
-"""Calibration setup cost: analytic CFAR vs Monte-Carlo, pruned search.
+"""Calibration setup cost: analytic CFAR vs Monte-Carlo.
 
 Not a paper artifact: measures what the calibration-policy layer buys
 and emits the machine-readable ``BENCH_calibration.json`` at the repo
 root (tracked across PRs and guarded by
-``benchmarks/check_perf_regression.py``):
-
-* **calibration setup** — the wall-clock of producing a detection
-  threshold at the paper's K = 256 operating point under each policy.
-  ``calibration="monte-carlo"`` runs the full noise-only sweep (here
-  with a warm plan cache, so the figure is the sweep itself);
-  ``calibration="analytic"`` evaluates the closed-form Beta-law
-  threshold and touches no signal at all.  The JSON records both
-  thresholds and their relative difference alongside the speedup.
-* **pruned cycle-frequency search** — batched statistics with the
-  full (2M+1) x (2M+1) surface sweep versus the FFT-screened
-  ``alpha_search="pruned"`` refinement on occupied-channel signals,
-  where the two are required to agree on the decision statistic.
+``benchmarks/check_perf_regression.py``): the wall-clock of producing
+a detection threshold at the paper's K = 256 operating point under
+each policy.  ``calibration="monte-carlo"`` runs the full noise-only
+sweep (here with a warm plan cache, so the figure is the sweep
+itself); ``calibration="analytic"`` evaluates the closed-form Beta-law
+threshold and touches no signal at all.  The JSON records both
+thresholds and their relative difference alongside the speedup.
 
 Regenerate the JSON::
 
@@ -36,20 +30,16 @@ import numpy as np
 
 from repro.engine import Engine
 from repro.pipeline import PipelineConfig
-from repro.signals.modulators import bpsk_signal
-from repro.signals.noise import awgn
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_calibration.json"
 
 #: Full geometry: the paper's K = 256 operating point.
 FULL_CONFIG = PipelineConfig(fft_size=256, num_blocks=8, pfa=0.1)
 FULL_TRIALS = 200
-FULL_BATCH = 32
 
 #: Tiny --smoke geometry (CI artifact run, no gating).
 SMOKE_CONFIG = PipelineConfig(fft_size=32, num_blocks=8, pfa=0.1)
 SMOKE_TRIALS = 20
-SMOKE_BATCH = 8
 
 
 def _best_seconds(fn, repeats: int = 3) -> float:
@@ -113,71 +103,16 @@ def _calibration_setup(
     }
 
 
-def _occupied_batch(config: PipelineConfig, batch: int) -> np.ndarray:
-    rng = np.random.default_rng(31_337)
-    samples = config.samples_per_decision
-    sps = max(2, config.fft_size // 16)
-    signals = []
-    for _ in range(batch):
-        noise = awgn(samples, power=1.0, rng=rng)
-        user = bpsk_signal(samples, 1e6, samples_per_symbol=sps, rng=rng)
-        signals.append(noise + 2.0 * user.samples)
-    return np.stack(signals)
-
-
-def _alpha_search(config: PipelineConfig, batch: int, repeats: int) -> dict:
-    """Batched statistics: full surface sweep vs the pruned search."""
-    signals = _occupied_batch(config, batch)
-    engine = Engine()
-    full_plan = engine.plan(dataclasses.replace(config, alpha_search="full"))
-    pruned_plan = engine.plan(
-        dataclasses.replace(config, alpha_search="pruned")
-    )
-    full_statistics = full_plan.statistics(signals)  # warm plans
-    pruned_statistics = pruned_plan.statistics(signals)
-    agree = bool(
-        np.allclose(full_statistics, pruned_statistics, rtol=1e-6)
-    )
-    full_seconds = _best_seconds(
-        lambda: full_plan.statistics(signals), repeats
-    )
-    pruned_seconds = _best_seconds(
-        lambda: pruned_plan.statistics(signals), repeats
-    )
-    return {
-        "full": {
-            **_operating_point(config),
-            "alpha_search": "full",
-            "trials": batch,
-            "seconds_per_batch": full_seconds,
-            "seconds_per_estimate": full_seconds / batch,
-        },
-        "pruned": {
-            **_operating_point(config),
-            "alpha_search": "pruned",
-            "trials": batch,
-            "seconds_per_batch": pruned_seconds,
-            "seconds_per_estimate": pruned_seconds / batch,
-        },
-        "search_speedup": (
-            full_seconds / pruned_seconds if pruned_seconds > 0 else None
-        ),
-        "statistics_agree": agree,
-    }
-
-
 def emit(smoke: bool, json_path: Path) -> dict:
     repeats = 2 if smoke else 3
     config = SMOKE_CONFIG if smoke else FULL_CONFIG
     trials = SMOKE_TRIALS if smoke else FULL_TRIALS
-    batch = SMOKE_BATCH if smoke else FULL_BATCH
     payload = {
         "benchmark": "bench_calibration",
         "smoke": smoke,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "calibration": _calibration_setup(config, trials, repeats),
-        "alpha_search": _alpha_search(config, batch, repeats),
     }
     with open(json_path, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -199,7 +134,6 @@ def main(argv=None) -> int:
 
     payload = emit(args.smoke, args.json)
     setup = payload["calibration"]
-    search = payload["alpha_search"]
     print(f"wrote {args.json}")
     print(
         f"  calibration: monte-carlo "
@@ -209,19 +143,10 @@ def main(argv=None) -> int:
         f"({setup['setup_speedup']:.0f}x setup speedup, thresholds "
         f"within {setup['threshold_rel_diff'] * 100:.2f}%)"
     )
-    print(
-        f"  alpha search: full "
-        f"{search['full']['seconds_per_batch'] * 1e3:.1f} ms vs pruned "
-        f"{search['pruned']['seconds_per_batch'] * 1e3:.1f} ms per batch "
-        f"({search['search_speedup']:.2f}x, statistics "
-        f"{'agree' if search['statistics_agree'] else 'DISAGREE'})"
-    )
 
     if args.smoke:
         return 0
     failures = []
-    if not search["statistics_agree"]:
-        failures.append("pruned statistics diverged from the full sweep")
     if not setup["setup_speedup"] or setup["setup_speedup"] < 10.0:
         failures.append(
             f"analytic setup speedup {setup['setup_speedup']} < 10x over "

@@ -74,11 +74,10 @@ OPERATING_POINT_KEYS = (
     "normalize",
     "serve_path",
     # BENCH_calibration.json rows: a monte-carlo setup figure must
-    # never gate an analytic one (or a full sweep a pruned one), and
-    # the threshold setup cost scales with the target pfa's trial
-    # demand, so all three key the operating point.
+    # never gate an analytic one, and the threshold setup cost scales
+    # with the target pfa's trial demand, so both key the operating
+    # point.
     "calibration",
-    "alpha_search",
     "pfa",
 )
 

@@ -572,7 +572,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         ) is None:
             serving = (
                 "session-capable; spectra fast path + engine fallback "
-                "(serve_path=auto routes full-search float64 detects "
+                "(serve_path=auto routes float64 detects "
                 "through the session's resident spectra)"
             )
         else:

@@ -69,11 +69,6 @@ Pfa at or just under target) because residual inter-cell dependence is
 bounded from above.  The ``soc`` substrate computes the same DSCF in
 fixed point, so the Gram threshold applies to within quantization
 noise.
-
-With ``alpha_search="pruned"`` the searched set is data-dependent; the
-analytic threshold keeps the full-search cell count, which is
-conservative (the pruned maximum is over a subset of the full-search
-cells, so realized Pfa can only drop).
 """
 
 from __future__ import annotations

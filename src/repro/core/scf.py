@@ -354,19 +354,18 @@ class GramKernel:
             self.values(self.value)
             np.abs(self.value, out=out)
 
-    def average_power(self) -> None:
-        """The loaded window's block-mean power into ``mean_square``
-        (and so into the ``plus``/``minus`` views)."""
+    def normalise(self, surface: np.ndarray) -> None:
+        """Divide ``|S|`` in *surface* by the coherence denominator of
+        the loaded window, in place.
+
+        The window's block-mean power goes into ``mean_square`` (and so
+        into the ``plus``/``minus`` views) first.
+        """
         np.abs(self.window, out=self.power)
         np.square(self.power, out=self.power)
         # np.mean's sum and division, without its Python wrapper.
         np.add.reduce(self.power, axis=0, out=self.mean_square)
         np.divide(self.mean_square, len(self.power), out=self.mean_square)
-
-    def normalise(self, surface: np.ndarray) -> None:
-        """Divide ``|S|`` in *surface* by the coherence denominator of
-        the loaded window, in place."""
-        self.average_power()
         coherence_denominator(self.plus, self.minus, out=self.denominator)
         np.divide(surface, self.denominator, out=surface)
 
@@ -390,8 +389,8 @@ def hankel_views(power: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 def coherence_denominator(
     plus: np.ndarray, minus: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``sqrt(P[f+a] P[f-a])`` from :func:`hankel_views` (or columns of
-    them), floored at :data:`COHERENCE_FLOOR`."""
+    """``sqrt(P[f+a] P[f-a])`` from :func:`hankel_views`, floored at
+    :data:`COHERENCE_FLOOR`."""
     out = np.multiply(plus, minus, out=out)
     np.sqrt(out, out=out)
     np.maximum(out, COHERENCE_FLOOR, out=out)

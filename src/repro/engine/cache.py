@@ -47,10 +47,6 @@ PLAN_KEY_FIELDS = (
     "window",
     "normalize",
     "cyclic_bins",
-    # The cycle-frequency search strategy changes what statistics()
-    # computes, so pruned and full plans must never collide.
-    "alpha_search",
-    "alpha_top",
     "soc_tiles",
     "soc_compiled",
     "fam_channels",

@@ -55,7 +55,6 @@ from ..core.fourier import block_gather, framed_spectra, phase_table
 from ..core.scf import (
     DSCFResult,
     GramKernel,
-    coherence_denominator,
     spectral_coherence,
 )
 from ..errors import ConfigurationError
@@ -65,12 +64,6 @@ from .._util import spawn_substreams
 #: Highest worker count the bitwise-equality battery pins (see
 #: ``tests/test_engine.py``); ``repro-cfd backends`` reports it.
 MAX_TESTED_JOBS = 4
-
-#: Correlation lags probed by the pruned search's coarse screen (see
-#: :meth:`BatchExecutionPlan.alpha_screen`).  Lag 0 sees
-#: envelope-periodic signals; the small non-zero lags see
-#: constant-modulus pulse trains whose instantaneous power is flat.
-PRUNE_SCREEN_LAGS = (0, 1, 2, 3)
 
 
 class BatchExecutionPlan:
@@ -145,13 +138,6 @@ class BatchExecutionPlan:
         self._executor = executor
         self._exact = bool(getattr(self._executor, "dscf_exact", False))
         self._kernels = threading.local()
-        # Pruned cycle-frequency search (config validation restricts it
-        # to the Gram path): statistics() screens every column with the
-        # cyclic autocorrelation of the block powers, then refines only
-        # the strongest candidates exactly.
-        self._pruned = (
-            cfg.alpha_search == "pruned" and self._executor is None
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -329,12 +315,7 @@ class BatchExecutionPlan:
         the next slab is built.  On the Gram path the peak is taken
         inside the per-trial scoring loop, so no ``(trials, 2M+1,
         2M+1)`` tensor is materialised.
-        With ``config.alpha_search="pruned"`` the peak is instead taken
-        over the exactly-refined top-scoring columns of the coarse
-        cycle-frequency screen (see :meth:`pruned_search`).
         """
-        if self._pruned:
-            return self.pruned_search(signals)[0]
         batch = self.as_batch(signals)
         statistics = np.empty(len(batch), dtype=self._rdtype)
         for rows in self._slabs(len(batch)):
@@ -360,9 +341,8 @@ class BatchExecutionPlan:
         bitwise identical to :meth:`statistics` on the raw window (the
         mathematics from the spectra onward are the same code path).
 
-        Configurations :func:`spectra_refusal` rejects — backends with
-        raw-sample executors (the FAM/SSCA lattices, the compiled SoC
-        replay) and the pruned search — raise
+        Backends with raw-sample executors (the FAM/SSCA lattices, the
+        compiled SoC replay) fail :func:`spectra_refusal` and raise
         :class:`~repro.errors.ConfigurationError`.
         """
         refusal = spectra_refusal(self.config)
@@ -430,96 +410,6 @@ class BatchExecutionPlan:
                 cfg.num_blocks, cfg.fft_size, cfg.m, self._precision
             )
         return kernel
-
-    # ------------------------------------------------------------------
-    # Pruned cycle-frequency search (arXiv:0903.1183-style)
-    # ------------------------------------------------------------------
-    def alpha_screen(self, signals: np.ndarray) -> np.ndarray:
-        """Coarse per-column cycle-frequency scores, ``(trials, cols)``.
-
-        Column ``a`` of the DSCF is scored by the block-averaged cyclic
-        autocorrelation magnitude at its cycle frequency ``2a/K``,
-        probed at the few smallest correlation lags — a handful of
-        FFTs of lag-product series per trial (``T * N * K log K``
-        work) instead of the full ``(2M+1)^2 * N`` Gram sweep.  The
-        identity behind it:
-
-            sum_f X[f+a] conj(X[f-a]) e^{2 pi i f tau / K}
-                = K * DFT_{2a}(b[n] conj(b[n - tau]))
-
-        — each lag ``tau`` sums a column coherently under a different
-        linear f-phase.  Lag 0 alone (the instantaneous-power screen)
-        is blind to constant-modulus signals, whose envelope hides the
-        symbol clock; small non-zero lags recover it (the lag product
-        of a pulse train flips with the symbol stream), so the screen
-        maximises over lags :data:`PRUNE_SCREEN_LAGS`.  Scores align
-        with :attr:`searched_columns`.
-        """
-        cfg = self.config
-        batch = self.as_batch(signals)
-        blocks = batch[:, self._gather] * self._taper
-        scores = None
-        for lag in PRUNE_SCREEN_LAGS:
-            if lag >= cfg.fft_size:
-                break
-            products = blocks * np.conj(np.roll(blocks, -lag, axis=2))
-            cyclic = np.abs(np.fft.fft(products, axis=2).mean(axis=1))
-            scores = cyclic if scores is None else np.maximum(scores, cyclic)
-        columns = (2 * (self._columns - cfg.m)) % cfg.fft_size
-        return scores[:, columns]
-
-    def pruned_search(
-        self, signals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Screen + refine: statistics and winning cyclic offsets.
-
-        Returns ``(statistics, peak_offsets)``: per trial, the top
-        ``config.alpha_top`` screened columns are re-evaluated with the
-        exact coherence mathematics and the strongest refined cell
-        supplies the statistic and its offset ``a``.  Conjugate
-        symmetry makes column ``-a`` redundant with ``a`` (identical
-        coherence values, mirrored in f), so refining the screened
-        candidates never misses the mirrored peak; the winning offset
-        is reported as its non-negative mirror ``|a|``.
-        """
-        batch = self.as_batch(signals)
-        statistics = np.empty(len(batch))
-        peaks = np.empty(len(batch), dtype=np.int64)
-        for rows in self._slabs(len(batch)):
-            self._refine(batch[rows], statistics[rows], peaks[rows])
-        return statistics, peaks
-
-    def _refine(
-        self, batch: np.ndarray, statistics: np.ndarray, peaks: np.ndarray
-    ) -> None:
-        """One slab of :meth:`pruned_search`, into its output rows."""
-        spectra = self._front_end(batch)
-        scores = self.alpha_screen(batch)
-        cfg = self.config
-        top = min(cfg.alpha_top, self._columns.size)
-        candidates = np.argpartition(scores, -top, axis=1)[:, -top:]
-        kernel = self._kernel()
-        # Window columns of bins f + a and f - a, as in the Gram grid.
-        grid_rows = np.arange(cfg.extent)[:, None]
-        for trial, trial_spectra in enumerate(spectra):
-            columns = self._columns[candidates[trial]]
-            kernel.load(trial_spectra)
-            window = kernel.window
-            values = np.sum(
-                window[:, grid_rows + columns]
-                * np.conj(window[:, grid_rows + 2 * cfg.m - columns]),
-                axis=0,
-            )
-            values /= self.averaging_length
-            surface = np.abs(values)
-            if cfg.normalize:
-                kernel.average_power()
-                surface /= coherence_denominator(
-                    kernel.plus[:, columns], kernel.minus[:, columns]
-                )
-            flat = int(np.argmax(surface))
-            statistics[trial] = float(surface.ravel()[flat])
-            peaks[trial] = abs(int(columns[flat % columns.size] - cfg.m))
 
     def results(self, signals: np.ndarray) -> list[DSCFResult]:
         """Batched DSCFs wrapped per trial in :class:`DSCFResult`."""
@@ -696,7 +586,7 @@ def spectra_refusal(config, serving: bool = False) -> str | None:
     fields only; no plan is built).  A config qualifies when its
     backend's ``compute`` accepts precomputed spectra — raw-sample
     substrates (FAM/SSCA lattices, compiled SoC replay, soc
-    interpreter) do not — and the full cycle-frequency search is on.
+    interpreter) do not.
     *serving* (a session scoring its float64 ring spectra) also
     requires float64, the only precision bitwise equal to the engine
     sample path.
@@ -707,11 +597,6 @@ def spectra_refusal(config, serving: bool = False) -> str | None:
         return (
             f"backend {config.backend!r} executes trials from raw "
             f"samples and has no spectra-domain entry point"
-        )
-    if config.alpha_search == "pruned":
-        return (
-            "alpha_search='pruned' screens raw sample blocks and has no "
-            "spectra-domain entry point; use alpha_search='full'"
         )
     if serving and config.precision != "float64":
         return (

@@ -122,11 +122,13 @@ def _split_input(
                 f"({config.num_blocks}, {config.fft_size}), got {array.shape}"
             )
         return np.asarray(array, dtype=np.complex128), sample_rate
-    # The batch plan's front end (block geometry and precision only, not
-    # the backend), so the spectra equal the engine's bit for bit.
-    from ..engine.plans import BatchExecutionPlan
+    # The cached Gram plan's front end (block geometry and precision
+    # only, not the backend), so the spectra equal the engine's bit for
+    # bit and the plan is built once per operating point, not per call.
+    from ..engine.cache import shared_plan_cache
 
-    return BatchExecutionPlan(config).block_spectra(array)[0], sample_rate
+    plan = shared_plan_cache().get(config.with_backend("vectorized"))
+    return plan.block_spectra(array)[0], sample_rate
 
 
 def _require_samples(

@@ -75,17 +75,6 @@ class PipelineConfig:
     calibration_seed:
         Base seed for the default calibration noise factory (trial *t*
         uses ``calibration_seed + t``).
-    alpha_search:
-        Cycle-frequency search strategy of the detection statistic —
-        ``"full"`` (default: every searched column scanned exactly) or
-        ``"pruned"`` (coarse FFT-based cyclic-autocorrelation screen
-        over all columns, then exact coherence refinement of the
-        ``alpha_top`` strongest candidates — the fast cycle-frequency-
-        domain search of arXiv:0903.1183).  Pruned search applies to
-        the Gram-path ``vectorized`` backend with the default
-        full-offset search; ``"full"`` outputs stay bitwise unchanged.
-    alpha_top:
-        Candidate columns refined exactly by ``alpha_search="pruned"``.
     sample_rate_hz:
         Optional sampling frequency carried into results for
         physical-unit axes.
@@ -140,7 +129,7 @@ class PipelineConfig:
         identical; the knob only chooses what gets recomputed.
         Eligibility is one rule,
         :func:`repro.engine.plans.spectra_refusal` (a backend accepting
-        precomputed spectra, the full cycle-frequency search, float64);
+        precomputed spectra, float64);
         :meth:`repro.serve.SensingService.resolve_serve_path` applies it
         and raises :class:`~repro.errors.ConfigurationError` for
         ``"spectra"`` on an ineligible configuration at service
@@ -160,8 +149,6 @@ class PipelineConfig:
     calibration: str = "monte-carlo"
     calibration_trials: int = 50
     calibration_seed: int = 10_000
-    alpha_search: str = "full"
-    alpha_top: int = 8
     sample_rate_hz: float | None = None
     soc_tiles: int = 4
     soc_compiled: bool = False
@@ -222,31 +209,11 @@ class PipelineConfig:
                 f"calibration must be 'monte-carlo' or 'analytic', got "
                 f"{self.calibration!r}"
             )
-        if self.alpha_search not in ("full", "pruned"):
-            raise ConfigurationError(
-                f"alpha_search must be 'full' or 'pruned', got "
-                f"{self.alpha_search!r}"
-            )
-        require_positive_int(self.alpha_top, "alpha_top")
         if self.serve_path not in ("auto", "engine", "spectra"):
             raise ConfigurationError(
                 f"serve_path must be 'auto', 'engine' or 'spectra', got "
                 f"{self.serve_path!r}"
             )
-        if self.alpha_search == "pruned":
-            if self.backend != "vectorized":
-                raise ConfigurationError(
-                    f"alpha_search='pruned' screens the Gram-path DSCF "
-                    f"columns and only applies to backend 'vectorized', "
-                    f"got {self.backend!r}"
-                )
-            if self.cyclic_bins is not None:
-                raise ConfigurationError(
-                    "alpha_search='pruned' searches all cyclic offsets "
-                    "with a coarse screen; it cannot be combined with "
-                    "an explicit cyclic_bins subset (which is already "
-                    "a pruned search)"
-                )
         object.__setattr__(
             self, "cyclic_bins", validate_cyclic_bins(self.cyclic_bins, self.m)
         )

@@ -1,4 +1,4 @@
-"""Analytic CFAR calibration and the pruned cycle-frequency search.
+"""Analytic CFAR calibration and the detection statistic's definition.
 
 Three batteries:
 
@@ -11,9 +11,9 @@ Three batteries:
 * **Calibration-correctness bugfixes** — the unified quantile rule
   (per-trial loop, batched, engine: bit-identical), the under-sampled
   calibration warning, and the serve threshold-cache policy key.
-* **Pruned search** — finds the full sweep's peak cyclic offset (and
-  statistic) on the golden K=256 operating point; full-sweep outputs
-  stay bitwise unchanged by the knob's existence.
+* **Statistic and policy** — the statistic is the surface peak over
+  every searched cyclic offset; calibration policy is validated and
+  never keys the plan cache.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def test_scanner_analytic_rejects_overlapping_prototype():
 
 
 # ---------------------------------------------------------------------------
-# Pruned cycle-frequency search
+# Detection statistic and config policy
 # ---------------------------------------------------------------------------
 def _occupied(config: PipelineConfig, sps: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -380,60 +380,9 @@ def _occupied(config: PipelineConfig, sps: int, seed: int) -> np.ndarray:
     return noise + 2.0 * user.samples
 
 
-@pytest.mark.parametrize("sps", [4, 8])
-def test_pruned_search_finds_full_sweep_peak(sps):
-    full_config = PipelineConfig(fft_size=64, num_blocks=8)
-    pruned_config = PipelineConfig(
-        fft_size=64, num_blocks=8, alpha_search="pruned", alpha_top=8
-    )
-    signal = _occupied(full_config, sps, seed=13 + sps)
-
-    full = Engine().plan(full_config)
-    surface = full.surfaces(signal[None])[0]
-    columns = full.searched_columns
-    m = full_config.m
-    full_peak = abs(
-        int(columns[np.argmax(surface[:, columns].max(axis=0))]) - m
-    )
-    full_statistic = float(full.statistics(signal[None])[0])
-
-    plan = Engine().plan(pruned_config)
-    statistics, peaks = plan.pruned_search(signal[None])
-    assert int(peaks[0]) == full_peak == 64 // (2 * sps)
-    assert statistics[0] == pytest.approx(full_statistic, rel=1e-6)
-    # statistics() routes through the pruned path on this plan.
-    assert plan.statistics(signal[None])[0] == pytest.approx(
-        statistics[0]
-    )
-
-
-def test_pruned_search_golden_k256_operating_point():
-    """The paper's K=256 geometry: pruned == full peak alpha."""
-    full_config = PipelineConfig(fft_size=256, num_blocks=8)
-    pruned_config = PipelineConfig(
-        fft_size=256, num_blocks=8, alpha_search="pruned"
-    )
-    signal = _occupied(full_config, sps=8, seed=99)
-    full = Engine().plan(full_config)
-    surface = full.surfaces(signal[None])[0]
-    columns = full.searched_columns
-    full_peak = abs(
-        int(columns[np.argmax(surface[:, columns].max(axis=0))])
-        - full_config.m
-    )
-    statistics, peaks = Engine().plan(pruned_config).pruned_search(
-        signal[None]
-    )
-    assert int(peaks[0]) == full_peak == 256 // 16
-    assert statistics[0] == pytest.approx(
-        float(full.statistics(signal[None])[0]), rel=1e-6
-    )
-
-
-def test_full_sweep_unchanged_by_pruned_knob_existence():
-    """Default configs produce bitwise-identical statistics as ever."""
+def test_statistics_equal_surface_peak_over_searched_columns():
+    """The statistic is the surface maximum over every searched offset."""
     config = PipelineConfig(fft_size=32, num_blocks=8)
-    assert config.alpha_search == "full"
     signal = _occupied(config, sps=4, seed=5)
     plan = Engine().plan(config)
     surfaces = plan.surfaces(signal[None])
@@ -442,44 +391,16 @@ def test_full_sweep_unchanged_by_pruned_knob_existence():
     assert np.array_equal(stats, expected)
 
 
-def test_pruned_config_validation():
-    with pytest.raises(ConfigurationError, match="vectorized"):
-        PipelineConfig(backend="fam", alpha_search="pruned")
-    with pytest.raises(ConfigurationError, match="cyclic_bins"):
-        PipelineConfig(alpha_search="pruned", cyclic_bins=(3,))
-    with pytest.raises(ConfigurationError, match="alpha_search"):
-        PipelineConfig(alpha_search="fastest")
+def test_unknown_calibration_policy_rejected():
     with pytest.raises(ConfigurationError, match="calibration"):
         PipelineConfig(calibration="bayesian")
-    with pytest.raises(ConfigurationError, match="alpha_top"):
-        PipelineConfig(alpha_top=0)
 
 
-def test_pruned_and_full_plans_cache_separately():
+def test_calibration_policy_does_not_key_plan_cache():
     from repro.engine.cache import plan_key
 
-    full = PipelineConfig(fft_size=32, num_blocks=8)
-    pruned = PipelineConfig(
-        fft_size=32, num_blocks=8, alpha_search="pruned"
-    )
-    assert plan_key(full) != plan_key(pruned)
-    # Calibration policy deliberately does NOT key the plan cache.
+    monte_carlo = PipelineConfig(fft_size=32, num_blocks=8)
     analytic = PipelineConfig(
         fft_size=32, num_blocks=8, calibration="analytic"
     )
-    assert plan_key(full) == plan_key(analytic)
-
-
-def test_analytic_with_pruned_search_is_conservative():
-    """Analytic + pruned: full-search cell count bounds realized Pfa."""
-    config = PipelineConfig(
-        fft_size=64,
-        num_blocks=8,
-        alpha_search="pruned",
-        pfa=0.1,
-        calibration="analytic",
-    )
-    threshold = DetectionPipeline(config).calibrate()
-    statistics = Engine().plan(config).statistics(_noise_batch(config, 300))
-    realized = float(np.mean(statistics > threshold))
-    assert realized <= 1.6 * config.pfa
+    assert plan_key(monte_carlo) == plan_key(analytic)

@@ -481,21 +481,6 @@ class TestSlabBitwise:
                 plan, _signals(config, trials=trials), PLAN_ENTRIES[entry]
             )
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_pruned_search(self, normalize):
-        config = PipelineConfig(
-            fft_size=256, num_blocks=32, alpha_search="pruned",
-            normalize=normalize,
-        )
-        plan = Engine(cache=PlanCache()).plan(config)
-        slab = plan.slab_trials
-        for trials in (slab // 2, 2 * slab + slab // 2):
-            _assert_slab_invariant(
-                plan,
-                _signals(config, trials=trials),
-                lambda plan, s: plan.pruned_search(s),
-            )
-
     @pytest.mark.parametrize("name", ["fam", "ssca", "soc-compiled"])
     @pytest.mark.parametrize(
         "entry", ["statistics", "surfaces", "dscf_values"]

@@ -20,6 +20,9 @@ Six invariant families:
 * One DSCF kernel: every software entry point (``compute_dscf``,
   ``dscf_from_signal``, the vectorized backend, the pipeline, the
   detector and a session's ``scf_result``) equals the plan bit for bit.
+* Coherence numerics at float64: every normalised surface cell lies in
+  ``[0, 1 + 8 eps]``, and scaling a window by ``2**k`` (k in
+  [-40, 60]) leaves its statistic bit for bit unchanged.
 """
 
 import numpy as np
@@ -52,6 +55,7 @@ from repro.montium.fixedpoint import (
 )
 from repro.pipeline import DetectionPipeline, PipelineConfig, get_backend
 from repro.serve import SensingSession
+from repro.signals.modulators import bpsk_signal
 from repro.signals.noise import awgn
 
 q15_values = st.integers(min_value=Q15_MIN, max_value=Q15_MAX)
@@ -615,3 +619,55 @@ class TestEntryPointProperties:
             np.testing.assert_array_equal(
                 _bits(result.values), values, err_msg=name
             )
+
+
+@st.composite
+def coherence_cases(draw):
+    """A float64 operating point (K 16-256, N 1-32, hop K, K/4 or 3)
+    and one noise or noise-plus-BPSK window for it."""
+    fft_size = draw(st.sampled_from((16, 32, 64, 256)))
+    config = PipelineConfig(
+        fft_size=fft_size,
+        num_blocks=draw(st.integers(min_value=1, max_value=32)),
+        hop=draw(st.sampled_from((fft_size, fft_size // 4, 3))),
+    )
+    samples = config.samples_per_decision
+    seed = draw(st.integers(0, 2**16))
+    signal = awgn(samples, seed=seed)
+    if draw(st.booleans()):
+        sps = draw(st.sampled_from((2, 4, 8)))
+        user = bpsk_signal(samples, 1e6, samples_per_symbol=sps, seed=seed)
+        signal = signal + 2.0 * user.samples
+    return config, signal
+
+
+class TestCoherenceNumericsProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(coherence_cases())
+    def test_normalised_surface_within_unit_interval(self, case):
+        # Cauchy-Schwarz bounds the coherence by 1; rounding in the
+        # Gram sum and the denominator may only add a few ulps.
+        config, signal = case
+        surface = Engine().plan(config).surfaces(signal[None])[0]
+        assert surface.min() >= 0.0
+        assert surface.max() <= 1.0 + 8 * np.finfo(np.float64).eps
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        coherence_cases(),
+        st.lists(st.integers(min_value=-40, max_value=60), min_size=1,
+                 max_size=4),
+    )
+    def test_statistic_invariant_to_power_of_two_scaling(self, case, powers):
+        # A power-of-two gain is exact in every step of the statistic
+        # while no spectral power underflows toward COHERENCE_FLOOR or
+        # overflows.
+        config, signal = case
+        batch = np.stack(
+            [signal] + [signal * 2.0**power for power in powers]
+        )
+        statistics = Engine().statistics(batch, config=config)
+        np.testing.assert_array_equal(
+            _bits(statistics[1:]),
+            np.broadcast_to(_bits(statistics[:1]), len(powers)),
+        )

@@ -164,7 +164,6 @@ class TestSpectraStatistics:
             TINY.with_backend("ssca"),
             soc,
             dataclasses.replace(soc, soc_compiled=True),
-            dataclasses.replace(TINY, alpha_search="pruned"),
         )
         with Engine(jobs=1) as engine:
             for config in refused:
@@ -196,8 +195,6 @@ class TestServePathConfig:
             assert "raw samples" in spectra_refusal(
                 TINY.with_backend(backend)
             )
-        pruned = dataclasses.replace(TINY, alpha_search="pruned")
-        assert "pruned" in spectra_refusal(pruned)
         single = dataclasses.replace(TINY, precision="float32")
         assert spectra_refusal(single) is None  # the engine accepts it
         assert "float64" in spectra_refusal(single, serving=True)
@@ -217,16 +214,6 @@ class TestServePathConfig:
         with pytest.raises(ConfigurationError, match="serve_path='spectra'"):
             service.restore_session(session.state(), config=config)
         assert service.stats()["sessions"] == 0
-
-    def test_spectra_path_rejects_pruned_search(self):
-        self._assert_rejected_before_first_detect(
-            PipelineConfig(
-                fft_size=32,
-                num_blocks=8,
-                serve_path="spectra",
-                alpha_search="pruned",
-            )
-        )
 
     def test_spectra_path_rejects_float32(self):
         self._assert_rejected_before_first_detect(
