@@ -391,6 +391,42 @@ def test_statistics_equal_surface_peak_over_searched_columns():
     assert np.array_equal(stats, expected)
 
 
+def _full_search_peak(config: PipelineConfig, signal: np.ndarray) -> int:
+    """Cyclic offset |a| of the surface peak over the searched columns."""
+    plan = Engine().plan(config)
+    surface = plan.surfaces(signal[None])[0]
+    columns = plan.searched_columns
+    peak = columns[np.argmax(surface[:, columns].max(axis=0))]
+    return abs(int(peak) - config.m)
+
+
+@pytest.mark.parametrize("sps", [4, 8])
+def test_full_search_peak_at_symbol_rate(sps):
+    """BPSK's strongest feature sits at the symbol rate, a = K / (2 sps)."""
+    config = PipelineConfig(fft_size=64, num_blocks=8)
+    signal = _occupied(config, sps, seed=13 + sps)
+    assert _full_search_peak(config, signal) == 64 // (2 * sps)
+
+
+def test_full_search_golden_k256_peak():
+    """The paper's K=256 geometry finds the symbol-rate offset."""
+    config = PipelineConfig(fft_size=256, num_blocks=8)
+    signal = _occupied(config, sps=8, seed=99)
+    assert _full_search_peak(config, signal) == 256 // 16
+
+
+@pytest.mark.parametrize(
+    "knob", [dict(alpha_search="pruned"), dict(alpha_top=8)]
+)
+def test_retired_search_knobs_rejected(knob):
+    """The full search is the only statistic: no knob selects another."""
+    from repro.engine.cache import PLAN_KEY_FIELDS
+
+    with pytest.raises(TypeError):
+        PipelineConfig(fft_size=32, num_blocks=8, **knob)
+    assert not set(knob) & set(PLAN_KEY_FIELDS)
+
+
 def test_unknown_calibration_policy_rejected():
     with pytest.raises(ConfigurationError, match="calibration"):
         PipelineConfig(calibration="bayesian")

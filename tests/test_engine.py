@@ -683,6 +683,31 @@ class TestSharedCacheIntegration:
         assert second is first
         assert cache.stats.hits == hits_before + 1
 
+    def test_raw_sample_backend_front_end_uses_shared_plan(self):
+        # A raw-sample compute takes its block spectra from the shared
+        # plan's front end: one cache hit per repeat call, no new plan,
+        # and bit-equal to the plan's own spectra.
+        from repro.pipeline import get_backend
+
+        cache = shared_plan_cache()
+        config = replace(TINY, fft_size=64, num_blocks=4)
+        signal = awgn(config.samples_per_decision, seed=21)
+        backend = get_backend("vectorized")
+        first = backend.compute(signal, config)
+        before = cache.stats
+        second = backend.compute(signal, config)
+        assert cache.stats.misses == before.misses
+        assert cache.stats.hits == before.hits + 1
+        assert np.array_equal(
+            first.values.view(np.uint64), second.values.view(np.uint64)
+        )
+        plan = cache.get(config)
+        spectra = plan.block_spectra(signal[None])[0]
+        assert np.array_equal(
+            backend.compute(spectra, config).values.view(np.uint64),
+            first.values.view(np.uint64),
+        )
+
     def test_scanner_shares_one_plan_across_scans(self):
         cache = shared_plan_cache()
         config = replace(TINY, scan_bands=4, fft_size=64, num_blocks=4)
