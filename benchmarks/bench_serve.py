@@ -44,6 +44,15 @@ open/ingest/detect (``decision_seconds``), plus the child's peak RSS.
 The smoke geometry's row is recorded on full runs too, so the CI smoke
 run always has a baseline to compare against.
 
+A ``wire_decode`` block times the server's ingest-payload decode,
+:func:`repro.serve.decode_samples`, against the stdlib reference
+``base64.b64decode(payload, validate=True)`` in the same run
+(``decode_seconds`` per line, median of interleaved repeats), at a
+64-sample line (below the vector-decode crossover, so both run the
+stdlib call) and an 8192-sample line (one paper-point window, decoded
+in numpy).  Both ``--smoke`` and full runs write the same rows, and
+the decoded bits must equal the reference's.
+
 Regenerate the JSON (one BLAS thread, recorded in the JSON: two
 OpenBLAS threads slow these small Gram products)::
 
@@ -54,6 +63,7 @@ OpenBLAS threads slow these small Gram products)::
 
 import argparse
 import asyncio
+import base64
 import json
 import os
 import platform
@@ -66,7 +76,7 @@ import numpy as np
 
 from repro.engine import Engine, PlanCache, available_cpus
 from repro.pipeline import DetectionPipeline, PipelineConfig
-from repro.serve import SensingService
+from repro.serve import SensingService, decode_samples, encode_samples
 from repro.signals.noise import awgn
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
@@ -83,6 +93,15 @@ SMOKE_CLIENTS = (1, 4)
 SMOKE_REQUESTS_PER_CLIENT = {"service": 3, "naive": 2}
 
 MAX_BATCH_COALESCED = 32
+
+#: Ingest-line sizes of the wire-decode rows: one hop (64 samples, a
+#: 1368-character line) and one K = 256, N = 32 window (8192 samples,
+#: 174,764 characters).  The same on smoke and full runs.
+WIRE_DECODE_SAMPLES = (64, 8192)
+WIRE_DECODE_REPEATS = 31
+#: Characters decoded per timed repeat (the call count adapts to it).
+WIRE_DECODE_CHARS_PER_REPEAT = 1 << 20
+WIRE_DECODE_SEED = 7200
 
 #: Fresh-interpreter launches per cold-start row (medians reported).
 COLD_START_REPEATS = 5
@@ -357,6 +376,55 @@ def _cold_start_row(config: PipelineConfig) -> dict:
     }
 
 
+def _reference_decode(payload: str) -> np.ndarray:
+    """The stdlib decode :func:`decode_samples` must equal."""
+    return np.frombuffer(base64.b64decode(payload, validate=True), "<c16")
+
+
+def _wire_decode_rows(num_samples: int) -> dict:
+    """``decode_seconds`` per line for the server decode and the stdlib
+    reference, timed in alternating repeats of the same payload."""
+    payload = encode_samples(awgn(num_samples, seed=WIRE_DECODE_SEED))
+    expected = _reference_decode(payload).view(np.uint64)
+    decoded = decode_samples(payload)
+    assert np.array_equal(decoded.view(np.uint64), expected), (
+        f"decode_samples diverged from base64.b64decode at "
+        f"{num_samples} samples"
+    )
+    calls = max(1, WIRE_DECODE_CHARS_PER_REPEAT // len(payload))
+    decoders = {"decode_samples": decode_samples, "b64decode": _reference_decode}
+    seconds = {name: [] for name in decoders}
+    for _ in range(WIRE_DECODE_REPEATS):
+        for name, decode in decoders.items():
+            started = time.perf_counter()
+            for _ in range(calls):
+                decode(payload)
+            seconds[name].append((time.perf_counter() - started) / calls)
+    rows = {
+        name: {
+            "num_samples": num_samples,
+            "payload_chars": len(payload),
+            "decoder": name,
+            "decode_seconds": float(np.median(seconds[name])),
+        }
+        for name in decoders
+    }
+    rows["decode_samples"]["bitwise_equal_to_b64decode"] = True  # asserted
+    rows["decode_samples"]["speedup_vs_b64decode"] = (
+        rows["b64decode"]["decode_seconds"]
+        / rows["decode_samples"]["decode_seconds"]
+    )
+    return rows
+
+
+def _wire_decode() -> dict:
+    rows = {"decode_samples": {}, "b64decode": {}}
+    for num_samples in WIRE_DECODE_SAMPLES:
+        for name, row in _wire_decode_rows(num_samples).items():
+            rows[name][f"samples={num_samples}"] = row
+    return rows
+
+
 async def _ladder(
     config: PipelineConfig, clients_ladder, requests: dict
 ) -> dict:
@@ -389,6 +457,7 @@ def emit(smoke: bool, json_path: Path) -> dict:
         f"fft_size={cold.fft_size}": _cold_start_row(cold)
         for cold in cold_configs
     }
+    wire_decode = _wire_decode()
     top = f"clients={max(clients_ladder)}"
     coalesced = rows["coalesced"][top]
     payload = {
@@ -401,6 +470,7 @@ def emit(smoke: bool, json_path: Path) -> dict:
         "serve": {
             **rows,
             "cold_start": cold_start,
+            "wire_decode": wire_decode,
             "coalescing_speedup": {
                 "fft_size": config.fft_size,
                 "num_blocks": config.num_blocks,
@@ -455,6 +525,14 @@ def main(argv=None) -> int:
             f"threshold {row['threshold_seconds']:.3f}, "
             f"decision {row['decision_seconds']:.3f}), "
             f"peak RSS {row['peak_rss_mb']:.0f} MB"
+        )
+    for label, row in payload["serve"]["wire_decode"]["decode_samples"].items():
+        reference = payload["serve"]["wire_decode"]["b64decode"][label]
+        print(
+            f"  wire decode [{label}, {row['payload_chars']} chars]: "
+            f"{row['decode_seconds'] * 1e6:.1f} us "
+            f"(b64decode {reference['decode_seconds'] * 1e6:.1f} us, "
+            f"{row['speedup_vs_b64decode']:.2f}x)"
         )
     gate = payload["serve"]["coalescing_speedup"]
     print(

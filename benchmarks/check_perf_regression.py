@@ -110,6 +110,9 @@ TIMING_KEYS = (
     # BENCH_estimators.json batch-vs-loop rows: the batch plan's
     # Monte-Carlo time per trial.
     "batch_seconds_per_trial",
+    # BENCH_serve.json wire-decode rows: one ingest line's base64 decode,
+    # for the server's decoder and for the stdlib reference beside it.
+    "decode_seconds",
 )
 
 #: Recognised memory fields (bytes; lower is better), compared without

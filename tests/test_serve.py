@@ -15,6 +15,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.fourier import framed_spectra
 from repro.core.scf import dscf
@@ -45,6 +47,7 @@ from repro.serve import (
     serve_backends,
     session_capable,
 )
+from repro.serve.server import VECTOR_DECODE_MIN_CHARS, _vector_b64decode
 from repro.signals.noise import awgn
 
 TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=20)
@@ -626,6 +629,50 @@ class TestServer:
             samples[::3]
         )
 
+    @pytest.mark.parametrize("chunk", [8192, 64])
+    def test_detect_over_tcp_equals_engine_on_both_decode_paths(self, chunk):
+        """An 8192-sample line takes the numpy decoder, a 64-sample line
+        the stdlib one; both serve the engine's statistic bit for bit."""
+        config = PipelineConfig(fft_size=256, num_blocks=32)
+        stream = _stream(config.samples_per_decision, seed=86)
+        lines = [
+            encode_samples(stream[start : start + chunk])
+            for start in range(0, stream.size, chunk)
+        ]
+        vectorised = [len(line) >= VECTOR_DECODE_MIN_CHARS for line in lines]
+        assert set(vectorised) == {chunk == 8192}
+
+        async def run():
+            server = SensingServer(SensingService(config))
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+
+            async def rpc(request):
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            try:
+                session = (await rpc({"op": "open"}))["session"]
+                for line in lines:
+                    ingest = await rpc(
+                        {"op": "ingest", "session": session, "samples": line}
+                    )
+                    assert ingest["ok"], ingest
+                return await rpc(
+                    {"op": "detect", "session": session, "threshold": False}
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.close()
+
+        detect = asyncio.run(run())
+        assert detect["ok"], detect
+        expected = Engine().statistics(stream[None], config=config)[0]
+        served = np.float64(detect["statistic"])
+        assert served.view(np.uint64) == np.float64(expected).view(np.uint64)
+
     def test_paper_point_ingest_line_fits_the_byte_budget(self):
         config = PipelineConfig(fft_size=256, num_blocks=32)
         assert config.samples_per_decision == 8192
@@ -634,6 +681,149 @@ class TestServer:
         request["samples"] = encode_samples(window)
         line = json.dumps(request).encode() + b"\n"
         assert len(line) <= 180_000
+
+
+def _reference_decode(payload):
+    """The stdlib-only decode every payload must match: the outcome of
+    ``base64.b64decode(payload, validate=True)`` plus the 16-byte check,
+    as ``("ok", uint64 words)`` or ``("error", message)``."""
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as error:
+        return "error", f"samples is not valid base64: {error}"
+    if len(raw) % 16:
+        return "error", (
+            f"samples decode to {len(raw)} bytes, not a multiple of the "
+            f"16-byte complex128 sample"
+        )
+    return "ok", np.frombuffer(raw, dtype=np.uint64).tolist()
+
+
+def _decode_outcome(payload):
+    try:
+        decoded = decode_samples(payload)
+    except ConfigurationError as error:
+        return "error", str(error)
+    assert decoded.dtype == np.dtype("<c16")
+    assert not decoded.flags.writeable
+    return "ok", decoded.view(np.uint64).tolist()
+
+
+def _payload(num_samples: int, seed: int) -> str:
+    """Base64 of *num_samples* random 16-byte words (any bit pattern)."""
+    raw = np.random.default_rng(seed).bytes(16 * num_samples)
+    return base64.b64encode(raw).decode("ascii")
+
+
+#: Sample counts whose payloads straddle the vector-decode crossover
+#: (a sample is 16 bytes, 64/3 characters) and reach about 3x it.
+_CROSSOVER_SAMPLES = VECTOR_DECODE_MIN_CHARS * 3 // 64
+_MAX_BATTERY_SAMPLES = 3 * _CROSSOVER_SAMPLES
+
+def _replace(text: str, at: int, char: str) -> str:
+    return text[:at] + char + text[at + 1 :]
+
+
+def _insert(text: str, at: int, char: str) -> str:
+    return text[:at] + char + text[at:]
+
+
+#: Text corruptions: each maps (valid payload, position) to the
+#: corrupted payload.
+_CORRUPTIONS = {
+    # Kept out of the last quantum, where "=" may be valid padding.
+    "equals-mid-body": lambda text, at: _replace(
+        text, min(at, len(text) - 5), "="
+    ),
+    "excess-padding": lambda text, at: text + "====",
+    "extra-pad-char": lambda text, at: text + "=",
+    "missing-padding": lambda text, at: (
+        text.rstrip("=") if text.endswith("=") else text[:-1]
+    ),
+    "non-alphabet": lambda text, at: _replace(text, at, "*"),
+    "url-safe-alphabet": lambda text, at: _replace(text, at, "-"),
+    "space": lambda text, at: _replace(text, at, " "),
+    "newline": lambda text, at: _insert(text, at, "\n"),
+    "trailing-newline": lambda text, at: text + "\n",
+    "non-ascii": lambda text, at: _replace(text, at, "\u00e9"),
+    "non-ascii-inserted": lambda text, at: _insert(text, at, "\u00e9"),
+    "dropped-char": lambda text, at: text[:at] + text[at + 1 :],
+    "not-16-bytes": lambda text, at: base64.b64encode(
+        base64.b64decode(text)[:-5]
+    ).decode(),
+}
+
+#: Corruptions some stdlib versions accept: Python 3.11's strict
+#: ``a2b_base64`` decodes ``"AAAA===="`` and ``"AAAA="`` as ``"AAAA"``.
+_MAY_DECODE = {"excess-padding", "extra-pad-char"}
+
+
+class TestSampleDecodeEquivalence:
+    """The numpy decoder accepts, decodes and rejects exactly as
+    ``base64.b64decode(payload, validate=True)`` does, on both sides of
+    :data:`VECTOR_DECODE_MIN_CHARS`.  The reference is the stdlib call,
+    never ``binascii`` directly: Python 3.10's ``binascii`` has no
+    ``strict_mode``, and its ``b64decode`` validates with a regex.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_samples=st.integers(0, _MAX_BATTERY_SAMPLES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(num_samples=_CROSSOVER_SAMPLES - 1, seed=1)
+    @example(num_samples=_CROSSOVER_SAMPLES, seed=2)
+    @example(num_samples=_CROSSOVER_SAMPLES + 1, seed=3)
+    @example(num_samples=_MAX_BATTERY_SAMPLES, seed=4)
+    def test_round_trip_bitwise_on_both_paths(self, num_samples, seed):
+        text = _payload(num_samples, seed)
+        assert _decode_outcome(text) == _reference_decode(text)
+        # The numpy path itself decodes every valid payload, whatever
+        # its size, so the bits above are its own above the crossover.
+        raw = _vector_b64decode(text)
+        assert raw is not None and not raw.flags.writeable
+        assert raw.tobytes() == base64.b64decode(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corruption=st.sampled_from(sorted(_CORRUPTIONS)),
+        num_samples=st.integers(1, _MAX_BATTERY_SAMPLES),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(corruption="equals-mid-body", num_samples=1000, fraction=0.5,
+             seed=5)
+    @example(corruption="non-ascii", num_samples=1000, fraction=0.0, seed=6)
+    @example(corruption="newline", num_samples=1000, fraction=1.0, seed=7)
+    @example(corruption="missing-padding", num_samples=1000, fraction=0.0,
+             seed=8)
+    @example(corruption="excess-padding", num_samples=1001, fraction=0.0,
+             seed=9)
+    def test_corrupted_text_fails_with_the_stdlib_message(
+        self, corruption, num_samples, fraction, seed
+    ):
+        text = _payload(num_samples, seed)
+        at = min(int(fraction * len(text)), len(text) - 1)
+        corrupted = _CORRUPTIONS[corruption](text, at)
+        expected = _reference_decode(corrupted)
+        assert _decode_outcome(corrupted) == expected
+        if corruption not in _MAY_DECODE:
+            assert expected[0] == "error"
+        # At any size the numpy path either defers or agrees.
+        try:
+            reference = base64.b64decode(corrupted, validate=True)
+        except ValueError:
+            reference = None
+        raw = _vector_b64decode(corrupted)
+        assert raw is None or raw.tobytes() == reference
+
+    def test_payload_type_and_sizes_below_one_quantum(self):
+        for text in ("", "AA==", "AAAA", "A", "====", "AAAA====", "AAAAAAA="):
+            assert _decode_outcome(text) == _reference_decode(text)
+            raw = _vector_b64decode(text)
+            assert raw is None or raw.tobytes() == base64.b64decode(text)
+        with pytest.raises(ConfigurationError, match="base64 string"):
+            decode_samples(b"AAAA")
 
 
 class TestServerRobustness:
