@@ -72,10 +72,14 @@ def plan_key(config) -> tuple:
 
     A tuple of :data:`PLAN_KEY_FIELDS` values, ``backend`` first — two
     configurations map to the same plan exactly when every field a
-    plan is built from is identical.
+    plan is built from is identical.  The tuple is built once per
+    configuration (:attr:`PipelineConfig.plan_key
+    <repro.pipeline.config.PipelineConfig.plan_key>`), so the serve
+    path's per-detect lookups (threshold cache, batch grouping, plan
+    cache) reuse it instead of reading every field again.
     """
     try:
-        return tuple(getattr(config, field) for field in PLAN_KEY_FIELDS)
+        return config.plan_key
     except AttributeError as error:
         raise ConfigurationError(
             f"plan_key needs a PipelineConfig-like object, got "

@@ -138,6 +138,9 @@ class BatchExecutionPlan:
         self._executor = executor
         self._exact = bool(getattr(self._executor, "dscf_exact", False))
         self._kernels = threading.local()
+        # The spectra rule is static in the config: asked once here,
+        # not on every statistics_from_spectra call.
+        self._spectra_refusal = spectra_refusal(config)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -345,9 +348,8 @@ class BatchExecutionPlan:
         compiled SoC replay) fail :func:`spectra_refusal` and raise
         :class:`~repro.errors.ConfigurationError`.
         """
-        refusal = spectra_refusal(self.config)
-        if refusal is not None:
-            raise ConfigurationError(refusal)
+        if self._spectra_refusal is not None:
+            raise ConfigurationError(self._spectra_refusal)
         return self._score(self.as_spectra_batch(spectra))
 
     # ------------------------------------------------------------------
@@ -451,6 +453,7 @@ class LoopExecutionPlan:
         # denominator, so both paths window identically.  Building it
         # is cheap (a taper, a gather and a phase table).
         self._spectra = BatchExecutionPlan(config.with_backend("vectorized"))
+        self._spectra_refusal = spectra_refusal(config)
 
     @property
     def searched_columns(self) -> np.ndarray:
@@ -510,9 +513,8 @@ class LoopExecutionPlan:
         (the cycle-level soc interpreter) fail :func:`spectra_refusal`
         and raise :class:`~repro.errors.ConfigurationError`.
         """
-        refusal = spectra_refusal(self.config)
-        if refusal is not None:
-            raise ConfigurationError(refusal)
+        if self._spectra_refusal is not None:
+            raise ConfigurationError(self._spectra_refusal)
         batch = self._spectra.as_spectra_batch(spectra)
         columns = self.searched_columns
         return np.array(

@@ -39,8 +39,18 @@ from ..errors import ConfigurationError
 #: Instrumented fault sites.  ``worker.*`` sites execute inside pool
 #: worker processes (their occurrence numbers are issued parent-side,
 #: one per shard submission); the rest execute in the parent.
+#:
+#: Under the serve scheduler, ``serve.batch`` always fires in a worker
+#: thread, so its ``hang``/``slow`` faults stall one batch and never
+#: the event loop.  ``engine.batch`` fires inside the engine call: on
+#: the sample route that call runs in a worker thread too, but on the
+#: spectra route (``Engine.spectra_statistics``, scored inline on the
+#: event loop) a ``hang``/``slow`` there stalls the loop for its
+#: ``seconds``, like any inline work, and ``health`` waits with it.
+#: Hold a spectra batch with ``serve.batch`` instead.
 SITES = (
-    "engine.batch",  # parent: top of Engine.statistics, every batch
+    "engine.batch",  # parent: top of Engine.statistics and
+    # Engine.spectra_statistics, every batch
     "shm.publish",  # parent: after a trial block is published
     "worker.attach",  # worker: before attaching the shared segment
     "worker.start",  # worker: before computing its shard

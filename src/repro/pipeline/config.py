@@ -11,6 +11,7 @@ loose keyword arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .._compute import validate_precision
 from .._util import (
@@ -230,6 +231,16 @@ class PipelineConfig:
     def samples_per_decision(self) -> int:
         """Observation length consumed by one sensing decision."""
         return (self.num_blocks - 1) * self.hop + self.fft_size
+
+    @cached_property
+    def plan_key(self) -> tuple:
+        """The :data:`~repro.engine.cache.PLAN_KEY_FIELDS` values, built
+        on first use and kept (the config is frozen, so they never
+        change) — see :func:`repro.engine.cache.plan_key`."""
+        # Deferred: the engine package imports this module.
+        from ..engine.cache import PLAN_KEY_FIELDS
+
+        return tuple(getattr(self, field) for field in PLAN_KEY_FIELDS)
 
     def with_backend(self, backend: str) -> "PipelineConfig":
         """A copy of this configuration on a different backend."""

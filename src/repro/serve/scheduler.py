@@ -35,10 +35,21 @@ and one worker task that drains it:
   fast-fail with :class:`~repro.errors.CircuitOpenError` until the
   cooldown elapses, while already-queued work still executes.
 
-Because the engine call is CPU-bound NumPy, the worker hands it to
-:func:`asyncio.to_thread`; the event loop keeps accepting ingests and
-submissions while a batch computes, which is exactly how the queue
-builds up the next coalesced batch.
+Each domain has one route.  **Spectra** groups run
+:meth:`Engine.spectra_statistics
+<repro.engine.Engine.spectra_statistics>` directly on the event loop:
+that call is always in-process, bounded CPU work (one Gram score per
+request, no pool, no shared memory), so a thread hop would only add
+its own latency to every decision.  While it runs the loop does
+nothing else; a full ``max_batch`` spectra batch holds it for about
+``max_batch`` scores (roughly 25 ms at the paper's K = 256, N = 32
+point).  **Sample** groups run :meth:`Engine.statistics
+<repro.engine.Engine.statistics>` in :func:`asyncio.to_thread`: that
+route may shard to worker processes, rebuild a pool or wait on shared
+memory, so the loop keeps accepting ingests, submissions and
+``health`` probes while it computes, which is how the queue builds up
+the next coalesced batch.  The ``serve.batch`` fault site fires off
+the loop on both routes (see :meth:`CoalescingScheduler._score`).
 """
 
 from __future__ import annotations
@@ -312,12 +323,19 @@ class CoalescingScheduler:
         for request in live:
             groups.setdefault(request.key, []).append(request)
         for group in groups.values():
-            stacked = np.stack([request.samples for request in group])
+            first = group[0]
+            # A lone request needs no stacking copy: a leading axis on
+            # its own payload is the one-trial batch.
+            stacked = (
+                first.samples[None]
+                if len(group) == 1
+                else np.stack([request.samples for request in group])
+            )
             degraded_before = self._engine.health.degraded_shards
-            path = "spectra" if group[0].domain == "spectra" else "engine"
+            path = "spectra" if first.domain == "spectra" else "engine"
             try:
-                statistics = await asyncio.to_thread(
-                    self._run_batch, stacked, group[0].config, group[0].domain
+                statistics = await self._score(
+                    stacked, first.config, first.domain
                 )
             except Exception as error:
                 if self.breaker is not None:
@@ -352,27 +370,32 @@ class CoalescingScheduler:
                 )
                 request.future.set_result(float(statistic))
 
-    def _run_batch(
-        self,
-        stacked: np.ndarray,
-        config: PipelineConfig,
-        domain: str = "samples",
-    ):
-        """One engine batch, off the event loop (runs in a thread).
+    async def _score(
+        self, stacked: np.ndarray, config: PipelineConfig, domain: str
+    ) -> np.ndarray:
+        """One engine batch on its domain's route.
 
-        Sample-domain groups run :meth:`Engine.statistics
-        <repro.engine.Engine.statistics>`; spectra-domain groups run
-        the fast-path twin :meth:`Engine.spectra_statistics
-        <repro.engine.Engine.spectra_statistics>` on the stacked
-        ``(requests, N, K)`` tensor.  The ``serve.batch`` fault site
-        fires here either way, so ``hang``/``slow`` faults stall only
-        this batch — the event loop keeps answering ``health`` probes
-        and accepting submissions throughout.
+        Spectra-domain groups run :meth:`Engine.spectra_statistics
+        <repro.engine.Engine.spectra_statistics>` inline on the event
+        loop; sample-domain groups run :meth:`_score_samples` in a
+        worker thread.  The ``serve.batch`` fault site fires off the
+        loop on both routes, so its ``hang``/``slow`` faults stall only
+        this batch: ``health`` probes and submissions keep being
+        answered throughout.  Without an injector the inline route
+        pays one ``None`` check.
         """
+        if domain == "samples":
+            return await asyncio.to_thread(self._score_samples, stacked, config)
+        if self._injector is not None:
+            await asyncio.to_thread(self._injector.fire, "serve.batch")
+        return self._engine.spectra_statistics(stacked, config=config)
+
+    def _score_samples(
+        self, stacked: np.ndarray, config: PipelineConfig
+    ) -> np.ndarray:
+        """One sample-domain engine batch (runs in a worker thread)."""
         if self._injector is not None:
             self._injector.fire("serve.batch")
-        if domain == "spectra":
-            return self._engine.spectra_statistics(stacked, config=config)
         return self._engine.statistics(stacked, config=config)
 
     def _fail_or_retry(self, request: DetectionRequest, error: Exception) -> None:

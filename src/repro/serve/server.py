@@ -143,14 +143,28 @@ def decode_samples(payload) -> np.ndarray:
     shorter payload, and every one that fails that validation, is
     decoded by ``base64.b64decode(payload, validate=True)``, so the
     accepted payloads, the decoded bytes and each error message are
-    exactly those of the stdlib call.  The session copies on ingest,
-    so no second copy is made here.
+    exactly those of the stdlib call, with one exception applied first:
+    a trailing run of ``=`` longer than the final quantum needs (any
+    ``=`` after a complete quantum, or ``"AAA=="``) is rejected with
+    the same message on every Python version, where the stdlib call
+    accepts a version-dependent subset of them.  The session copies on
+    ingest, so no second copy is made here.
     """
     if not isinstance(payload, str):
         raise ConfigurationError(
             "samples must be a base64 string of little-endian complex128 "
             f"bytes, got {type(payload).__name__}"
         )
+    if payload.endswith("="):
+        data = len(payload.rstrip("="))
+        if len(payload) - data > -data % 4:
+            # More "=" than the final quantum needs.  Which of these
+            # the stdlib accepts depends on the Python version (3.10
+            # takes "AAAA==", 3.11 and 3.12 "AAAA===="), so the rule is
+            # applied here, with Python 3.13's wording.
+            raise ConfigurationError(
+                "samples is not valid base64: Excess padding not allowed"
+            )
     raw = None
     if len(payload) >= VECTOR_DECODE_MIN_CHARS:
         raw = _vector_b64decode(payload)

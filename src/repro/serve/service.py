@@ -19,7 +19,14 @@ subsystem together:
   (``serve_path="auto"``): the session's reconciled ring spectra feed
   the plan layer's spectra-domain entry point, skipping re-blocking
   and the N-block FFT sweep while producing bit-for-bit the engine
-  path's statistic — see :meth:`SensingService.resolve_serve_path`;
+  path's statistic — see :meth:`SensingService.resolve_serve_path`.
+  Each session's route is resolved once, when it opens or is
+  restored.  Spectra batches are scored on the event loop (bounded,
+  in-process work: a full ``max_batch`` batch holds the loop for
+  about ``max_batch`` scores, roughly 25 ms at K = 256, N = 32);
+  sample-domain batches (``detect_samples`` and the engine route) run
+  in a worker thread, because they may shard to worker processes —
+  see :class:`~repro.serve.scheduler.CoalescingScheduler`;
 * it calibrates detection thresholds on first use per operating point
   and caches them (the Monte-Carlo calibration is deterministic given
   the config, so the cache is exact, not approximate);
@@ -111,6 +118,9 @@ class SensingService:
             breaker=self.breaker,
         )
         self._sessions: dict[str, SensingSession] = {}
+        # Each session's detect route, resolved once when it opens: a
+        # session's config never changes, so neither does its route.
+        self._routes: dict[str, str] = {}
         self._thresholds: dict[tuple, float] = {}
         self._threshold_lock = asyncio.Lock()
 
@@ -183,16 +193,19 @@ class SensingService:
         session_id: str | None = None,
     ) -> str:
         """Open a new ingestion session; returns its id."""
-        if config is not None:
-            self.resolve_serve_path(config)  # eager route validation
-        session = SensingSession(
-            self.config if config is None else config, session_id=session_id
+        config = self.config if config is None else config
+        route = self.resolve_serve_path(config)  # eager route validation
+        return self._add_session(
+            SensingSession(config, session_id=session_id), route
         )
+
+    def _add_session(self, session: SensingSession, route: str) -> str:
         if session.session_id in self._sessions:
             raise SessionStateError(
                 f"session id {session.session_id!r} is already open"
             )
         self._sessions[session.session_id] = session
+        self._routes[session.session_id] = route
         return session.session_id
 
     def _session(self, session_id: str) -> SensingSession:
@@ -217,22 +230,15 @@ class SensingService:
         self, state: dict, config: PipelineConfig | None = None
     ) -> str:
         """Re-open a session from a checkpoint; returns its id."""
-        if config is not None:
-            self.resolve_serve_path(config)  # eager route validation
-        session = SensingSession.from_state(
-            self.config if config is None else config, state
-        )
-        if session.session_id in self._sessions:
-            raise SessionStateError(
-                f"session id {session.session_id!r} is already open"
-            )
-        self._sessions[session.session_id] = session
-        return session.session_id
+        config = self.config if config is None else config
+        route = self.resolve_serve_path(config)  # eager route validation
+        return self._add_session(SensingSession.from_state(config, state), route)
 
     def close_session(self, session_id: str) -> None:
         """Close and forget a session."""
         self._session(session_id).close()
         del self._sessions[session_id]
+        del self._routes[session_id]
 
     # ------------------------------------------------------------------
     # Detection
@@ -331,17 +337,17 @@ class SensingService:
     ) -> dict:
         """Detect on a session's current window (the last N blocks).
 
-        Routing follows :meth:`resolve_serve_path`: on the spectra
-        fast path the session's reconciled ring spectra are submitted
-        directly (no re-blocking, no FFT sweep); otherwise the raw
+        Routing follows :meth:`resolve_serve_path`, resolved once when
+        the session opened: on the spectra fast path the session's
+        reconciled ring spectra are submitted directly (no re-blocking,
+        no FFT sweep, scored on the event loop); otherwise the raw
         window goes through the engine sample path.  The statistic —
         and therefore the decision — is bitwise identical either way;
         ``result["serve_path"]`` reports the route taken.
         """
         session = self._session(session_id)
         config = session.config
-        path = self.resolve_serve_path(config)
-        if path == "spectra":
+        if self._routes[session_id] == "spectra":
             payload = session.window_spectra()  # raises until ready
             result = await self._submit_detection(
                 payload,

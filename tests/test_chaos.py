@@ -10,6 +10,7 @@ identical to the fault-free run, ``health`` keeps answering, and
 import asyncio
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -229,6 +230,25 @@ class _Client:
             pass
 
 
+def _probe_health(address: tuple, delay: float) -> tuple[dict, float]:
+    """Send one ``health`` request *delay* seconds after connecting, from
+    the calling thread's own event loop; returns the reply and its
+    latency.  A prober on the server's loop cannot see that loop stall:
+    its own timer waits out the stall with it."""
+
+    async def probe():
+        client = _Client(*await asyncio.open_connection(*address))
+        try:
+            await asyncio.sleep(delay)
+            started = time.perf_counter()
+            reply = await client.rpc({"op": "health"})
+            return reply, time.perf_counter() - started
+        finally:
+            await client.close()
+
+    return asyncio.run(probe())
+
+
 class TestServeChaos:
     """Fault plans driven end-to-end through the TCP server."""
 
@@ -431,6 +451,42 @@ class TestServeChaos:
         assert stats["shed_deadline"] == 1
         assert stats["shed_deadline_in_flight"] == 1
         assert stats["served"] == 1
+
+    def test_health_answers_from_another_loop_while_a_spectra_batch_stalls(
+        self,
+    ):
+        window = self._window(seed=204)
+
+        async def run():
+            # The spectra route scores on the event loop, but its
+            # serve.batch fault fires in a worker thread: a 0.5 s slow
+            # fault holds the batch, never the loop.
+            injector = FaultInjector(FaultPlan.parse("serve.batch:slow:0:0.5"))
+            engine = Engine(jobs=1, fault_injector=injector)
+            server = await self._serve(engine)
+            client = await _Client.connect(server)
+            loop = asyncio.get_running_loop()
+            try:
+                session = await self._open_and_ingest(client, window)
+                probe = loop.run_in_executor(
+                    None, _probe_health, server.address, 0.2
+                )
+                detect = await client.rpc(
+                    {"op": "detect", "session": session, "threshold": False}
+                )
+                health, latency = await probe
+            finally:
+                await client.close()
+                await server.close()
+                engine.close()
+            return detect, health, latency
+
+        detect, health, latency = asyncio.run(run())
+        assert detect["ok"], detect
+        assert detect["serve_path"] == "spectra"
+        assert detect["statistic"] == self._offline(window)
+        assert health["ok"] and health["status"] == "ok"
+        assert latency < 0.1
 
     def test_flood_under_faults_keeps_accounting_and_parity(self):
         windows = [self._window(seed=210 + i) for i in range(4)]

@@ -683,10 +683,23 @@ class TestServer:
         assert len(line) <= 180_000
 
 
+def _excess_padding(payload: str) -> bool:
+    """Whether *payload* ends in more ``=`` than its final quantum can
+    take: one after three data characters, two after two, three after
+    one, none after a complete quantum."""
+    data = payload.rstrip("=")
+    padding = len(payload) - len(data)
+    return padding > {0: 0, 1: 3, 2: 2, 3: 1}[len(data) % 4]
+
+
 def _reference_decode(payload):
-    """The stdlib-only decode every payload must match: the outcome of
-    ``base64.b64decode(payload, validate=True)`` plus the 16-byte check,
-    as ``("ok", uint64 words)`` or ``("error", message)``."""
+    """The decode every payload must match, as ``("ok", uint64 words)``
+    or ``("error", message)``: excess padding is rejected with one
+    message on every Python version, everything else has the outcome of
+    ``base64.b64decode(payload, validate=True)`` plus the 16-byte
+    check."""
+    if _excess_padding(payload):
+        return "error", "samples is not valid base64: Excess padding not allowed"
     try:
         raw = base64.b64decode(payload, validate=True)
     except ValueError as error:
@@ -753,10 +766,6 @@ _CORRUPTIONS = {
     ).decode(),
 }
 
-#: Corruptions some stdlib versions accept: Python 3.11's strict
-#: ``a2b_base64`` decodes ``"AAAA===="`` and ``"AAAA="`` as ``"AAAA"``.
-_MAY_DECODE = {"excess-padding", "extra-pad-char"}
-
 
 class TestSampleDecodeEquivalence:
     """The numpy decoder accepts, decodes and rejects exactly as
@@ -807,8 +816,7 @@ class TestSampleDecodeEquivalence:
         corrupted = _CORRUPTIONS[corruption](text, at)
         expected = _reference_decode(corrupted)
         assert _decode_outcome(corrupted) == expected
-        if corruption not in _MAY_DECODE:
-            assert expected[0] == "error"
+        assert expected[0] == "error"
         # At any size the numpy path either defers or agrees.
         try:
             reference = base64.b64decode(corrupted, validate=True)
@@ -824,6 +832,32 @@ class TestSampleDecodeEquivalence:
             assert raw is None or raw.tobytes() == base64.b64decode(text)
         with pytest.raises(ConfigurationError, match="base64 string"):
             decode_samples(b"AAAA")
+
+    @pytest.mark.parametrize("num_samples", [3, 1, 2, 3 * _CROSSOVER_SAMPLES])
+    @pytest.mark.parametrize("extra", ["=", "==", "===", "===="])
+    def test_excess_padding_fails_alike_on_every_python(
+        self, num_samples, extra
+    ):
+        # Python 3.10's b64decode accepts "AAAA==", 3.11's and 3.12's
+        # accept "AAAA====": the served input must not depend on that.
+        text = encode_samples(np.zeros(num_samples)) + extra
+        with pytest.raises(
+            ConfigurationError,
+            match="^samples is not valid base64: Excess padding not allowed$",
+        ):
+            decode_samples(text)
+
+    def test_padding_the_final_quantum_needs_still_decodes(self):
+        for num_samples in (1, 2, 3 * _CROSSOVER_SAMPLES + 1):
+            window = np.arange(num_samples) * (1 - 2j)
+            text = encode_samples(window)
+            assert text.endswith("=")
+            assert np.array_equal(decode_samples(text), window)
+        for text in ("=", "==", "AAA==", "AA===", "A===="):
+            assert _decode_outcome(text) == (
+                "error",
+                "samples is not valid base64: Excess padding not allowed",
+            )
 
 
 class TestServerRobustness:

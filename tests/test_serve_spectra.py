@@ -11,6 +11,7 @@ plan flavours (batch Gram and per-trial loop).
 import asyncio
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -324,6 +325,41 @@ class TestServiceSpectraPath:
                 return await service.detect_samples(stream)
 
         assert asyncio.run(run())["serve_path"] == "engine"
+
+    def test_spectra_batches_score_on_the_loop_thread(self):
+        # The routing rule: spectra groups are scored inline on the
+        # event loop, sample groups in a worker thread (that route may
+        # shard, rebuild a pool or wait on shared memory).
+        stream = _stream(TINY.samples_per_decision, seed=16)
+        threads = {"spectra_statistics": [], "statistics": []}
+
+        async def run():
+            engine = Engine(jobs=1)
+            for name, calls in threads.items():
+                call = getattr(engine, name)
+
+                def recorded(*args, _call=call, _calls=calls, **kwargs):
+                    _calls.append(threading.get_ident())
+                    return _call(*args, **kwargs)
+
+                setattr(engine, name, recorded)
+            async with SensingService(TINY, engine=engine) as service:
+                session = service.open_session()
+                service.ingest(session, stream)
+                spectra = await service.detect(session, with_threshold=False)
+                samples = await service.detect_samples(
+                    stream, with_threshold=False
+                )
+            engine.close()
+            return threading.get_ident(), spectra, samples
+
+        loop_thread, spectra, samples = asyncio.run(run())
+        assert spectra["serve_path"] == "spectra"
+        assert samples["serve_path"] == "engine"
+        assert spectra["statistic"] == samples["statistic"]
+        assert threads["spectra_statistics"] == [loop_thread]
+        assert len(threads["statistics"]) == 1
+        assert threads["statistics"][0] != loop_thread
 
     def test_coalesced_spectra_detects_stay_bitwise(self):
         streams = [
