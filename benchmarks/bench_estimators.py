@@ -120,12 +120,28 @@ def _median_seconds(fn, repeats: int) -> float:
     return float(np.median(times))
 
 
-def _measure_backend(backend, config: PipelineConfig, repeats: int = 3) -> dict:
+#: A backend row is the median of as many calls as fill this budget,
+#: and of at least :data:`BACKEND_MIN_CALLS`: a ~3 ms row takes about
+#: 65 calls, so one noisy call cannot move it (a median of 3 calls
+#: once read the compiled soc row 2.26x slow with no code change).
+BACKEND_BUDGET_SECONDS = 0.2
+BACKEND_MIN_CALLS = 3
+
+
+def _budget_median_seconds(fn) -> float:
+    times = []
+    deadline = time.perf_counter() + BACKEND_BUDGET_SECONDS
+    while len(times) < BACKEND_MIN_CALLS or time.perf_counter() < deadline:
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return float(np.median(times))
+
+
+def _measure_backend(backend, config: PipelineConfig) -> dict:
     signal = awgn(config.samples_per_decision, seed=72)
     backend.compute(signal, config)  # warm-up
-    seconds = _median_seconds(
-        lambda: backend.compute(signal, config), repeats=repeats
-    )
+    seconds = _budget_median_seconds(lambda: backend.compute(signal, config))
     return {
         "fft_size": config.fft_size,
         "num_blocks": config.num_blocks,

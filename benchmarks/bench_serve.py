@@ -67,8 +67,17 @@ A ``wire_decode`` block times the server's ingest-payload decode,
 (``decode_seconds`` per line, median of interleaved repeats), at a
 64-sample line (below the vector-decode crossover, so both run the
 stdlib call) and an 8192-sample line (one paper-point window, decoded
-in numpy).  Both ``--smoke`` and full runs write the same rows, and
-the decoded bits must equal the reference's.
+in numpy).  Its ``ingest_line`` rows time a whole ingest line the
+way the server takes it, :func:`repro.serve.parse_request` plus the
+decode of a payload the parse left as text, against ``json.loads``
+plus :func:`~repro.serve.decode_samples` (the ``json_loads`` rows),
+at the same two sizes.  Both ``--smoke`` and full runs write the same
+rows, and the decoded bits must equal the reference's.  The 8192-sample
+line skips the JSON scan of its payload, so the run fails unless its
+``ingest_line`` row is at least :data:`INGEST_LINE_MIN_SPEEDUP` times
+faster than its ``json_loads`` row: losing the shortcut costs about
+1.5-2x, too little for the perf guard's 2x tolerance to see against
+a baseline, but plain within one run.
 
 The run pins itself to one CPU (``cpus`` in the JSON reads 1).
 Regenerate the JSON with one BLAS thread (recorded in the JSON: two
@@ -96,7 +105,12 @@ import numpy as np
 
 from repro.engine import Engine, PlanCache, available_cpus
 from repro.pipeline import DetectionPipeline, PipelineConfig
-from repro.serve import SensingService, decode_samples, encode_samples
+from repro.serve import (
+    SensingService,
+    decode_samples,
+    encode_samples,
+    parse_request,
+)
 from repro.signals.noise import awgn
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
@@ -148,6 +162,9 @@ WIRE_DECODE_REPEATS = 31
 #: Characters decoded per timed repeat (the call count adapts to it).
 WIRE_DECODE_CHARS_PER_REPEAT = 1 << 20
 WIRE_DECODE_SEED = 7200
+#: Least same-run speedup of the server's parse over ``json.loads`` +
+#: ``decode_samples`` on the 8192-sample ingest line (about 2x here).
+INGEST_LINE_MIN_SPEEDUP = 1.3
 
 #: Session-route rows: the smoke geometry and the perfbench
 #: ``hop-stream`` point, the same on smoke and full runs.
@@ -500,6 +517,20 @@ def _reference_decode(payload: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(payload, validate=True), "<c16")
 
 
+def _interleaved_seconds(functions: dict, argument) -> dict:
+    """Median seconds per call of each of *functions* on *argument*,
+    over alternating repeats (the call count adapts to its length)."""
+    calls = max(1, WIRE_DECODE_CHARS_PER_REPEAT // len(argument))
+    seconds = {name: [] for name in functions}
+    for _ in range(WIRE_DECODE_REPEATS):
+        for name, function in functions.items():
+            started = time.perf_counter()
+            for _ in range(calls):
+                function(argument)
+            seconds[name].append((time.perf_counter() - started) / calls)
+    return {name: float(np.median(times)) for name, times in seconds.items()}
+
+
 def _wire_decode_rows(num_samples: int) -> dict:
     """``decode_seconds`` per line for the server decode and the stdlib
     reference, timed in alternating repeats of the same payload."""
@@ -510,23 +541,18 @@ def _wire_decode_rows(num_samples: int) -> dict:
         f"decode_samples diverged from base64.b64decode at "
         f"{num_samples} samples"
     )
-    calls = max(1, WIRE_DECODE_CHARS_PER_REPEAT // len(payload))
-    decoders = {"decode_samples": decode_samples, "b64decode": _reference_decode}
-    seconds = {name: [] for name in decoders}
-    for _ in range(WIRE_DECODE_REPEATS):
-        for name, decode in decoders.items():
-            started = time.perf_counter()
-            for _ in range(calls):
-                decode(payload)
-            seconds[name].append((time.perf_counter() - started) / calls)
+    seconds = _interleaved_seconds(
+        {"decode_samples": decode_samples, "b64decode": _reference_decode},
+        payload,
+    )
     rows = {
         name: {
             "num_samples": num_samples,
             "payload_chars": len(payload),
             "decoder": name,
-            "decode_seconds": float(np.median(seconds[name])),
+            "decode_seconds": value,
         }
-        for name in decoders
+        for name, value in seconds.items()
     }
     rows["decode_samples"]["bitwise_equal_to_b64decode"] = True  # asserted
     rows["decode_samples"]["speedup_vs_b64decode"] = (
@@ -536,11 +562,62 @@ def _wire_decode_rows(num_samples: int) -> dict:
     return rows
 
 
+def _served_samples(line: bytes) -> np.ndarray:
+    """An ingest line's samples as the server takes them: the parse,
+    then the decode of a payload the parse left as text."""
+    samples = parse_request(line)["samples"]
+    if isinstance(samples, np.ndarray):
+        return samples
+    return decode_samples(samples)
+
+
+def _json_loads_samples(line: bytes) -> np.ndarray:
+    """The reference: ``json.loads`` the whole line, then decode."""
+    return decode_samples(json.loads(line)["samples"])
+
+
+def _ingest_line_rows(num_samples: int) -> dict:
+    """``decode_seconds`` per whole ingest line for the server's parse
+    and the ``json.loads`` reference, timed in alternating repeats."""
+    samples = awgn(num_samples, seed=WIRE_DECODE_SEED)
+    request = {"op": "ingest", "session": "s1"}
+    request["samples"] = encode_samples(samples)
+    line = json.dumps(request).encode() + b"\n"
+    expected = _json_loads_samples(line).view(np.uint64)
+    assert np.array_equal(_served_samples(line).view(np.uint64), expected), (
+        f"parse_request diverged from json.loads + decode_samples at "
+        f"{num_samples} samples"
+    )
+    seconds = _interleaved_seconds(
+        {"ingest_line": _served_samples, "json_loads": _json_loads_samples},
+        line,
+    )
+    rows = {
+        name: {
+            "num_samples": num_samples,
+            "line_bytes": len(line),
+            "parser": name,
+            "decode_seconds": value,
+        }
+        for name, value in seconds.items()
+    }
+    rows["ingest_line"]["bitwise_equal_to_json_loads"] = True  # asserted
+    rows["ingest_line"]["speedup_vs_json_loads"] = (
+        rows["json_loads"]["decode_seconds"]
+        / rows["ingest_line"]["decode_seconds"]
+    )
+    return rows
+
+
 def _wire_decode() -> dict:
-    rows = {"decode_samples": {}, "b64decode": {}}
+    names = ("decode_samples", "b64decode", "ingest_line", "json_loads")
+    rows = {name: {} for name in names}
     for num_samples in WIRE_DECODE_SAMPLES:
+        label = f"samples={num_samples}"
         for name, row in _wire_decode_rows(num_samples).items():
-            rows[name][f"samples={num_samples}"] = row
+            rows[name][label] = row
+        for name, row in _ingest_line_rows(num_samples).items():
+            rows[name][label] = row
     return rows
 
 
@@ -697,6 +774,15 @@ def main(argv=None) -> int:
             f"(b64decode {reference['decode_seconds'] * 1e6:.1f} us, "
             f"{row['speedup_vs_b64decode']:.2f}x)"
         )
+    for label, row in payload["serve"]["wire_decode"]["ingest_line"].items():
+        reference = payload["serve"]["wire_decode"]["json_loads"][label]
+        print(
+            f"  ingest line [{label}, {row['line_bytes']} bytes]: "
+            f"{row['decode_seconds'] * 1e6:.1f} us "
+            f"(json.loads + decode_samples "
+            f"{reference['decode_seconds'] * 1e6:.1f} us, "
+            f"{row['speedup_vs_json_loads']:.2f}x)"
+        )
     gate = payload["serve"]["coalescing_speedup"]
     print(
         f"  speedup at clients={gate['clients']}: "
@@ -705,6 +791,18 @@ def main(argv=None) -> int:
         f"{gate['throughput_speedup_vs_queued']:.2f}x vs queued-serial"
     )
 
+    dwell = payload["serve"]["wire_decode"]["ingest_line"][
+        f"samples={max(WIRE_DECODE_SAMPLES)}"
+    ]
+    if dwell["speedup_vs_json_loads"] < INGEST_LINE_MIN_SPEEDUP:
+        print(
+            f"FAIL: the server parses a {dwell['line_bytes']}-byte ingest "
+            f"line only {dwell['speedup_vs_json_loads']:.2f}x faster than "
+            f"json.loads + decode_samples (< {INGEST_LINE_MIN_SPEEDUP}x): "
+            f"its payload no longer skips the JSON scan",
+            file=sys.stderr,
+        )
+        return 1
     if args.smoke:
         return 0
     if gate["throughput_speedup_vs_naive"] < 2.0:

@@ -27,7 +27,12 @@ run through the offline :class:`~repro.pipeline.DetectionPipeline`.
 from .breaker import CircuitBreaker
 from .metrics import LatencyReservoir, ServiceMetrics
 from .scheduler import CoalescingScheduler, DetectionRequest
-from .server import SensingServer, decode_samples, encode_samples
+from .server import (
+    SensingServer,
+    decode_samples,
+    encode_samples,
+    parse_request,
+)
 from .service import SensingService
 from .session import (
     SensingSession,
@@ -47,6 +52,7 @@ __all__ = [
     "ServiceMetrics",
     "decode_samples",
     "encode_samples",
+    "parse_request",
     "require_serve_capable",
     "serve_backends",
     "session_capable",

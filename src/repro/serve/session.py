@@ -29,11 +29,13 @@ Ingestion is O(total samples) regardless of chunking: chunks too short
 to complete a block park in a pending list and flush into the
 contiguous buffer only when a block can form, so a stream of tiny
 chunks never degenerates into concatenate-per-chunk O(chunks^2).
-The blocks a chunk completes go through the shared
-:func:`~repro.core.fourier.framed_spectra` front end in bulk FFTs of
-at most N blocks each (bounded memory for any chunk length), bitwise
-equal to transforming the blocks one at a time; each slab lands in the
-ring with at most two slice assignments.  A chunk holding NaN
+Of the blocks a chunk completes, only the last N (the ones the ring
+keeps) go through the shared
+:func:`~repro.core.fourier.framed_spectra` front end, in one bulk FFT
+(bounded memory for any chunk length), bitwise equal to transforming
+the blocks one at a time; the slab lands in the ring with at most two
+slice assignments, and the buffer keeps only the samples from the new
+detection window's start on.  A chunk holding NaN
 or ±inf is rejected (:class:`~repro.errors.NonFiniteInputError`)
 before it touches the session.
 
@@ -211,40 +213,34 @@ class SensingSession:
             self._pending.append(chunk)
             self._pending_size += chunk.size
             self._total_samples += chunk.size
-        # Consume every block now complete through bulk FFTs of at most
-        # one window's worth of blocks each (a long chunk on a small hop
-        # must not allocate chunk/hop x K temporaries at once).  The
-        # ring stores un-phased spectra — each block its own time
+        # Consume every block now complete.  Only the last N of them
+        # reach the ring (a long chunk's earlier blocks would be
+        # overwritten within this call), so only those are transformed,
+        # in one bulk FFT of at most N blocks, and only the samples from
+        # the detection window's new start on are kept: the flush
+        # never copies what no block or window can reach (a window-
+        # sized chunk drops the previous window without copying it).
+        # The ring stores un-phased spectra — each block its own time
         # reference, the natural convention for an unbounded stream —
         # bitwise equal to transforming the blocks one at a time.
-        next_start = self._blocks * cfg.hop
         available = self._buffer_start + self._buffer.size + self._pending_size
-        if next_start + cfg.fft_size <= available:
-            self._flush_pending()
-            remaining = (available - next_start - cfg.fft_size) // cfg.hop + 1
-            while remaining:
-                count = min(remaining, cfg.num_blocks)
-                low = next_start - self._buffer_start
-                span = (count - 1) * cfg.hop + cfg.fft_size
-                spectra = framed_spectra(
-                    self._buffer[None, low : low + span],
-                    self._gather[:count],
-                    self._taper,
-                )[0]
-                row = self._blocks % cfg.num_blocks
-                head = min(count, cfg.num_blocks - row)
-                self._ring[row : row + head] = spectra[:head]
-                self._ring[: count - head] = spectra[head:]
-                self._blocks += count
-                next_start += count * cfg.hop
-                remaining -= count
-            # Trim everything no decision can reach any more: samples
-            # before both the next unconsumed block and the current
-            # detection window's start.
-            keep_from = min(next_start, self._window_start())
-            if keep_from > self._buffer_start:
-                self._buffer = self._buffer[keep_from - self._buffer_start :]
-                self._buffer_start = keep_from
+        if self._blocks * cfg.hop + cfg.fft_size <= available:
+            blocks = (available - cfg.fft_size) // cfg.hop + 1
+            first = max(self._blocks, blocks - cfg.num_blocks)
+            self._flush_pending(max(0, blocks - cfg.num_blocks) * cfg.hop)
+            count = blocks - first
+            low = first * cfg.hop - self._buffer_start
+            span = (count - 1) * cfg.hop + cfg.fft_size
+            spectra = framed_spectra(
+                self._buffer[None, low : low + span],
+                self._gather[:count],
+                self._taper,
+            )[0]
+            row = first % cfg.num_blocks
+            head = min(count, cfg.num_blocks - row)
+            self._ring[row : row + head] = spectra[:head]
+            self._ring[: count - head] = spectra[head:]
+            self._blocks = blocks
         return {
             "session": self.session_id,
             "blocks": self._blocks,
@@ -252,12 +248,25 @@ class SensingSession:
             "total_samples": self._total_samples,
         }
 
-    def _flush_pending(self) -> None:
-        """Concatenate parked chunks into the contiguous buffer."""
-        if self._pending:
-            self._buffer = np.concatenate([self._buffer, *self._pending])
-            self._pending.clear()
-            self._pending_size = 0
+    def _flush_pending(self, keep_from: int = 0) -> None:
+        """Concatenate parked chunks into the contiguous buffer, keeping
+        only the samples from absolute index *keep_from* on.
+
+        Whole parts before *keep_from* are skipped, not copied, and a
+        buffer left with a single part is a view of that part (each
+        parked chunk is already the session's own copy).
+        """
+        parts = [self._buffer, *self._pending]
+        start = self._buffer_start
+        while len(parts) > 1 and start + parts[0].size <= keep_from:
+            start += parts.pop(0).size
+        if keep_from > start:
+            parts[0] = parts[0][keep_from - start :]
+            start = keep_from
+        self._buffer = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self._buffer_start = start
+        self._pending.clear()
+        self._pending_size = 0
 
     def _window_start(self) -> int:
         """Absolute index of the detection window's first sample."""

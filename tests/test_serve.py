@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from repro.serve import (
     ServiceMetrics,
     decode_samples,
     encode_samples,
+    parse_request,
     require_serve_capable,
     serve_backends,
     session_capable,
@@ -270,7 +272,13 @@ class TestBulkIngest:
         config = session.config
         ring, blocks = self._per_block(config, stream)
         assert session.blocks_ingested == blocks
-        assert _bits(session.state()["ring"]) == _bits(ring)
+        state = session.state()
+        assert _bits(state["ring"]) == _bits(ring)
+        # The buffer is the stream's tail from a start no later than the
+        # detection window's.
+        start = state["buffer_start"]
+        assert start <= max(0, blocks - config.num_blocks) * config.hop
+        assert _bits(state["buffer"]) == _bits(stream[start:])
         if session.ready:
             oldest = blocks % config.num_blocks
             in_order = np.concatenate([ring[oldest:], ring[:oldest]])
@@ -326,9 +334,28 @@ class TestBulkIngest:
         monkeypatch.setattr(session_module, "framed_spectra", recording)
         session = SensingSession(config)
         session.ingest(stream)
-        blocks = stream.size - config.fft_size + 1
-        assert sum(calls) == blocks
-        assert max(calls) == config.num_blocks
+        # Only the last N blocks reach the ring, so only they are
+        # transformed, in one FFT.
+        assert calls == [config.num_blocks]
+        self._assert_matches_per_block(session, stream)
+
+    @pytest.mark.parametrize("hop", [8, 16, 32])
+    def test_window_sized_chunk_leaves_exactly_the_new_window(self, hop):
+        config = self._config(hop, "hann")
+        span = config.samples_per_decision
+        stream = _stream(3 * span, seed=hop + 2)
+        session = SensingSession(config)
+        for start in range(0, stream.size, span):
+            session.ingest(stream[start : start + span])
+            # The previous window is dropped before the flush, not
+            # copied and then trimmed: the buffer owns the new window's
+            # samples and nothing else.
+            buffer = session._buffer
+            owner = buffer if buffer.base is None else buffer.base
+            assert owner.size == span
+            assert session._buffer_start == start
+            assert _bits(buffer) == _bits(stream[start : start + span])
+            assert _bits(session.window_samples()) == _bits(buffer)
         self._assert_matches_per_block(session, stream)
 
     @pytest.mark.parametrize("window", ["rectangular", "hann"])
@@ -629,18 +656,33 @@ class TestServer:
             samples[::3]
         )
 
-    @pytest.mark.parametrize("chunk", [8192, 64])
-    def test_detect_over_tcp_equals_engine_on_both_decode_paths(self, chunk):
-        """An 8192-sample line takes the numpy decoder, a 64-sample line
-        the stdlib one; both serve the engine's statistic bit for bit."""
+    @pytest.mark.parametrize(
+        "chunk, separators",
+        [(8192, (", ", ": ")), (8192, (",", ":")), (64, (", ", ": "))],
+    )
+    def test_detect_over_tcp_equals_engine_on_both_decode_paths(
+        self, chunk, separators
+    ):
+        """An 8192-sample line takes the numpy decoder straight from the
+        line's bytes (with either separator style), a 64-sample line the
+        stdlib decoder after ``json.loads``; all serve the engine's
+        statistic bit for bit."""
         config = PipelineConfig(fft_size=256, num_blocks=32)
         stream = _stream(config.samples_per_decision, seed=86)
-        lines = [
+        payloads = [
             encode_samples(stream[start : start + chunk])
             for start in range(0, stream.size, chunk)
         ]
-        vectorised = [len(line) >= VECTOR_DECODE_MIN_CHARS for line in lines]
+        vectorised = [len(text) >= VECTOR_DECODE_MIN_CHARS for text in payloads]
         assert set(vectorised) == {chunk == 8192}
+
+        def encode(request):
+            return json.dumps(request, separators=separators).encode() + b"\n"
+
+        probe = parse_request(
+            encode({"op": "ingest", "session": "s", "samples": payloads[0]})
+        )
+        assert isinstance(probe["samples"], np.ndarray) == (chunk == 8192)
 
         async def run():
             server = SensingServer(SensingService(config))
@@ -648,15 +690,15 @@ class TestServer:
             reader, writer = await asyncio.open_connection(*server.address)
 
             async def rpc(request):
-                writer.write(json.dumps(request).encode() + b"\n")
+                writer.write(encode(request))
                 await writer.drain()
                 return json.loads(await reader.readline())
 
             try:
                 session = (await rpc({"op": "open"}))["session"]
-                for line in lines:
+                for text in payloads:
                     ingest = await rpc(
-                        {"op": "ingest", "session": session, "samples": line}
+                        {"op": "ingest", "session": session, "samples": text}
                     )
                     assert ingest["ok"], ingest
                 return await rpc(
@@ -858,6 +900,283 @@ class TestSampleDecodeEquivalence:
                 "error",
                 "samples is not valid base64: Excess padding not allowed",
             )
+
+
+#: Payload edits that only a JSON text can carry: each maps (valid
+#: payload, position) to raw text placed between the value's quotes.
+_JSON_TEXT_EDITS = {
+    # "\/" and "\u0041"-style escapes decode to alphabet characters,
+    # so the request is valid and must decode as json.loads's string.
+    "escaped-slash": lambda text, at: text[:at] + "\\/" + text[at + 1 :],
+    "escaped-letter": lambda text, at: (
+        text[:at] + "\\u%04x" % ord(text[at]) + text[at + 1 :]
+    ),
+    # Sixteen escapes keep a 16-byte multiple even if each escape were
+    # read as its five alphabet characters.
+    "escaped-run": lambda text, at: (
+        text[:at]
+        + "".join("\\u%04x" % ord(char) for char in text[at : at + 16])
+        + text[at + 16 :]
+    ),
+    "escaped-quote": lambda text, at: text[:at] + '\\"' + text[at:],
+    "control-char": lambda text, at: text[:at] + "\x01" + text[at:],
+    "raw-tab": lambda text, at: text[:at] + "\t" + text[at:],
+    "raw-non-ascii": lambda text, at: text[:at] + "é" + text[at:],
+}
+
+#: Fields added beside the request's own: (raw key text, raw value
+#: text, whether it goes first).
+_EXTRA_FIELDS = {
+    "none": (),
+    "duplicate-last": (('"samples"', '""', False),),
+    "duplicate-first": (('"samples"', '""', True),),
+    "duplicate-valid-last": (('"samples"', '"AAAAAAAAAAAAAAAAAAAAAA=="', False),),
+    "escaped-duplicate": (('"\\u0073amples"', '""', False),),
+    "samples-as-value": (('"tag"', '"samples"', True),),
+    "samples-in-key": (('"my samples"', '"x"', False),),
+    "quoted-samples-in-value": (('"note"', '"a \\"samples\\": b"', False),),
+    "nested-samples": (('"meta"', '{"samples": ""}', False),),
+}
+
+#: What surrounds the object on the line.
+_WRAPPERS = {
+    "object": lambda text: text.encode(),
+    "utf8-bom": lambda text: b"\xef\xbb\xbf" + text.encode(),
+    "utf-16": lambda text: text.encode("utf-16"),
+    "list": lambda text: f"[{text}]".encode(),
+    "trailing-garbage": lambda text: (text + " x").encode(),
+    "second-object": lambda text: (text + '{"op": "open"}').encode(),
+    "leading-space": lambda text: ("  " + text).encode(),
+}
+
+
+def _request_line(
+    payload: str,
+    *,
+    op="ingest",
+    session="s1",
+    order=(0, 1, 2),
+    item_sep=", ",
+    key_sep=": ",
+    extra="none",
+    wrapper="object",
+    raw_payload=False,
+    ensure_ascii=True,
+) -> bytes:
+    """One request line built field by field, so separators, key order,
+    repeated keys and raw escapes inside the payload are all under the
+    test's control.  *raw_payload* puts *payload* between the quotes
+    as it is (it may hold JSON escapes); otherwise it is JSON-encoded."""
+    value = f'"{payload}"' if raw_payload else json.dumps(
+        payload, ensure_ascii=ensure_ascii
+    )
+    fields = [
+        ('"op"', json.dumps(op)),
+        ('"session"', json.dumps(session, ensure_ascii=ensure_ascii)),
+        ('"samples"', value),
+    ]
+    fields = [fields[index] for index in order]
+    fields = [
+        field
+        for field in fields
+        if not (field[0] == '"op"' and op is None)
+        and not (field[0] == '"session"' and session is None)
+    ]
+    for key, text, first in _EXTRA_FIELDS[extra]:
+        fields.insert(0 if first else len(fields), (key, text))
+    body = item_sep.join(f"{key}{key_sep}{text}" for key, text in fields)
+    return _WRAPPERS[wrapper]("{" + body + "}\n")
+
+
+def _parsed_view(request) -> dict:
+    """*request* with its ingest payload decoded: ``("ok", uint64
+    words)`` or ``("error", message)``.  A payload the parse already
+    decoded shows up as decoded on any op, so a shortcut taken for a
+    request that is not an ingest differs from the reference."""
+    if not isinstance(request, dict):
+        return request
+    view = dict(request)
+    samples = view.get("samples")
+    if isinstance(samples, np.ndarray):
+        assert samples.dtype == np.dtype("<c16")
+        assert not samples.flags.writeable
+        view["samples"] = ("ok", samples.view(np.uint64).tolist())
+    elif view.get("op") == "ingest" and "samples" in view:
+        view["samples"] = _decode_outcome(samples)
+    return view
+
+
+def _json_parse(line: bytes) -> dict:
+    """The reference parse: ``json.loads`` and the object check."""
+    request = json.loads(line)
+    if not isinstance(request, dict):
+        raise ConfigurationError("request must be a JSON object")
+    return request
+
+
+def _parse_outcome(parse, line: bytes):
+    try:
+        request = parse(line)
+    except Exception as error:
+        return "error", type(error).__name__, str(error)
+    return "ok", _parsed_view(request)
+
+
+class _RecordingService:
+    """Just enough of a service to dispatch every op and record what
+    an ingest was handed."""
+
+    def __init__(self):
+        self.ingested = []
+
+    def open_session(self, session_id=None):
+        return session_id or "s1"
+
+    def ingest(self, session_id, samples):
+        self.ingested.append(
+            (session_id, samples.dtype.str, samples.view(np.uint64).tolist())
+        )
+        return {"session": session_id, "samples": int(samples.size)}
+
+    async def detect(self, session_id, deadline_seconds=None,
+                     with_threshold=True):
+        return {"session": session_id}
+
+    def stats(self):
+        return {}
+
+    def health(self):
+        return {"status": "ok"}
+
+    def close_session(self, session_id):
+        pass
+
+
+def _dispatched(line: bytes, parse) -> tuple:
+    """The reply line the server writes for *line*, and what reached
+    the service, with :func:`parse_request` replaced by *parse*."""
+    import repro.serve.server as server_module
+
+    service = _RecordingService()
+    server = SensingServer(service)
+    with mock.patch.object(server_module, "parse_request", parse):
+        reply = asyncio.run(server._dispatch_line(line))
+    return json.dumps(reply), service.ingested
+
+
+@st.composite
+def _request_lines(draw):
+    num_samples = draw(st.integers(0, _MAX_BATTERY_SAMPLES))
+    text = _payload(num_samples, draw(st.integers(0, 2**32 - 1)))
+    edit = draw(
+        st.sampled_from(
+            ["valid"] * 4 + sorted(_CORRUPTIONS) + sorted(_JSON_TEXT_EDITS)
+        )
+    )
+    raw_payload = edit in _JSON_TEXT_EDITS
+    if edit != "valid" and text:
+        # Edits stay off the final quantum, where "=" may be padding.
+        at = int(draw(st.floats(0.0, 1.0)) * max(len(text) - 5, 0))
+        edits = _JSON_TEXT_EDITS if raw_payload else _CORRUPTIONS
+        text = edits[edit](text, at)
+    return _request_line(
+        text,
+        op=draw(st.sampled_from(["ingest"] * 4 + ["detect", "open", None])),
+        session=draw(st.sampled_from(["s1"] * 3 + [None, "sé"])),
+        order=draw(st.permutations((0, 1, 2))),
+        item_sep=draw(st.sampled_from([", ", ",", " ,\t"])),
+        key_sep=draw(st.sampled_from([": ", ":", " : ", ":  "])),
+        extra=draw(st.sampled_from(["none"] * 6 + sorted(_EXTRA_FIELDS))),
+        wrapper=draw(st.sampled_from(["object"] * 6 + sorted(_WRAPPERS))),
+        raw_payload=raw_payload,
+        ensure_ascii=draw(st.booleans()),
+    )
+
+
+#: Named lines, each at a payload size above the crossover, that pin one
+#: condition of the shortcut apiece.
+_DWELL_PAYLOAD = _payload(3 * _CROSSOVER_SAMPLES, seed=90)
+_NAMED_LINES = {
+    "default": {},
+    "compact": {"item_sep": ",", "key_sep": ":"},
+    "spaced-colon": {"key_sep": " : "},
+    "samples-first": {"order": (2, 0, 1)},
+    **{f"extra-{name}": {"extra": name} for name in _EXTRA_FIELDS},
+    **{f"wrapper-{name}": {"wrapper": name} for name in _WRAPPERS},
+    "no-session": {"session": None},
+    "non-ascii-session": {"session": "sé", "ensure_ascii": False},
+    "detect-with-samples": {"op": "detect"},
+    "no-op": {"op": None},
+    **{
+        f"edit-{name}": {"raw_payload": True, "edit": edit}
+        for name, edit in _JSON_TEXT_EDITS.items()
+    },
+    **{
+        f"corrupt-{name}": {"edit": corruption}
+        for name, corruption in _CORRUPTIONS.items()
+    },
+}
+
+
+def _named_line(name: str) -> bytes:
+    options = dict(_NAMED_LINES[name])
+    edit = options.pop("edit", None)
+    text = _DWELL_PAYLOAD
+    if edit is not None:
+        text = edit(text, len(text) // 2)
+    return _request_line(text, **options)
+
+
+class TestRequestParseEquivalence:
+    """:func:`parse_request` is ``json.loads`` + :func:`decode_samples`:
+    the same request with uint64-equal samples, or the same exception
+    type and message, and the server's reply to the line is the reply
+    the full ``json.loads`` path gives, byte for byte."""
+
+    @staticmethod
+    def _check(line: bytes) -> None:
+        served = _parse_outcome(parse_request, line)
+        assert served == _parse_outcome(_json_parse, line)
+        assert _dispatched(line, parse_request) == _dispatched(
+            line, _json_parse
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=_request_lines())
+    def test_parse_equals_json_loads_and_decode(self, line):
+        self._check(line)
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_LINES))
+    def test_named_lines(self, name):
+        self._check(_named_line(name))
+
+    @pytest.mark.parametrize(
+        "name, decoded",
+        [
+            ("default", True),
+            ("compact", True),
+            ("samples-first", True),
+            ("extra-samples-in-key", True),
+            ("wrapper-utf8-bom", True),
+            ("non-ascii-session", True),
+            ("spaced-colon", False),
+            ("extra-duplicate-last", False),
+            ("extra-escaped-duplicate", False),
+            ("extra-samples-as-value", False),
+            ("extra-quoted-samples-in-value", False),
+            ("wrapper-utf-16", False),
+            ("detect-with-samples", False),
+            ("edit-escaped-slash", False),
+        ],
+    )
+    def test_shortcut_is_taken_only_where_it_is_sure(self, name, decoded):
+        request = parse_request(_named_line(name))
+        assert isinstance(request["samples"], np.ndarray) == decoded
+
+    def test_short_lines_never_take_the_shortcut(self):
+        line = _request_line(_payload(64, seed=91))
+        assert len(line) < VECTOR_DECODE_MIN_CHARS
+        assert isinstance(parse_request(line)["samples"], str)
 
 
 class TestServerRobustness:
