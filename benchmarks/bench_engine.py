@@ -20,10 +20,11 @@ the trajectory is tracked across PRs (and guarded by
   machine has >= 4 usable cores;
 * **per-trial scoring layers** — at the golden Pd point (N = 8, 48
   trials) and the paper point (N = 32, one trial), float64 and
-  float32: the Gram BLAS call alone, replayed on the plan's exact
-  operands, against ``plan.statistics_from_spectra`` (Gram through
-  peak).  Their difference is the scoring epilogue: grid, ``|S|``,
-  coherence normalisation and peak;
+  float32: the Gram stage alone (``GramKernel.correlate``, what the
+  scoring loop runs per trial), against
+  ``plan.statistics_from_spectra`` (Gram through peak).  Their
+  difference is the scoring epilogue: grid, ``|S|``, coherence
+  normalisation and peak;
 * **large-trial calibration** — a 1000-trial Monte-Carlo calibration
   at the serve geometry (K = 256, N = 32, hop 64), also under
   ``--smoke``: its time per trial and its tracemalloc ``peak_bytes``.
@@ -55,8 +56,8 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import cgemm
 
+from repro.core.scf import GramKernel
 from repro.engine import Engine, PlanCache, available_cpus
 from repro.pipeline import PipelineConfig
 from repro.signals.noise import awgn
@@ -208,31 +209,17 @@ def _sharding_ladder(
 
 
 def _gram_replay(config: PipelineConfig, spectra: np.ndarray):
-    """The scoring loop's Gram BLAS call alone, per trial, on the same
-    operands: the contiguous ``(N, 4M+1)`` Gram window and, at float64,
-    its conjugate (both built untimed)."""
-    m, center = config.m, config.fft_size // 2
-    windows = np.ascontiguousarray(
-        spectra[:, :, center - 2 * m : center + 2 * m + 1]
+    """The scoring loop's Gram stage alone, per trial:
+    :meth:`~repro.core.scf.GramKernel.correlate` (window load, the
+    parity gather where the kernel splits the plane, and the BLAS
+    products) on a kernel of the plan's geometry."""
+    kernel = GramKernel(
+        config.num_blocks, config.fft_size, config.m, config.precision
     )
-    width = windows.shape[2]
-    if config.precision == "float64":
-        conjugates = np.conj(windows)
-        gram = np.empty((width, width), windows.dtype)
-
-        def replay() -> None:
-            for window, conjugate in zip(windows, conjugates):
-                np.matmul(window.T, conjugate, out=gram)
-
-        return replay
-    gram = np.empty((width, width), windows.dtype, order="F")
 
     def replay() -> None:
-        for window in windows:
-            cgemm(
-                1.0 / config.num_blocks, window.T, window.T, c=gram,
-                trans_b=2, overwrite_c=1,
-            )
+        for rows in spectra:
+            kernel.correlate(rows)
 
     return replay
 

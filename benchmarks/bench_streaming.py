@@ -33,15 +33,22 @@ denominator pass — the one cost both paths share — drops out too and
 the fast path wins ~8x.  The *last* ladder row (wide-K, peak-|S|)
 gates >= 5x.
 
-Regenerate the JSON::
+Regenerate the JSON (one BLAS thread, recorded in the JSON, as CI's
+gate step runs it)::
 
-    PYTHONPATH=src python benchmarks/bench_streaming.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_streaming.py
 
 ``--smoke`` runs a tiny geometry for CI artifact runs (no gating).
+``--gate-row`` runs only the last full-ladder row and applies the gate
+(a few seconds; CI runs it, since the smoke geometry has no gate)::
+
+    PYTHONPATH=src python benchmarks/bench_streaming.py --gate-row \
+        --json /tmp/streaming-gate.json
 """
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -159,8 +166,10 @@ def _bench_row(
     ]
 
 
-def emit(smoke: bool, json_path: Path) -> dict:
+def emit(smoke: bool, json_path: Path, gate_row: bool = False) -> dict:
     ladder = SMOKE_LADDER if smoke else FULL_LADDER
+    if gate_row:
+        ladder = FULL_LADDER[-1:]
     rows: dict[str, dict] = {}
     for fft_size, num_blocks, hop, m, normalize, detects in ladder:
         statistic = "coherence" if normalize else "peak-abs"
@@ -177,6 +186,7 @@ def emit(smoke: bool, json_path: Path) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": available_cpus(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "streaming": {
             **rows,
             "spectra_speedup": {
@@ -196,9 +206,14 @@ def emit(smoke: bool, json_path: Path) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    geometry = parser.add_mutually_exclusive_group()
+    geometry.add_argument(
         "--smoke", action="store_true",
         help="tiny geometry for CI artifact runs (no speedup gate)",
+    )
+    geometry.add_argument(
+        "--gate-row", action="store_true",
+        help="run only the gated full-geometry row (a few seconds)",
     )
     parser.add_argument(
         "--json", type=Path, default=BENCH_JSON,
@@ -206,7 +221,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    payload = emit(args.smoke, args.json)
+    payload = emit(args.smoke, args.json, args.gate_row)
     print(f"wrote {args.json} (cpus={payload['cpus']})")
     for label, paths in payload["streaming"].items():
         if label == "spectra_speedup":

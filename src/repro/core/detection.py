@@ -51,7 +51,7 @@ from .._util import require_positive_float, require_positive_int
 from ..errors import CalibrationWarning, ConfigurationError, SignalError
 from .sampling import SampledSignal
 from .scf import compute_dscf, spectral_coherence
-from .fourier import block_spectra
+from .fourier import shared_block_spectra
 
 
 def inverse_q_function(probability: float) -> float:
@@ -365,7 +365,7 @@ class CyclostationaryFeatureDetector:
     def feature_surface(self, signal: SampledSignal | np.ndarray) -> np.ndarray:
         """The (2M+1, 2M+1) detection surface (coherence or |S|), with
         one block-spectra pass feeding both the DSCF and the coherence."""
-        spectra = block_spectra(
+        spectra = shared_block_spectra(
             signal, self._fft_size, num_blocks=self._num_blocks
         )
         result = compute_dscf(spectra, m=self._m)

@@ -38,6 +38,8 @@ Three DFT engines are provided:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .._compute import (
@@ -245,6 +247,34 @@ def framed_spectra(
     return out
 
 
+def _block_geometry(
+    signal: SampledSignal | np.ndarray,
+    fft_size: int,
+    num_blocks: int | None,
+    hop: int | None,
+) -> tuple[np.ndarray, int, int, int]:
+    """Validated ``(samples, K, N, hop)`` of a block-spectra request;
+    ``N`` defaults to every complete block and ``hop`` to ``K``."""
+    if isinstance(signal, SampledSignal):
+        samples = signal.samples
+    else:
+        samples = as_complex_vector(signal, "signal")
+    fft_size = require_positive_int(fft_size, "fft_size")
+    if hop is None:
+        hop = fft_size
+    hop = require_positive_int(hop, "hop")
+    available = (samples.size - fft_size) // hop + 1 if samples.size >= fft_size else 0
+    if num_blocks is None:
+        num_blocks = available
+    num_blocks = require_positive_int(num_blocks, "num_blocks")
+    require(
+        num_blocks <= available,
+        f"num_blocks={num_blocks} requested but only {available} complete "
+        f"blocks of {fft_size} samples (hop {hop}) are available",
+    )
+    return samples, fft_size, num_blocks, hop
+
+
 def block_spectra(
     signal: SampledSignal | np.ndarray,
     fft_size: int,
@@ -287,29 +317,13 @@ def block_spectra(
     numpy.ndarray
         Complex array of shape ``(N, K)``.
     """
-    if isinstance(signal, SampledSignal):
-        samples = signal.samples
-    else:
-        samples = as_complex_vector(signal, "signal")
-    fft_size = require_positive_int(fft_size, "fft_size")
-    if hop is None:
-        hop = fft_size
-    hop = require_positive_int(hop, "hop")
     if engine not in _ENGINES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {_ENGINES}"
         )
-
-    available = (samples.size - fft_size) // hop + 1 if samples.size >= fft_size else 0
-    if num_blocks is None:
-        num_blocks = available
-    num_blocks = require_positive_int(num_blocks, "num_blocks")
-    require(
-        num_blocks <= available,
-        f"num_blocks={num_blocks} requested but only {available} complete "
-        f"blocks of {fft_size} samples (hop {hop}) are available",
+    samples, fft_size, num_blocks, hop = _block_geometry(
+        signal, fft_size, num_blocks, hop
     )
-
     taper = get_window(window, fft_size)
     starts = np.arange(num_blocks) * hop
     gather = block_gather(starts, fft_size)
@@ -326,6 +340,44 @@ def block_spectra(
         spectra = np.stack([dft(row) for row in blocks])
     spectra = spectra * phase
     return np.fft.fftshift(spectra, axes=1) if centered else spectra
+
+
+def shared_block_spectra(
+    signal: SampledSignal | np.ndarray,
+    fft_size: int,
+    num_blocks: int | None = None,
+    hop: int | None = None,
+    window: str = "rectangular",
+) -> np.ndarray:
+    """:func:`block_spectra` (numpy engine, centered) through the
+    front end of the shared plan cache's Gram plan for this geometry.
+
+    The taper, block gather and phase table are built once per
+    geometry instead of on every call; the spectra are the same bits.
+    The one-call estimators (``dscf_from_signal``, the detector, the
+    smoothed estimate) take their front end here, as the raw-sample
+    backends do.
+    """
+    samples, fft_size, num_blocks, hop = _block_geometry(
+        signal, fft_size, num_blocks, hop
+    )
+    # Deferred: the engine package imports this module.
+    from ..engine.cache import shared_plan_cache
+
+    config = _front_end_config(fft_size, num_blocks, hop, window)
+    return shared_plan_cache().get(config).block_spectra(samples[None])[0]
+
+
+@lru_cache(maxsize=64)
+def _front_end_config(fft_size: int, num_blocks: int, hop: int, window: str):
+    """The Gram-plan config of one front-end geometry, kept so that a
+    repeated call skips the config's validation and key build."""
+    # Deferred: the pipeline package imports this module.
+    from ..pipeline.config import PipelineConfig
+
+    return PipelineConfig(
+        fft_size=fft_size, num_blocks=num_blocks, hop=hop, window=window
+    )
 
 
 def power_spectral_density(spectra: np.ndarray) -> np.ndarray:

@@ -21,9 +21,11 @@ Three estimators are provided and verified against each other:
 ``dscf_reference``
     Literal triple loop over (f, a, n); slow, exact, countable.
 ``dscf``
-    The production evaluator: one BLAS Gram product over the spectra's
-    Gram window (:class:`GramKernel`), the kernel every batch plan
-    scores with, so its grid is bit-for-bit the plan's.
+    The production evaluator: BLAS Gram products over the spectra's
+    Gram window (:class:`GramKernel`; at float64 only the same-parity
+    cells expression 3 reads, see :func:`parity_layout`), the kernel
+    every batch plan scores with, so its grid is bit-for-bit the
+    plan's.
 ``StreamingDSCF``
     Block-at-a-time accumulator mirroring the hardware integration step
     (Figure 3: multiply + running sum in a register/memory).
@@ -39,6 +41,7 @@ remain the single-shot building blocks those backends adapt.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -46,7 +49,7 @@ from numpy.lib.stride_tricks import as_strided
 from .._compute import blas_cgemm, complex_dtype, real_dtype
 from .._util import require, require_non_negative_int, require_positive_int
 from ..errors import ConfigurationError, SignalError
-from .fourier import block_spectra
+from .fourier import shared_block_spectra
 from .opcount import OperationCounter
 from .sampling import SampledSignal
 
@@ -248,28 +251,100 @@ def dscf_reference(
     return result
 
 
+#: Row alignment of the parity Gram layout: a common multiple of the
+#: register-tile heights OpenBLAS's zgemm kernels use (4 and 8 rows,
+#: 6 on Haswell and Zen), so every bin keeps its tile class.
+PARITY_ALIGN = 24
+
+#: Largest share of the full plane's cells the two parity products may
+#: hold for the float64 kernel to split the plane.  The share depends
+#: on the window width only (0.55 at M=63; 2.0 below M=12, where each
+#: padded product is as wide as the window); above about 0.75 the
+#: gather and the tail index cost more than the smaller products save.
+PARITY_MAX_SHARE = 0.7
+
+
+@lru_cache(maxsize=64)
+def parity_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The same-parity Gram layout of half-extent *m*.
+
+    Expression 3 reads ``G[u, v]`` of the Gram window only where ``u``
+    and ``v`` share a parity, so the plane splits into two square
+    products.  Parity ``p``'s rows (and columns) are the window bins
+    ``p, p+2, ...`` below ``tail = (4M+1) // PARITY_ALIGN *
+    PARITY_ALIGN``, padded with copies of bin ``p`` to a multiple of
+    :data:`PARITY_ALIGN`, then the window's last ``(4M+1) mod
+    PARITY_ALIGN`` bins in order.  Every bin then sits at the same
+    offset from an aligned boundary as in the full ``(4M+1)^2``
+    product, so OpenBLAS computes each cell the grid reads in the same
+    register-tile class and to the same bits.
+
+    Returns ``(columns, cells, sources)``: the ``2n`` window positions
+    of the even side then the odd one; and, for the grid cells that
+    read a tail bin, their flat index in the ``(2M+1, 2M+1)`` grid and
+    the flat index of their value in the products buffer of
+    :class:`GramKernel` (leading dimension ``2n+1``, the odd product at
+    offset ``n+1``).  Built once per *m*; the arrays are read-only.
+    """
+    width, extent = 4 * m + 1, 2 * m + 1
+    tail = width // PARITY_ALIGN * PARITY_ALIGN
+    rest = np.arange(tail, width)
+    sides = []
+    for parity in (0, 1):
+        body = np.arange(parity, tail, 2)
+        pad = np.full(-len(body) % PARITY_ALIGN, parity)
+        sides.append(np.concatenate([body, pad, rest]))
+    side = len(sides[0])
+    position = np.arange(width) // 2
+    position[tail:] = side - len(rest) + np.arange(len(rest))
+    f, a = np.indices((extent, extent))
+    u, v = f + a, f - a + 2 * m
+    tails = (u >= tail) | (v >= tail)
+    sources = (u % 2) * (side + 1) + position[u] * (2 * side + 1) + position[v]
+    layout = np.concatenate(sides), np.flatnonzero(tails), sources[tails]
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 class GramKernel:
     """The Gram-window DSCF kernel of one geometry, with its buffers.
 
-    Expression 3 for every ``(f, a)`` at once: the ``(4M+1)^2`` Gram
-    plane ``G[u, v] = sum_n X[n, c+u] conj(X[n, c+v])`` of the Gram
-    window ``X[:, c-2M : c+2M+1]`` is one BLAS call, and ``S_f^a`` is
+    Expression 3 for every ``(f, a)`` at once: the Gram plane
+    ``G[u, v] = sum_n X[n, c+u] conj(X[n, c+v])`` of the Gram window
+    ``X[:, c-2M : c+2M+1]`` is BLAS work, and ``S_f^a`` is
     ``G[f+a, f-a] / N``.  Every software DSCF entry point evaluates
     through this kernel — :func:`dscf` once per call, the
     :class:`~repro.engine.plans.BatchExecutionPlan` scoring loop once
     per trial — so they agree bit for bit.
 
+    ``S`` reads ``G`` only where both bins share a parity.  At float64,
+    when the two square products of :func:`parity_layout` hold at most
+    :data:`PARITY_MAX_SHARE` of the plane's cells (two 133 x 133
+    products instead of one 253 x 253 at the paper point), the kernel
+    computes just those, in one batched ``np.matmul`` into one buffer
+    of leading dimension ``2n+1``: the even product at offset 0, the
+    odd one at ``n+1``.  Each cell keeps its OpenBLAS tile class, so it
+    holds the full plane's bits.  Otherwise (float32, or a window whose
+    padded products are not small enough) the kernel computes the full
+    ``(4M+1)^2`` plane:
+    ``np.matmul`` at float64, and at float32 a ``cgemm`` with ``1/N``
+    in its alpha (the cgemm's thread split follows the product's size,
+    so a parity product would not keep the full plane's bits there).
+
     The buffers are sized once for ``(N, K, M, precision)`` and
     overwritten in full on every use; the views alias them, so a
-    kernel serves one thread at a time.  ``window`` (and ``conjugate``
-    at float64) are the BLAS operands; ``gram`` is the ``np.matmul``
-    output at float64 and the Fortran-ordered ``cgemm`` output at
-    float32; ``grid`` is the DSCF grid as a strided view of it,
-    ``S[f', a'] = G[f'+a', f'-a'+2M]`` (a step in ``f'`` moves one row
-    and one column on, a step in ``a'`` one row on and one column
-    back); ``value`` holds the grid scaled by ``1/N``; ``mean_square``
-    is the window's block-mean power ``P``, read through its
-    :func:`hankel_views` ``plus`` and ``minus``.
+    kernel serves one thread at a time.  ``window`` is the Gram window
+    in bin order; ``grid`` is the DSCF grid as a strided view of the
+    products, ``S[f', a'] = G[f'+a', f'-a'+2M]`` (in the parity layout
+    a step in ``f'`` moves ``n+1`` elements and one in ``a'`` moves
+    ``n``; in the full plane one row and one column on, or one row on
+    and one column back), except for the few cells that read a tail
+    bin of the parity layout, which :meth:`values` and
+    :meth:`magnitude` gather by index; ``value`` holds the grid scaled
+    by ``1/N``; ``mean_square`` is the window's block-mean power
+    ``P``, read through its :func:`hankel_views` ``plus`` and
+    ``minus``.
     """
 
     def __init__(
@@ -284,16 +359,42 @@ class GramKernel:
         self._scale = 1.0 / num_blocks
         self._cgemm = None if self._double else blas_cgemm()
         self.window = np.empty((num_blocks, width), cdtype)
-        self.conjugate = np.empty_like(self.window)
-        self.gram = np.empty(
-            (width, width), cdtype, order="C" if self._double else "F"
-        )
-        rows, columns = self.gram.strides
-        self.grid = as_strided(
-            self.gram[0, 2 * m :],
-            shape=(extent, extent),
-            strides=(rows + columns, rows - columns),
-        )
+        self._columns = None
+        layout = parity_layout(m)
+        side = len(layout[0]) // 2
+        if self._double and 2 * side**2 <= PARITY_MAX_SHARE * width**2:
+            self._columns, self._cells, self._sources = layout
+            self._sides = np.empty((num_blocks, 2 * side), cdtype)
+            self.conjugate = np.empty_like(self._sides)
+            self._products = np.empty(side * (2 * side + 1), cdtype)
+            item = self._products.itemsize
+            planes = as_strided(
+                self._products,
+                shape=(2, side, side),
+                strides=((side + 1) * item, (2 * side + 1) * item, item),
+            )
+            halves = (num_blocks, 2, side)
+            self._operands = (
+                self._sides.reshape(halves).transpose(1, 2, 0),
+                self.conjugate.reshape(halves).transpose(1, 0, 2),
+                planes,
+            )
+            self.grid = as_strided(
+                self._products[m:],
+                shape=(extent, extent),
+                strides=((side + 1) * item, side * item),
+            )
+        else:
+            self.conjugate = np.empty_like(self.window)
+            self._products = np.empty(
+                (width, width), cdtype, order="C" if self._double else "F"
+            )
+            rows, columns = self._products.strides
+            self.grid = as_strided(
+                self._products[0, 2 * m :],
+                shape=(extent, extent),
+                strides=(rows + columns, rows - columns),
+            )
         self.value = np.empty((extent, extent), cdtype)
         self.value_floats = self.value.view(rdtype)
         self.surface = np.empty((extent, extent), rdtype)
@@ -308,11 +409,22 @@ class GramKernel:
         np.copyto(self.window, spectra[:, self.bins])
 
     def correlate(self, spectra: np.ndarray) -> None:
-        """Load *spectra* and compute its Gram plane (and ``grid``)."""
+        """Load *spectra* and compute its Gram products (and ``grid``)."""
         self.load(spectra)
+        if self._columns is not None:
+            # Both parity sides in one gather, conjugated once, then
+            # one batched product per side into the shared buffer.
+            np.take(
+                self.window, self._columns, axis=1, out=self._sides,
+                mode="clip",
+            )
+            np.conjugate(self._sides, out=self.conjugate)
+            left, right, planes = self._operands
+            np.matmul(left, right, out=planes)
+            return
         if self._double:
             np.conjugate(self.window, out=self.conjugate)
-            np.matmul(self.window.T, self.conjugate, out=self.gram)
+            np.matmul(self.window.T, self.conjugate, out=self._products)
             return
         # For X = window (N x K'), X.T is Fortran-contiguous for free,
         # and ``cgemm(1/N, X.T, X.T, trans_b='C')`` computes
@@ -320,13 +432,19 @@ class GramKernel:
         # conjugate expressed as a BLAS op.
         transposed = self.window.T
         self._cgemm(
-            self._scale, transposed, transposed, c=self.gram, trans_b=2,
-            overwrite_c=1,
+            self._scale, transposed, transposed, c=self._products,
+            trans_b=2, overwrite_c=1,
         )
+
+    def _read(self, out: np.ndarray) -> None:
+        """The unscaled grid into *out*, tail-bin cells included."""
+        np.copyto(out, self.grid)
+        if self._columns is not None:
+            np.put(out, self._cells, self._products.take(self._sources))
 
     def values(self, out: np.ndarray) -> None:
         """The DSCF grid ``S`` of the correlated spectra, into *out*."""
-        np.copyto(out, self.grid)
+        self._read(out)
         if self._double:
             out /= self._num_blocks
 
@@ -344,7 +462,7 @@ class GramKernel:
         complex division: overflowed inputs keep their exact results.
         At float32 the scale is already in the cgemm alpha.
         """
-        np.copyto(self.value, self.grid)
+        self._read(self.value)
         if not self._double:
             np.abs(self.value, out=out)
             return
@@ -405,9 +523,10 @@ def dscf(
     """Vectorised DSCF over centered block spectra.
 
     Equivalent to :func:`dscf_reference`, evaluated by the Gram
-    formulation of :class:`GramKernel`: one BLAS product of the
-    ``(N, 4M+1)`` Gram window with its conjugate, read back as the
-    ``(2M+1, 2M+1)`` grid and divided by ``N``.  Besides the window
+    formulation of :class:`GramKernel`: BLAS products of the
+    ``(N, 4M+1)`` Gram window with its conjugate (the full plane or
+    its two same-parity products), read back as the ``(2M+1, 2M+1)``
+    grid and divided by ``N``.  Besides the window
     copy, memory is O((4M+1)^2) whatever ``N``.  The grid is bit-for-bit
     the :class:`~repro.engine.plans.BatchExecutionPlan` ``dscf_values``
     of the same spectra, at either precision.
@@ -475,7 +594,7 @@ def dscf_from_signal(
     window:
         Analysis window name (default rectangular, as the paper).
     """
-    spectra = block_spectra(
+    spectra = shared_block_spectra(
         signal, fft_size, num_blocks=num_blocks, hop=hop, window=window
     )
     sample_rate = (

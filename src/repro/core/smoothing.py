@@ -21,7 +21,7 @@ import numpy as np
 
 from .._util import require_positive_int
 from ..errors import ConfigurationError
-from .fourier import block_spectra
+from .fourier import shared_block_spectra
 from .sampling import SampledSignal
 from .scf import DSCFResult, validate_m
 
@@ -70,7 +70,7 @@ def frequency_smoothed_scf(
             "the smoothing width"
         )
 
-    spectrum = block_spectra(signal, fft_size, num_blocks=1)[0]
+    spectrum = shared_block_spectra(signal, fft_size, num_blocks=1)[0]
     center = fft_size // 2
     offsets = np.arange(-m, m + 1)
     window = np.arange(-half_window, half_window + 1)

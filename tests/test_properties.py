@@ -17,6 +17,8 @@ Six invariant families:
 * Gram-path scoring: the plan's in-place, gather-free scoring loop
   equals the plain fancy-index/complex-division expressions bit for
   bit, from subnormal to overflowing input scales and on signed zeros.
+* Gram layout: the kernel's same-parity products give the grid of the
+  full Gram plane bit for bit, at both precisions.
 * One DSCF kernel: every software entry point (``compute_dscf``,
   ``dscf_from_signal``, the vectorized backend, the pipeline, the
   detector and a session's ``scf_result``) equals the plan bit for bit.
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 from scipy.linalg.blas import cgemm
 
 from repro.core.detection import CyclostationaryFeatureDetector
+from repro.core import scf
 from repro.core.fourier import block_spectra, fft_radix2
 from repro.core.scf import (
     COHERENCE_FLOOR,
@@ -547,6 +550,84 @@ class TestScoringProperties:
             statistics, _, _ = _plain_scoring(plan, spectra)
             result = plan.statistics_from_spectra(spectra)
         np.testing.assert_array_equal(_bits(result), _bits(statistics))
+
+
+#: Input scales of the layout test, subnormal-prone to past the
+#: float64 Gram overflow; complex64 casts the large ones to inf.
+LAYOUT_SCALES = (1e-150, 1e-50, 1.0, 1e50, 1e150)
+
+
+def _full_plane_grid(window, m, precision):
+    """The DSCF grid read from the full ``(4M+1)^2`` Gram product of a
+    contiguous ``(N, 4M+1)`` window: ``np.matmul(X.T, conj(X)) / N`` at
+    float64, ``cgemm(1/N, X.T, X.T, trans_b=2)`` at float32."""
+    count = len(window)
+    if precision == "float64":
+        gram = np.matmul(window.T, np.conj(window))
+    else:
+        gram = cgemm(1.0 / count, window.T, window.T, trans_b=2)
+    offsets = np.arange(2 * m + 1)
+    values = gram[
+        offsets[:, None] + offsets[None, :],
+        offsets[:, None] - offsets[None, :] + 2 * m,
+    ]
+    if precision == "float64":
+        values /= count
+    return values
+
+
+class TestGramLayoutProperties:
+    """The kernel's grid equals the full Gram plane's, bit for bit.
+
+    At float64 the kernel computes only the same-parity cells
+    (:func:`repro.core.scf.parity_layout`), and the rule that keeps
+    their bits is OpenBLAS's register-tile classes.  Scope measured
+    with one BLAS thread (OpenBLAS 0.3.31): an AVX-512 Xeon's own core
+    and 15 of 17 cores forced through ``OPENBLAS_CORETYPE`` give 0
+    differing words for every m from 0 to 63; Haswell and Zen differ
+    in the last bit at m in {49, 52, 55, 58, 61} (120 words over 4 N
+    values) and beyond m=63, so none of those is drawn here.  Several
+    BLAS threads split a product's rows by its size, which moves tile
+    boundaries on Haswell and Zen: there even the full plane changes
+    bits with the thread count, so run this with
+    ``OPENBLAS_NUM_THREADS=1`` (as CI does) on such cores.  float64
+    is also checked with the layout forced on (m >= 1), including the
+    small m where the share rule keeps the full plane.
+    """
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("num_blocks", [1, 2, 3, 8, 32, 33])
+    @pytest.mark.parametrize("m", [0, 1, 3, 7, 10, 15, 31, 48, 63])
+    def test_values_equal_the_full_plane(
+        self, m, num_blocks, precision, monkeypatch
+    ):
+        fft_size = 4 * m + 4
+        rng = np.random.default_rng(m * 100 + num_blocks)
+        dtype = np.complex128 if precision == "float64" else np.complex64
+        batches = []
+        for scale in LAYOUT_SCALES:
+            parts = rng.standard_normal((2, num_blocks, fft_size)) * scale
+            batches.append(parts[0] + 1j * parts[1])
+        batches[2][num_blocks // 2, fft_size // 2 + 1] = np.inf
+        shares = [scf.PARITY_MAX_SHARE]
+        if precision == "float64" and m >= 1:
+            shares.append(np.inf)
+        for share in shares:
+            monkeypatch.setattr(scf, "PARITY_MAX_SHARE", share)
+            kernel = scf.GramKernel(num_blocks, fft_size, m, precision)
+            values = np.empty((2 * m + 1, 2 * m + 1), dtype)
+            for spectra in batches:
+                with np.errstate(all="ignore"):
+                    spectra = spectra.astype(dtype)
+                    kernel.correlate(spectra)
+                    kernel.values(values)
+                    expected = _full_plane_grid(
+                        np.ascontiguousarray(spectra[:, kernel.bins]), m,
+                        precision,
+                    )
+                np.testing.assert_array_equal(
+                    _bits(values), _bits(expected), err_msg=f"share={share}"
+                )
 
 
 @st.composite
