@@ -33,17 +33,11 @@ denominator pass — the one cost both paths share — drops out too and
 the fast path wins ~8x.  The *last* ladder row (wide-K, peak-|S|)
 gates >= 5x.
 
-Regenerate the JSON (one BLAS thread, recorded in the JSON, as CI's
-gate step runs it)::
+Regenerate the JSON (one BLAS thread, recorded in the JSON)::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_streaming.py
 
 ``--smoke`` runs a tiny geometry for CI artifact runs (no gating).
-``--gate-row`` runs only the last full-ladder row and applies the gate
-(a few seconds; CI runs it, since the smoke geometry has no gate)::
-
-    PYTHONPATH=src python benchmarks/bench_streaming.py --gate-row \
-        --json /tmp/streaming-gate.json
 """
 
 import argparse
@@ -166,10 +160,8 @@ def _bench_row(
     ]
 
 
-def emit(smoke: bool, json_path: Path, gate_row: bool = False) -> dict:
+def emit(smoke: bool, json_path: Path) -> dict:
     ladder = SMOKE_LADDER if smoke else FULL_LADDER
-    if gate_row:
-        ladder = FULL_LADDER[-1:]
     rows: dict[str, dict] = {}
     for fft_size, num_blocks, hop, m, normalize, detects in ladder:
         statistic = "coherence" if normalize else "peak-abs"
@@ -206,14 +198,9 @@ def emit(smoke: bool, json_path: Path, gate_row: bool = False) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    geometry = parser.add_mutually_exclusive_group()
-    geometry.add_argument(
+    parser.add_argument(
         "--smoke", action="store_true",
         help="tiny geometry for CI artifact runs (no speedup gate)",
-    )
-    geometry.add_argument(
-        "--gate-row", action="store_true",
-        help="run only the gated full-geometry row (a few seconds)",
     )
     parser.add_argument(
         "--json", type=Path, default=BENCH_JSON,
@@ -221,7 +208,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    payload = emit(args.smoke, args.json, args.gate_row)
+    payload = emit(args.smoke, args.json)
     print(f"wrote {args.json} (cpus={payload['cpus']})")
     for label, paths in payload["streaming"].items():
         if label == "spectra_speedup":

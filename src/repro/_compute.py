@@ -25,6 +25,9 @@ cache-resident and a batch's working set is bounded by
 
 from __future__ import annotations
 
+import ctypes
+from functools import lru_cache
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -108,6 +111,47 @@ def blas_cgemm():
     from scipy.linalg.blas import cgemm
 
     return cgemm
+
+
+def numpy_blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS currently runs a product on.
+
+    ``None`` when numpy's BLAS is not an OpenBLAS this can find (an
+    Accelerate or MKL build, say).  Asked on every call, so a
+    ``openblas_set_num_threads`` made since is seen.
+    """
+    query = _openblas_thread_query()
+    return None if query is None else int(query())
+
+
+@lru_cache(maxsize=1)
+def _openblas_thread_query():
+    """``openblas_get_num_threads`` of the library numpy loaded.
+
+    numpy's wheels bundle OpenBLAS (``numpy.libs`` on Linux and
+    Windows, ``numpy/.dylibs`` on macOS) with prefixed symbols; loading
+    the same file again returns the handle numpy already holds.
+    """
+    root = Path(np.__file__).parent
+    libraries = [*root.parent.glob("numpy.libs/*openblas*")]
+    libraries += root.glob(".dylibs/*openblas*")
+    names = (
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    )
+    for path in sorted(libraries):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in names:
+            query = getattr(library, name, None)
+            if query is not None:
+                query.restype = ctypes.c_int
+                return query
+    return None
 
 
 def tile_trials(

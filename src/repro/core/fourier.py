@@ -349,34 +349,58 @@ def shared_block_spectra(
     hop: int | None = None,
     window: str = "rectangular",
 ) -> np.ndarray:
-    """:func:`block_spectra` (numpy engine, centered) through the
-    front end of the shared plan cache's Gram plan for this geometry.
-
-    The taper, block gather and phase table are built once per
-    geometry instead of on every call; the spectra are the same bits.
-    The one-call estimators (``dscf_from_signal``, the detector, the
-    smoothed estimate) take their front end here, as the raw-sample
-    backends do.
+    """:func:`block_spectra` (numpy engine, centered, float64) through
+    :func:`front_end_plan`: the same bits, with the taper, block gather
+    and phase table built once per geometry instead of on every call.
     """
     samples, fft_size, num_blocks, hop = _block_geometry(
         signal, fft_size, num_blocks, hop
     )
+    plan = front_end_plan(fft_size, num_blocks, hop, window)
+    return plan.block_spectra(samples[None])[0]
+
+
+def front_end_plan(
+    fft_size: int,
+    num_blocks: int,
+    hop: int | None,
+    window: str,
+    precision: str = "float64",
+):
+    """The shared plan cache's Gram plan serving one front-end geometry.
+
+    Block spectra depend on ``(K, N, hop, window, precision)`` alone,
+    so the one-call estimators (``dscf_from_signal``, the detector, the
+    smoothed estimate) and the raw-sample backends all take theirs from
+    this plan's ``block_spectra``: one plan per geometry, and the
+    engine's bits.
+    """
     # Deferred: the engine package imports this module.
     from ..engine.cache import shared_plan_cache
 
-    config = _front_end_config(fft_size, num_blocks, hop, window)
-    return shared_plan_cache().get(config).block_spectra(samples[None])[0]
+    config = _front_end_config(fft_size, num_blocks, hop, window, precision)
+    return shared_plan_cache().get(config)
 
 
 @lru_cache(maxsize=64)
-def _front_end_config(fft_size: int, num_blocks: int, hop: int, window: str):
+def _front_end_config(
+    fft_size: int,
+    num_blocks: int,
+    hop: int | None,
+    window: str,
+    precision: str,
+):
     """The Gram-plan config of one front-end geometry, kept so that a
     repeated call skips the config's validation and key build."""
     # Deferred: the pipeline package imports this module.
     from ..pipeline.config import PipelineConfig
 
     return PipelineConfig(
-        fft_size=fft_size, num_blocks=num_blocks, hop=hop, window=window
+        fft_size=fft_size,
+        num_blocks=num_blocks,
+        hop=hop,
+        window=window,
+        precision=precision,
     )
 
 

@@ -22,8 +22,9 @@ Three estimators are provided and verified against each other:
     Literal triple loop over (f, a, n); slow, exact, countable.
 ``dscf``
     The production evaluator: BLAS Gram products over the spectra's
-    Gram window (:class:`GramKernel`; at float64 only the same-parity
-    cells expression 3 reads, see :func:`parity_layout`), the kernel
+    Gram window (:class:`GramKernel`; at float64 on one BLAS thread
+    only the same-parity cells expression 3 reads, see
+    :func:`parity_layout`), the kernel
     every batch plan scores with, so its grid is bit-for-bit the
     plan's.
 ``StreamingDSCF``
@@ -46,7 +47,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .._compute import blas_cgemm, complex_dtype, real_dtype
+from .._compute import (
+    blas_cgemm,
+    complex_dtype,
+    numpy_blas_threads,
+    real_dtype,
+)
 from .._util import require, require_non_negative_int, require_positive_int
 from ..errors import ConfigurationError, SignalError
 from .fourier import shared_block_spectra
@@ -263,6 +269,14 @@ PARITY_ALIGN = 24
 #: gather and the tail index cost more than the smaller products save.
 PARITY_MAX_SHARE = 0.7
 
+#: Widths (4M+1) above this that are 5 mod 12 keep the full plane:
+#: there OpenBLAS's Haswell/Zen zgemm computes a few read cells (tail
+#: rows against the columns near half the width) in a tile class no
+#: parity product reproduces.  Measured on OpenBLAS 0.3.31, one
+#: thread, for every M up to 255: every other width keeps its bits on
+#: every core probed.
+PARITY_CLASH_WIDTH = 192
+
 
 @lru_cache(maxsize=64)
 def parity_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,6 +321,23 @@ def parity_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layout
 
 
+def parity_split(m: int) -> bool:
+    """Whether the float64 kernel of half-extent *m* may compute the
+    parity products of :func:`parity_layout` instead of the plane.
+
+    A static rule on the width ``4M+1``: the two products hold at most
+    :data:`PARITY_MAX_SHARE` of the plane's cells, and the width is not
+    one of the Haswell/Zen clashes (above :data:`PARITY_CLASH_WIDTH`
+    and 5 mod 12).  True at the paper point (M=63); false below M=12,
+    at M in {49, 52, 55, 58, 61} and at M=127, for instance.
+    """
+    width = 4 * m + 1
+    if width > PARITY_CLASH_WIDTH and width % 12 == 5:
+        return False
+    side = len(parity_layout(m)[0]) // 2
+    return 2 * side**2 <= PARITY_MAX_SHARE * width**2
+
+
 class GramKernel:
     """The Gram-window DSCF kernel of one geometry, with its buffers.
 
@@ -319,18 +350,21 @@ class GramKernel:
     per trial — so they agree bit for bit.
 
     ``S`` reads ``G`` only where both bins share a parity.  At float64,
-    when the two square products of :func:`parity_layout` hold at most
-    :data:`PARITY_MAX_SHARE` of the plane's cells (two 133 x 133
-    products instead of one 253 x 253 at the paper point), the kernel
-    computes just those, in one batched ``np.matmul`` into one buffer
-    of leading dimension ``2n+1``: the even product at offset 0, the
-    odd one at ``n+1``.  Each cell keeps its OpenBLAS tile class, so it
-    holds the full plane's bits.  Otherwise (float32, or a window whose
-    padded products are not small enough) the kernel computes the full
-    ``(4M+1)^2`` plane:
+    when :func:`parity_split` allows it and numpy's OpenBLAS runs on
+    one thread, the kernel computes just the two square products of
+    :func:`parity_layout` (two 133 x 133 instead of one 253 x 253 at
+    the paper point), in one batched ``np.matmul`` into one buffer of
+    leading dimension ``2n+1``: the even product at offset 0, the odd
+    one at ``n+1``.  Each cell keeps its OpenBLAS tile class, so it
+    holds the full plane's bits.  With several threads OpenBLAS splits
+    a product between them by its size, which on most of its cores
+    moves tile boundaries (the full plane's own bits change with the
+    thread count there), so no smaller product can match it; the
+    thread count is read once, when the kernel is built.  Otherwise
+    (float32, several BLAS threads, or a width :func:`parity_split`
+    rules out) the kernel computes the full ``(4M+1)^2`` plane:
     ``np.matmul`` at float64, and at float32 a ``cgemm`` with ``1/N``
-    in its alpha (the cgemm's thread split follows the product's size,
-    so a parity product would not keep the full plane's bits there).
+    in its alpha.
 
     The buffers are sized once for ``(N, K, M, precision)`` and
     overwritten in full on every use; the views alias them, so a
@@ -360,10 +394,9 @@ class GramKernel:
         self._cgemm = None if self._double else blas_cgemm()
         self.window = np.empty((num_blocks, width), cdtype)
         self._columns = None
-        layout = parity_layout(m)
-        side = len(layout[0]) // 2
-        if self._double and 2 * side**2 <= PARITY_MAX_SHARE * width**2:
-            self._columns, self._cells, self._sources = layout
+        if self._double and parity_split(m) and numpy_blas_threads() == 1:
+            self._columns, self._cells, self._sources = parity_layout(m)
+            side = len(self._columns) // 2
             self._sides = np.empty((num_blocks, 2 * side), cdtype)
             self.conjugate = np.empty_like(self._sides)
             self._products = np.empty(side * (2 * side + 1), cdtype)

@@ -34,6 +34,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..core.fourier import front_end_plan
 from ..core.sampling import SampledSignal
 from ..core.scf import DSCFResult, StreamingDSCF, compute_dscf, dscf_reference
 from ..errors import ConfigurationError
@@ -122,12 +123,13 @@ def _split_input(
                 f"({config.num_blocks}, {config.fft_size}), got {array.shape}"
             )
         return np.asarray(array, dtype=np.complex128), sample_rate
-    # The cached Gram plan's front end (block geometry and precision
-    # only, not the backend), so the spectra equal the engine's bit for
-    # bit and the plan is built once per operating point, not per call.
-    from ..engine.cache import shared_plan_cache
-
-    plan = shared_plan_cache().get(config.with_backend("vectorized"))
+    plan = front_end_plan(
+        config.fft_size,
+        config.num_blocks,
+        config.hop,
+        config.window,
+        config.precision,
+    )
     return plan.block_spectra(array)[0], sample_rate
 
 

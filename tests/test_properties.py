@@ -27,6 +27,12 @@ Six invariant families:
   [-40, 60]) leaves its statistic bit for bit unchanged.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -576,58 +582,115 @@ def _full_plane_grid(window, m, precision):
     return values
 
 
+#: Half-extents of the layout tests: small windows the share rule
+#: keeps whole, the paper point, the Haswell/Zen clash widths (M=49 to
+#: 61 in steps of 3, and 64) and M=127, the default at K=512.
+LAYOUT_MS = (0, 1, 3, 7, 10, 15, 31, 48, 49, 52, 55, 58, 61, 63, 64, 127)
+LAYOUT_BLOCKS = (1, 2, 3, 8, 32, 33)
+
+
+def _layout_mismatches(m, num_blocks, precision):
+    """Whether the kernel of ``(N, M)`` splits the plane, and the
+    differing words between its ``values`` grid and the full plane's,
+    per input batch (only batches that differ)."""
+    fft_size = 4 * m + 4
+    rng = np.random.default_rng(m * 100 + num_blocks)
+    dtype = np.complex128 if precision == "float64" else np.complex64
+    batches = {}
+    for scale in LAYOUT_SCALES:
+        parts = rng.standard_normal((2, num_blocks, fft_size)) * scale
+        batches[repr(scale)] = parts[0] + 1j * parts[1]
+    batches["1.0+inf"] = batches["1.0"].copy()
+    batches["1.0+inf"][num_blocks // 2, fft_size // 2 + 1] = np.inf
+    kernel = scf.GramKernel(num_blocks, fft_size, m, precision)
+    values = np.empty((2 * m + 1, 2 * m + 1), dtype)
+    mismatches = {}
+    for label, spectra in batches.items():
+        with np.errstate(all="ignore"):
+            spectra = spectra.astype(dtype)
+            kernel.correlate(spectra)
+            kernel.values(values)
+            expected = _full_plane_grid(
+                np.ascontiguousarray(spectra[:, kernel.bins]), m, precision
+            )
+        words = int(np.count_nonzero(_bits(values) != _bits(expected)))
+        if words:
+            mismatches[label] = words
+    return kernel._columns is not None, mismatches
+
+
+def forced_layout_report():
+    """Every float64 ``(M >= 1, N)`` of the layout tests with the share
+    rule lifted, so the small windows split too: the kernels that
+    split, and every ``(M, N, batch, words)`` that differs.  Run on one
+    BLAS thread (``TestGramLayoutProperties`` starts it that way)."""
+    scf.PARITY_MAX_SHARE = np.inf
+    split, mismatches = 0, []
+    for m in LAYOUT_MS[1:]:
+        for num_blocks in LAYOUT_BLOCKS:
+            used, differing = _layout_mismatches(m, num_blocks, "float64")
+            split += used
+            mismatches += [(m, num_blocks, *i) for i in differing.items()]
+    return {"split": split, "mismatches": mismatches}
+
+
 class TestGramLayoutProperties:
     """The kernel's grid equals the full Gram plane's, bit for bit.
 
     At float64 the kernel computes only the same-parity cells
-    (:func:`repro.core.scf.parity_layout`), and the rule that keeps
-    their bits is OpenBLAS's register-tile classes.  Scope measured
-    with one BLAS thread (OpenBLAS 0.3.31): an AVX-512 Xeon's own core
-    and 15 of 17 cores forced through ``OPENBLAS_CORETYPE`` give 0
-    differing words for every m from 0 to 63; Haswell and Zen differ
-    in the last bit at m in {49, 52, 55, 58, 61} (120 words over 4 N
-    values) and beyond m=63, so none of those is drawn here.  Several
-    BLAS threads split a product's rows by its size, which moves tile
-    boundaries on Haswell and Zen: there even the full plane changes
-    bits with the thread count, so run this with
-    ``OPENBLAS_NUM_THREADS=1`` (as CI does) on such cores.  float64
-    is also checked with the layout forced on (m >= 1), including the
-    small m where the share rule keeps the full plane.
+    (:func:`repro.core.scf.parity_layout`), and what keeps their bits
+    is OpenBLAS's register-tile classes.  Scope, measured on OpenBLAS
+    0.3.31 with one thread for every M up to 255 on an AVX-512 Xeon's
+    own core and on the Katmai, Nehalem, Sandybridge, Haswell (Zen
+    runs it too) and SkylakeX kernels forced through
+    ``OPENBLAS_CORETYPE``: every width keeps its bits except, on
+    Haswell and Zen, widths above 192 that are 5 mod 12 (M = 49, 52,
+    55, 58, 61, 64, ..., 127), which :func:`repro.core.scf.
+    parity_split` rules out.  With several threads OpenBLAS splits a
+    product between them by its size, and on every probed kernel but
+    SkylakeX's the full plane's own bits change with the thread count,
+    so the kernel splits only when numpy's OpenBLAS runs on one thread.
+
+    The first test runs with the ambient BLAS threads, both precisions
+    and the kernel's own rules.  The second runs every float64 case
+    again on one BLAS thread in a child process, with the share rule
+    lifted, so that the layout itself is checked whatever the threads
+    of this run.
     """
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
-    @pytest.mark.parametrize("num_blocks", [1, 2, 3, 8, 32, 33])
-    @pytest.mark.parametrize("m", [0, 1, 3, 7, 10, 15, 31, 48, 63])
-    def test_values_equal_the_full_plane(
-        self, m, num_blocks, precision, monkeypatch
+    @pytest.mark.parametrize("num_blocks", LAYOUT_BLOCKS)
+    @pytest.mark.parametrize("m", LAYOUT_MS)
+    def test_values_equal_the_full_plane(self, m, num_blocks, precision):
+        _, mismatches = _layout_mismatches(m, num_blocks, precision)
+        assert mismatches == {}
+
+    def test_layout_on_one_blas_thread_equals_the_full_plane(
+        self, monkeypatch
     ):
-        fft_size = 4 * m + 4
-        rng = np.random.default_rng(m * 100 + num_blocks)
-        dtype = np.complex128 if precision == "float64" else np.complex64
-        batches = []
-        for scale in LAYOUT_SCALES:
-            parts = rng.standard_normal((2, num_blocks, fft_size)) * scale
-            batches.append(parts[0] + 1j * parts[1])
-        batches[2][num_blocks // 2, fft_size // 2 + 1] = np.inf
-        shares = [scf.PARITY_MAX_SHARE]
-        if precision == "float64" and m >= 1:
-            shares.append(np.inf)
-        for share in shares:
-            monkeypatch.setattr(scf, "PARITY_MAX_SHARE", share)
-            kernel = scf.GramKernel(num_blocks, fft_size, m, precision)
-            values = np.empty((2 * m + 1, 2 * m + 1), dtype)
-            for spectra in batches:
-                with np.errstate(all="ignore"):
-                    spectra = spectra.astype(dtype)
-                    kernel.correlate(spectra)
-                    kernel.values(values)
-                    expected = _full_plane_grid(
-                        np.ascontiguousarray(spectra[:, kernel.bins]), m,
-                        precision,
-                    )
-                np.testing.assert_array_equal(
-                    _bits(values), _bits(expected), err_msg=f"share={share}"
-                )
+        monkeypatch.setattr(scf, "PARITY_MAX_SHARE", np.inf)
+        splits = sum(map(scf.parity_split, LAYOUT_MS[1:])) * len(LAYOUT_BLOCKS)
+        paths = [Path(__file__).parent, Path(scf.__file__).parents[2]]
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(
+                [*map(str, paths), os.environ.get("PYTHONPATH", "")]
+            ),
+        )
+        script = (
+            "import json, test_properties; "
+            "print(json.dumps(test_properties.forced_layout_report()))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        report = json.loads(child.stdout.splitlines()[-1])
+        assert report["mismatches"] == []
+        # The layout must really run: a BLAS whose threads the kernel
+        # cannot read keeps every plane whole.
+        assert report["split"] == splits
 
 
 @st.composite
