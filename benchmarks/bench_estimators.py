@@ -2,8 +2,8 @@
 
 Not a paper artifact: measures the host-side cost of the equivalent
 estimator substrates (literal triple loop, vectorised Gram kernel,
-streaming accumulator, batched Gram-matrix pipeline) so regressions in
-the reference implementations are visible, and emits the
+batched Gram-matrix pipeline) so regressions in the reference
+implementations are visible, and emits the
 machine-readable ``BENCH_estimators.json`` at the repo root so the
 performance trajectory — in particular the batched Monte-Carlo time
 per trial at the paper's K = 256, 127 x 127 operating point — is
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.detection import CyclostationaryFeatureDetector
 from repro.core.fourier import block_spectra
-from repro.core.scf import StreamingDSCF, dscf, dscf_reference
+from repro.core.scf import dscf, dscf_reference
 from repro.engine import Engine, default_noise_factory
 from repro.pipeline import PipelineConfig, available_backends, get_backend
 from repro.signals.noise import awgn
@@ -78,17 +78,6 @@ def test_reference_estimator(benchmark):
         dscf_reference, args=(SPECTRA, M), rounds=2, iterations=1
     )
     assert np.allclose(values, dscf(SPECTRA, M))
-
-
-def test_streaming_estimator(benchmark):
-    def run():
-        streaming = StreamingDSCF(K, M)
-        for spectrum in SPECTRA:
-            streaming.update(spectrum)
-        return streaming.result()
-
-    result = benchmark(run)
-    assert np.allclose(result.values, dscf(SPECTRA, M))
 
 
 def test_paper_grid_vectorised(benchmark):

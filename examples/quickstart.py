@@ -7,8 +7,8 @@ stands out of the noise floor — the property Cyclostationary Feature
 Detection exploits for spectrum sensing.
 
 The pipeline runs the same computation on any registered estimator
-backend; swap ``backend="vectorized"`` for ``"streaming"``,
-``"reference"`` or ``"soc"`` and the numbers agree.
+backend; swap ``backend="vectorized"`` for ``"reference"`` or
+``"soc"`` and the numbers agree.
 
 Run:  python examples/quickstart.py
 """

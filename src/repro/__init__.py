@@ -20,7 +20,7 @@ The package is organised in layers:
   Table 1 and the Section 5 evaluation.
 * :mod:`repro.pipeline` — the unified estimator-backend pipeline: one
   typed configuration drives the same detection chain on any
-  registered substrate (reference, vectorised, streaming, SoC), with
+  registered substrate (reference, vectorised, SoC), with
   batched multi-trial execution for Monte-Carlo workloads.
 * :mod:`repro.engine` — the unified execution engine: per-operating-
   point execution plans (prepared FFT constants, channelizer banks,
@@ -74,7 +74,6 @@ from .core import (
     EnergyDetector,
     MatchedFilterDetector,
     SampledSignal,
-    StreamingDSCF,
     block_spectra,
     default_m,
     dscf,
@@ -192,7 +191,6 @@ __all__ = [
     "SampledSignal",
     "SignalError",
     "SimulationError",
-    "StreamingDSCF",
     "amplitude_modulated_carrier",
     "awgn",
     "block_spectra",

@@ -31,7 +31,6 @@ from .fourier import block_spectra, dft, fft_radix2
 from .sampling import SampledSignal
 from .scf import (
     DSCFResult,
-    StreamingDSCF,
     default_m,
     dscf,
     dscf_from_signal,
@@ -46,7 +45,6 @@ __all__ = [
     "EnergyDetector",
     "MatchedFilterDetector",
     "SampledSignal",
-    "StreamingDSCF",
     "block_spectra",
     "cyclic_autocorrelation",
     "default_m",

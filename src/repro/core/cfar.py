@@ -36,7 +36,7 @@ which inverts in closed form to the threshold at a target Pfa:
 Per-substrate effective constants (all derived from the configured
 geometry, no fitted numbers):
 
-``gram`` (vectorized / reference / streaming / soc):
+``gram`` (vectorized / reference / soc):
     ``n = num_blocks``; ``D`` is the number of *distinct unordered*
     spectrum-bin pairs ``{f + a, f - a}`` over the searched columns —
     conjugate symmetry ``S(f, -a) = conj(S(f, a))`` makes mirrored
@@ -84,7 +84,7 @@ from .windows import get_window
 #: Backends whose statistic is the Gram-matrix DSCF coherence (the
 #: host mathematics of BatchExecutionPlan, which the loop substrates
 #: and the fixed-point SoC reproduce).
-GRAM_BACKENDS = ("vectorized", "reference", "streaming", "soc")
+GRAM_BACKENDS = ("vectorized", "reference", "soc")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ so that ``f + a`` and ``f - a`` always address valid spectrum bins.
 For K = 256 this gives M = 63 and a 127 x 127 DSCF, the configuration
 the paper maps onto the 4-tile platform.
 
-Three estimators are provided and verified against each other:
+Two estimators are provided and verified against each other:
 
 ``dscf_reference``
     Literal triple loop over (f, a, n); slow, exact, countable.
@@ -27,12 +27,10 @@ Three estimators are provided and verified against each other:
     :func:`parity_layout`), the kernel
     every batch plan scores with, so its grid is bit-for-bit the
     plan's.
-``StreamingDSCF``
-    Block-at-a-time accumulator mirroring the hardware integration step
-    (Figure 3: multiply + running sum in a register/memory).
 
-All three (plus the cycle-level SoC emulation) are registered as named
-estimator backends behind :mod:`repro.pipeline` — the recommended API:
+Both (plus the cycle-level SoC emulation of the hardware's
+block-at-a-time integration loop) are registered as named estimator
+backends behind :mod:`repro.pipeline` — the recommended API:
 ``DetectionPipeline`` selects a substrate by name, and the
 :class:`~repro.engine.Engine` evaluates many trials in one vectorised
 pass.  The functions here
@@ -634,74 +632,6 @@ def dscf_from_signal(
         signal.sample_rate_hz if isinstance(signal, SampledSignal) else None
     )
     return compute_dscf(spectra, m=m, sample_rate_hz=sample_rate)
-
-
-class StreamingDSCF:
-    """Block-at-a-time DSCF accumulator.
-
-    Mirrors the hardware integration structure of Figure 3/4: each call
-    to :meth:`update` feeds one block spectrum (one value of ``n``) into
-    one running sum, exactly as the Montium's multiply-accumulate loop
-    adds into its integration memories; after N updates :meth:`result`
-    divides by N.  Numerically identical (up to float associativity) to
-    :func:`dscf` over the same spectra, which the tests assert.
-    """
-
-    def __init__(self, fft_size: int, m: int | None = None) -> None:
-        self._fft_size = require_positive_int(fft_size, "fft_size")
-        self._m = validate_m(fft_size, m)
-        offsets = np.arange(-self._m, self._m + 1)
-        center = fft_size // 2
-        self._plus_index = center + offsets[:, None] + offsets[None, :]
-        self._minus_index = center + offsets[:, None] - offsets[None, :]
-        extent = 2 * self._m + 1
-        self._sum = np.zeros((extent, extent), dtype=np.complex128)
-        self._count = 0
-
-    @property
-    def m(self) -> int:
-        """Half-extent M of the accumulated grid."""
-        return self._m
-
-    @property
-    def fft_size(self) -> int:
-        """Block length K."""
-        return self._fft_size
-
-    @property
-    def num_blocks(self) -> int:
-        """Blocks accumulated so far."""
-        return self._count
-
-    def update(self, spectrum: np.ndarray) -> None:
-        """Multiply-accumulate one centered K-point spectrum (one n)."""
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        if spectrum.shape != (self._fft_size,):
-            raise ConfigurationError(
-                f"spectrum must have shape ({self._fft_size},), got "
-                f"{spectrum.shape}"
-            )
-        self._sum += spectrum[self._plus_index] * np.conj(
-            spectrum[self._minus_index]
-        )
-        self._count += 1
-
-    def result(self, sample_rate_hz: float | None = None) -> DSCFResult:
-        """The DSCF averaged over every block accumulated so far."""
-        if self._count == 0:
-            raise SignalError("StreamingDSCF has accumulated no blocks yet")
-        return DSCFResult(
-            values=self._sum / self._count,
-            m=self._m,
-            num_blocks=self._count,
-            fft_size=self._fft_size,
-            sample_rate_hz=sample_rate_hz,
-        )
-
-    def reset(self) -> None:
-        """Clear the running sum and the block count."""
-        self._sum[:] = 0
-        self._count = 0
 
 
 def spectral_coherence(result: DSCFResult, psd: np.ndarray) -> np.ndarray:

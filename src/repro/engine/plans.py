@@ -18,8 +18,8 @@ Two plan classes cover every registered backend:
   :class:`~repro.soc.compiled.CompiledSoCPlan`) when the backend's
   uncached ``batch_plan`` factory returns one.
 * :class:`LoopExecutionPlan` — the per-trial fallback for inherently
-  sequential substrates (the literal reference loop, the streaming
-  accumulator, the interpreted cycle-level SoC).  Statistics match the
+  sequential substrates (the literal reference loop, the interpreted
+  cycle-level SoC).  Statistics match the
   :class:`~repro.pipeline.DetectionPipeline` per-trial path bit for
   bit, so the engine can run — and shard — *any* registered backend.
 
@@ -504,10 +504,9 @@ class LoopExecutionPlan:
         """Detection statistics straight from centered block spectra.
 
         The spectra-domain twin of :meth:`statistics` for sequential
-        backends that accept precomputed spectra (``streaming``,
-        ``reference``): each trial's ``(N, K)`` rows feed the backend
-        directly, so the per-trial block FFT sweep is skipped.  Rows
-        bitwise equal to the host plan's :meth:`~BatchExecutionPlan.
+        backends that accept precomputed spectra (``reference``): each
+        trial's ``(N, K)`` rows feed the backend directly, so the
+        per-trial block FFT sweep is skipped.  Rows bitwise equal to the host plan's :meth:`~BatchExecutionPlan.
         block_spectra` slices yield statistics bitwise identical to
         :meth:`statistics` on the raw window.  Raw-sample substrates
         (the cycle-level soc interpreter) fail :func:`spectra_refusal`

@@ -8,7 +8,7 @@ detection chain on interchangeable execution substrates:
   typed object describing a sensing operating point;
 * :mod:`repro.pipeline.backends` — the :class:`EstimatorBackend`
   protocol and the registered substrates (``reference``,
-  ``vectorized``, ``streaming``, ``soc``, plus the full-plane
+  ``vectorized``, ``soc``, plus the full-plane
   ``fam``/``ssca`` estimators from :mod:`repro.estimators`);
 * :mod:`repro.pipeline.pipeline` — :class:`DetectionPipeline`, the
   composed scenario -> channel -> backend -> detector chain, executed
@@ -19,7 +19,7 @@ Quickstart
 ----------
 >>> from repro.pipeline import DetectionPipeline, PipelineConfig
 >>> pipeline = DetectionPipeline(
-...     PipelineConfig(fft_size=64, num_blocks=32, backend="streaming"))
+...     PipelineConfig(fft_size=64, num_blocks=32, backend="reference"))
 >>> result = pipeline.compute(samples)               # doctest: +SKIP
 """
 
@@ -28,7 +28,6 @@ from .backends import (
     EstimatorBackend,
     ReferenceBackend,
     SoCBackend,
-    StreamingBackend,
     VectorizedBackend,
     available_backends,
     get_backend,
@@ -50,7 +49,6 @@ __all__ = [
     "PipelineConfig",
     "ReferenceBackend",
     "SoCBackend",
-    "StreamingBackend",
     "VectorizedBackend",
     "available_backends",
     "get_backend",

@@ -2,12 +2,11 @@
 
 The paper's central claim is that the *same* Discrete Spectral
 Correlation Function can be realised on very different engines — a
-literal reference evaluation, vectorised software, a streaming
-hardware-style accumulator, and the 4-tile Montium SoC.  This module
-makes that claim executable: every substrate is an
-:class:`EstimatorBackend` registered by name, producing a
-:class:`~repro.core.scf.DSCFResult` from the same inputs, and the
-cross-backend parity tests assert they agree.
+literal reference evaluation, vectorised software, and the 4-tile
+Montium SoC.  This module makes that claim executable: every
+substrate is an :class:`EstimatorBackend` registered by name,
+producing a :class:`~repro.core.scf.DSCFResult` from the same inputs,
+and the cross-backend parity tests assert they agree.
 
 Backends accept either raw samples (a 1-D array or
 :class:`~repro.core.sampling.SampledSignal`) or precomputed centered
@@ -23,8 +22,8 @@ Registry
 --------
 >>> from repro.pipeline import available_backends, get_backend
 >>> available_backends()
-('fam', 'reference', 'soc', 'ssca', 'streaming', 'vectorized')
->>> backend = get_backend("streaming")
+('fam', 'reference', 'soc', 'ssca', 'vectorized')
+>>> backend = get_backend("reference")
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from ..core.fourier import front_end_plan
 from ..core.sampling import SampledSignal
-from ..core.scf import DSCFResult, StreamingDSCF, compute_dscf, dscf_reference
+from ..core.scf import DSCFResult, compute_dscf, dscf_reference
 from ..errors import ConfigurationError
 from .config import PipelineConfig
 
@@ -206,34 +205,6 @@ class VectorizedBackend:
         )
 
 
-class StreamingBackend:
-    """Block-at-a-time accumulation mirroring the hardware integration.
-
-    Feeds each block spectrum through a
-    :class:`~repro.core.scf.StreamingDSCF`, exactly as the Montium's
-    multiply-accumulate loop adds into its integration memories.
-    """
-
-    name = "streaming"
-    capabilities = BackendCapabilities(
-        supports_batch=False,
-        supports_streaming=True,
-        accepts_spectra=True,
-        cycle_accurate=False,
-        description="block-at-a-time accumulator (hardware-style integration)",
-        complexity="O(N (2M+1)^2), df=fs/K, da=2fs/K",
-    )
-
-    def compute(
-        self, signal: SampledSignal | np.ndarray, config: PipelineConfig
-    ) -> DSCFResult:
-        spectra, sample_rate = _split_input(signal, config)
-        accumulator = StreamingDSCF(config.fft_size, m=config.m)
-        for spectrum in spectra:
-            accumulator.update(spectrum)
-        return accumulator.result(sample_rate_hz=sample_rate)
-
-
 class SoCBackend:
     """Cycle-level emulation of the paper's tiled-SoC platform.
 
@@ -370,5 +341,4 @@ def available_backends() -> tuple[str, ...]:
 
 register_backend(ReferenceBackend())
 register_backend(VectorizedBackend())
-register_backend(StreamingBackend())
 register_backend(SoCBackend())

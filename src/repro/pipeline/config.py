@@ -25,8 +25,8 @@ from ..core.windows import get_window
 from ..errors import ConfigurationError
 
 #: Backends with a single-precision (complex64) fast path.  The
-#: ``reference``/``streaming`` backends are double-precision parity
-#: oracles and ``soc`` is fixed-point, so they reject float32.
+#: ``reference`` backend is the double-precision parity oracle and
+#: ``soc`` is fixed-point, so they reject float32.
 FLOAT32_BACKENDS = ("vectorized", "fam", "ssca")
 
 
@@ -51,8 +51,8 @@ class PipelineConfig:
         Analysis window name (default rectangular, as the paper).
     backend:
         Registered :class:`~repro.pipeline.backends.EstimatorBackend`
-        name — one of ``reference``, ``vectorized``, ``streaming``,
-        ``soc`` (see :func:`~repro.pipeline.backends.available_backends`).
+        name — one of ``reference``, ``vectorized``, ``soc``, ``fam``,
+        ``ssca`` (see :func:`~repro.pipeline.backends.available_backends`).
     normalize:
         If True (default) the detection statistic uses the spectral
         coherence (scale-invariant); if False the raw ``|S_f^a|``.
@@ -116,9 +116,9 @@ class PipelineConfig:
         Estimator arithmetic precision — ``"float64"`` (default, the
         bitwise parity reference) or ``"float32"`` (complex64 fast
         paths; supported by the batch-capable backends listed in
-        :data:`FLOAT32_BACKENDS`).  The ``reference``/``streaming``
-        backends stay double precision by design (they are the
-        NumPy-literal parity oracles) and ``soc`` is fixed-point with
+        :data:`FLOAT32_BACKENDS`).  The ``reference`` backend stays
+        double precision by design (it is the NumPy-literal parity
+        oracle) and ``soc`` is fixed-point with
         bitwise-pinned traces, so float32 is rejected there.
     serve_path:
         Detection route for serve-session detects (ignored offline) —

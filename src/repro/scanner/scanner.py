@@ -7,8 +7,8 @@
 2. every sub-band series runs the configured estimator backend at the
    *sub-band* operating point — through one
    :class:`~repro.pipeline.DetectionPipeline`, so any registered
-   backend (``reference``/``vectorized``/``streaming``/``soc``/
-   ``fam``/``ssca``) works unchanged;
+   backend (``reference``/``vectorized``/``soc``/``fam``/``ssca``)
+   works unchanged;
 3. per-band statistics are compared against one noise-calibrated
    threshold and aggregated into an
    :class:`~repro.scanner.occupancy.OccupancyMap`, with blind

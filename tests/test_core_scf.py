@@ -8,7 +8,6 @@ from repro.core.opcount import OperationCounter
 from repro.core.sampling import SampledSignal
 from repro.core.scf import (
     DSCFResult,
-    StreamingDSCF,
     compute_dscf,
     default_m,
     dscf,
@@ -58,18 +57,12 @@ class TestValidateM:
 
 
 class TestEstimatorEquivalence:
-    """The three estimators must agree exactly."""
+    """The reference and production estimators must agree."""
 
     def test_reference_equals_vectorized(self, small_spectra, small_m):
         ref = dscf_reference(small_spectra, small_m)
         vec = dscf(small_spectra, small_m)
         assert np.allclose(ref, vec)
-
-    def test_streaming_equals_vectorized(self, small_spectra, small_m, small_k):
-        streaming = StreamingDSCF(small_k, small_m)
-        for spectrum in small_spectra:
-            streaming.update(spectrum)
-        assert np.allclose(streaming.result().values, dscf(small_spectra, small_m))
 
     def test_single_block(self, small_spectra, small_m):
         one = small_spectra[:1]
@@ -174,26 +167,6 @@ class TestDSCFResult:
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
             DSCFResult(values=np.zeros((3, 5)), m=2, num_blocks=1, fft_size=16)
-
-
-class TestStreaming:
-    def test_reset(self, small_spectra, small_m, small_k):
-        streaming = StreamingDSCF(small_k, small_m)
-        streaming.update(small_spectra[0])
-        streaming.reset()
-        assert streaming.num_blocks == 0
-        with pytest.raises(SignalError):
-            streaming.result()
-
-    def test_rejects_wrong_shape(self, small_k, small_m):
-        streaming = StreamingDSCF(small_k, small_m)
-        with pytest.raises(ConfigurationError):
-            streaming.update(np.zeros(small_k + 1, dtype=complex))
-
-    def test_properties(self, small_k, small_m):
-        streaming = StreamingDSCF(small_k, small_m)
-        assert streaming.m == small_m
-        assert streaming.fft_size == small_k
 
 
 class TestDscfFromSignal:

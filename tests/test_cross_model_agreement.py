@@ -75,17 +75,6 @@ class TestFourWayFunctionalEquivalence:
         assert np.allclose(folded.result(), reference)
         assert np.allclose(platform.dscf.values, reference)
 
-    def test_streaming_matches_batch_on_platform_input(self):
-        from repro.core.scf import StreamingDSCF
-
-        k, m, blocks = 16, 3, 6
-        samples = awgn(k * blocks, seed=78)
-        spectra = block_spectra(samples, k)
-        streaming = StreamingDSCF(k, m)
-        for spectrum in spectra:
-            streaming.update(spectrum)
-        assert np.allclose(streaming.result().values, dscf(spectra, m))
-
 
 class TestTracedRunnerAgreement:
     def test_trace_total_equals_cycle_counter(self):
@@ -105,10 +94,10 @@ class TestScannerCrossModel:
 
     Complements the per-preset truth checks in ``tests/test_scanner.py``:
     here the backends are compared *against each other* on identical
-    captures — DSCF software models (vectorized/streaming), the
-    full-plane estimator family (fam/ssca, on the linear presets where
-    their lattice resolves the features), and the cycle-exact compiled
-    SoC platform.
+    captures — the vectorized DSCF as comparator, the full-plane
+    estimator family (fam/ssca, on the linear presets where their
+    lattice resolves the features), and the cycle-exact compiled SoC
+    platform.
     """
 
     def _decisions(self, preset, backend, seed=9, **config_overrides):
@@ -134,7 +123,7 @@ class TestScannerCrossModel:
     @pytest.mark.parametrize("preset", ["single-qpsk", "linear-pair", "bursty"])
     def test_software_models_agree_on_linear_presets(self, preset):
         reference = self._decisions(preset, "vectorized")
-        for backend in ("streaming", "fam", "ssca"):
+        for backend in ("fam", "ssca"):
             assert np.array_equal(
                 self._decisions(preset, backend), reference
             ), f"{backend} disagrees with vectorized on {preset!r}"
@@ -146,13 +135,3 @@ class TestScannerCrossModel:
             preset, "soc", soc_compiled=True
         )
         assert np.array_equal(platform, software)
-
-    def test_cp_preset_exact_models_agree(self):
-        vectorized = self._decisions(
-            "cp-pair", "vectorized", fft_size=64, num_blocks=64
-        )
-        streaming = self._decisions(
-            "cp-pair", "streaming", fft_size=64, num_blocks=64
-        )
-        assert np.array_equal(vectorized, streaming)
-        assert vectorized.any()  # the CP emitters are actually detected

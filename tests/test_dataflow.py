@@ -96,7 +96,7 @@ class TestPrecisionPolicy:
         with pytest.raises(ConfigurationError, match="precision"):
             validate_precision("double")
 
-    @pytest.mark.parametrize("backend", ["reference", "streaming", "soc"])
+    @pytest.mark.parametrize("backend", ["reference", "soc"])
     def test_float32_rejected_on_parity_backends(self, backend):
         with pytest.raises(ConfigurationError, match="float32"):
             PipelineConfig(

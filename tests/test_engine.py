@@ -179,9 +179,8 @@ class TestBuildPlan:
         assert plan.executor.dscf_exact
 
     def test_sequential_backends_get_loop_plans(self):
-        for backend in ("reference", "streaming"):
-            plan = build_plan(replace(TINY, backend=backend))
-            assert isinstance(plan, LoopExecutionPlan)
+        plan = build_plan(replace(TINY, backend="reference"))
+        assert isinstance(plan, LoopExecutionPlan)
 
     def test_interpreted_soc_gets_loop_plan(self):
         plan = build_plan(replace(TINY_SOC, soc_compiled=False))
@@ -230,7 +229,7 @@ class TestEngineSerial:
         assert stats[0] == float(np.abs(signals[0]).sum())
 
     def test_loop_plan_matches_pipeline_statistic(self):
-        config = replace(TINY, backend="streaming")
+        config = replace(TINY, backend="reference")
         signals = _signals(config, trials=3)
         pipeline = DetectionPipeline(config)
         expected = np.array(
@@ -772,7 +771,7 @@ class TestCachePurityAndAmbiguity:
             )
 
     def test_disabled_cache_never_touches_shared_cache(self):
-        config = replace(TINY, backend="streaming", fft_size=16, m=3)
+        config = replace(TINY, backend="reference", fft_size=16, m=3)
         shared = shared_plan_cache()
         before = (len(shared), shared.stats.lookups)
         engine = Engine(cache=PlanCache(maxsize=0))

@@ -143,12 +143,35 @@ class TestConfig:
 
 
 class TestRegistry:
-    def test_all_six_substrates_registered(self):
+    def test_all_five_substrates_registered(self):
         names = available_backends()
-        for expected in (
-            "reference", "vectorized", "streaming", "soc", "fam", "ssca",
-        ):
+        for expected in ("reference", "vectorized", "soc", "fam", "ssca"):
             assert expected in names
+
+    def test_retired_streaming_backend_rejected(self):
+        """One software model per role: ``vectorized`` estimates,
+        ``reference`` checks, and the hardware's block-at-a-time
+        integration is modelled by ``soc`` (and
+        ``mapping.architecture``), not by a software accumulator."""
+        import repro
+        import repro.core.scf
+        import repro.pipeline
+
+        assert available_backends() == (
+            "fam", "reference", "soc", "ssca", "vectorized",
+        )
+        registered = "registered: fam, reference, soc, ssca, vectorized$"
+        config = PipelineConfig(fft_size=32, num_blocks=8, backend="streaming")
+        signals = awgn(config.samples_per_decision, seed=1)[None]
+        with pytest.raises(ConfigurationError, match=registered):
+            get_backend("streaming")
+        with pytest.raises(ConfigurationError, match=registered):
+            DetectionPipeline(config)
+        with pytest.raises(ConfigurationError, match=registered):
+            Engine(cache=PlanCache(maxsize=0)).statistics(signals, config)
+        for module in (repro, repro.core, repro.core.scf):
+            assert not hasattr(module, "StreamingDSCF")
+        assert not hasattr(repro.pipeline, "StreamingBackend")
 
     def test_unknown_backend_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="unknown estimator backend"):
@@ -217,7 +240,7 @@ class TestCrossBackendParity:
                 result.values, expected, atol=1e-9,
                 err_msg=f"backend {name!r} disagrees with dscf_reference",
             )
-        assert checked >= 4  # reference, vectorized, streaming, soc
+        assert checked >= 3  # reference, vectorized, soc
 
     def test_spectra_accepting_backends_skip_the_fft(
         self, small_config, shared_signal
@@ -267,7 +290,7 @@ class TestCrossBackendParity:
             if get_backend(name).capabilities.dscf_exact
         }
         values = list(statistics.values())
-        assert len(values) >= 4
+        assert len(values) >= 3  # reference, vectorized, soc
         np.testing.assert_allclose(values, values[0], rtol=1e-9)
 
 
@@ -416,7 +439,6 @@ class TestBatchCalibration:
 UNIFIED_BACKENDS = {
     "reference": dict(backend="reference"),
     "vectorized": dict(backend="vectorized"),
-    "streaming": dict(backend="streaming"),
     "soc-interpreted": dict(backend="soc"),
     "soc-compiled": dict(backend="soc", soc_compiled=True),
     "fam": dict(backend="fam"),
@@ -509,7 +531,7 @@ class TestDetectionPipeline:
     def test_channel_stage_not_applied_to_calibration_noise(self, small_config):
         from repro.signals.channel import apply_cfo
 
-        for name in ("vectorized", "streaming"):
+        for name in ("vectorized", "reference"):
             config = small_config.with_backend(name)
             plain = DetectionPipeline(config)
             impaired = DetectionPipeline(
@@ -519,17 +541,17 @@ class TestDetectionPipeline:
 
     def test_nonbatch_backend_calibration_loops_through_backend(self):
         config = PipelineConfig(
-            fft_size=16, num_blocks=4, m=3, backend="streaming",
+            fft_size=16, num_blocks=4, m=3, backend="reference",
             calibration_trials=20,
         )
-        streaming = DetectionPipeline(config)
+        reference = DetectionPipeline(config)
         vectorized = DetectionPipeline(config.with_backend("vectorized"))
         np.testing.assert_allclose(
-            streaming.calibrate(), vectorized.calibrate(), rtol=1e-9
+            reference.calibrate(), vectorized.calibrate(), rtol=1e-9
         )
 
     def test_feature_surface_shape(self, small_config, shared_signal):
-        for name in ("vectorized", "streaming"):
+        for name in ("vectorized", "reference"):
             surface = DetectionPipeline(
                 small_config.with_backend(name)
             ).feature_surface(shared_signal)
@@ -581,11 +603,11 @@ class TestCliIntegration:
             "sense", "--fft-size", "32", "--blocks", "32",
             "--snr-db", "6", "--sps", "4",
             "--calibration-trials", "20", "--seed", "3",
-            "--backend", "streaming",
+            "--backend", "reference",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "cyclostationary/streaming" in out
+        assert "cyclostationary/reference" in out
         assert "OCCUPIED" in out
 
     def test_backends_subcommand_lists_all(self, capsys):

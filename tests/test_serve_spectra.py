@@ -117,12 +117,15 @@ class TestWindowSpectra:
 class TestSpectraStatistics:
     """`Engine.spectra_statistics` vs `Engine.statistics`, bitwise."""
 
-    @pytest.mark.parametrize("backend", ["vectorized", "streaming"])
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
     @pytest.mark.parametrize("config", GEOMETRIES)
     def test_bitwise_equal_to_sample_path_every_hop(self, config, backend):
-        config = config.with_backend(backend)
+        # The window comes from a session on the geometry's default
+        # backend (``reference`` is not serve-capable); only the
+        # scoring backend varies.
         stream = _stream(config.samples_per_decision + 5 * config.hop, seed=5)
         session = SensingSession(config)
+        config = config.with_backend(backend)
         session.ingest(stream[: config.samples_per_decision])
         with Engine(jobs=1) as engine:
             position = config.samples_per_decision
@@ -190,7 +193,7 @@ class TestServePathConfig:
 
     def test_eligibility_table(self):
         # The one spectra-route rule: static, per configuration.
-        for backend in ("vectorized", "streaming", "reference"):
+        for backend in ("vectorized", "reference"):
             assert spectra_refusal(TINY.with_backend(backend)) is None
         for backend in ("soc", "fam", "ssca"):
             assert "raw samples" in spectra_refusal(
