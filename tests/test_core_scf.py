@@ -68,6 +68,13 @@ class TestEstimatorEquivalence:
         one = small_spectra[:1]
         assert np.allclose(dscf_reference(one, small_m), dscf(one, small_m))
 
+    @pytest.mark.parametrize("m", [11, 12])  # plane / same-parity kernel
+    def test_reference_equals_vectorized_on_bpsk(self, m):
+        k = 64
+        signal = bpsk_signal(k * 8, 1e6, samples_per_symbol=4, seed=3)
+        spectra = block_spectra(signal.samples, k)
+        assert np.allclose(dscf_reference(spectra, m), dscf(spectra, m))
+
 
 class TestDscfStructure:
     def test_shape(self, small_spectra, small_m):

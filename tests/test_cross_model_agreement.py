@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.fourier import block_spectra
-from repro.core.scf import default_m, dscf
+from repro.core.scf import default_m, dscf, dscf_reference
 from repro.mapping.architecture import FoldedArray, SystolicArray
 from repro.montium.programs import integration_step_cycle_budget
 from repro.montium.tile import TileConfig
@@ -75,6 +75,23 @@ class TestFourWayFunctionalEquivalence:
         assert np.allclose(folded.result(), reference)
         assert np.allclose(platform.dscf.values, reference)
 
+    def test_block_models_match_reference_on_noise_input(self):
+        """The hardware's block-at-a-time integration, fed one spectrum
+        per step, lands on the NumPy-literal estimator and the batch
+        estimator alike."""
+        k, m, blocks = 16, 3, 6
+        samples = awgn(k * blocks, seed=78)
+        spectra = block_spectra(samples, k)
+        literal = dscf_reference(spectra, m)
+        systolic = SystolicArray(m, k)
+        folded = FoldedArray(m, k, num_cores=2)
+        for spectrum in spectra:
+            systolic.integrate_block(spectrum)
+            folded.integrate_block(spectrum)
+        assert np.allclose(literal, dscf(spectra, m))
+        assert np.allclose(systolic.result(), literal)
+        assert np.allclose(folded.result(), literal)
+
 
 class TestTracedRunnerAgreement:
     def test_trace_total_equals_cycle_counter(self):
@@ -94,7 +111,8 @@ class TestScannerCrossModel:
 
     Complements the per-preset truth checks in ``tests/test_scanner.py``:
     here the backends are compared *against each other* on identical
-    captures — the vectorized DSCF as comparator, the full-plane
+    captures — the vectorized DSCF as comparator, the NumPy-literal
+    reference DSCF (on the cyclic-prefix preset), the full-plane
     estimator family (fam/ssca, on the linear presets where their
     lattice resolves the features), and the cycle-exact compiled SoC
     platform.
@@ -135,3 +153,13 @@ class TestScannerCrossModel:
             preset, "soc", soc_compiled=True
         )
         assert np.array_equal(platform, software)
+
+    def test_cp_preset_exact_models_agree(self):
+        vectorized = self._decisions(
+            "cp-pair", "vectorized", fft_size=64, num_blocks=64
+        )
+        reference = self._decisions(
+            "cp-pair", "reference", fft_size=64, num_blocks=64
+        )
+        assert np.array_equal(vectorized, reference)
+        assert vectorized.any()  # the CP emitters are actually detected

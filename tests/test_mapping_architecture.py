@@ -79,6 +79,25 @@ class TestSystolicArray:
         array.integrate_block(small_spectra[0])
         array.reset()
         assert array.blocks_integrated == 0
+        with pytest.raises(SignalError):
+            array.result()
+
+    def test_reset_then_reintegrate_matches_fresh(
+        self, small_spectra, small_m, small_k
+    ):
+        fresh = SystolicArray(small_m, small_k)
+        reused = SystolicArray(small_m, small_k)
+        reused.integrate_block(small_spectra[-1])
+        reused.reset()
+        for spectrum in small_spectra:
+            fresh.integrate_block(spectrum)
+            reused.integrate_block(spectrum)
+        assert np.array_equal(reused.result(), fresh.result())
+
+    def test_properties(self, small_m):
+        array = SystolicArray(small_m, 16)
+        assert array.m == small_m
+        assert array.num_processors == 2 * small_m + 1
 
     def test_spectrum_shape_checked(self):
         array = SystolicArray(3, 16)
@@ -146,9 +165,35 @@ class TestFoldedArray:
         with pytest.raises(SignalError):
             array.result()
 
+    def test_reset_then_reintegrate_matches_fresh(
+        self, small_spectra, small_m, small_k
+    ):
+        fresh = FoldedArray(small_m, small_k, num_cores=3)
+        reused = FoldedArray(small_m, small_k, num_cores=3)
+        reused.integrate_block(small_spectra[-1])
+        reused.reset()
+        for spectrum in small_spectra:
+            fresh.integrate_block(spectrum)
+            reused.integrate_block(spectrum)
+        assert np.array_equal(reused.result(), fresh.result())
+        assert reused.valid_mac_count == fresh.valid_mac_count
+        assert reused.padded_mac_count == fresh.padded_mac_count
+        assert reused.transfer_counts == fresh.transfer_counts
+
     def test_result_requires_blocks(self):
         with pytest.raises(SignalError):
             FoldedArray(3, 16, num_cores=2).result()
+
+    def test_spectrum_shape_checked(self):
+        array = FoldedArray(3, 16, num_cores=2)
+        with pytest.raises(ConfigurationError):
+            array.integrate_block(np.zeros(17, dtype=complex))
+
+    def test_properties(self, small_m):
+        array = FoldedArray(small_m, 16, num_cores=3)
+        assert array.m == small_m
+        assert array.num_cores == 3
+        assert array.fold.tasks_per_core == 3  # ceil(7 / 3)
 
 
 class TestFoldedEqualsUnfolded:

@@ -371,7 +371,7 @@ class TestCrossModelAgreementBattery:
 
     @pytest.mark.parametrize("preset", LINEAR_PRESETS)
     @pytest.mark.parametrize(
-        "backend", ("vectorized", "fam", "ssca")
+        "backend", ("vectorized", "reference", "fam", "ssca")
     )
     def test_linear_presets_agree_with_truth(self, preset, backend):
         scenario, bands = scenario_preset(preset, sample_rate_hz=FS)
@@ -394,10 +394,11 @@ class TestCrossModelAgreementBattery:
         occupancy = scanner.scan(capture, classify=False)
         assert np.array_equal(occupancy.decisions, truth.band_mask(bands))
 
-    def test_cp_preset_agrees_with_truth(self):
+    @pytest.mark.parametrize("backend", ("vectorized", "reference"))
+    def test_cp_preset_agrees_on_exact_backends(self, backend):
         scenario, bands = scenario_preset("cp-pair", sample_rate_hz=FS)
         config = small_config(
-            fft_size=64, num_blocks=64, scan_bands=bands,
+            fft_size=64, num_blocks=64, scan_bands=bands, backend=backend,
             calibration_trials=30,
         )
         scanner = BandScanner(config, leak_margin=1.6)
