@@ -8,14 +8,15 @@
 
 ``float32``
     The throughput path: complex64 arithmetic end to end (half the
-    memory traffic, single-precision BLAS ``cgemm``), with FFTs routed
-    through ``scipy.fft`` — numpy's pocketfft dispatch is tuned for
-    double precision and is *slower* on complex64 input, while SciPy's
-    preserves single precision at full speed.
+    memory traffic; the Gram products run on numpy's BLAS, as at
+    float64), with FFTs routed through ``scipy.fft`` — numpy's
+    pocketfft dispatch is tuned for double precision and is *slower*
+    on complex64 input, while SciPy's preserves single precision at
+    full speed.
 
 This is the only module that imports SciPy, and it does so on the
-first float32 use (:func:`fft_namespace`, :func:`blas_cgemm`), so a
-float64 process never loads SciPy.
+first float32 FFT (:func:`fft_namespace`), so a float64 process never
+loads SciPy.
 
 Batch kernels additionally tile their trials through
 :func:`tile_trials`, at both precisions, so each slab stays
@@ -104,13 +105,6 @@ def fft_fast_kwargs(fft: ModuleType) -> dict:
     temporary the caller never reads again.
     """
     return {} if fft is np.fft else {"overwrite_x": True}
-
-
-def blas_cgemm():
-    """SciPy's single-precision BLAS ``cgemm`` (the float32 Gram)."""
-    from scipy.linalg.blas import cgemm
-
-    return cgemm
 
 
 def numpy_blas_threads() -> int | None:

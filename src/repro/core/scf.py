@@ -45,12 +45,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .._compute import (
-    blas_cgemm,
-    complex_dtype,
-    numpy_blas_threads,
-    real_dtype,
-)
+from .._compute import complex_dtype, numpy_blas_threads, real_dtype
 from .._util import require, require_non_negative_int, require_positive_int
 from ..errors import ConfigurationError, SignalError
 from .fourier import shared_block_spectra
@@ -347,9 +342,9 @@ class GramKernel:
     :class:`~repro.engine.plans.BatchExecutionPlan` scoring loop once
     per trial — so they agree bit for bit.
 
-    ``S`` reads ``G`` only where both bins share a parity.  At float64,
-    when :func:`parity_split` allows it and numpy's OpenBLAS runs on
-    one thread, the kernel computes just the two square products of
+    ``S`` reads ``G`` only where both bins share a parity.  When
+    :func:`parity_split` allows it and numpy's OpenBLAS runs on one
+    thread, the kernel computes just the two square products of
     :func:`parity_layout` (two 133 x 133 instead of one 253 x 253 at
     the paper point), in one batched ``np.matmul`` into one buffer of
     leading dimension ``2n+1``: the even product at offset 0, the odd
@@ -359,10 +354,10 @@ class GramKernel:
     moves tile boundaries (the full plane's own bits change with the
     thread count there), so no smaller product can match it; the
     thread count is read once, when the kernel is built.  Otherwise
-    (float32, several BLAS threads, or a width :func:`parity_split`
-    rules out) the kernel computes the full ``(4M+1)^2`` plane:
-    ``np.matmul`` at float64, and at float32 a ``cgemm`` with ``1/N``
-    in its alpha.
+    (several BLAS threads, or a width :func:`parity_split` rules out)
+    the kernel computes the full ``(4M+1)^2`` plane with one
+    ``np.matmul``.  Both precisions run the same code on numpy's BLAS;
+    only the dtype differs.
 
     The buffers are sized once for ``(N, K, M, precision)`` and
     overwritten in full on every use; the views alias them, so a
@@ -386,13 +381,12 @@ class GramKernel:
         extent, width = 2 * m + 1, 4 * m + 1
         center = fft_size // 2
         self.bins = slice(center - 2 * m, center + 2 * m + 1)
-        self._double = precision == "float64"
         self._num_blocks = num_blocks
-        self._scale = 1.0 / num_blocks
-        self._cgemm = None if self._double else blas_cgemm()
+        # 1/N as complex division by N computes it, in the real dtype.
+        self._scale = rdtype.type(1) / rdtype.type(num_blocks)
         self.window = np.empty((num_blocks, width), cdtype)
         self._columns = None
-        if self._double and parity_split(m) and numpy_blas_threads() == 1:
+        if parity_split(m) and numpy_blas_threads() == 1:
             self._columns, self._cells, self._sources = parity_layout(m)
             side = len(self._columns) // 2
             self._sides = np.empty((num_blocks, 2 * side), cdtype)
@@ -417,9 +411,7 @@ class GramKernel:
             )
         else:
             self.conjugate = np.empty_like(self.window)
-            self._products = np.empty(
-                (width, width), cdtype, order="C" if self._double else "F"
-            )
+            self._products = np.empty((width, width), cdtype)
             rows, columns = self._products.strides
             self.grid = as_strided(
                 self._products[0, 2 * m :],
@@ -442,30 +434,18 @@ class GramKernel:
     def correlate(self, spectra: np.ndarray) -> None:
         """Load *spectra* and compute its Gram products (and ``grid``)."""
         self.load(spectra)
-        if self._columns is not None:
-            # Both parity sides in one gather, conjugated once, then
-            # one batched product per side into the shared buffer.
-            np.take(
-                self.window, self._columns, axis=1, out=self._sides,
-                mode="clip",
-            )
-            np.conjugate(self._sides, out=self.conjugate)
-            left, right, planes = self._operands
-            np.matmul(left, right, out=planes)
-            return
-        if self._double:
+        if self._columns is None:
             np.conjugate(self.window, out=self.conjugate)
             np.matmul(self.window.T, self.conjugate, out=self._products)
             return
-        # For X = window (N x K'), X.T is Fortran-contiguous for free,
-        # and ``cgemm(1/N, X.T, X.T, trans_b='C')`` computes
-        # X^T conj(X) / N — the 1/N folded into alpha and the
-        # conjugate expressed as a BLAS op.
-        transposed = self.window.T
-        self._cgemm(
-            self._scale, transposed, transposed, c=self._products,
-            trans_b=2, overwrite_c=1,
+        # Both parity sides in one gather, conjugated once, then one
+        # batched product per side into the shared buffer.
+        np.take(
+            self.window, self._columns, axis=1, out=self._sides, mode="clip"
         )
+        np.conjugate(self._sides, out=self.conjugate)
+        left, right, planes = self._operands
+        np.matmul(left, right, out=planes)
 
     def _read(self, out: np.ndarray) -> None:
         """The unscaled grid into *out*, tail-bin cells included."""
@@ -476,27 +456,22 @@ class GramKernel:
     def values(self, out: np.ndarray) -> None:
         """The DSCF grid ``S`` of the correlated spectra, into *out*."""
         self._read(out)
-        if self._double:
-            out /= self._num_blocks
+        out /= self._num_blocks
 
     def magnitude(self, out: np.ndarray) -> None:
         """``|S|`` of the correlated spectra, into *out*.
 
-        At float64 the ``1/N`` scale is one real multiply on the float
-        view of the grid.  Complex division by ``N`` (numpy's Smith
-        algorithm) multiplies each part by the same ``1/N`` after
-        adding the other part times zero, so for finite cells the two
-        differ only in the sign of a zero and ``|S|`` is bit-identical.
-        Cells whose parts are both inf or NaN are where they would
-        differ (NaN against inf, or another NaN payload), so when
-        ``|S|`` holds any non-finite cell the plane is redone by
-        complex division: overflowed inputs keep their exact results.
-        At float32 the scale is already in the cgemm alpha.
+        The ``1/N`` scale is one real multiply on the float view of the
+        grid.  Complex division by ``N`` (numpy's Smith algorithm)
+        multiplies each part by the same ``1/N`` after adding the other
+        part times zero, so for finite cells the two differ only in the
+        sign of a zero and ``|S|`` is bit-identical.  Cells whose parts
+        are both inf or NaN are where they would differ (NaN against
+        inf, or another NaN payload), so when ``|S|`` holds any
+        non-finite cell the plane is redone by complex division:
+        overflowed inputs keep their exact results.
         """
         self._read(self.value)
-        if not self._double:
-            np.abs(self.value, out=out)
-            return
         np.multiply(self.value_floats, self._scale, out=self.value_floats)
         np.abs(self.value, out=out)
         if not np.isfinite(out.max()):
@@ -562,9 +537,9 @@ def dscf(
     the :class:`~repro.engine.plans.BatchExecutionPlan` ``dscf_values``
     of the same spectra, at either precision.
 
-    ``precision="float32"`` runs the correlation in complex64 (the
-    single-precision ``cgemm``) and returns a complex64 grid; the
-    default ``"float64"`` path is the bitwise parity reference.
+    ``precision="float32"`` runs the same products in complex64 and
+    returns a complex64 grid; the default ``"float64"`` path is the
+    bitwise parity reference.
 
     Returns the raw ``(2M+1, 2M+1)`` array; use :func:`compute_dscf`
     or :func:`dscf_from_signal` for a :class:`DSCFResult` wrapper.

@@ -56,9 +56,9 @@ PLAN_KEY_FIELDS = (
     "estimator_window",
     "sample_rate_hz",
     # Precision keys the plan too: float32 plans carry complex64
-    # tapers/phase tables and SciPy's FFT and cgemm (imported on a
-    # process's first float32 plan), so they must never collide with
-    # float64 plans in shared_plan_cache.
+    # tapers/phase tables, complex64 Gram buffers and SciPy's FFT
+    # (imported on a process's first float32 plan), so they must never
+    # collide with float64 plans in shared_plan_cache.
     "precision",
     # serve_path is deliberately absent: it picks the serving route
     # only, plans are identical either way — engine- and spectra-routed

@@ -1,7 +1,8 @@
 """Cold start: a float64 process never loads SciPy.
 
-Only the float32 fast paths use SciPy (``scipy.fft`` and the BLAS
-``cgemm``), and :mod:`repro._compute` imports it on their first use.
+Only the float32 FFTs use SciPy (``scipy.fft``; the Gram products run
+on numpy's BLAS at both precisions), and :mod:`repro._compute` imports
+it on their first use.
 Each check runs in a fresh interpreter, because the test process has
 long since loaded SciPy through other tests.
 """
@@ -134,7 +135,7 @@ class TestFloat32LoadsScipyOnUse:
             assert "scipy.fft" in {_SCIPY_LOADED}
             with Engine() as engine:
                 statistics = engine.statistics(signals, config)
-            assert "scipy.linalg.blas" in {_SCIPY_LOADED}
+            assert "scipy.linalg.blas" not in {_SCIPY_LOADED}
             np.savez(
                 sys.argv[1], statistics=statistics, fam=spectrum.values
             )

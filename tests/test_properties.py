@@ -37,7 +37,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import cgemm
 
 from repro.core.detection import CyclostationaryFeatureDetector
 from repro.core import scf
@@ -457,13 +456,9 @@ def _plain_scoring(plan, spectra):
     statistics, surfaces, values = [], [], []
     for rows in spectra:
         windowed = rows[:, window]
-        if cfg.precision == "float64":
-            gram = np.matmul(windowed.T, np.conj(windowed))
-        else:
-            gram = cgemm(1.0 / count, windowed.T, windowed.T, trans_b=2)
+        gram = np.matmul(windowed.T, np.conj(windowed))
         value = gram[plus - center + 2 * m, minus - center + 2 * m]
-        if cfg.precision == "float64":
-            value /= count
+        value /= count
         surface = np.abs(value)
         if cfg.normalize:
             mean_square = np.mean(np.abs(rows) ** 2, axis=0)
@@ -563,22 +558,16 @@ class TestScoringProperties:
 LAYOUT_SCALES = (1e-150, 1e-50, 1.0, 1e50, 1e150)
 
 
-def _full_plane_grid(window, m, precision):
+def _full_plane_grid(window, m):
     """The DSCF grid read from the full ``(4M+1)^2`` Gram product of a
-    contiguous ``(N, 4M+1)`` window: ``np.matmul(X.T, conj(X)) / N`` at
-    float64, ``cgemm(1/N, X.T, X.T, trans_b=2)`` at float32."""
-    count = len(window)
-    if precision == "float64":
-        gram = np.matmul(window.T, np.conj(window))
-    else:
-        gram = cgemm(1.0 / count, window.T, window.T, trans_b=2)
+    contiguous ``(N, 4M+1)`` window, ``np.matmul(X.T, conj(X)) / N``."""
+    gram = np.matmul(window.T, np.conj(window))
     offsets = np.arange(2 * m + 1)
     values = gram[
         offsets[:, None] + offsets[None, :],
         offsets[:, None] - offsets[None, :] + 2 * m,
     ]
-    if precision == "float64":
-        values /= count
+    values /= len(window)
     return values
 
 
@@ -611,7 +600,7 @@ def _layout_mismatches(m, num_blocks, precision):
             kernel.correlate(spectra)
             kernel.values(values)
             expected = _full_plane_grid(
-                np.ascontiguousarray(spectra[:, kernel.bins]), m, precision
+                np.ascontiguousarray(spectra[:, kernel.bins]), m
             )
         words = int(np.count_nonzero(_bits(values) != _bits(expected)))
         if words:
@@ -620,24 +609,29 @@ def _layout_mismatches(m, num_blocks, precision):
 
 
 def forced_layout_report():
-    """Every float64 ``(M >= 1, N)`` of the layout tests with the share
-    rule lifted, so the small windows split too: the kernels that
-    split, and every ``(M, N, batch, words)`` that differs.  Run on one
-    BLAS thread (``TestGramLayoutProperties`` starts it that way)."""
+    """Every ``(M >= 1, N)`` of the layout tests at both precisions
+    with the share rule lifted, so the small windows split too: the
+    kernels that split, and every ``(precision, M, N, batch, words)``
+    that differs.  Run on one BLAS thread
+    (``TestGramLayoutProperties`` starts it that way)."""
     scf.PARITY_MAX_SHARE = np.inf
     split, mismatches = 0, []
-    for m in LAYOUT_MS[1:]:
-        for num_blocks in LAYOUT_BLOCKS:
-            used, differing = _layout_mismatches(m, num_blocks, "float64")
-            split += used
-            mismatches += [(m, num_blocks, *i) for i in differing.items()]
+    for precision in ("float64", "float32"):
+        for m in LAYOUT_MS[1:]:
+            for num_blocks in LAYOUT_BLOCKS:
+                used, differing = _layout_mismatches(m, num_blocks, precision)
+                split += used
+                mismatches += [
+                    (precision, m, num_blocks, *item)
+                    for item in differing.items()
+                ]
     return {"split": split, "mismatches": mismatches}
 
 
 class TestGramLayoutProperties:
     """The kernel's grid equals the full Gram plane's, bit for bit.
 
-    At float64 the kernel computes only the same-parity cells
+    At both precisions the kernel computes only the same-parity cells
     (:func:`repro.core.scf.parity_layout`), and what keeps their bits
     is OpenBLAS's register-tile classes.  Scope, measured on OpenBLAS
     0.3.31 with one thread for every M up to 255 on an AVX-512 Xeon's
@@ -652,10 +646,10 @@ class TestGramLayoutProperties:
     so the kernel splits only when numpy's OpenBLAS runs on one thread.
 
     The first test runs with the ambient BLAS threads, both precisions
-    and the kernel's own rules.  The second runs every float64 case
-    again on one BLAS thread in a child process, with the share rule
-    lifted, so that the layout itself is checked whatever the threads
-    of this run.
+    and the kernel's own rules.  The second runs every case again on
+    one BLAS thread in a child process, with the share rule lifted, so
+    that the layout itself is checked whatever the threads of this
+    run.
     """
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
@@ -669,7 +663,10 @@ class TestGramLayoutProperties:
         self, monkeypatch
     ):
         monkeypatch.setattr(scf, "PARITY_MAX_SHARE", np.inf)
-        splits = sum(map(scf.parity_split, LAYOUT_MS[1:])) * len(LAYOUT_BLOCKS)
+        # Both precisions, every N, each M the width rule lets split.
+        splits = 2 * len(LAYOUT_BLOCKS) * sum(
+            map(scf.parity_split, LAYOUT_MS[1:])
+        )
         paths = [Path(__file__).parent, Path(scf.__file__).parents[2]]
         env = dict(
             os.environ,
