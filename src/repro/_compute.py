@@ -107,20 +107,29 @@ def fft_fast_kwargs(fft: ModuleType) -> dict:
     return {} if fft is np.fft else {"overwrite_x": True}
 
 
-def numpy_blas_threads() -> int | None:
-    """Threads numpy's bundled OpenBLAS currently runs a product on.
+def pin_blas_thread() -> bool:
+    """Pin numpy's bundled OpenBLAS to one thread; whether it took.
 
-    ``None`` when numpy's BLAS is not an OpenBLAS this can find (an
-    Accelerate or MKL build, say).  Asked on every call, so a
-    ``openblas_set_num_threads`` made since is seen.
+    With several threads OpenBLAS splits a product between them by its
+    size, which moves register-tile boundaries and so the bits of the
+    Gram plane, so :class:`~repro.core.scf.GramKernel` pins before it
+    picks its layout.  The pin is process-wide and never undone: every
+    numpy product after it runs on one thread.  ``False`` when numpy's
+    BLAS is not an OpenBLAS this can find (an Accelerate or MKL build,
+    say).
     """
-    query = _openblas_thread_query()
-    return None if query is None else int(query())
+    calls = _openblas_thread_calls()
+    if calls is None:
+        return False
+    set_threads, get_threads = calls
+    set_threads(1)
+    return get_threads() == 1
 
 
 @lru_cache(maxsize=1)
-def _openblas_thread_query():
-    """``openblas_get_num_threads`` of the library numpy loaded.
+def _openblas_thread_calls():
+    """``openblas_set_num_threads`` and ``openblas_get_num_threads`` of
+    the library numpy loaded, or ``None``.
 
     numpy's wheels bundle OpenBLAS (``numpy.libs`` on Linux and
     Windows, ``numpy/.dylibs`` on macOS) with prefixed symbols; loading
@@ -130,10 +139,10 @@ def _openblas_thread_query():
     libraries = [*root.parent.glob("numpy.libs/*openblas*")]
     libraries += root.glob(".dylibs/*openblas*")
     names = (
-        "scipy_openblas_get_num_threads64_",
-        "scipy_openblas_get_num_threads",
-        "openblas_get_num_threads64_",
-        "openblas_get_num_threads",
+        "scipy_openblas_{}_num_threads64_",
+        "scipy_openblas_{}_num_threads",
+        "openblas_{}_num_threads64_",
+        "openblas_{}_num_threads",
     )
     for path in sorted(libraries):
         try:
@@ -141,10 +150,12 @@ def _openblas_thread_query():
         except OSError:
             continue
         for name in names:
-            query = getattr(library, name, None)
-            if query is not None:
-                query.restype = ctypes.c_int
-                return query
+            setter = getattr(library, name.format("set"), None)
+            getter = getattr(library, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.restype = ctypes.c_int
+                return setter, getter
     return None
 
 

@@ -22,11 +22,10 @@ Two estimators are provided and verified against each other:
     Literal triple loop over (f, a, n); slow, exact, countable.
 ``dscf``
     The production evaluator: BLAS Gram products over the spectra's
-    Gram window (:class:`GramKernel`; at float64 on one BLAS thread
-    only the same-parity cells expression 3 reads, see
-    :func:`parity_layout`), the kernel
-    every batch plan scores with, so its grid is bit-for-bit the
-    plan's.
+    Gram window (:class:`GramKernel`; on one BLAS thread, only the
+    same-parity cells expression 3 reads, see :func:`parity_layout`),
+    the kernel every batch plan scores with, so its grid is
+    bit-for-bit the plan's.
 
 Both (plus the cycle-level SoC emulation of the hardware's
 block-at-a-time integration loop) are registered as named estimator
@@ -45,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .._compute import complex_dtype, numpy_blas_threads, real_dtype
+from .._compute import complex_dtype, pin_blas_thread, real_dtype
 from .._util import require, require_non_negative_int, require_positive_int
 from ..errors import ConfigurationError, SignalError
 from .fourier import shared_block_spectra
@@ -251,12 +250,13 @@ def dscf_reference(
 
 
 #: Row alignment of the parity Gram layout: a common multiple of the
-#: register-tile heights OpenBLAS's zgemm kernels use (4 and 8 rows,
-#: 6 on Haswell and Zen), so every bin keeps its tile class.
+#: register-tile heights OpenBLAS's complex gemm kernels use (4 and 8
+#: rows, 6 in Haswell and Zen's zgemm), so every bin keeps its tile
+#: class.
 PARITY_ALIGN = 24
 
 #: Largest share of the full plane's cells the two parity products may
-#: hold for the float64 kernel to split the plane.  The share depends
+#: hold for the kernel to split the plane.  The share depends
 #: on the window width only (0.55 at M=63; 2.0 below M=12, where each
 #: padded product is as wide as the window); above about 0.75 the
 #: gather and the tail index cost more than the smaller products save.
@@ -315,8 +315,8 @@ def parity_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def parity_split(m: int) -> bool:
-    """Whether the float64 kernel of half-extent *m* may compute the
-    parity products of :func:`parity_layout` instead of the plane.
+    """Whether the kernel of half-extent *m* may compute the parity
+    products of :func:`parity_layout` instead of the plane.
 
     A static rule on the width ``4M+1``: the two products hold at most
     :data:`PARITY_MAX_SHARE` of the plane's cells, and the width is not
@@ -342,22 +342,23 @@ class GramKernel:
     :class:`~repro.engine.plans.BatchExecutionPlan` scoring loop once
     per trial — so they agree bit for bit.
 
-    ``S`` reads ``G`` only where both bins share a parity.  When
-    :func:`parity_split` allows it and numpy's OpenBLAS runs on one
-    thread, the kernel computes just the two square products of
+    ``S`` reads ``G`` only where both bins share a parity, so the
+    kernel computes just the two square products of
     :func:`parity_layout` (two 133 x 133 instead of one 253 x 253 at
-    the paper point), in one batched ``np.matmul`` into one buffer of
-    leading dimension ``2n+1``: the even product at offset 0, the odd
-    one at ``n+1``.  Each cell keeps its OpenBLAS tile class, so it
-    holds the full plane's bits.  With several threads OpenBLAS splits
-    a product between them by its size, which on most of its cores
-    moves tile boundaries (the full plane's own bits change with the
-    thread count there), so no smaller product can match it; the
-    thread count is read once, when the kernel is built.  Otherwise
-    (several BLAS threads, or a width :func:`parity_split` rules out)
-    the kernel computes the full ``(4M+1)^2`` plane with one
-    ``np.matmul``.  Both precisions run the same code on numpy's BLAS;
-    only the dtype differs.
+    the paper point) where :func:`parity_split` allows it, in one
+    batched ``np.matmul`` into one buffer of leading dimension
+    ``2n+1``: the even product at offset 0, the odd one at ``n+1``.
+    Each cell keeps its OpenBLAS tile class, so it holds the full
+    plane's bits.  Tile classes hold only on one thread: with several,
+    OpenBLAS splits a product between them by its size, which on most
+    of its cores moves tile boundaries (the full plane's own bits then
+    change with the thread count).  So building a kernel pins numpy's
+    OpenBLAS to one thread for the whole process
+    (:func:`~repro._compute.pin_blas_thread`), and every result is the
+    same whatever thread count the process started with.  A BLAS the
+    pin cannot reach, or a width :func:`parity_split` rules out, keeps
+    the full ``(4M+1)^2`` plane, one ``np.matmul``.  Both precisions
+    run the same code on numpy's BLAS; only the dtype differs.
 
     The buffers are sized once for ``(N, K, M, precision)`` and
     overwritten in full on every use; the views alias them, so a
@@ -386,7 +387,7 @@ class GramKernel:
         self._scale = rdtype.type(1) / rdtype.type(num_blocks)
         self.window = np.empty((num_blocks, width), cdtype)
         self._columns = None
-        if parity_split(m) and numpy_blas_threads() == 1:
+        if pin_blas_thread() and parity_split(m):
             self._columns, self._cells, self._sources = parity_layout(m)
             side = len(self._columns) // 2
             self._sides = np.empty((num_blocks, 2 * side), cdtype)

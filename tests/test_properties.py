@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants.
 
-Six invariant families:
+Invariant families:
 
 * Q15 arithmetic: closure, saturation bounds, commutativity.
 * The DSCF estimators: vectorised == literal triple loop on arbitrary
@@ -19,6 +19,8 @@ Six invariant families:
   bit, from subnormal to overflowing input scales and on signed zeros.
 * Gram layout: the kernel's same-parity products give the grid of the
   full Gram plane bit for bit, at both precisions.
+* BLAS threads: every float64 result is bit for bit the same whatever
+  thread count a process's OpenBLAS starts with.
 * One DSCF kernel: every software entry point (``compute_dscf``,
   ``dscf_from_signal``, the vectorized backend, the pipeline, the
   detector and a session's ``scf_result``) equals the plan bit for bit.
@@ -640,10 +642,12 @@ class TestGramLayoutProperties:
     ``OPENBLAS_CORETYPE``: every width keeps its bits except, on
     Haswell and Zen, widths above 192 that are 5 mod 12 (M = 49, 52,
     55, 58, 61, 64, ..., 127), which :func:`repro.core.scf.
-    parity_split` rules out.  With several threads OpenBLAS splits a
-    product between them by its size, and on every probed kernel but
-    SkylakeX's the full plane's own bits change with the thread count,
-    so the kernel splits only when numpy's OpenBLAS runs on one thread.
+    parity_split` rules out (at float32 the Haswell kernel differs at
+    only some of those widths, from M = 64 on).  With several threads
+    OpenBLAS splits a product between them by its size, and on every
+    probed kernel but SkylakeX's the full plane's own bits change with
+    the thread count, so the kernel pins numpy's OpenBLAS to one
+    thread before it splits.
 
     The first test runs with the ambient BLAS threads, both precisions
     and the kernel's own rules.  The second runs every case again on
@@ -667,27 +671,103 @@ class TestGramLayoutProperties:
         splits = 2 * len(LAYOUT_BLOCKS) * sum(
             map(scf.parity_split, LAYOUT_MS[1:])
         )
-        paths = [Path(__file__).parent, Path(scf.__file__).parents[2]]
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS="1",
-            PYTHONPATH=os.pathsep.join(
-                [*map(str, paths), os.environ.get("PYTHONPATH", "")]
-            ),
-        )
         script = (
             "import json, test_properties; "
             "print(json.dumps(test_properties.forced_layout_report()))"
         )
+        # No OPENBLAS_NUM_THREADS: the kernel pins one thread itself.
         child = subprocess.run(
             [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, check=True, timeout=600,
+            env=_child_env(), capture_output=True, text=True, check=True,
+            timeout=600,
         )
         report = json.loads(child.stdout.splitlines()[-1])
         assert report["mismatches"] == []
-        # The layout must really run: a BLAS whose threads the kernel
-        # cannot read keeps every plane whole.
+        # The layout must really run: a BLAS the kernel cannot pin to
+        # one thread keeps every plane whole.
         assert report["split"] == splits
+
+
+def _child_env(**variables):
+    """This process's environment plus *variables*, with the test
+    directory and the imported package's source tree on the path."""
+    paths = [Path(__file__).parent, Path(scf.__file__).parents[2]]
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            [*map(str, paths), os.environ.get("PYTHONPATH", "")]
+        ),
+        **variables,
+    )
+
+
+def blas_thread_dump(path):
+    """Save the float64 words of ``Engine.statistics``,
+    ``plan.surfaces`` and ``plan.dscf_values`` (16 AWGN trials, K=256,
+    N in {8, 32}) and of a 100-trial ``calibrate_threshold`` to *path*
+    (``.npz``).  ``TestBlasThreadInvariance`` runs it in children
+    started with different BLAS thread counts."""
+    words = {}
+    with Engine() as engine:
+        for num_blocks in (8, 32):
+            config = PipelineConfig(fft_size=256, num_blocks=num_blocks)
+            signals = awgn(
+                16 * config.samples_per_decision, seed=num_blocks
+            ).reshape(16, -1)
+            plan = engine.plan(config)
+            threshold = engine.calibrate_threshold(config, trials=100)
+            words.update({
+                f"statistics/{num_blocks}": engine.statistics(signals, config),
+                f"surfaces/{num_blocks}": plan.surfaces(signals),
+                f"dscf_values/{num_blocks}": plan.dscf_values(signals),
+                f"threshold/{num_blocks}": np.float64(threshold),
+            })
+    np.savez(path, **{name: _bits(value) for name, value in words.items()})
+
+
+def _runs_haswell_kernels():
+    """Whether this CPU can run OpenBLAS's Haswell kernels (AVX2, FMA)."""
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+    return "avx2" in flags and "fma" in flags
+
+
+class TestBlasThreadInvariance:
+    """Every float64 result is the same whatever BLAS thread count the
+    process starts with: building a Gram kernel pins numpy's OpenBLAS
+    to one thread.  Without the pin, OpenBLAS's Haswell kernel (Zen
+    runs it too) splits a product between two threads along tile
+    boundaries of its own, and the full plane's words change.  The
+    statistics alone can hide that, so the surfaces and DSCF values
+    are compared too.  Kernels differ between cores, so each core is
+    compared with itself only: the ambient one, and Haswell's forced
+    through ``OPENBLAS_CORETYPE``."""
+
+    @pytest.mark.parametrize("coretype", [None, "Haswell"])
+    def test_results_ignore_the_blas_thread_count(self, coretype, tmp_path):
+        if coretype == "Haswell" and not _runs_haswell_kernels():
+            pytest.skip("this CPU cannot run OpenBLAS's Haswell kernels")
+        core = {} if coretype is None else {"OPENBLAS_CORETYPE": coretype}
+        script = (
+            "import sys, test_properties; "
+            "test_properties.blas_thread_dump(sys.argv[1])"
+        )
+        dumps = {}
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads-{threads}.npz"
+            subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env=_child_env(OPENBLAS_NUM_THREADS=threads, **core),
+                capture_output=True, check=True, timeout=600,
+            )
+            dumps[threads] = np.load(path)
+        assert dumps["1"].files == dumps["2"].files
+        for name in dumps["1"].files:
+            np.testing.assert_array_equal(
+                dumps["2"][name], dumps["1"][name], err_msg=name
+            )
 
 
 @st.composite
