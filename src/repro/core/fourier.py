@@ -370,8 +370,8 @@ def front_end_plan(
     """The shared plan cache's Gram plan serving one front-end geometry.
 
     Block spectra depend on ``(K, N, hop, window, precision)`` alone,
-    so the one-call estimators (``dscf_from_signal``, the detector, the
-    smoothed estimate) and the raw-sample backends all take theirs from
+    so the one-call estimators (``dscf_from_signal``, the detector)
+    and the raw-sample backends all take theirs from
     this plan's ``block_spectra``: one plan per geometry, and the
     engine's bits.
     """
