@@ -111,12 +111,12 @@ def pin_blas_thread() -> bool:
     """Pin numpy's bundled OpenBLAS to one thread; whether it took.
 
     With several threads OpenBLAS splits a product between them by its
-    size, which moves register-tile boundaries and so the bits of the
-    Gram plane, so :class:`~repro.core.scf.GramKernel` pins before it
-    picks its layout.  The pin is process-wide and never undone: every
-    numpy product after it runs on one thread.  ``False`` when numpy's
-    BLAS is not an OpenBLAS this can find (an Accelerate or MKL build,
-    say).
+    size, which moves register-tile boundaries and with them the last
+    bits of Gram cells; :class:`~repro.core.scf.GramKernel` pins before
+    it picks its layout.  The pin is process-wide and never undone:
+    every numpy product after it runs on one thread.  ``False`` when
+    numpy's BLAS is not an OpenBLAS this can find (an Accelerate or MKL
+    build, say).
     """
     calls = _openblas_thread_calls()
     if calls is None:
@@ -154,7 +154,7 @@ def _openblas_thread_calls():
             getter = getattr(library, name.format("get"), None)
             if setter is not None and getter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.restype = ctypes.c_int
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 return setter, getter
     return None
 

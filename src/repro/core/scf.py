@@ -435,18 +435,19 @@ class GramKernel:
     def correlate(self, spectra: np.ndarray) -> None:
         """Load *spectra* and compute its Gram products (and ``grid``)."""
         self.load(spectra)
-        if self._columns is None:
-            np.conjugate(self.window, out=self.conjugate)
-            np.matmul(self.window.T, self.conjugate, out=self._products)
+        if self._columns is not None:
+            # Both parity sides in one gather, conjugated once, then
+            # one batched product per side into the shared buffer.
+            np.take(
+                self.window, self._columns, axis=1, out=self._sides,
+                mode="clip",
+            )
+            np.conjugate(self._sides, out=self.conjugate)
+            left, right, planes = self._operands
+            np.matmul(left, right, out=planes)
             return
-        # Both parity sides in one gather, conjugated once, then one
-        # batched product per side into the shared buffer.
-        np.take(
-            self.window, self._columns, axis=1, out=self._sides, mode="clip"
-        )
-        np.conjugate(self._sides, out=self.conjugate)
-        left, right, planes = self._operands
-        np.matmul(left, right, out=planes)
+        np.conjugate(self.window, out=self.conjugate)
+        np.matmul(self.window.T, self.conjugate, out=self._products)
 
     def _read(self, out: np.ndarray) -> None:
         """The unscaled grid into *out*, tail-bin cells included."""
