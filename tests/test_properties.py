@@ -614,8 +614,8 @@ def forced_layout_report():
     """Every ``(M >= 1, N)`` of the layout tests at both precisions
     with the share rule lifted, so the small windows split too: the
     kernels that split, and every ``(precision, M, N, batch, words)``
-    that differs.  Run on one BLAS thread
-    (``TestGramLayoutProperties`` starts it that way)."""
+    that differs.  Each kernel pins its process to one BLAS thread
+    (``TestGramLayoutProperties`` runs this in a child process)."""
     scf.PARITY_MAX_SHARE = np.inf
     split, mismatches = 0, []
     for precision in ("float64", "float32"):
@@ -762,11 +762,12 @@ class TestBlasThreadInvariance:
                 env=_child_env(OPENBLAS_NUM_THREADS=threads, **core),
                 capture_output=True, check=True, timeout=600,
             )
-            dumps[threads] = np.load(path)
-        assert dumps["1"].files == dumps["2"].files
-        for name in dumps["1"].files:
+            with np.load(path) as dump:
+                dumps[threads] = dict(dump)
+        assert dumps["1"].keys() == dumps["2"].keys()
+        for name, words in dumps["1"].items():
             np.testing.assert_array_equal(
-                dumps["2"][name], dumps["1"][name], err_msg=name
+                dumps["2"][name], words, err_msg=name
             )
 
 
