@@ -1,18 +1,27 @@
 """Tests for repro.core.scf (expression 3) — the heart of the paper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import _compute
+from repro.core import scf
 from repro.core.fourier import block_spectra
 from repro.core.opcount import OperationCounter
 from repro.core.sampling import SampledSignal
 from repro.core.scf import (
     DSCFResult,
+    GramKernel,
     compute_dscf,
     default_m,
     dscf,
     dscf_from_signal,
     dscf_reference,
+    parity_split,
     spectral_coherence,
     validate_m,
 )
@@ -227,3 +236,148 @@ class TestCoherence:
         psd = np.mean(np.abs(spectra) ** 2, axis=0)
         coherence = spectral_coherence(result, psd)
         assert np.isfinite(coherence).all()
+
+
+#: Half-extents of the kernel tests at K=256: a small width the share
+#: rule keeps whole, the smallest that splits, a Haswell/Zen clash
+#: width and the paper point.
+KERNEL_MS = (7, 12, 49, 63)
+KERNEL_BLOCKS = 8
+KERNEL_FFT = 256
+
+
+def _word_bits(array):
+    """Raw bits of a float or complex array, one unsigned integer per
+    real component."""
+    array = np.ascontiguousarray(array)
+    return array.view(f"u{array.real.itemsize}")
+
+
+def _kernel_spectra(precision, scale=1.0, seed=0):
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, KERNEL_BLOCKS, KERNEL_FFT)) * scale
+    with np.errstate(over="ignore"):
+        return (parts[0] + 1j * parts[1]).astype(
+            _compute.complex_dtype(precision)
+        )
+
+
+def _kernel_values(kernel, spectra, m):
+    values = np.empty((2 * m + 1, 2 * m + 1), spectra.dtype)
+    with np.errstate(all="ignore"):
+        kernel.correlate(spectra)
+        kernel.values(values)
+    return values
+
+
+def _plane_values(spectra, m):
+    """``S`` read from the full Gram plane, ``np.matmul(X.T, conj(X))
+    / N`` of the ``4M+1`` bins around the center."""
+    center = spectra.shape[1] // 2
+    window = np.ascontiguousarray(
+        spectra[:, center - 2 * m : center + 2 * m + 1]
+    )
+    offsets = np.arange(2 * m + 1)
+    with np.errstate(all="ignore"):
+        gram = np.matmul(window.T, np.conj(window))
+        values = gram[
+            offsets[:, None] + offsets[None, :],
+            offsets[:, None] - offsets[None, :] + 2 * m,
+        ]
+        values /= len(window)
+    return values
+
+
+class TestGramKernel:
+    """One Gram kernel for both precisions: the layout depends on the
+    width only, building a kernel pins numpy's OpenBLAS to one thread,
+    and both the parity layout and the full plane it falls back to give
+    the plane's bits."""
+
+    def test_pin_leaves_one_blas_thread(self):
+        assert _compute.pin_blas_thread()
+        _, get_threads = _compute._openblas_thread_calls()
+        assert get_threads() == 1
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_building_a_kernel_pins_the_process(self, precision):
+        # A fresh process started with two BLAS threads: the count
+        # reads 2 (or the CPUs there are) until a kernel is built.
+        script = (
+            "from repro import _compute; "
+            "from repro.core.scf import GramKernel; "
+            "get = _compute._openblas_thread_calls()[1]; "
+            "before = get(); "
+            f"GramKernel(8, 256, 63, {precision!r}); "
+            "print(before, get())"
+        )
+        source = str(Path(scf.__file__).parents[2])
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="2",
+            PYTHONPATH=os.pathsep.join(
+                [source, os.environ.get("PYTHONPATH", "")]
+            ),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        before, after = map(int, child.stdout.split())
+        cpus = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        )
+        assert (before, after) == (min(2, cpus), 1)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_layout_depends_only_on_the_width(self, precision):
+        for m in KERNEL_MS:
+            kernel = GramKernel(KERNEL_BLOCKS, KERNEL_FFT, m, precision)
+            assert (kernel._columns is not None) == parity_split(m), m
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_unpinnable_blas_keeps_the_plane_bits(
+        self, precision, monkeypatch
+    ):
+        spectra = _kernel_spectra(precision)
+        split = {
+            m: _kernel_values(
+                GramKernel(KERNEL_BLOCKS, KERNEL_FFT, m, precision), spectra, m
+            )
+            for m in KERNEL_MS
+        }
+        # A BLAS the pin cannot reach computes every width whole.
+        monkeypatch.setattr(scf, "pin_blas_thread", lambda: False)
+        for m in KERNEL_MS:
+            kernel = GramKernel(KERNEL_BLOCKS, KERNEL_FFT, m, precision)
+            assert kernel._columns is None
+            whole = _kernel_values(kernel, spectra, m)
+            expected = _word_bits(_plane_values(spectra, m))
+            np.testing.assert_array_equal(_word_bits(whole), expected)
+            np.testing.assert_array_equal(_word_bits(split[m]), expected)
+
+    @pytest.mark.parametrize(
+        "precision, huge", [("float64", 1e200), ("float32", 1e30)]
+    )
+    def test_magnitude_is_the_modulus_of_values(self, precision, huge):
+        # Finite cells, then block 0 holding huge*(1+1j) one bin above
+        # the center and huge one below: their Gram cell overflows to
+        # inf in both parts, which complex division by N turns into
+        # NaN, so magnitude must redo the plane to match.
+        for m in KERNEL_MS:
+            kernel = GramKernel(KERNEL_BLOCKS, KERNEL_FFT, m, precision)
+            surface = np.empty((2 * m + 1, 2 * m + 1), kernel.surface.dtype)
+            finite = _kernel_spectra(precision, seed=m)
+            overflowing = finite.copy()
+            overflowing[0, KERNEL_FFT // 2 + 1] = huge * (1 + 1j)
+            overflowing[0, KERNEL_FFT // 2 - 1] = huge
+            for spectra in (finite, overflowing):
+                values = _kernel_values(kernel, spectra, m)
+                with np.errstate(all="ignore"):
+                    kernel.magnitude(surface)
+                    expected = np.abs(values)
+                np.testing.assert_array_equal(
+                    _word_bits(surface), _word_bits(expected), err_msg=str(m)
+                )
+            assert np.isnan(values[m, m + 1])
