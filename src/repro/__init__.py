@@ -68,86 +68,79 @@ Pipeline quickstart
 'vectorized'
 """
 
-from .core import (
-    CyclostationaryFeatureDetector,
-    DSCFResult,
-    EnergyDetector,
-    MatchedFilterDetector,
-    SampledSignal,
-    block_spectra,
-    default_m,
-    dscf,
-    dscf_from_signal,
-    dscf_reference,
-    spectral_coherence,
-)
-from .errors import (
-    CommunicationError,
-    ConfigurationError,
-    MappingError,
-    MemoryAccessError,
-    ProgramError,
-    ReproError,
-    SignalError,
-    SimulationError,
-)
-from .pipeline import (
-    DetectionPipeline,
-    EstimatorBackend,
-    PipelineConfig,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .engine import (
-    Engine,
-    PlanCache,
-    PlanCacheStats,
-    build_plan,
-    shared_plan_cache,
-)
-
-# After .pipeline: importing the pipeline package is what registers the
-# full-plane backends, so the estimator re-exports must follow it.
-from .estimators import (
-    ChannelizerPlan,
-    CyclicPeak,
-    CyclicSpectrum,
-    FAMEstimator,
-    SSCAEstimator,
-)
-from .scanner import BandScanner, OccupancyMap
-from .serve import (
-    SensingServer,
-    SensingService,
-    SensingSession,
-    serve_backends,
-)
-from .errors import (
-    DeadlineExceededError,
-    ServeError,
-    ServiceOverloadedError,
-    SessionStateError,
-)
-from .signals import (
-    BandScenario,
-    EmitterSpec,
-    LicensedUser,
-    LinearModulator,
-    WidebandScenario,
-    amplitude_modulated_carrier,
-    awgn,
-    bpsk_signal,
-    complex_awgn_signal,
-    msk_signal,
-    ofdm_signal,
-    qam16_signal,
-    qpsk_signal,
-    scenario_preset,
-    scfdma_signal,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.7.0"
+
+# Each public name resolves on first access (PEP 562), so a process
+# imports only the modules that define the names it uses.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core.detection": (
+            "CyclostationaryFeatureDetector",
+            "EnergyDetector",
+            "MatchedFilterDetector",
+        ),
+        ".core.fourier": ("block_spectra",),
+        ".core.sampling": ("SampledSignal",),
+        ".core.scf": (
+            "DSCFResult",
+            "default_m",
+            "dscf",
+            "dscf_from_signal",
+            "dscf_reference",
+            "spectral_coherence",
+        ),
+        ".errors": (
+            "CommunicationError",
+            "ConfigurationError",
+            "DeadlineExceededError",
+            "MappingError",
+            "MemoryAccessError",
+            "ProgramError",
+            "ReproError",
+            "ServeError",
+            "ServiceOverloadedError",
+            "SessionStateError",
+            "SignalError",
+            "SimulationError",
+        ),
+        ".pipeline.backends": (
+            "EstimatorBackend",
+            "available_backends",
+            "get_backend",
+            "register_backend",
+        ),
+        ".pipeline.config": ("PipelineConfig",),
+        ".pipeline.pipeline": ("DetectionPipeline",),
+        ".engine.cache": ("PlanCache", "PlanCacheStats", "shared_plan_cache"),
+        ".engine.engine": ("Engine",),
+        ".engine.plans": ("build_plan",),
+        ".estimators.channelizer": ("ChannelizerPlan",),
+        ".estimators.fam": ("FAMEstimator",),
+        ".estimators.result": ("CyclicPeak", "CyclicSpectrum"),
+        ".estimators.ssca": ("SSCAEstimator",),
+        ".scanner.occupancy": ("OccupancyMap",),
+        ".scanner.scanner": ("BandScanner",),
+        ".serve.server": ("SensingServer",),
+        ".serve.service": ("SensingService",),
+        ".serve.session": ("SensingSession", "serve_backends"),
+        ".signals.carriers": ("amplitude_modulated_carrier",),
+        ".signals.modulators": (
+            "LinearModulator",
+            "bpsk_signal",
+            "msk_signal",
+            "qam16_signal",
+            "qpsk_signal",
+        ),
+        ".signals.noise": ("awgn", "complex_awgn_signal"),
+        ".signals.ofdm": ("ofdm_signal",),
+        ".signals.scenario": ("BandScenario", "LicensedUser"),
+        ".signals.scfdma": ("scfdma_signal",),
+        ".signals.wideband": ("EmitterSpec", "WidebandScenario", "scenario_preset"),
+    },
+)
 
 __all__ = [
     "BandScanner",

@@ -58,7 +58,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core.detection import EnergyDetector
 from .core.scf import default_m
 from .engine import (
     MAX_TESTED_JOBS,
@@ -70,12 +69,7 @@ from .engine import (
 )
 from ._compute import PRECISIONS
 from .errors import ConfigurationError
-from .pipeline import (
-    DetectionPipeline,
-    PipelineConfig,
-    available_backends,
-    get_backend,
-)
+from .pipeline import PipelineConfig, available_backends, get_backend
 from .pipeline.config import FLOAT32_BACKENDS
 from .serve import (
     SensingServer,
@@ -83,21 +77,12 @@ from .serve import (
     encode_samples,
     session_capable,
 )
-from .mapping import Fold, SpaceTimeDelayDiagram, minimal_register_structure
-from .mapping.ascii_art import render_figure5, render_figure7, render_figure9
-from .perf import (
-    format_budget_table,
-    format_scaling_table,
-    platform_area_mm2,
-    platform_power_mw,
-    scaling_study,
-    table1_budget,
-)
-from .signals.modulators import bpsk_signal
 from .signals.noise import awgn
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .perf import format_budget_table, table1_budget
+
     budget = table1_budget(
         fft_size=args.fft_size, m=args.m, num_cores=args.tiles
     )
@@ -126,6 +111,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    from .perf import format_scaling_table, scaling_study
+
     rows = scaling_study(
         tile_counts=tuple(args.tiles),
         fft_size=args.fft_size,
@@ -205,6 +192,10 @@ def _print_engine_summary(engine: Engine, precision: str = "float64") -> None:
 
 
 def _cmd_sense(args: argparse.Namespace) -> int:
+    from .core.detection import EnergyDetector
+    from .pipeline import DetectionPipeline
+    from .signals.modulators import bpsk_signal
+
     if args.soc_compiled and args.backend != "soc":
         raise ConfigurationError(
             "--soc-compiled selects the trace-compiled SoC engine and "
@@ -261,6 +252,15 @@ def _cmd_sense(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    from .mapping import Fold, SpaceTimeDelayDiagram, minimal_register_structure
+    from .mapping.ascii_art import render_figure5, render_figure7, render_figure9
+    from .perf import (
+        format_budget_table,
+        platform_area_mm2,
+        platform_power_mw,
+        table1_budget,
+    )
+
     m = default_m(args.fft_size) if args.m is None else args.m
     extent = 2 * m + 1
     fold = Fold(extent, args.tiles)
@@ -458,6 +458,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweeps import pd_vs_snr_by_backend
+    from .signals.modulators import bpsk_signal
 
     if args.soc_compiled and "soc" not in args.backends:
         raise ConfigurationError(

@@ -10,32 +10,43 @@ Cyclostationary Feature Detection (DCFD) pipeline:
 5. complexity accounting (Section 2)  -> :mod:`repro.core.complexity`
 """
 
-from .complexity import (
-    dscf_complex_multiplications,
-    dscf_to_fft_ratio,
-    fft_complex_multiplications,
-)
-from .cyclic_autocorrelation import (
-    CAFResult,
-    cyclic_autocorrelation,
-    estimate_symbol_rate,
-    symbol_rate_alpha_grid,
-)
-from .io import load_dscf, save_dscf
-from .detection import (
-    CyclostationaryFeatureDetector,
-    EnergyDetector,
-    MatchedFilterDetector,
-)
-from .fourier import block_spectra, dft, fft_radix2
-from .sampling import SampledSignal
-from .scf import (
-    DSCFResult,
-    default_m,
-    dscf,
-    dscf_from_signal,
-    dscf_reference,
-    spectral_coherence,
+from .._lazy import lazy_exports
+
+# Bound eagerly: this function shares its module's name, and the import
+# system binds that name to the submodule when the submodule first
+# loads, which a lazy binding made after it would lose to.
+from .cyclic_autocorrelation import cyclic_autocorrelation
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".complexity": (
+            "dscf_complex_multiplications",
+            "dscf_to_fft_ratio",
+            "fft_complex_multiplications",
+        ),
+        ".cyclic_autocorrelation": (
+            "CAFResult",
+            "estimate_symbol_rate",
+            "symbol_rate_alpha_grid",
+        ),
+        ".detection": (
+            "CyclostationaryFeatureDetector",
+            "EnergyDetector",
+            "MatchedFilterDetector",
+        ),
+        ".fourier": ("block_spectra", "dft", "fft_radix2"),
+        ".io": ("load_dscf", "save_dscf"),
+        ".sampling": ("SampledSignal",),
+        ".scf": (
+            "DSCFResult",
+            "default_m",
+            "dscf",
+            "dscf_from_signal",
+            "dscf_reference",
+            "spectral_coherence",
+        ),
+    },
 )
 
 __all__ = [

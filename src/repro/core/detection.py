@@ -42,6 +42,7 @@ classes here remain the per-decision building blocks.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -419,4 +420,38 @@ def calibration_quantile(statistics: np.ndarray, pfa: float) -> float:
             CalibrationWarning,
             stacklevel=2,
         )
-    return float(np.quantile(statistics, 1.0 - pfa))
+    return float(linear_quantile(statistics, 1.0 - pfa))
+
+
+def linear_quantile(values: np.ndarray, q: float):
+    """``np.quantile(values, q)`` (its default linear method), bit for bit.
+
+    The package's one quantile rule: calibration thresholds and the
+    serving latency percentiles both read it.  It takes numpy's own
+    steps without the ``numpy.ma`` import that ``np.quantile``'s first
+    call costs (about 15 ms of a cold start).  A flat copy is
+    partitioned at both ends and at the order statistics either side
+    of the ``(n - 1) q`` index, the same partition numpy runs, so ties
+    and signed zeros land where numpy puts them.  An index at or past
+    the last element takes the last element on both sides, with its
+    weight counted from index -1, as numpy does.  The weight then
+    interpolates by numpy's ``_lerp``, which counts back from the
+    upper neighbour when the weight is at least 1/2.  A NaN returns
+    NaN.  The result has the input's dtype.
+    """
+    ordered = np.array(values).ravel()
+    index = (ordered.size - 1) * q
+    if index >= ordered.size - 1:
+        below = above = -1
+    else:
+        below = math.floor(index)
+        above = below + 1
+    ordered.partition(sorted({0, -1, below, above}))
+    if np.isnan(ordered[-1]):
+        return ordered[-1]
+    weight = index - below
+    lower, upper = ordered[below], ordered[above]
+    step = upper - lower
+    if weight >= 0.5:
+        return upper - step * (1 - weight)
+    return lower + step * weight

@@ -26,24 +26,31 @@ scheduled:
 sweeps are all thin consumers of this layer.
 """
 
-from .cache import (
-    PLAN_KEY_FIELDS,
-    PlanCache,
-    PlanCacheStats,
-    plan_key,
-    shared_plan_cache,
-)
-from .engine import Engine, EngineHealth, available_cpus
-from .shm import SharedArrayDescriptor, SharedArraySegment
-from .plans import (
-    MAX_TESTED_JOBS,
-    BatchExecutionPlan,
-    CallableStatisticPlan,
-    LoopExecutionPlan,
-    build_plan,
-    default_noise_factory,
-    plan_support,
-    spectra_refusal,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cache": (
+            "PLAN_KEY_FIELDS",
+            "PlanCache",
+            "PlanCacheStats",
+            "plan_key",
+            "shared_plan_cache",
+        ),
+        ".engine": ("Engine", "EngineHealth", "available_cpus"),
+        ".plans": (
+            "MAX_TESTED_JOBS",
+            "BatchExecutionPlan",
+            "CallableStatisticPlan",
+            "LoopExecutionPlan",
+            "build_plan",
+            "default_noise_factory",
+            "plan_support",
+            "spectra_refusal",
+        ),
+        ".shm": ("SharedArrayDescriptor", "SharedArraySegment"),
+    },
 )
 
 __all__ = [

@@ -40,14 +40,11 @@ count it was measured on.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -59,10 +56,16 @@ from .._util import (
 )
 from ..core.detection import calibration_quantile, validate_pfa
 from ..errors import ConfigurationError
-from ..faults import FaultInjector, fire_worker
 from .cache import PlanCache, shared_plan_cache
 from .plans import build_plan, default_noise_factory
-from .shm import SharedArraySegment, attach_segment, segment_view
+
+# The worker pool, shared memory and fault injection load on the
+# sharded and fault-injection paths only.
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..faults import FaultInjector
+    from .shm import SharedArraySegment
 
 
 def _worker_statistics(
@@ -79,25 +82,28 @@ def _worker_statistics(
     The worker attaches the published trial block, slices its
     contiguous ``[start:stop]`` rows as a read-only view (no copy of
     the trial data is ever made on this side of the pipe) and computes
-    through the worker's own plan resolution.  Importing :mod:`repro`
-    registers every backend (needed under the ``spawn`` start method;
-    a no-op under ``fork``).  With *use_cache* the worker's shared plan
-    cache keeps the plan warm across shards and calls; without it (the
-    engine was built with plan caching disabled, e.g. ``--no-cache``)
-    every shard builds its plan afresh, mirroring the parent's
-    cold-path semantics.  *fault_plan* and *fault_tickets* are the
-    fault-injection surface (None in production): the parent-issued
-    tickets keep worker-side firing deterministic (see
-    :mod:`repro.faults`).  Views are dropped before the mapping closes
+    through the worker's own plan resolution (the backend registry
+    imports a built-in backend's module on its first lookup, so a
+    ``spawn`` worker resolves every backend too).  With *use_cache*
+    the worker's shared plan cache keeps the plan warm across shards
+    and calls; without it (the engine was built with plan caching
+    disabled, e.g. ``--no-cache``) every shard builds its plan afresh,
+    mirroring the parent's cold-path semantics.  *fault_plan* and
+    *fault_tickets* are the fault-injection surface (None in
+    production): the parent-issued tickets keep worker-side firing
+    deterministic (see :mod:`repro.faults`).  Views are dropped before
+    the mapping closes
     — a live export of the segment buffer would raise ``BufferError``
     — and the close runs in a ``finally`` so a raising plan cannot leak
     the worker's mapping; the parent owns (and always unlinks) the
     segment itself.
     """
-    import repro  # noqa: F401  — registers all estimator backends
+    from .shm import attach_segment, segment_view
 
     tickets = fault_tickets or {}
     if fault_plan is not None:
+        from ..faults import fire_worker
+
         fire_worker(fault_plan, "worker.attach", tickets.get("worker.attach"))
     shard = None
     shm = attach_segment(descriptor)
@@ -287,6 +293,9 @@ class Engine:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
+
             context = self._mp_context
             if context is None:
                 methods = mp.get_all_start_methods()
@@ -471,6 +480,10 @@ class Engine:
         vanished or corrupted segment is therefore healed by the next
         attempt's fresh publish.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
+        from .shm import SharedArraySegment
+
         injector = self.fault_injector
         fault_plan = injector.plan if injector is not None else None
         segment: SharedArraySegment | None = None

@@ -31,18 +31,25 @@ Quickstart
 >>> spectrum.peak(min_alpha_hz=1e3)                             # doctest: +SKIP
 """
 
-from .backends import (
-    FAMBackend,
-    SSCABackend,
-    default_estimator_channels,
-    fam_plan,
-    ssca_plan,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".backends": (
+            "FAMBackend",
+            "SSCABackend",
+            "default_estimator_channels",
+            "fam_plan",
+            "ssca_plan",
+        ),
+        ".channelizer": ("ChannelizerPlan",),
+        ".fam": ("BatchedFAM", "FAMEstimator"),
+        ".grid": ("LatticeProjection", "bin_to_plane"),
+        ".result": ("CyclicPeak", "CyclicSpectrum"),
+        ".ssca": ("BatchedSSCA", "SSCAEstimator"),
+    },
 )
-from .channelizer import ChannelizerPlan
-from .fam import BatchedFAM, FAMEstimator
-from .grid import LatticeProjection, bin_to_plane
-from .result import CyclicPeak, CyclicSpectrum
-from .ssca import BatchedSSCA, SSCAEstimator
 
 __all__ = [
     "BatchedFAM",

@@ -41,11 +41,7 @@ import numpy as np
 from ..core.sampling import SampledSignal
 from ..core.scf import DSCFResult
 from ..engine.cache import shared_plan_cache
-from ..pipeline.backends import (
-    BackendCapabilities,
-    _require_samples,
-    register_backend,
-)
+from ..pipeline.backends import BackendCapabilities, _require_samples
 from ..pipeline.config import PipelineConfig
 from .fam import BatchedFAM
 from .result import CyclicSpectrum
@@ -182,6 +178,3 @@ class SSCABackend(_FullPlaneBackend):
 
     batch_plan = staticmethod(ssca_plan)
 
-
-register_backend(FAMBackend())
-register_backend(SSCABackend())

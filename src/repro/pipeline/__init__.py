@@ -23,22 +23,26 @@ Quickstart
 >>> result = pipeline.compute(samples)               # doctest: +SKIP
 """
 
-from .backends import (
-    BackendCapabilities,
-    EstimatorBackend,
-    ReferenceBackend,
-    SoCBackend,
-    VectorizedBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from .config import PipelineConfig
-from .pipeline import DetectionPipeline
+from .._lazy import lazy_exports
 
-# Importing the adapters registers the full-plane estimator backends
-# (``fam``, ``ssca``); kept last so the registry above already exists.
-from ..estimators.backends import FAMBackend, SSCABackend
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".backends": (
+            "BackendCapabilities",
+            "EstimatorBackend",
+            "ReferenceBackend",
+            "SoCBackend",
+            "VectorizedBackend",
+            "available_backends",
+            "get_backend",
+            "register_backend",
+        ),
+        ".config": ("PipelineConfig",),
+        ".pipeline": ("DetectionPipeline",),
+        "..estimators.backends": ("FAMBackend", "SSCABackend"),
+    },
+)
 
 __all__ = [
     "FAMBackend",

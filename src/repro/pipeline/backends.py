@@ -29,6 +29,7 @@ Registry
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -307,12 +308,23 @@ class SoCBackend:
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, EstimatorBackend] = {}
 
+# The built-in substrates by name, each instantiated (and its module
+# imported) on its first lookup: listing them imports nothing, and a
+# serve process never loads the full-plane estimators.
+_BUILTINS = {
+    "fam": ("repro.estimators.backends", "FAMBackend"),
+    "reference": (__name__, "ReferenceBackend"),
+    "soc": (__name__, "SoCBackend"),
+    "ssca": ("repro.estimators.backends", "SSCABackend"),
+    "vectorized": (__name__, "VectorizedBackend"),
+}
+
 
 def register_backend(backend: EstimatorBackend) -> EstimatorBackend:
     """Register *backend* under ``backend.name`` for pipeline dispatch.
 
-    Re-registering a name replaces the previous backend, so tests and
-    extensions can override substrates.
+    Re-registering a name replaces the previous backend (a built-in
+    one included), so tests and extensions can override substrates.
     """
     if not isinstance(backend, EstimatorBackend):
         raise ConfigurationError(
@@ -325,20 +337,18 @@ def register_backend(backend: EstimatorBackend) -> EstimatorBackend:
 
 def get_backend(name: str) -> EstimatorBackend:
     """Look up a registered backend by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+    backend = _REGISTRY.get(name)
+    if backend is not None:
+        return backend
+    if name not in _BUILTINS:
         raise ConfigurationError(
-            f"unknown estimator backend {name!r}; registered: {known}"
-        ) from None
+            f"unknown estimator backend {name!r}; registered: "
+            f"{', '.join(available_backends())}"
+        )
+    module, cls = _BUILTINS[name]
+    return _REGISTRY.setdefault(name, getattr(import_module(module), cls)())
 
 
 def available_backends() -> tuple[str, ...]:
     """Sorted names of every registered backend."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_backend(ReferenceBackend())
-register_backend(VectorizedBackend())
-register_backend(SoCBackend())
+    return tuple(sorted(_REGISTRY.keys() | _BUILTINS.keys()))

@@ -30,10 +30,21 @@ Quickstart
 >>> occupancy = scanner.scan(capture)                    # doctest: +SKIP
 """
 
-from .channelize import ScannerChannelizer
-from .classify import ModulationGuess, classify_modulation, spectral_line_ratio
-from .occupancy import BandDecision, OccupancyMap
-from .scanner import BandScanner
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".channelize": ("ScannerChannelizer",),
+        ".classify": (
+            "ModulationGuess",
+            "classify_modulation",
+            "spectral_line_ratio",
+        ),
+        ".occupancy": ("BandDecision", "OccupancyMap"),
+        ".scanner": ("BandScanner",),
+    },
+)
 
 __all__ = [
     "BandDecision",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._util import require_positive_int
+from ..core.detection import linear_quantile
 
 
 class LatencyReservoir:
@@ -62,7 +63,7 @@ class LatencyReservoir:
         retained = min(self._count, self._capacity)
         if retained == 0:
             return None
-        return float(np.quantile(self._ring[:retained], q))
+        return float(linear_quantile(self._ring[:retained], q))
 
     def snapshot(self) -> dict:
         """p50/p99/max plus the sample count, as plain numbers."""

@@ -10,43 +10,56 @@ fading, CFO drift, IQ imbalance, quantization).  Everything is seeded
 and reproducible.
 """
 
-from .carriers import amplitude_modulated_carrier, complex_tone
-from .channel import (
-    apply_cfo,
-    apply_multipath,
-    apply_phase_noise,
-    two_ray_channel,
-)
-from .impairments import (
-    ImpairmentChain,
-    apply_cfo_drift,
-    apply_fading,
-    apply_iq_imbalance,
-    apply_quantization,
-    fading_taps,
-    undo_iq_imbalance,
-)
-from .modulators import LinearModulator, bpsk_signal, msk_signal, qam16_signal, qpsk_signal
-from .noise import awgn, complex_awgn_signal
-from .ofdm import ofdm_signal
-from .pulse import (
-    raised_cosine_taps,
-    rectangular_taps,
-    root_raised_cosine_taps,
-    upsample_and_filter,
-)
-from .scenario import BandOccupancy, BandScenario, LicensedUser
-from .scfdma import scfdma_signal, scfdma_symbol_rate_hz
-from .wideband import (
-    MODULATION_CLASSES,
-    SCENARIO_PRESETS,
-    EmitterSpec,
-    EmitterTruth,
-    WidebandOccupancy,
-    WidebandScenario,
-    band_edges_hz,
-    band_index_of,
-    scenario_preset,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".carriers": ("amplitude_modulated_carrier", "complex_tone"),
+        ".channel": (
+            "apply_cfo",
+            "apply_multipath",
+            "apply_phase_noise",
+            "two_ray_channel",
+        ),
+        ".impairments": (
+            "ImpairmentChain",
+            "apply_cfo_drift",
+            "apply_fading",
+            "apply_iq_imbalance",
+            "apply_quantization",
+            "fading_taps",
+            "undo_iq_imbalance",
+        ),
+        ".modulators": (
+            "LinearModulator",
+            "bpsk_signal",
+            "msk_signal",
+            "qam16_signal",
+            "qpsk_signal",
+        ),
+        ".noise": ("awgn", "complex_awgn_signal"),
+        ".ofdm": ("ofdm_signal",),
+        ".pulse": (
+            "raised_cosine_taps",
+            "rectangular_taps",
+            "root_raised_cosine_taps",
+            "upsample_and_filter",
+        ),
+        ".scenario": ("BandOccupancy", "BandScenario", "LicensedUser"),
+        ".scfdma": ("scfdma_signal", "scfdma_symbol_rate_hz"),
+        ".wideband": (
+            "MODULATION_CLASSES",
+            "SCENARIO_PRESETS",
+            "EmitterSpec",
+            "EmitterTruth",
+            "WidebandOccupancy",
+            "WidebandScenario",
+            "band_edges_hz",
+            "band_index_of",
+            "scenario_preset",
+        ),
+    },
 )
 
 __all__ = [

@@ -1,10 +1,14 @@
-"""Cold start: a float64 process never loads SciPy.
+"""Cold start: a serve process loads only the modules its route runs.
 
-Only the float32 FFTs use SciPy (``scipy.fft``; the Gram products run
-on numpy's BLAS at both precisions), and :mod:`repro._compute` imports
-it on their first use.
+A float64 process never loads SciPy: only the float32 FFTs use it
+(``scipy.fft``; the Gram products run on numpy's BLAS at both
+precisions), and :mod:`repro._compute` imports it on their first use.
+The package namespaces resolve their names lazily (PEP 562), so the
+serve route imports neither the full-plane estimators nor the scanner
+nor the wideband scenarios, and the calibration quantile never pulls in
+``numpy.ma``.
 Each check runs in a fresh interpreter, because the test process has
-long since loaded SciPy through other tests.
+long since loaded SciPy and every package module through other tests.
 """
 
 from __future__ import annotations
@@ -26,6 +30,24 @@ _SCIPY_LOADED = (
     "sorted(name for name in sys.modules "
     "if name == 'scipy' or name.startswith('scipy.'))"
 )
+_REPRO_LOADED = (
+    "sorted(name for name in sys.modules "
+    "if name == 'repro' or name.startswith('repro.'))"
+)
+
+#: What perfbench's server child imports (``perfbench/server_child.py``
+#: and the ``perfbench/inputs.py`` it reads its workloads from).
+SERVER_CHILD_IMPORTS = """
+import repro.serve
+from repro.engine.plans import default_noise_factory
+from repro.pipeline import PipelineConfig
+from repro.signals import awgn, bpsk_signal
+"""
+
+#: ``repro`` modules that import loads.  A new module on the serve
+#: route shows here first: raise the pin only for a module the route
+#: really runs.
+SERVER_CHILD_MODULES = 31
 
 
 def _run(code: str, *args: str) -> None:
@@ -156,3 +178,70 @@ class TestFloat32LoadsScipyOnUse:
             assert ours.dtype == theirs.dtype
             word = np.uint32 if ours.dtype.itemsize == 4 else np.uint64
             assert np.array_equal(ours.view(word), theirs.view(word))
+
+
+class TestServeRouteImports:
+    def test_server_child_loads_only_its_route(self):
+        _run(
+            "import sys\n"
+            + SERVER_CHILD_IMPORTS
+            + f"""
+loaded = {_REPRO_LOADED}
+off_route = [
+    name for name in loaded
+    if name.startswith(("repro.estimators", "repro.scanner"))
+    or name in ("repro.signals.wideband", "repro.pipeline.pipeline")
+]
+assert not off_route, off_route
+assert len(loaded) == {SERVER_CHILD_MODULES}, (len(loaded), loaded)
+"""
+        )
+
+    def test_first_calibration_loads_no_masked_arrays(self):
+        _run(
+            """
+            import sys
+
+            from repro.engine import Engine
+            from repro.pipeline import PipelineConfig
+
+            config = PipelineConfig(
+                fft_size=32, num_blocks=8, calibration_trials=20
+            )
+            with Engine() as engine:
+                engine.calibrate_threshold(config)
+            assert "numpy.ma" not in sys.modules
+            """
+        )
+
+    def test_spawned_worker_resolves_fam(self):
+        # A spawned worker imports only what unpickling its task needs;
+        # the registry must still find ``fam`` there.  A worker that
+        # failed would fall back in-process, so the transport and the
+        # health counters are checked as well as the bits.
+        _run(
+            """
+            import multiprocessing
+
+            import numpy as np
+
+            from repro.engine import Engine
+            from repro.pipeline import PipelineConfig
+            from repro.signals.noise import awgn
+
+            config = PipelineConfig(fft_size=32, num_blocks=8, backend="fam")
+            signals = awgn(
+                4 * config.samples_per_decision, seed=5
+            ).reshape(4, -1)
+            with Engine(
+                jobs=2, mp_context=multiprocessing.get_context("spawn")
+            ) as engine:
+                sharded = engine.statistics(signals, config)
+                assert engine.last_transport == "shared"
+                assert engine.health.shard_failures == 0
+            serial = Engine().statistics(signals, config)
+            assert np.array_equal(
+                sharded.view(np.uint64), serial.view(np.uint64)
+            )
+            """
+        )

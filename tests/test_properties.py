@@ -27,12 +27,15 @@ Invariant families:
 * Coherence numerics at float64: every normalised surface cell lies in
   ``[0, 1 + 8 eps]``, and scaling a window by ``2**k`` (k in
   [-40, 60]) leaves its statistic bit for bit unchanged.
+* The quantile rule: ``calibration_quantile`` and ``linear_quantile``
+  equal ``np.quantile`` bit for bit, ties and signed zeros included.
 """
 
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +43,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.detection import CyclostationaryFeatureDetector
+from repro.core.detection import (
+    CyclostationaryFeatureDetector,
+    calibration_quantile,
+    linear_quantile,
+)
 from repro.core import scf
 from repro.core.fourier import block_spectra, fft_radix2
 from repro.core.scf import (
@@ -51,7 +58,8 @@ from repro.core.scf import (
     dscf_from_signal,
     dscf_reference,
 )
-from repro.engine import Engine, build_plan
+from repro.engine import Engine, build_plan, default_noise_factory
+from repro.errors import CalibrationWarning
 from repro.mapping.architecture import FoldedArray
 from repro.mapping.folding import Fold
 from repro.mapping.projections import step2_mapping
@@ -893,3 +901,83 @@ class TestCoherenceNumericsProperties:
             _bits(statistics[1:]),
             np.broadcast_to(_bits(statistics[:1]), len(powers)),
         )
+
+
+#: Calibration false-alarm rates; 1e-3 and 1e-4 leave every sample
+#: size below 1000 (resp. 10,000) under-sampled.
+PFA_GRID = (0.5, 0.25, 0.1, 0.05, 0.01, 1e-3, 1e-4)
+
+
+@st.composite
+def quantile_samples(draw, dtype=np.float64, max_exponent=150):
+    """1 to 4096 values: continuous with mixed signs, small-integer
+    ties, or ±0/±1 ties (signed zeros compare equal, so only numpy's
+    own partition order puts the same zero where numpy reads it),
+    scaled by 10**e for |e| <= *max_exponent*."""
+    size = draw(st.one_of(st.integers(1, 16), st.integers(1, 4096)))
+    kind = draw(st.sampled_from(("continuous", "ties", "signed-zeros")))
+    scale = 10.0 ** draw(st.integers(-max_exponent, max_exponent))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "continuous":
+        values = rng.standard_normal(size)
+    elif kind == "ties":
+        values = rng.integers(-3, 4, size).astype(np.float64)
+    else:
+        values = rng.choice(np.array([-0.0, 0.0, -1.0, 1.0]), size)
+    return (values * scale).astype(dtype)
+
+
+class TestQuantileProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(quantile_samples(), st.sampled_from(PFA_GRID))
+    def test_calibration_quantile_is_numpys(self, values, pfa):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", CalibrationWarning)
+            threshold = calibration_quantile(values, pfa)
+        under_sampled = values.size * pfa < 1.0
+        assert [w.category for w in caught] == (
+            [CalibrationWarning] if under_sampled else []
+        )
+        expected = np.quantile(values, 1.0 - pfa)
+        assert _bits(np.float64(threshold)) == _bits(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            quantile_samples(),
+            quantile_samples(dtype=np.float32, max_exponent=30),
+        ),
+        st.one_of(
+            st.sampled_from((0.0, 0.5, 0.99, 1.0)),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    def test_linear_quantile_is_numpys(self, values, q):
+        # float32 keeps the input's precision, as np.quantile does.
+        result = linear_quantile(values, q)
+        expected = np.quantile(values, q)
+        assert type(result) is type(expected)
+        assert _bits(result) == _bits(expected)
+
+    def test_golden_threshold_is_numpys_quantile(self):
+        # The golden Pd fixture's operating point: its threshold keeps
+        # the bits np.quantile gives the same noise statistics.
+        path = Path(__file__).parent / "fixtures" / "golden_pd.json"
+        point = json.loads(path.read_text())["operating_point"]
+        config = PipelineConfig(
+            fft_size=point["fft_size"],
+            num_blocks=point["num_blocks"],
+            m=point["m"],
+            pfa=point["pfa"],
+            calibration_trials=point["calibration_trials"],
+            calibration_seed=point["calibration_seed"],
+        )
+        engine = Engine()
+        statistics = engine.monte_carlo_statistics(
+            default_noise_factory(config),
+            config.calibration_trials,
+            config=config,
+        )
+        threshold = engine.calibrate_threshold(config)
+        expected = np.quantile(statistics, 1.0 - config.pfa)
+        assert _bits(np.float64(threshold)) == _bits(expected)
