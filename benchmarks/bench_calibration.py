@@ -11,11 +11,16 @@ itself); ``calibration="analytic"`` evaluates the closed-form Beta-law
 threshold and touches no signal at all.  The JSON records both
 thresholds and their relative difference alongside the speedup.
 
+Every timing is a budget median taken by ``benchmarks/_timing.py``.
+The rows sit in two sections: ``calibration.smoke`` at the tiny CI
+geometry and ``calibration.full`` at the paper point.  A full run
+writes both, so the perf guard compares CI's ``--smoke`` rows against
+the committed baseline; ``--smoke`` writes only the smoke section (no
+gating).
+
 Regenerate the JSON::
 
     PYTHONPATH=src python benchmarks/bench_calibration.py
-
-``--smoke`` runs a tiny geometry for CI artifact runs (no gating).
 """
 
 import argparse
@@ -23,7 +28,6 @@ import dataclasses
 import json
 import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,24 +35,17 @@ import numpy as np
 from repro.engine import Engine
 from repro.pipeline import PipelineConfig
 
+from _timing import full_only, median_seconds
+
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_calibration.json"
 
 #: Full geometry: the paper's K = 256 operating point.
 FULL_CONFIG = PipelineConfig(fft_size=256, num_blocks=8, pfa=0.1)
 FULL_TRIALS = 200
 
-#: Tiny --smoke geometry (CI artifact run, no gating).
+#: Tiny --smoke geometry (CI's run; full runs record it too).
 SMOKE_CONFIG = PipelineConfig(fft_size=32, num_blocks=8, pfa=0.1)
 SMOKE_TRIALS = 20
-
-
-def _best_seconds(fn, repeats: int = 3) -> float:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return float(min(times))
 
 
 def _operating_point(config: PipelineConfig) -> dict:
@@ -61,9 +58,7 @@ def _operating_point(config: PipelineConfig) -> dict:
     }
 
 
-def _calibration_setup(
-    config: PipelineConfig, trials: int, repeats: int
-) -> dict:
+def _calibration_setup(config: PipelineConfig, trials: int) -> dict:
     """Threshold setup cost per policy on a warm engine."""
     mc_config = dataclasses.replace(
         config, calibration="monte-carlo", calibration_trials=trials
@@ -73,12 +68,12 @@ def _calibration_setup(
         # Warm the plan cache so the Monte-Carlo figure times the
         # noise-only sweep, not the one-off plan build.
         mc_threshold = engine.calibrate_threshold(mc_config)
-        mc_seconds = _best_seconds(
-            lambda: engine.calibrate_threshold(mc_config), repeats
+        mc_seconds = median_seconds(
+            lambda: engine.calibrate_threshold(mc_config)
         )
         analytic_threshold = engine.calibrate_threshold(analytic_config)
-        analytic_seconds = _best_seconds(
-            lambda: engine.calibrate_threshold(analytic_config), repeats
+        analytic_seconds = median_seconds(
+            lambda: engine.calibrate_threshold(analytic_config)
         )
     rel_diff = abs(analytic_threshold - mc_threshold) / mc_threshold
     return {
@@ -104,15 +99,17 @@ def _calibration_setup(
 
 
 def emit(smoke: bool, json_path: Path) -> dict:
-    repeats = 2 if smoke else 3
-    config = SMOKE_CONFIG if smoke else FULL_CONFIG
-    trials = SMOKE_TRIALS if smoke else FULL_TRIALS
+    calibration = {"smoke": _calibration_setup(SMOKE_CONFIG, SMOKE_TRIALS)}
+    if not smoke:
+        calibration["full"] = full_only(
+            _calibration_setup(FULL_CONFIG, FULL_TRIALS)
+        )
     payload = {
         "benchmark": "bench_calibration",
         "smoke": smoke,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "calibration": _calibration_setup(config, trials, repeats),
+        "calibration": calibration,
     }
     with open(json_path, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -133,19 +130,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     payload = emit(args.smoke, args.json)
-    setup = payload["calibration"]
     print(f"wrote {args.json}")
-    print(
-        f"  calibration: monte-carlo "
-        f"{setup['monte-carlo']['calibration_seconds'] * 1e3:.1f} ms "
-        f"({setup['monte-carlo']['trials']} trials) vs analytic "
-        f"{setup['analytic']['calibration_seconds'] * 1e6:.1f} us "
-        f"({setup['setup_speedup']:.0f}x setup speedup, thresholds "
-        f"within {setup['threshold_rel_diff'] * 100:.2f}%)"
-    )
+    for section, setup in payload["calibration"].items():
+        print(
+            f"  {section} calibration: monte-carlo "
+            f"{setup['monte-carlo']['calibration_seconds'] * 1e3:.1f} ms "
+            f"({setup['monte-carlo']['trials']} trials) vs analytic "
+            f"{setup['analytic']['calibration_seconds'] * 1e6:.1f} us "
+            f"({setup['setup_speedup']:.0f}x setup speedup, thresholds "
+            f"within {setup['threshold_rel_diff'] * 100:.2f}%)"
+        )
 
     if args.smoke:
         return 0
+    setup = payload["calibration"]["full"]
     failures = []
     if not setup["setup_speedup"] or setup["setup_speedup"] < 10.0:
         failures.append(

@@ -20,11 +20,15 @@ across PRs (and guarded by ``benchmarks/check_perf_regression.py``):
   the shard array itself would cost.  The shared transport is also
   timed end to end and pinned bitwise equal to the serial run.
 
+Every timing is a budget median taken by ``benchmarks/_timing.py``.
+The rows sit in two sections: ``dataflow.smoke`` at tiny geometries
+and ``dataflow.full`` at the paper point.  A full run writes both, so
+the perf guard compares CI's ``--smoke`` rows against the committed
+baseline; ``--smoke`` writes only the smoke section (no gating).
+
 Regenerate the JSON::
 
     PYTHONPATH=src python benchmarks/bench_dataflow.py
-
-``--smoke`` runs tiny geometries for CI artifact runs (no gating).
 """
 
 import argparse
@@ -32,7 +36,7 @@ import json
 import pickle
 import platform
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +47,15 @@ from repro.pipeline import PipelineConfig
 from repro.pipeline.config import FLOAT32_BACKENDS
 from repro.signals.noise import awgn
 
+from _timing import call_seconds, full_only, median_seconds
+
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_dataflow.json"
 
 #: Full geometry: the paper operating point (K=256, N=32 -> 127x127).
 FULL_GEOMETRY = dict(fft_size=256, num_blocks=32)
 FULL_TRIALS = 16
 
-#: Tiny --smoke geometry (CI artifact run, no gating).
+#: Tiny --smoke geometry (CI's run; full runs record it too).
 SMOKE_GEOMETRY = dict(fft_size=32, num_blocks=8)
 SMOKE_TRIALS = 8
 
@@ -59,15 +65,6 @@ SMOKE_TRIALS = 8
 MIN_SPEEDUP = 2.0
 MIN_FAST_BACKENDS = 2
 MAX_SHARED_BYTES = 16 * 1024
-
-
-def _best_seconds(fn, repeats: int = 3) -> float:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return float(min(times))
 
 
 def _trial_block(config: PipelineConfig, trials: int) -> np.ndarray:
@@ -88,43 +85,44 @@ def _operating_point(config: PipelineConfig, trials: int) -> dict:
     }
 
 
-def _precision_rows(geometry: dict, trials: int, repeats: int) -> dict:
-    """estimates/sec per (backend, precision) on one trial block."""
+def _precision_rows(geometry: dict, trials: int) -> dict:
+    """estimates/sec per (backend, precision) on one trial block; the
+    two precisions of a backend are timed in turn, in one run."""
     rows = {}
     for backend in FLOAT32_BACKENDS:
-        rows[backend] = {}
-        baseline = None
-        for precision in ("float64", "float32"):
-            config = PipelineConfig(
-                backend=backend, precision=precision, **geometry
-            )
-            signals = _trial_block(config, trials)
-            with Engine() as engine:
+        configs = [
+            PipelineConfig(backend=backend, precision=precision, **geometry)
+            for precision in ("float64", "float32")
+        ]
+        signals = _trial_block(configs[0], trials)
+        with Engine() as engine:
+            for config in configs:
                 engine.statistics(signals, config=config)  # warm plan
-                seconds = _best_seconds(
-                    lambda: engine.statistics(signals, config=config),
-                    repeats,
-                )
-            row = {
+            seconds = np.median(
+                call_seconds(
+                    *(
+                        partial(engine.statistics, signals, config=config)
+                        for config in configs
+                    )
+                ),
+                axis=0,
+            ).tolist()
+        rows[backend] = {
+            config.precision: {
                 **_operating_point(config, trials),
                 "backend": backend,
-                "precision": precision,
-                "seconds_per_estimate": seconds / trials,
-                "estimates_per_second": trials / seconds,
+                "precision": config.precision,
+                "seconds_per_estimate": batch / trials,
+                "estimates_per_second": trials / batch,
             }
-            if precision == "float64":
-                baseline = seconds
-            else:
-                row["speedup_vs_float64"] = (
-                    baseline / seconds if seconds > 0 else None
-                )
-            rows[backend][precision] = row
+            for config, batch in zip(configs, seconds)
+        }
+        float64, float32 = seconds
+        rows[backend]["float32"]["speedup_vs_float64"] = float64 / float32
     return rows
 
 
-def _transport_rows(
-    geometry: dict, trials: int, jobs: int, repeats: int
-) -> dict:
+def _transport_rows(geometry: dict, trials: int, jobs: int) -> dict:
     """Per-shard pickled payload, and the shared transport's timing."""
     config = PipelineConfig(**geometry)
     signals = _trial_block(config, trials)
@@ -146,8 +144,8 @@ def _transport_rows(
         reference = serial.statistics(signals, config=config)
     with Engine(jobs=jobs) as engine:
         engine.statistics(signals, config=config)  # warm pool + plan
-        seconds = _best_seconds(
-            lambda: engine.statistics(signals, config=config), repeats
+        seconds = median_seconds(
+            lambda: engine.statistics(signals, config=config)
         )
         statistics = engine.statistics(signals, config=config)
     bitwise = bool(np.array_equal(reference, statistics))
@@ -177,20 +175,24 @@ def _transport_rows(
     }
 
 
+def _section(geometry: dict, trials: int) -> dict:
+    return {
+        "precision": _precision_rows(geometry, trials),
+        "transport": _transport_rows(geometry, trials, 2),
+    }
+
+
 def emit(smoke: bool, json_path: Path) -> dict:
-    repeats = 2 if smoke else 3
-    geometry = SMOKE_GEOMETRY if smoke else FULL_GEOMETRY
-    trials = SMOKE_TRIALS if smoke else FULL_TRIALS
+    dataflow = {"smoke": _section(SMOKE_GEOMETRY, SMOKE_TRIALS)}
+    if not smoke:
+        dataflow["full"] = full_only(_section(FULL_GEOMETRY, FULL_TRIALS))
     payload = {
         "benchmark": "bench_dataflow",
         "smoke": smoke,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": available_cpus(),
-        "dataflow": {
-            "precision": _precision_rows(geometry, trials, repeats),
-            "transport": _transport_rows(geometry, trials, 2, repeats),
-        },
+        "dataflow": dataflow,
     }
     with open(json_path, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -212,26 +214,31 @@ def main(argv=None) -> int:
 
     payload = emit(args.smoke, args.json)
     print(f"wrote {args.json} (cpus={payload['cpus']})")
-    speedups = {}
-    for backend, rows in payload["dataflow"]["precision"].items():
-        fast = rows["float32"]
-        speedups[backend] = fast.get("speedup_vs_float64") or 0.0
+    for section, rows in payload["dataflow"].items():
+        for backend, row in rows["precision"].items():
+            print(
+                f"  {section} precision [{backend}]: float64 "
+                f"{row['float64']['estimates_per_second']:.1f} est/s vs "
+                f"float32 {row['float32']['estimates_per_second']:.1f} "
+                f"est/s ({row['float32']['speedup_vs_float64']:.2f}x)"
+            )
+        pickled = rows["transport"]["pickle"]
+        shared = rows["transport"]["shared"]
         print(
-            f"  precision [{backend}]: float64 "
-            f"{rows['float64']['estimates_per_second']:.1f} est/s vs "
-            f"float32 {fast['estimates_per_second']:.1f} est/s "
-            f"({speedups[backend]:.2f}x)"
+            f"  {section} transport [jobs=2]: pickling the rows would ship "
+            f"{pickled['pickled_bytes_per_shard']:,} B/shard vs shared "
+            f"{shared['pickled_bytes_per_shard']:,} B/shard "
+            f"({shared['payload_reduction_vs_pickle']:.0f}x smaller)"
         )
-    transport = payload["dataflow"]["transport"]
-    print(
-        f"  transport [jobs=2]: pickling the rows would ship "
-        f"{transport['pickle']['pickled_bytes_per_shard']:,} B/shard vs "
-        f"shared {transport['shared']['pickled_bytes_per_shard']:,} B/shard "
-        f"({transport['shared']['payload_reduction_vs_pickle']:.0f}x smaller)"
-    )
 
     if args.smoke:
         return 0
+    full = payload["dataflow"]["full"]
+    speedups = {
+        backend: rows["float32"].get("speedup_vs_float64") or 0.0
+        for backend, rows in full["precision"].items()
+    }
+    transport = full["transport"]
     failures = []
     fast_enough = [
         backend

@@ -32,10 +32,13 @@ the trajectory is tracked across PRs (and guarded by
   does not grow with the trial count; the perf guard gates
   ``peak_bytes`` absolutely.
 
-Regenerate the JSON (one BLAS thread keeps the small Gram products
-off OpenBLAS's thread hand-off, and the JSON records the setting)::
+Every timing is a budget median taken by ``benchmarks/_timing.py``,
+on one pinned CPU and one BLAS thread.  Worker processes inherit the
+CPU pin, so the sharding rows measure what sharding costs on one CPU
+and ``cpus`` in the JSON reads 1 (the >= 1.5x gate then reports
+itself skipped).  Regenerate the JSON::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_engine.py
+    PYTHONPATH=src python benchmarks/bench_engine.py
 
 The plan-cache, sharding and scoring rows sit in two sections:
 ``engine.full`` at the operating points above, and ``engine.smoke`` at
@@ -51,7 +54,6 @@ import json
 import os
 import platform
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -61,6 +63,8 @@ from repro.core.scf import GramKernel
 from repro.engine import Engine, PlanCache, available_cpus
 from repro.pipeline import PipelineConfig
 from repro.signals.noise import awgn
+
+from _timing import full_only, median_seconds
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -81,7 +85,6 @@ CACHE_POINTS = {
 #: golden Pd point's 48-trial Monte-Carlo batch and one paper-point
 #: decision.
 SCORING_POINTS = ((8, 48), (32, 1))
-SCORING_REPEATS = 15
 
 #: Large-trial calibration point: the serve geometry at 1000 trials
 #: (about a second).  ``--smoke`` runs it too: a tiny geometry fits its
@@ -108,15 +111,6 @@ SMOKE_CACHE_POINTS = {
 }
 
 
-def _best_seconds(fn, repeats: int = 3) -> float:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return float(min(times))
-
-
 def _operating_point(config: PipelineConfig, trials: int) -> dict:
     return {
         "fft_size": config.fft_size,
@@ -140,9 +134,7 @@ def _drop_cached_plans(config: PipelineConfig) -> None:
         clear_trace_cache()
 
 
-def _plan_cache_point(
-    name: str, config: PipelineConfig, trials: int, repeats: int
-) -> dict:
+def _plan_cache_point(config: PipelineConfig, trials: int) -> dict:
     """Repeated calibration sweeps: disabled caches vs the shared LRU."""
 
     def sweep(engine: Engine) -> None:
@@ -156,8 +148,8 @@ def _plan_cache_point(
         _drop_cached_plans(config)
         sweep(cold_engine)
 
-    cold = _best_seconds(cold_sweep, repeats)
-    warm = _best_seconds(lambda: sweep(warm_engine), repeats)
+    cold = median_seconds(cold_sweep)
+    warm = median_seconds(lambda: sweep(warm_engine))
     stats = warm_engine.cache.stats
     return {
         **_operating_point(config, trials),
@@ -171,9 +163,7 @@ def _plan_cache_point(
     }
 
 
-def _sharding_ladder(
-    config: PipelineConfig, trials: int, jobs_ladder, repeats: int
-) -> dict:
+def _sharding_ladder(config: PipelineConfig, trials: int, jobs_ladder) -> dict:
     signals = np.stack(
         [
             awgn(config.samples_per_decision, seed=9000 + trial)
@@ -186,8 +176,8 @@ def _sharding_ladder(
     for jobs in jobs_ladder:
         with Engine(jobs=jobs) as engine:
             engine.statistics(signals, config=config)  # warm pool + plan
-            seconds = _best_seconds(
-                lambda: engine.statistics(signals, config=config), repeats
+            seconds = median_seconds(
+                lambda: engine.statistics(signals, config=config)
             )
             statistics = engine.statistics(signals, config=config)
         if reference is None:
@@ -224,7 +214,7 @@ def _gram_replay(config: PipelineConfig, spectra: np.ndarray):
     return replay
 
 
-def _scoring_layers(points, repeats: int) -> dict:
+def _scoring_layers(points) -> dict:
     """Per-trial Gram vs whole-statistic time at each scoring point."""
     engine = Engine(cache=PlanCache(name="bench-scoring"))
     rows = {}
@@ -242,9 +232,9 @@ def _scoring_layers(points, repeats: int) -> dict:
             )
             spectra = plan.block_spectra(signals)
             plan.statistics_from_spectra(spectra)  # warm the scratch
-            gram = _best_seconds(_gram_replay(config, spectra), repeats)
-            statistic = _best_seconds(
-                lambda: plan.statistics_from_spectra(spectra), repeats
+            gram = median_seconds(_gram_replay(config, spectra))
+            statistic = median_seconds(
+                lambda: plan.statistics_from_spectra(spectra)
             )
             rows[f"N={num_blocks},{precision}"] = {
                 **_operating_point(config, trials),
@@ -258,17 +248,15 @@ def _scoring_layers(points, repeats: int) -> dict:
     return rows
 
 
-def _calibration_memory(
-    config: PipelineConfig, trials: int, repeats: int
-) -> dict:
-    """A large-trial calibration: best-of time and traced peak bytes."""
+def _calibration_memory(config: PipelineConfig, trials: int) -> dict:
+    """A large-trial calibration: median time and traced peak bytes."""
     engine = Engine(cache=PlanCache(name="bench-calibration"))
 
     def calibrate() -> None:
         engine.calibrate_threshold(config, trials=trials)
 
     calibrate()  # plan and scoring scratch
-    seconds = _best_seconds(calibrate, repeats)
+    seconds = median_seconds(calibrate)
     tracemalloc.start()
     try:
         calibrate()
@@ -284,37 +272,35 @@ def _calibration_memory(
 
 
 def _section(
-    cache_points, shard_config, shard_trials, jobs_ladder, scoring_points,
-    repeats: int,
+    cache_points, shard_config, shard_trials, jobs_ladder, scoring_points
 ) -> dict:
     """The plan-cache, sharding and scoring rows at one set of points."""
     return {
         "plan_cache": {
-            name: _plan_cache_point(name, config, trials, repeats)
+            name: _plan_cache_point(config, trials)
             for name, (config, trials) in cache_points.items()
         },
-        "sharding": _sharding_ladder(
-            shard_config, shard_trials, jobs_ladder, repeats
-        ),
-        "scoring": _scoring_layers(scoring_points, SCORING_REPEATS),
+        "sharding": _sharding_ladder(shard_config, shard_trials, jobs_ladder),
+        "scoring": _scoring_layers(scoring_points),
     }
 
 
 def emit(smoke: bool, jobs_ladder, json_path: Path) -> dict:
-    repeats = 3
     engine = {
         "smoke": _section(
             SMOKE_CACHE_POINTS, SMOKE_SHARD_CONFIG, SMOKE_SHARD_TRIALS,
-            SMOKE_JOBS_LADDER, SMOKE_SCORING_POINTS, repeats,
+            SMOKE_JOBS_LADDER, SMOKE_SCORING_POINTS,
         ),
     }
     if not smoke:
-        engine["full"] = _section(
-            CACHE_POINTS, SHARD_CONFIG, SHARD_TRIALS, jobs_ladder,
-            SCORING_POINTS, repeats,
+        engine["full"] = full_only(
+            _section(
+                CACHE_POINTS, SHARD_CONFIG, SHARD_TRIALS, jobs_ladder,
+                SCORING_POINTS,
+            )
         )
     engine["calibration"] = {
-        "serve_geometry": _calibration_memory(*CALIBRATION_POINT, repeats),
+        "serve_geometry": _calibration_memory(*CALIBRATION_POINT),
     }
     payload = {
         "benchmark": "bench_engine",

@@ -17,6 +17,7 @@ gated (it measures the loop's per-call overhead, not the batch).
 ``batch_seconds_per_trial`` is what the perf guard
 (``check_perf_regression.py``) compares.  Full runs record the
 ``--smoke`` row too, so the guard's CI smoke run has a baseline.
+Every timing is a budget median taken by ``benchmarks/_timing.py``.
 
 Run under pytest-benchmark::
 
@@ -36,7 +37,6 @@ import argparse
 import json
 import platform
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,6 +48,8 @@ from repro.core.scf import dscf, dscf_reference
 from repro.engine import Engine, default_noise_factory
 from repro.pipeline import PipelineConfig, available_backends, get_backend
 from repro.signals.noise import awgn
+
+from _timing import full_only, median_seconds
 
 K = 64
 BLOCKS = 16
@@ -100,37 +102,10 @@ def test_batched_monte_carlo(benchmark):
 # ----------------------------------------------------------------------
 # Machine-readable benchmark emission
 # ----------------------------------------------------------------------
-def _median_seconds(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return float(np.median(times))
-
-
-#: A backend row is the median of as many calls as fill this budget,
-#: and of at least :data:`BACKEND_MIN_CALLS`: a ~3 ms row takes about
-#: 65 calls, so one noisy call cannot move it (a median of 3 calls
-#: once read the compiled soc row 2.26x slow with no code change).
-BACKEND_BUDGET_SECONDS = 0.2
-BACKEND_MIN_CALLS = 3
-
-
-def _budget_median_seconds(fn) -> float:
-    times = []
-    deadline = time.perf_counter() + BACKEND_BUDGET_SECONDS
-    while len(times) < BACKEND_MIN_CALLS or time.perf_counter() < deadline:
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return float(np.median(times))
-
-
 def _measure_backend(backend, config: PipelineConfig) -> dict:
     signal = awgn(config.samples_per_decision, seed=72)
     backend.compute(signal, config)  # warm-up
-    seconds = _budget_median_seconds(lambda: backend.compute(signal, config))
+    seconds = median_seconds(lambda: backend.compute(signal, config))
     return {
         "fft_size": config.fft_size,
         "num_blocks": config.num_blocks,
@@ -182,12 +157,10 @@ def _batch_vs_loop(
     plan.statistics(signals[:4])  # warm-up
     detector.statistic(signals[0])
 
-    loop_seconds = _median_seconds(
-        lambda: [detector.statistic(s) for s in signals], repeats=3
+    loop_seconds = median_seconds(
+        lambda: [detector.statistic(s) for s in signals]
     )
-    batch_seconds = _median_seconds(
-        lambda: plan.statistics(signals), repeats=5
-    )
+    batch_seconds = median_seconds(lambda: plan.statistics(signals))
     batch_stats = plan.statistics(signals)
     loop_stats = np.array([detector.statistic(s) for s in signals])
     per_trial = np.array([plan.statistics(s[None])[0] for s in signals])
@@ -212,13 +185,15 @@ def _batch_vs_loop(
 
 def collect_metrics(smoke: bool = False) -> dict:
     """Gather the full benchmark record written to BENCH_estimators.json."""
-    points = [(SMOKE_MC_CONFIG, SMOKE_MC_TRIALS)]
-    if not smoke:
-        points.append((MC_CONFIG, MC_TRIALS))
     batch_vs_loop = {
-        f"fft_size={config.fft_size}": _batch_vs_loop(config, trials)
-        for config, trials in points
+        f"fft_size={SMOKE_MC_CONFIG.fft_size}": _batch_vs_loop(
+            SMOKE_MC_CONFIG, SMOKE_MC_TRIALS
+        )
     }
+    if not smoke:
+        batch_vs_loop[f"fft_size={MC_CONFIG.fft_size}"] = full_only(
+            _batch_vs_loop(MC_CONFIG, MC_TRIALS)
+        )
     return {
         "benchmark": "bench_estimators",
         "smoke": smoke,

@@ -35,27 +35,30 @@ Every served decision is checked bitwise against the offline
 correctness for throughput.
 
 The ladder runs at the smoke geometry on every run (``serve.smoke``)
-and, on full runs, at the paper point too (``serve.full``), so the perf
-guard compares CI's ``--smoke`` ladder against a committed baseline.
-Each ladder point runs :data:`LADDER_REPEATS` times and its row holds
-the median of every timing.
+and, on full runs, at the paper point too (``serve.full``, marked
+``full_only`` for the perf guard), so the guard compares CI's
+``--smoke`` ladder against a committed baseline.  Each ladder point
+runs :data:`LADDER_REPEATS` times and its row holds the median of
+every timing; a smoke run serves :data:`SMOKE_REQUESTS` requests, so
+each p99 rests on at least 1,000 latencies.
 
 The load ladder calls ``detect_samples``, the engine route.  A
 ``session_detect`` block times the session route instead, the one
 ``repro serve`` takes for detect-every-hop streams: open a session,
 prefill one window, then repeat a one-hop ingest followed by a timed
-``detect`` (``p50_latency_seconds``/``p99_latency_seconds`` and the
-mean ``seconds_per_detect``, detect only; medians over
-:data:`SESSION_REPEATS` sessions).  It runs at the smoke
-geometry and at K = 256, N = 32, hop 64 (the perfbench ``hop-stream``
-point) on both ``--smoke`` and full runs, and every decision must take
-the spectra route and equal the offline pipeline bit for bit.
+``detect`` (``p50_latency_seconds``/``p99_latency_seconds`` over
+:data:`SESSION_DETECTS` detects and the mean ``seconds_per_detect``,
+detect only; medians over :data:`SESSION_REPEATS` sessions, each on a
+fresh service).  It runs at the smoke geometry and at K = 256,
+N = 32, hop 64 (the perfbench ``hop-stream`` point) on both
+``--smoke`` and full runs, and every decision must take the spectra
+route and equal the offline pipeline bit for bit.
 
 A ``cold_start`` row times a fresh interpreter from launch to its first
 served decision (``cold_start_seconds``, gated by the perf guard) and
 splits it into stages, each a median of five launches: interpreter
-start (``interpreter_seconds``), ``import repro.serve``
-(``import_seconds``), service start plus the first threshold
+start (``interpreter_seconds``), the child's imports, ``repro.serve``
+first (``import_seconds``), service start plus the first threshold
 calibration (``threshold_seconds``) and the first session
 open/ingest/detect (``decision_seconds``), plus the child's peak RSS.
 The smoke geometry's row is recorded on full runs too, so the CI smoke
@@ -64,7 +67,7 @@ run always has a baseline to compare against.
 A ``wire_decode`` block times the server's ingest-payload decode,
 :func:`repro.serve.decode_samples`, against the stdlib reference
 ``base64.b64decode(payload, validate=True)`` in the same run
-(``decode_seconds`` per line, median of interleaved repeats), at a
+(``decode_seconds`` per line), at a
 64-sample line (below the vector-decode crossover, so both run the
 stdlib call) and an 8192-sample line (one paper-point window, decoded
 in numpy).  Its ``ingest_line`` rows time a whole ingest line the
@@ -76,13 +79,15 @@ rows, and the decoded bits must equal the reference's.  The 8192-sample
 line skips the JSON scan of its payload, so the run fails unless its
 ``ingest_line`` row is at least :data:`INGEST_LINE_MIN_SPEEDUP` times
 faster than its ``json_loads`` row: losing the shortcut costs about
-1.5-2x, too little for the perf guard's 2x tolerance to see against
-a baseline, but plain within one run.
+1.5-2x, which the perf guard sees against a baseline too, but which
+is plain within one run.
 
-The run pins itself to one CPU (``cpus`` in the JSON reads 1).
-Regenerate the JSON with one BLAS thread (recorded in the JSON: two
-OpenBLAS threads slow these small Gram products, and with them a lone
-sample-route request can stall for about 15 ms)::
+Every timing goes through ``benchmarks/_timing.py``: the wire-decode
+rows are budget medians, and the ladder, session and cold-start rows,
+which keep their own clocks, are scaled to nominal host speed by it.
+The run is pinned to one CPU (``cpus`` in the JSON reads 1) and one
+BLAS thread.  Regenerate the JSON as CI runs it (the environment is
+recorded in the JSON)::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_serve.py
 
@@ -99,6 +104,7 @@ import platform
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -113,20 +119,23 @@ from repro.serve import (
 )
 from repro.signals.noise import awgn
 
+from _timing import call_seconds, full_only, nominal
+
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
 #: The paper operating point: K = 256 with the default M = 63 pruning,
 #: i.e. the 127 x 127 (f, a) grid of Section 4.
 FULL_CONFIG = PipelineConfig(fft_size=256, num_blocks=32)
 FULL_CLIENTS = (1, 4, 16)
-FULL_REQUESTS_PER_CLIENT = {"service": 6, "naive": 2}
+#: Requests per ladder run and mode, split evenly over the clients.
+FULL_REQUESTS = {"service": 96, "naive": 32}
 
 #: Tiny --smoke geometry (CI's run; full runs record it too, so the
-#: perf guard compares it).  A request takes well under a millisecond
-#: here, so each client sends enough of them for a stable p99.
+#: perf guard compares it).  A request takes at most ~2 ms here, so
+#: every run serves 1,000 of them and its p99 is their 10th-slowest.
 SMOKE_CONFIG = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=8)
 SMOKE_CLIENTS = (1, 4)
-SMOKE_REQUESTS_PER_CLIENT = {"service": 128, "naive": 16}
+SMOKE_REQUESTS = {"service": 1000, "naive": 1000}
 
 MAX_BATCH_COALESCED = 32
 
@@ -158,9 +167,6 @@ _SUMMED_FIELDS = (
 #: 1368-character line) and one K = 256, N = 32 window (8192 samples,
 #: 174,764 characters).  The same on smoke and full runs.
 WIRE_DECODE_SAMPLES = (64, 8192)
-WIRE_DECODE_REPEATS = 31
-#: Characters decoded per timed repeat (the call count adapts to it).
-WIRE_DECODE_CHARS_PER_REPEAT = 1 << 20
 WIRE_DECODE_SEED = 7200
 #: Least same-run speedup of the server's parse over ``json.loads`` +
 #: ``decode_samples`` on the 8192-sample ingest line (about 2x here).
@@ -175,7 +181,7 @@ SESSION_CONFIGS = (
 #: Sessions per row (medians reported) and timed one-hop ingest +
 #: detect rounds per session.
 SESSION_REPEATS = 5
-SESSION_DETECTS = 200
+SESSION_DETECTS = 1000
 SESSION_SEED = 7300
 
 #: Fresh-interpreter launches per cold-start row (medians reported).
@@ -188,10 +194,10 @@ _COLD_START_CHILD = """
 import time
 started = time.perf_counter()
 import repro.serve
-imported = time.perf_counter()
 import asyncio, json, resource, sys
 from repro.pipeline import PipelineConfig
 from repro.signals.noise import awgn
+imported = time.perf_counter()
 
 config = PipelineConfig(**json.loads(sys.argv[1]))
 
@@ -419,7 +425,10 @@ def _cold_start_once(config: PipelineConfig) -> dict:
 
 def _cold_start_row(config: PipelineConfig) -> dict:
     """Medians of :data:`COLD_START_REPEATS` fresh-interpreter launches."""
-    samples = [_cold_start_once(config) for _ in range(COLD_START_REPEATS)]
+    samples = [
+        _at_nominal(*nominal(lambda: _cold_start_once(config)))
+        for _ in range(COLD_START_REPEATS)
+    ]
     window = awgn(config.samples_per_decision, seed=COLD_START_SEED)
     (statistic,), threshold = _offline_reference(config, [window])
     for sample in samples:
@@ -451,28 +460,40 @@ def _cold_start_row(config: PipelineConfig) -> dict:
     }
 
 
-async def _session_detect_row(config: PipelineConfig) -> dict:
-    """Per-detect latency of the session route: one-hop ingest, then
-    a timed ``detect``, :data:`SESSION_DETECTS` times on each of
-    :data:`SESSION_REPEATS` sessions fed the same stream."""
+async def _session_latencies(
+    config: PipelineConfig, stream: np.ndarray
+) -> tuple[list[float], list[dict]]:
+    """One session on a fresh service: prefill one window, then a
+    one-hop ingest and a timed ``detect`` per remaining hop."""
+    window = config.samples_per_decision
+    latencies, results = [], []
+    async with SensingService(config) as service:
+        session = service.open_session()
+        service.ingest(session, stream[:window])
+        # The threshold calibration and the plan build stay untimed.
+        await service.detect(session)
+        for start in range(window, len(stream), config.hop):
+            service.ingest(session, stream[start : start + config.hop])
+            started = time.perf_counter()
+            results.append(await service.detect(session))
+            latencies.append(time.perf_counter() - started)
+    return latencies, results
+
+
+def _session_detect_row(config: PipelineConfig) -> dict:
+    """Per-detect latency of the session route: :data:`SESSION_DETECTS`
+    detects on each of :data:`SESSION_REPEATS` sessions fed the same
+    stream, each session scaled to nominal host speed on its own."""
     window = config.samples_per_decision
     stream = awgn(window + SESSION_DETECTS * config.hop, seed=SESSION_SEED)
-    repeats: list[list[float]] = []
+    repeats: list[np.ndarray] = []
     results: list[dict] = []
-    async with SensingService(config) as service:
-        for _ in range(SESSION_REPEATS):
-            session = service.open_session()
-            service.ingest(session, stream[:window])
-            # The threshold calibration and the plan build stay untimed.
-            await service.detect(session)
-            latencies = []
-            for start in range(window, len(stream), config.hop):
-                service.ingest(session, stream[start : start + config.hop])
-                started = time.perf_counter()
-                results.append(await service.detect(session))
-                latencies.append(time.perf_counter() - started)
-            service.close_session(session)
-            repeats.append(latencies)
+    for _ in range(SESSION_REPEATS):
+        (latencies, session_results), factor = nominal(
+            lambda: asyncio.run(_session_latencies(config, stream))
+        )
+        repeats.append(np.asarray(latencies) * factor)
+        results.extend(session_results)
 
     windows = [
         stream[(index + 1) * config.hop :][:window]
@@ -507,7 +528,7 @@ async def _session_detect_row(config: PipelineConfig) -> dict:
 
 def _session_detect() -> dict:
     return {
-        f"fft_size={config.fft_size}": asyncio.run(_session_detect_row(config))
+        f"fft_size={config.fft_size}": _session_detect_row(config)
         for config in SESSION_CONFIGS
     }
 
@@ -517,23 +538,18 @@ def _reference_decode(payload: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(payload, validate=True), "<c16")
 
 
-def _interleaved_seconds(functions: dict, argument) -> dict:
-    """Median seconds per call of each of *functions* on *argument*,
-    over alternating repeats (the call count adapts to its length)."""
-    calls = max(1, WIRE_DECODE_CHARS_PER_REPEAT // len(argument))
-    seconds = {name: [] for name in functions}
-    for _ in range(WIRE_DECODE_REPEATS):
-        for name, function in functions.items():
-            started = time.perf_counter()
-            for _ in range(calls):
-                function(argument)
-            seconds[name].append((time.perf_counter() - started) / calls)
-    return {name: float(np.median(times)) for name, times in seconds.items()}
+def _decode_seconds(functions: dict, argument) -> dict:
+    """The budget median of each of *functions* on *argument*, called
+    in turn within each round."""
+    times = call_seconds(
+        *(partial(function, argument) for function in functions.values())
+    )
+    return dict(zip(functions, np.median(times, axis=0).tolist()))
 
 
 def _wire_decode_rows(num_samples: int) -> dict:
     """``decode_seconds`` per line for the server decode and the stdlib
-    reference, timed in alternating repeats of the same payload."""
+    reference on the same payload."""
     payload = encode_samples(awgn(num_samples, seed=WIRE_DECODE_SEED))
     expected = _reference_decode(payload).view(np.uint64)
     decoded = decode_samples(payload)
@@ -541,7 +557,7 @@ def _wire_decode_rows(num_samples: int) -> dict:
         f"decode_samples diverged from base64.b64decode at "
         f"{num_samples} samples"
     )
-    seconds = _interleaved_seconds(
+    seconds = _decode_seconds(
         {"decode_samples": decode_samples, "b64decode": _reference_decode},
         payload,
     )
@@ -578,7 +594,7 @@ def _json_loads_samples(line: bytes) -> np.ndarray:
 
 def _ingest_line_rows(num_samples: int) -> dict:
     """``decode_seconds`` per whole ingest line for the server's parse
-    and the ``json.loads`` reference, timed in alternating repeats."""
+    and the ``json.loads`` reference on the same line."""
     samples = awgn(num_samples, seed=WIRE_DECODE_SEED)
     request = {"op": "ingest", "session": "s1"}
     request["samples"] = encode_samples(samples)
@@ -588,7 +604,7 @@ def _ingest_line_rows(num_samples: int) -> dict:
         f"parse_request diverged from json.loads + decode_samples at "
         f"{num_samples} samples"
     )
-    seconds = _interleaved_seconds(
+    seconds = _decode_seconds(
         {"ingest_line": _served_samples, "json_loads": _json_loads_samples},
         line,
     )
@@ -621,55 +637,75 @@ def _wire_decode() -> dict:
     return rows
 
 
-async def _repeated(measure, *args) -> dict:
-    """*measure*'s row over :data:`LADDER_REPEATS` runs: timings are
-    the medians, fault counters the sums."""
-    runs = [await measure(*args) for _ in range(LADDER_REPEATS)]
+def _at_nominal(row: dict, factor: float) -> dict:
+    """*row* read at nominal host speed: its seconds multiplied by the
+    host-speed *factor* of :func:`_timing.nominal`, its rates divided."""
+    for key, value in row.items():
+        if "seconds" in key:
+            row[key] = value * factor
+        elif key.endswith(("_per_second", "_rps")) and value:
+            row[key] = value / factor
+    return row
+
+
+def _combined(runs: list[dict]) -> dict:
+    """One row from a load point's runs: timings are the medians, fault
+    counters the sums."""
     row = dict(runs[0])
     for key in _MEDIAN_FIELDS:
         row[key] = float(np.median([run[key] for run in runs]))
     for key in _SUMMED_FIELDS:
         row[key] = sum(run[key] for run in runs)
-    row["repeats"] = LADDER_REPEATS
+    row["repeats"] = len(runs)
     return row
 
 
-async def _ladder(
-    config: PipelineConfig, clients_ladder, requests: dict
-) -> dict:
+def _ladder(config: PipelineConfig, clients_ladder, requests: dict) -> dict:
+    """Every load point :data:`LADDER_REPEATS` times at nominal host
+    speed.  The repeats go round the whole ladder, so one point's runs
+    are spread over it and a slow spell of the host lands in one run of
+    several points rather than in every run of one."""
+    points = {}
+    for clients in clients_ladder:
+        label = f"clients={clients}"
+        service = -(-requests["service"] // clients)
+        naive = -(-requests["naive"] // clients)
+        points[("coalesced", label)] = (
+            _service_loop, config, clients, service, MAX_BATCH_COALESCED
+        )
+        points[("queued_serial", label)] = (
+            _service_loop, config, clients, service, 1
+        )
+        points[("naive_serial", label)] = (_naive_loop, config, clients, naive)
+    runs = {point: [] for point in points}
+    for _ in range(LADDER_REPEATS):
+        for point, (measure, *args) in points.items():
+            runs[point].append(
+                _at_nominal(*nominal(lambda: asyncio.run(measure(*args))))
+            )
     rows: dict[str, dict] = {
         "coalesced": {},
         "queued_serial": {},
         "naive_serial": {},
     }
-    for clients in clients_ladder:
-        label = f"clients={clients}"
-        rows["coalesced"][label] = await _repeated(
-            _service_loop, config, clients, requests["service"],
-            MAX_BATCH_COALESCED,
-        )
-        rows["queued_serial"][label] = await _repeated(
-            _service_loop, config, clients, requests["service"], 1
-        )
-        rows["naive_serial"][label] = await _repeated(
-            _naive_loop, config, clients, requests["naive"]
-        )
+    for (mode, label), point_runs in runs.items():
+        rows[mode][label] = _combined(point_runs)
     return rows
 
 
 def emit(smoke: bool, json_path: Path) -> dict:
-    ladders = {"smoke": (SMOKE_CONFIG, SMOKE_CLIENTS, SMOKE_REQUESTS_PER_CLIENT)}
+    ladders = {"smoke": (SMOKE_CONFIG, SMOKE_CLIENTS, SMOKE_REQUESTS)}
     if not smoke:
-        ladders["full"] = (FULL_CONFIG, FULL_CLIENTS, FULL_REQUESTS_PER_CLIENT)
-    rows = {
-        section: asyncio.run(_ladder(*ladder))
-        for section, ladder in ladders.items()
-    }
-    cold_configs = (SMOKE_CONFIG,) if smoke else (SMOKE_CONFIG, FULL_CONFIG)
+        ladders["full"] = (FULL_CONFIG, FULL_CLIENTS, FULL_REQUESTS)
+    rows = {section: _ladder(*ladder) for section, ladder in ladders.items()}
     cold_start = {
-        f"fft_size={cold.fft_size}": _cold_start_row(cold)
-        for cold in cold_configs
+        f"fft_size={SMOKE_CONFIG.fft_size}": _cold_start_row(SMOKE_CONFIG)
     }
+    if not smoke:
+        full_only(rows["full"])
+        cold_start[f"fft_size={FULL_CONFIG.fft_size}"] = full_only(
+            _cold_start_row(FULL_CONFIG)
+        )
     session_detect = _session_detect()
     wire_decode = _wire_decode()
     # The headline speedup is the run's own geometry: the paper point
@@ -715,16 +751,6 @@ def emit(smoke: bool, json_path: Path) -> dict:
     return payload
 
 
-def _pin_one_cpu() -> None:
-    """Run on one CPU, as perfbench does.  On a virtual machine a thread
-    hand-off between two vCPUs (every sample-route batch makes two)
-    waits for the hypervisor to wake the idle one, and that wait
-    follows the host's load rather than this code: unpinned, the
-    smoke ladder's sub-millisecond rows moved up to 2x between runs."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -737,7 +763,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    _pin_one_cpu()
     payload = emit(args.smoke, args.json)
     print(f"wrote {args.json} (cpus={payload['cpus']})")
     for section in ("smoke", "full"):

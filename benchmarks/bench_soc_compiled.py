@@ -18,14 +18,15 @@ or regenerate just the JSON without pytest::
     PYTHONPATH=src python benchmarks/bench_soc_compiled.py
 
 ``--smoke`` measures only the tiny operating point (fast CI artifact
-run; the 10x gate at the paper point is skipped).
+run; the 10x gate at the paper point is skipped); a full run marks the
+paper row ``full_only`` for the perf guard.  Every timing is a budget
+median taken by ``benchmarks/_timing.py``.
 """
 
 import argparse
 import json
 import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ from repro.engine import Engine
 from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.signals.noise import awgn
 from repro.soc import PlatformConfig, SoCRunner, aaf_drbpf
+
+from _timing import full_only, median_seconds
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_soc_compiled.json"
 
@@ -52,25 +55,16 @@ BATCH_CONFIG_KWARGS = dict(
 BATCH_TRIALS = 12
 
 
-def _median_seconds(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return float(np.median(times))
-
-
-def _mode_row(platform_config: PlatformConfig, num_blocks: int, repeats: int) -> dict:
+def _mode_row(platform_config: PlatformConfig, num_blocks: int) -> dict:
     """Interpreted vs compiled seconds-per-estimate at one point."""
     samples = awgn(platform_config.fft_size * num_blocks, seed=73)
     interpreted_runner = SoCRunner(platform_config)
-    # Cold-compile timing: clear the cache so this compile both gets
-    # measured and seeds the cache the compiled runner reuses.
-    clear_trace_cache()
-    compiled_started = time.perf_counter()
+    # Cold-compile timing: the cache is cleared before every compile,
+    # and the last one seeds the cache the compiled runner reuses.
+    compile_seconds = median_seconds(
+        lambda: compile_platform(platform_config), setup=clear_trace_cache
+    )
     trace = compile_platform(platform_config)
-    compile_seconds = time.perf_counter() - compiled_started
     compiled_runner = SoCRunner(platform_config, compiled=True)
 
     interpreted_result = interpreted_runner.run(samples, num_blocks)  # warm-up
@@ -81,11 +75,11 @@ def _mode_row(platform_config: PlatformConfig, num_blocks: int, repeats: int) ->
         )
     ) and interpreted_result.cycle_tables == compiled_result.cycle_tables
 
-    interpreted_seconds = _median_seconds(
-        lambda: interpreted_runner.run(samples, num_blocks), repeats=repeats
+    interpreted_seconds = median_seconds(
+        lambda: interpreted_runner.run(samples, num_blocks)
     )
-    compiled_seconds = _median_seconds(
-        lambda: compiled_runner.run(samples, num_blocks), repeats=max(repeats, 5)
+    compiled_seconds = median_seconds(
+        lambda: compiled_runner.run(samples, num_blocks)
     )
     return {
         "fft_size": platform_config.fft_size,
@@ -117,13 +111,10 @@ def _batched_monte_carlo() -> dict:
     plan.statistics(signals[:2])  # warm-up (compiles + caches the trace)
     interpreted_pipeline.statistic(signals[0])
 
-    loop_seconds = _median_seconds(
-        lambda: [interpreted_pipeline.statistic(signal) for signal in signals],
-        repeats=3,
+    loop_seconds = median_seconds(
+        lambda: [interpreted_pipeline.statistic(signal) for signal in signals]
     )
-    batch_seconds = _median_seconds(
-        lambda: plan.statistics(signals), repeats=5
-    )
+    batch_seconds = median_seconds(lambda: plan.statistics(signals))
     batch_statistics = plan.statistics(signals)
     loop_statistics = np.array(
         [interpreted_pipeline.statistic(signal) for signal in signals]
@@ -136,6 +127,8 @@ def _batched_monte_carlo() -> dict:
         "loop_seconds": loop_seconds,
         "batch_seconds": batch_seconds,
         "speedup": loop_seconds / batch_seconds,
+        "loop_seconds_per_trial": loop_seconds / BATCH_TRIALS,
+        "batch_seconds_per_trial": batch_seconds / BATCH_TRIALS,
         "batch_bitwise_equals_interpreted_loop": bool(
             (batch_statistics == loop_statistics).all()
         ),
@@ -143,9 +136,9 @@ def _batched_monte_carlo() -> dict:
 
 
 def collect_metrics(smoke: bool = False) -> dict:
-    rows = {"tiny": _mode_row(TINY, TINY_BLOCKS, repeats=3)}
+    rows = {"tiny": _mode_row(TINY, TINY_BLOCKS)}
     if not smoke:
-        rows["paper"] = _mode_row(aaf_drbpf(), PAPER_BLOCKS, repeats=3)
+        rows["paper"] = full_only(_mode_row(aaf_drbpf(), PAPER_BLOCKS))
     return {
         "benchmark": "bench_soc_compiled",
         "smoke": smoke,

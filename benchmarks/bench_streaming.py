@@ -18,8 +18,11 @@ every hop both detection routes run on the *identical* window:
   windowing + FFT pass entirely.  Only the hop's one new block was
   FFT'd, at ingest time.
 
-Every hop asserts the two statistics are **bitwise identical** — the
-fast path must never trade correctness for speed.
+Each route's ``seconds_per_detect`` is a budget median taken by
+``benchmarks/_timing.py``: every round ingests the next hop (untimed),
+then runs both routes on that window, and every round's two statistics
+must be **bitwise identical** — the fast path must never trade
+correctness for speed.
 
 The ladder spans the regimes honestly.  At the paper's K = 256,
 127 x 127 point the (2M+1)^2 Gram accumulation dominates the N FFTs
@@ -33,11 +36,13 @@ denominator pass — the one cost both paths share — drops out too and
 the fast path wins ~8x.  The *last* ladder row (wide-K, peak-|S|)
 gates >= 5x.
 
-Regenerate the JSON (one BLAS thread, recorded in the JSON)::
+Regenerate the JSON::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_streaming.py
+    PYTHONPATH=src python benchmarks/bench_streaming.py
 
-``--smoke`` runs a tiny geometry for CI artifact runs (no gating).
+``--smoke`` runs only the tiny K = 64 geometry (CI's run, no gating);
+a full run records it too and marks the full ladder's rows
+``full_only`` for the perf guard.
 """
 
 import argparse
@@ -45,7 +50,6 @@ import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +59,12 @@ from repro.pipeline import PipelineConfig
 from repro.serve import SensingSession
 from repro.signals.noise import awgn
 
+from _timing import call_seconds, full_only
+
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_streaming.json"
 
-#: (fft_size, num_blocks, hop, m, normalize, detects) ladder.  The
+#: (fft_size, num_blocks, hop, m, normalize, stream hops) ladder; the
+#: timed rounds cycle through the stream's hops.  The
 #: first two rows are the paper operating point (K = 256, M = 63 ->
 #: 127 x 127), where the Gram plane dominates and spectra reuse is
 #: honestly modest.  The wide-K / small-M rows are the fast path's
@@ -71,6 +78,11 @@ FULL_LADDER = (
 )
 SMOKE_LADDER = ((64, 8, 64, 6, True, 6),)
 
+#: Seconds of detect rounds (both routes) per row: the wide-K rows'
+#: engine route takes ~8 ms a detect, so their medians rest on over
+#: 100 detects.
+ROUTE_BUDGET_SECONDS = 1.0
+
 #: Minimum spectra-path speedup on the last (reuse-regime) ladder row.
 SPEEDUP_GATE = 5.0
 
@@ -81,7 +93,7 @@ def _bench_row(
     hop: int,
     m: int | None,
     normalize: bool,
-    detects: int,
+    hops: int,
 ) -> list[dict]:
     """Time both serve paths detect-every-hop on one shared stream."""
     kwargs = {} if m is None else {"m": m}
@@ -93,43 +105,51 @@ def _bench_row(
         **kwargs,
     )
     session = SensingSession(config)
-    stream = awgn(
-        config.samples_per_decision + detects * hop, power=1.0, seed=42
-    )
-    session.ingest(stream[: config.samples_per_decision])
+    window = config.samples_per_decision
+    stream = awgn(window + hops * hop, power=1.0, seed=42)
+    session.ingest(stream[:window])
+    position = window
 
-    engine_seconds = 0.0
-    spectra_seconds = 0.0
+    def next_hop() -> None:
+        """Ingest the stream's next hop, wrapping round its last one."""
+        nonlocal position
+        session.ingest(stream[position : position + hop])
+        position = window + (position - window + hop) % (hops * hop)
+
+    statistics = {"engine": [], "spectra": []}
     with Engine(jobs=1) as engine:
+
+        def via_engine() -> None:
+            statistics["engine"].append(
+                engine.statistics(
+                    session.window_samples()[None], config=config
+                )[0]
+            )
+
+        def via_spectra() -> None:
+            statistics["spectra"].append(
+                engine.spectra_statistics(
+                    session.window_spectra()[None], config=config
+                )[0]
+            )
+
         # Warm the plan cache outside the measured window: both paths
         # share one cached plan, and every row measures steady-state
         # detection, not plan construction.
-        engine.statistics(session.window_samples()[None], config=config)
-        engine.spectra_statistics(
-            session.window_spectra()[None], config=config
+        via_engine()
+        via_spectra()
+        times = call_seconds(
+            via_engine, via_spectra, setup=next_hop,
+            budget=ROUTE_BUDGET_SECONDS,
         )
-        position = config.samples_per_decision
-        for _ in range(detects):
-            session.ingest(stream[position : position + hop])
-            position += hop
-
-            started = time.perf_counter()
-            via_engine = engine.statistics(
-                session.window_samples()[None], config=config
-            )[0]
-            engine_seconds += time.perf_counter() - started
-
-            started = time.perf_counter()
-            via_spectra = engine.spectra_statistics(
-                session.window_spectra()[None], config=config
-            )[0]
-            spectra_seconds += time.perf_counter() - started
-
-            assert via_spectra == via_engine, (
-                f"spectra fast path diverged from the engine path at "
-                f"K={fft_size}, N={num_blocks}, hop={hop}: "
-                f"{via_spectra!r} vs {via_engine!r}"
-            )
+    for index, (engine_statistic, spectra_statistic) in enumerate(
+        zip(statistics["engine"], statistics["spectra"])
+    ):
+        assert spectra_statistic == engine_statistic, (
+            f"spectra fast path diverged from the engine path at "
+            f"K={fft_size}, N={num_blocks}, hop={hop}, round {index}: "
+            f"{spectra_statistic!r} vs {engine_statistic!r}"
+        )
 
     geometry = {
         "fft_size": config.fft_size,
@@ -138,39 +158,43 @@ def _bench_row(
         "m": config.m,
         "normalize": config.normalize,
         "mode": "detect_every_hop",
-        "detects": detects,
     }
-    return [
-        {
+    rows = {
+        name: {
             **geometry,
-            "serve_path": "engine",
-            "seconds_total": engine_seconds,
-            "seconds_per_detect": engine_seconds / detects,
-            "detects_per_second": detects / engine_seconds,
-        },
-        {
-            **geometry,
-            "serve_path": "spectra",
-            "seconds_total": spectra_seconds,
-            "seconds_per_detect": spectra_seconds / detects,
-            "detects_per_second": detects / spectra_seconds,
-            "speedup_vs_engine": engine_seconds / spectra_seconds,
-            "bitwise_equal_to_engine": True,  # asserted every hop
-        },
-    ]
+            "serve_path": name,
+            "detects": len(times),
+            "seconds_per_detect": seconds,
+            "detects_per_second": 1.0 / seconds,
+        }
+        for name, seconds in zip(
+            ("engine", "spectra"), np.median(times, axis=0).tolist()
+        )
+    }
+    rows["spectra"]["speedup_vs_engine"] = (
+        rows["engine"]["seconds_per_detect"]
+        / rows["spectra"]["seconds_per_detect"]
+    )
+    rows["spectra"]["bitwise_equal_to_engine"] = True  # asserted every round
+    return [rows["engine"], rows["spectra"]]
 
 
-def emit(smoke: bool, json_path: Path) -> dict:
-    ladder = SMOKE_LADDER if smoke else FULL_LADDER
-    rows: dict[str, dict] = {}
-    for fft_size, num_blocks, hop, m, normalize, detects in ladder:
+def _ladder(ladder) -> dict:
+    rows = {}
+    for fft_size, num_blocks, hop, m, normalize, hops in ladder:
         statistic = "coherence" if normalize else "peak-abs"
         label = f"K={fft_size},N={num_blocks},hop={hop},{statistic}"
         engine_row, spectra_row = _bench_row(
-            fft_size, num_blocks, hop, m, normalize, detects
+            fft_size, num_blocks, hop, m, normalize, hops
         )
         rows[label] = {"engine": engine_row, "spectra": spectra_row}
+    return rows
 
+
+def emit(smoke: bool, json_path: Path) -> dict:
+    rows = _ladder(SMOKE_LADDER)
+    if not smoke:
+        rows.update(full_only(_ladder(FULL_LADDER)))
     gate_label = list(rows)[-1]
     payload = {
         "benchmark": "bench_streaming",

@@ -3,15 +3,22 @@
 Compares every timing figure (any key in :data:`TIMING_KEYS`) in
 freshly-generated benchmark JSON against the committed baselines and
 fails when any entry regresses by more than the tolerance factor
-(default 2x — wide enough to absorb runner noise, tight enough to
-catch a backend accidentally falling off its fast path).
+(default 1.5x).  Every benchmark row is timed by
+``benchmarks/_timing.py``: a budget median on one pinned CPU and one
+BLAS thread, scaled to nominal host speed by a reference kernel timed
+between slices of its calls.  On unchanged code nearly every row then
+reads within 0.8-1.25x of its baseline, so a 1.5x tolerance catches a
+stage falling off its fast path.
 
-Entries are matched by their JSON path (file, then nested keys).  A
-record is only compared when its *operating point* — the geometry
-keys listed in :data:`OPERATING_POINT_KEYS` that appear in both
-records — is identical; a smoke-geometry run therefore skips the
-full-geometry baselines instead of producing an apples-to-oranges
-failure.  New and retired entries are reported as informational.
+Entries are matched by their JSON path (file, then nested keys), and a
+record is only compared when its *operating point* - the geometry keys
+listed in :data:`OPERATING_POINT_KEYS` that appear in both records -
+is identical.  Every row must be compared: a new entry, a retired
+entry, a changed operating point or an unusable value fails the guard,
+unless the baseline row carries ``"full_only": true`` (a geometry only
+full runs write, absent from CI's ``--smoke`` run).  Full runs of the
+bench scripts record their ``--smoke`` geometries too, so the smoke
+run has a baseline for every row it writes.
 
 Because the committed baselines come from whatever machine last
 regenerated them, absolute ratios conflate machine speed with real
@@ -33,7 +40,7 @@ CI usage (the bench-smoke job)::
     python benchmarks/bench_estimators.py --smoke
     ...
     python benchmarks/check_perf_regression.py \
-        --baseline bench-baseline --current . --tolerance 2.0
+        --baseline bench-baseline --current . --tolerance 1.5
 """
 
 from __future__ import annotations
@@ -150,15 +157,25 @@ def operating_points_match(baseline: dict, current: dict) -> bool:
 def gather_comparisons(name: str, baseline: dict, current: dict):
     """Pair up timings of one benchmark JSON file.
 
-    Returns ``(comparisons, notes)``: comparisons are
+    Returns ``(comparisons, notes, uncompared)``: comparisons are
     ``(label, baseline, current, is_memory)`` rows ready for the
     tolerance check (seconds, or bytes when *is_memory*), notes are
-    informational strings (new entries, retired entries,
-    operating-point changes).
+    informational strings (fault counters, full-only rows a run left
+    out), and uncompared are the figures neither side can be compared
+    on: a new entry or timing key, a retired one, a changed operating
+    point or an unusable value.  Each of those fails the guard unless
+    the baseline row is marked ``"full_only": true``.
     """
     baseline_entries = dict(collect_timings(baseline))
     current_entries = dict(collect_timings(current))
-    comparisons, notes = [], []
+    comparisons, notes, uncompared = [], [], []
+
+    def not_compared(label: str, reason: str, reference: dict | None) -> None:
+        if reference is not None and reference.get("full_only"):
+            notes.append(f"{label}: full-only row, {reason}")
+        else:
+            uncompared.append(f"{label}: {reason}")
+
     for path, record in current_entries.items():
         prefix = f"{name}:{'.'.join(path)}"
         for key in COUNTER_KEYS:
@@ -171,32 +188,30 @@ def gather_comparisons(name: str, baseline: dict, current: dict):
                 )
         reference = baseline_entries.get(path)
         if reference is None:
-            notes.append(f"{prefix}: new entry (no baseline)")
+            not_compared(prefix, "new entry (no baseline)", None)
             continue
         if not operating_points_match(reference, record):
-            notes.append(f"{prefix}: operating point changed - skipped")
+            not_compared(prefix, "operating point changed", reference)
             continue
         for key in TIMING_KEYS + MEMORY_KEYS:
             if key not in record and key not in reference:
                 continue
             label = prefix if key == TIMING_KEYS[0] else f"{prefix}.{key}"
             if key not in record:
-                # A baseline timing the fresh run no longer emits (e.g.
-                # a benchmark dropped a field): note it, don't crash.
-                notes.append(
-                    f"{label}: baseline key absent from current run - skipped"
+                not_compared(
+                    label, "baseline key absent from current run", reference
                 )
                 continue
             if key not in reference:
-                notes.append(f"{label}: new timing key (no baseline)")
+                not_compared(label, "new timing key (no baseline)", reference)
                 continue
             base_seconds = reference[key]
             now_seconds = record[key]
             if not isinstance(base_seconds, (int, float)) or base_seconds <= 0:
-                notes.append(f"{label}: unusable baseline - skipped")
+                not_compared(label, "unusable baseline", reference)
                 continue
             if not isinstance(now_seconds, (int, float)) or now_seconds <= 0:
-                notes.append(f"{label}: unusable current value - skipped")
+                not_compared(label, "unusable current value", reference)
                 continue
             comparisons.append(
                 (
@@ -206,13 +221,14 @@ def gather_comparisons(name: str, baseline: dict, current: dict):
                     key in MEMORY_KEYS,
                 )
             )
-    for path in baseline_entries:
+    for path, reference in baseline_entries.items():
         if path not in current_entries:
-            notes.append(
-                f"{name}:{'.'.join(path)}: retired entry (in baseline, "
-                "absent from current run)"
+            not_compared(
+                f"{name}:{'.'.join(path)}",
+                "retired entry (in baseline, absent from current run)",
+                reference,
             )
-    return comparisons, notes
+    return comparisons, notes, uncompared
 
 
 def _median(values):
@@ -234,8 +250,8 @@ def main(argv=None) -> int:
         help="directory holding the freshly generated BENCH_*.json",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=2.0,
-        help="maximum allowed current/baseline slowdown factor (default 2.0)",
+        "--tolerance", type=float, default=1.5,
+        help="maximum allowed current/baseline slowdown factor (default 1.5)",
     )
     parser.add_argument(
         "--calibrate", choices=("median", "none"), default="median",
@@ -249,28 +265,22 @@ def main(argv=None) -> int:
         print(f"no BENCH_*.json baselines under {args.baseline}", file=sys.stderr)
         return 2
 
-    comparisons, notes = [], []
-    baseline_names = {path.name for path in baseline_files}
-    # Fresh BENCH files with no committed baseline (a newly added
-    # benchmark) are informational, never a failure.
-    for current_path in sorted(args.current.glob("BENCH_*.json")):
-        if current_path.name not in baseline_names:
-            notes.append(
-                f"{current_path.name}: new benchmark file (no baseline) "
-                "- skipped"
-            )
-    for baseline_path in baseline_files:
-        current_path = args.current / baseline_path.name
-        if not current_path.exists():
-            notes.append(f"{baseline_path.name}: no current run - skipped")
-            continue
-        file_comparisons, file_notes = gather_comparisons(
-            baseline_path.name,
-            json.loads(baseline_path.read_text()),
-            json.loads(current_path.read_text()),
+    comparisons, notes, uncompared = [], [], []
+    # A file on one side only is compared against an empty record, so
+    # each of its rows fails as new or retired (bar full-only rows).
+    current_files = sorted(args.current.glob("BENCH_*.json"))
+    names = sorted({path.name for path in baseline_files + current_files})
+    for name in names:
+        records = [
+            json.loads(path.read_text()) if path.exists() else {}
+            for path in (args.baseline / name, args.current / name)
+        ]
+        file_comparisons, file_notes, file_uncompared = gather_comparisons(
+            name, *records
         )
         comparisons.extend(file_comparisons)
         notes.extend(file_notes)
+        uncompared.extend(file_uncompared)
 
     calibration = 1.0
     timings = [row for row in comparisons if not row[3]]
@@ -301,6 +311,8 @@ def main(argv=None) -> int:
         )
     for note in notes:
         print(f"  [info] {note}")
+    for item in uncompared:
+        print(f"  UNCOMPARED {item}")
 
     if failures:
         print(
@@ -308,6 +320,14 @@ def main(argv=None) -> int:
             f"{args.tolerance:.1f}x: " + ", ".join(failures),
             file=sys.stderr,
         )
+    if uncompared:
+        print(
+            f"\n{len(uncompared)} figure(s) not compared (a row that is "
+            "not full-only must be in both runs at the same operating "
+            "point)",
+            file=sys.stderr,
+        )
+    if failures or uncompared:
         return 1
     print("\nno perf regressions beyond tolerance")
     return 0
