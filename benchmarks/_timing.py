@@ -3,20 +3,24 @@
 Every row runs on one CPU and one BLAS thread (:func:`pin`): on a
 virtual machine a hand-off between two vCPUs, or between OpenBLAS
 threads, waits for the hypervisor, and that wait follows the host's
-load rather than the code.  A row is a budget median
-(:func:`median_seconds`): as many calls as fill :data:`BUDGET_SECONDS`,
-and at least :data:`MIN_CALLS` (a 3-call median once read a ~3 ms row
-2.26x slow).  And a row reads at nominal host speed: a shared vCPU's
-speed moves by up to 2x from one millisecond to the next, so the calls
-are cut into slices of a few milliseconds, one operation of a
+load rather than the code.  The sharding rows, which time worker
+processes, run inside :func:`all_cpus` instead: on every CPU the
+process started with, still with one BLAS thread.
+
+A row is a budget median (:func:`median_seconds`): as many calls as
+fill :data:`BUDGET_SECONDS`, and at least :data:`MIN_CALLS` (a 3-call
+median once read a ~3 ms row 2.26x slow).  And a row reads at nominal
+host speed: a shared vCPU's speed moves by up to 2x within a row, so
+the calls are cut into :data:`PROBES` slices, one operation of a
 reference kernel of perfbench's :mod:`hostspeed` is timed between two
 slices, and each call is scaled by the host speed of the probes either
-side of its slice (a call's and its neighbouring probe's log-times
-correlate at 0.7-0.85, slope near 1, on the development host).
+side of its slice.  Over ten alternating CI-style smoke sets on the
+development host this kept every guarded ratio within 1.44x, where one
+reading before and one after each row let 5 of 10 sets reach 1.52-1.73x.
 
 Rows that keep their own clock (a load run's latencies, a fresh
 interpreter's launch) run inside :func:`nominal` instead, which reads
-the host speed before and after the run.
+the host speed before and after the run, and :func:`scaled` applies it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +52,35 @@ BUDGET_SECONDS = 0.2
 MIN_CALLS = 3
 PROBES = 32
 
+_HOST_CPUS = (
+    sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+)
+#: How many CPUs the process started with (what :func:`all_cpus` runs on).
+CPUS = len(_HOST_CPUS) or os.cpu_count() or 1
+_cpus = _HOST_CPUS[:1]
+
 
 def pin() -> None:
-    """Run this process on one CPU and numpy's BLAS on one thread
-    (both process-wide, and inherited by workers started later)."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    """Run this process on one CPU (every CPU inside :func:`all_cpus`)
+    and numpy's BLAS on one thread; both are process-wide and inherited
+    by workers started later."""
+    if _cpus:
+        os.sched_setaffinity(0, _cpus)
     pin_blas_thread()
+
+
+@contextmanager
+def all_cpus():
+    """Time the block on every CPU the process started with, so worker
+    processes started inside it can run side by side."""
+    global _cpus
+    _cpus = _HOST_CPUS
+    try:
+        pin()
+        yield
+    finally:
+        _cpus = _HOST_CPUS[:1]
+        pin()
 
 
 def _probe() -> float:
@@ -70,6 +97,17 @@ def nominal(run):
     before = METER.speed()
     result = run()
     return result, 0.5 * (before + METER.speed())
+
+
+def scaled(row: dict, factor: float) -> dict:
+    """*row* at nominal speed: its ``*seconds*`` fields multiplied by a
+    :func:`nominal` *factor*, its rates divided by it."""
+    for key, value in row.items():
+        if "seconds" in key:
+            row[key] = value * factor
+        elif key.endswith(("_per_second", "_rps")) and value:
+            row[key] = value / factor
+    return row
 
 
 def call_seconds(

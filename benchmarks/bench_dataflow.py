@@ -20,9 +20,11 @@ across PRs (and guarded by ``benchmarks/check_perf_regression.py``):
   the shard array itself would cost.  The shared transport is also
   timed end to end and pinned bitwise equal to the serial run.
 
-Every timing is a budget median taken by ``benchmarks/_timing.py``.
-The rows sit in two sections: ``dataflow.smoke`` at tiny geometries
-and ``dataflow.full`` at the paper point.  A full run writes both, so
+Every timing is a budget median taken by ``benchmarks/_timing.py``
+(the transport row on every CPU the process started with, as its two
+workers run side by side; the others on one pinned CPU).  The rows
+sit in two sections: ``dataflow.smoke`` at tiny geometries and
+``dataflow.full`` at the paper point.  A full run writes both, so
 the perf guard compares CI's ``--smoke`` rows against the committed
 baseline; ``--smoke`` writes only the smoke section (no gating).
 
@@ -41,13 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import Engine, available_cpus
+from repro.engine import Engine
 from repro.engine.shm import SharedArraySegment
 from repro.pipeline import PipelineConfig
 from repro.pipeline.config import FLOAT32_BACKENDS
 from repro.signals.noise import awgn
 
-from _timing import call_seconds, full_only, median_seconds
+from _timing import CPUS, all_cpus, call_seconds, full_only, median_seconds
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_dataflow.json"
 
@@ -142,7 +144,7 @@ def _transport_rows(geometry: dict, trials: int, jobs: int) -> dict:
 
     with Engine() as serial:
         reference = serial.statistics(signals, config=config)
-    with Engine(jobs=jobs) as engine:
+    with all_cpus(), Engine(jobs=jobs) as engine:
         engine.statistics(signals, config=config)  # warm pool + plan
         seconds = median_seconds(
             lambda: engine.statistics(signals, config=config)
@@ -191,7 +193,7 @@ def emit(smoke: bool, json_path: Path) -> dict:
         "smoke": smoke,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "cpus": available_cpus(),
+        "cpus": CPUS,
         "dataflow": dataflow,
     }
     with open(json_path, "w") as handle:

@@ -33,10 +33,10 @@ the trajectory is tracked across PRs (and guarded by
   ``peak_bytes`` absolutely.
 
 Every timing is a budget median taken by ``benchmarks/_timing.py``,
-on one pinned CPU and one BLAS thread.  Worker processes inherit the
-CPU pin, so the sharding rows measure what sharding costs on one CPU
-and ``cpus`` in the JSON reads 1 (the >= 1.5x gate then reports
-itself skipped).  Regenerate the JSON::
+on one pinned CPU and one BLAS thread, except the sharding rows: their
+pool starts and runs on every CPU the process started with (still one
+BLAS thread), which is the ``cpus`` the JSON records and the jobs = 4
+gate reads.  Regenerate the JSON::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
 
@@ -60,11 +60,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.scf import GramKernel
-from repro.engine import Engine, PlanCache, available_cpus
+from repro.engine import Engine, PlanCache
 from repro.pipeline import PipelineConfig
 from repro.signals.noise import awgn
 
-from _timing import full_only, median_seconds
+from _timing import CPUS, all_cpus, full_only, median_seconds
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -174,7 +174,7 @@ def _sharding_ladder(config: PipelineConfig, trials: int, jobs_ladder) -> dict:
     reference = None
     baseline_seconds = None
     for jobs in jobs_ladder:
-        with Engine(jobs=jobs) as engine:
+        with all_cpus(), Engine(jobs=jobs) as engine:
             engine.statistics(signals, config=config)  # warm pool + plan
             seconds = median_seconds(
                 lambda: engine.statistics(signals, config=config)
@@ -307,7 +307,7 @@ def emit(smoke: bool, jobs_ladder, json_path: Path) -> dict:
         "smoke": smoke,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "cpus": available_cpus(),
+        "cpus": CPUS,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "engine": engine,
     }

@@ -30,7 +30,11 @@ from _timing import call_seconds
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_scanner.json"
 
-#: ``repro scan --smoke``'s scenario, geometry and capture seed.
+#: ``repro scan --smoke``'s scenario, geometry and capture seed: the
+#: ``--smoke`` defaults of ``_cmd_scan`` in ``src/repro/cli.py`` (its
+#: ``preset_default``/``geometry_default``) and the ``--sample-rate-mhz``
+#: and ``--seed`` defaults of its parser.  A change there must be made
+#: here too, or this file times a different capture than CI scans.
 PRESET = "linear-pair"
 SAMPLE_RATE_HZ = 8e6
 FFT_SIZE = 32

@@ -119,7 +119,7 @@ from repro.serve import (
 )
 from repro.signals.noise import awgn
 
-from _timing import call_seconds, full_only, nominal
+from _timing import call_seconds, full_only, nominal, scaled
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
@@ -426,7 +426,7 @@ def _cold_start_once(config: PipelineConfig) -> dict:
 def _cold_start_row(config: PipelineConfig) -> dict:
     """Medians of :data:`COLD_START_REPEATS` fresh-interpreter launches."""
     samples = [
-        _at_nominal(*nominal(lambda: _cold_start_once(config)))
+        scaled(*nominal(lambda: _cold_start_once(config)))
         for _ in range(COLD_START_REPEATS)
     ]
     window = awgn(config.samples_per_decision, seed=COLD_START_SEED)
@@ -637,17 +637,6 @@ def _wire_decode() -> dict:
     return rows
 
 
-def _at_nominal(row: dict, factor: float) -> dict:
-    """*row* read at nominal host speed: its seconds multiplied by the
-    host-speed *factor* of :func:`_timing.nominal`, its rates divided."""
-    for key, value in row.items():
-        if "seconds" in key:
-            row[key] = value * factor
-        elif key.endswith(("_per_second", "_rps")) and value:
-            row[key] = value / factor
-    return row
-
-
 def _combined(runs: list[dict]) -> dict:
     """One row from a load point's runs: timings are the medians, fault
     counters the sums."""
@@ -681,7 +670,7 @@ def _ladder(config: PipelineConfig, clients_ladder, requests: dict) -> dict:
     for _ in range(LADDER_REPEATS):
         for point, (measure, *args) in points.items():
             runs[point].append(
-                _at_nominal(*nominal(lambda: asyncio.run(measure(*args))))
+                scaled(*nominal(lambda: asyncio.run(measure(*args))))
             )
     rows: dict[str, dict] = {
         "coalesced": {},

@@ -3,12 +3,14 @@
 Compares every timing figure (any key in :data:`TIMING_KEYS`) in
 freshly-generated benchmark JSON against the committed baselines and
 fails when any entry regresses by more than the tolerance factor
-(default 1.5x).  Every benchmark row is timed by
+(default 2x).  Every benchmark row is timed by
 ``benchmarks/_timing.py``: a budget median on one pinned CPU and one
 BLAS thread, scaled to nominal host speed by a reference kernel timed
-between slices of its calls.  On unchanged code nearly every row then
-reads within 0.8-1.25x of its baseline, so a 1.5x tolerance catches a
-stage falling off its fast path.
+between slices of its calls.  On unchanged code most rows then read
+within 0.8-1.25x of their baselines, but 1-5 of the 73 CI rows per
+smoke set still fall outside that band (up to 1.44x, mostly the serve
+ladder's p99s), so the tolerance stays at 2x until two back-to-back
+smoke sets keep every row inside it.
 
 Entries are matched by their JSON path (file, then nested keys), and a
 record is only compared when its *operating point* - the geometry keys
@@ -40,7 +42,7 @@ CI usage (the bench-smoke job)::
     python benchmarks/bench_estimators.py --smoke
     ...
     python benchmarks/check_perf_regression.py \
-        --baseline bench-baseline --current . --tolerance 1.5
+        --baseline bench-baseline --current . --tolerance 2.0
 """
 
 from __future__ import annotations
@@ -250,8 +252,8 @@ def main(argv=None) -> int:
         help="directory holding the freshly generated BENCH_*.json",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=1.5,
-        help="maximum allowed current/baseline slowdown factor (default 1.5)",
+        "--tolerance", type=float, default=2.0,
+        help="maximum allowed current/baseline slowdown factor (default 2.0)",
     )
     parser.add_argument(
         "--calibrate", choices=("median", "none"), default="median",

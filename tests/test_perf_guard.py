@@ -57,9 +57,9 @@ def _rows(factors: dict) -> dict:
 
 
 class TestGuard:
-    def test_default_tolerance_is_one_and_a_half(self, tmp_path):
-        assert _run(tmp_path, _rows({}), _rows({"a": 1.45})) == 0
-        assert _run(tmp_path, _rows({}), _rows({"a": 1.6})) == 1
+    def test_default_tolerance_is_two(self, tmp_path):
+        assert _run(tmp_path, _rows({}), _rows({"a": 1.9})) == 0
+        assert _run(tmp_path, _rows({}), _rows({"a": 2.1})) == 1
 
     def test_one_row_slowed_1_6x_among_five_fails(self, tmp_path):
         slower = _rows({"c": 1.6})
@@ -86,9 +86,9 @@ class TestGuard:
             **_rows({name: 0.5 for name in "abcde"}),
             "memory": {"peak_bytes": 1 << 20},
         }
-        assert _run(tmp_path, baseline, faster) == 0
+        assert _run(tmp_path, baseline, faster, "--tolerance", "1.5") == 0
         grown = {**_rows({}), "memory": {"peak_bytes": int(1.6 * (1 << 20))}}
-        assert _run(tmp_path, baseline, grown) == 1
+        assert _run(tmp_path, baseline, grown, "--tolerance", "1.5") == 1
 
     @pytest.mark.parametrize(
         "current",
@@ -215,6 +215,20 @@ class TestTimer:
         result, factor = timing.nominal(lambda: "ran")
         assert (result, factor) == ("ran", pytest.approx(0.6))
 
+    def test_scaled_multiplies_seconds_and_divides_rates(self):
+        row = {
+            "fft_size": 32,
+            "p99_latency_seconds": 2.0,
+            "requests_per_second": 10.0,
+            "throughput_rps": 4.0,
+        }
+        assert timing.scaled(row, 0.5) == {
+            "fft_size": 32,
+            "p99_latency_seconds": 1.0,
+            "requests_per_second": 20.0,
+            "throughput_rps": 8.0,
+        }
+
     def test_full_only_marks_every_row(self):
         section = {"a": {"x": {"seconds_per_estimate": 1.0}}, "b": _row(1.0)}
         timing.full_only(section)
@@ -225,17 +239,24 @@ class TestTimer:
         not hasattr(os, "sched_setaffinity"), reason="no CPU affinity"
     )
     def test_pin_leaves_one_cpu_and_one_blas_thread(self):
+        # all_cpus gives the block every CPU the process started with,
+        # still on one BLAS thread, and pins one CPU again after it.
         script = (
             "import os, sys; sys.path.insert(0, sys.argv[1]);"
             "import _timing;"
             "from repro._compute import _openblas_thread_calls;"
-            "_timing.pin(); calls = _openblas_thread_calls();"
-            "print(len(os.sched_getaffinity(0)),"
-            " calls[1]() if calls else 1)"
+            "calls = _openblas_thread_calls();"
+            "threads = lambda: calls[1]() if calls else 1;"
+            "cpus = lambda: len(os.sched_getaffinity(0));"
+            "_timing.pin(); pinned = (cpus(), threads());"
+            "ctx = _timing.all_cpus(); ctx.__enter__();"
+            "spread = (cpus(), threads()); ctx.__exit__(None, None, None);"
+            "print(*pinned, *spread, cpus(), _timing.CPUS)"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         output = subprocess.run(
             [sys.executable, "-c", script, str(BENCHMARKS)],
             capture_output=True, text=True, env=env, check=True,
         ).stdout
-        assert output.split() == ["1", "1"]
+        host = str(len(os.sched_getaffinity(0)))
+        assert output.split() == ["1", "1", host, "1", "1", host]
