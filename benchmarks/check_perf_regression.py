@@ -7,10 +7,10 @@ fails when any entry regresses by more than the tolerance factor
 ``benchmarks/_timing.py``: a budget median on one pinned CPU and one
 BLAS thread, scaled to nominal host speed by a reference kernel timed
 between slices of its calls.  On unchanged code most rows then read
-within 0.8-1.25x of their baselines, but 1-5 of the 73 CI rows per
-smoke set still fall outside that band (up to 1.44x, mostly the serve
-ladder's p99s), so the tolerance stays at 2x until two back-to-back
-smoke sets keep every row inside it.
+within 0.8-1.25x of their baselines, but in 5 of 8 smoke sets 1-13 of
+the 73 CI rows still fell outside that band (up to 1.47x), so the
+tolerance stays at 2x until two back-to-back smoke sets keep every row
+inside it.
 
 Entries are matched by their JSON path (file, then nested keys), and a
 record is only compared when its *operating point* - the geometry keys
