@@ -74,9 +74,7 @@ SHARD_TRIALS = 32
 CACHE_POINTS = {
     "dscf": (PipelineConfig(fft_size=256, num_blocks=32), 16),
     "soc-compiled": (
-        PipelineConfig(
-            fft_size=64, num_blocks=16, backend="soc", soc_compiled=True
-        ),
+        PipelineConfig(fft_size=64, num_blocks=16, backend="soc"),
         16,
     ),
 }
@@ -103,8 +101,7 @@ SMOKE_CACHE_POINTS = {
     "dscf": (PipelineConfig(fft_size=32, num_blocks=8), 8),
     "soc-compiled": (
         PipelineConfig(
-            fft_size=32, num_blocks=8, backend="soc", soc_compiled=True,
-            soc_tiles=2,
+            fft_size=32, num_blocks=8, backend="soc", soc_tiles=2,
         ),
         8,
     ),
@@ -128,7 +125,7 @@ def _drop_cached_plans(config: PipelineConfig) -> None:
     is the Montium trace memo underneath the SoC compiler, cleared
     here so "no plan caching" also recompiles the soc schedule.
     """
-    if config.backend == "soc" and config.soc_compiled:
+    if config.backend == "soc":
         from repro.montium.compiler import clear_trace_cache
 
         clear_trace_cache()

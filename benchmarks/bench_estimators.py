@@ -37,7 +37,6 @@ import argparse
 import json
 import platform
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +117,8 @@ def _measure_backend(backend, config: PipelineConfig) -> dict:
 def _backend_throughput() -> dict:
     """Seconds per DSCF estimate for every registered backend.
 
-    Every backend — including the cycle-level ``soc`` substrate and
-    its trace-compiled mode — is measured at the *same* small
+    Every backend — including the cycle-level ``soc`` substrate,
+    which replays its compiled trace — is measured at the *same* small
     operating point (K = 64, N = 16, M = 7), so the reported speedups
     are directly comparable.  The cycle-accurate rows additionally
     record a tiny (K = 16, N = 4) point under ``<name>@tiny``: the
@@ -134,13 +133,6 @@ def _backend_throughput() -> dict:
         rows[name] = _measure_backend(backend, small)
         if backend.capabilities.cycle_accurate:
             rows[f"{name}@tiny"] = _measure_backend(backend, tiny)
-    soc = get_backend("soc")
-    rows["soc-compiled"] = _measure_backend(
-        soc, replace(small, soc_compiled=True)
-    )
-    rows["soc-compiled@tiny"] = _measure_backend(
-        soc, replace(tiny, soc_compiled=True)
-    )
     return rows
 
 

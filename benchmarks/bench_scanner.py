@@ -4,8 +4,9 @@ Not a paper artifact: times the wideband :class:`~repro.scanner.BandScanner`
 on the capture ``repro scan --smoke`` scans (the ``linear-pair`` preset,
 four sub-bands of K = 32, N = 32 at 8 MHz) and emits the
 machine-readable ``BENCH_scanner.json`` at the repo root, guarded by
-``benchmarks/check_perf_regression.py``.  ``batched`` scores every
-sub-band in one engine batch, ``per_band`` one band at a time; the two
+``benchmarks/check_perf_regression.py``.  ``batched`` is the scanner's
+own ``band_statistics`` (every sub-band in one engine batch),
+``per_band`` a loop of the pipeline's per-band ``statistic``; the two
 are called in turn on the same sub-band series, their statistics must
 be bit-for-bit equal, and each timing is a budget median taken by
 ``benchmarks/_timing.py``.
@@ -55,19 +56,17 @@ def main() -> int:
     scanner = BandScanner(config)
     capture, _ = scenario.realize(scanner.required_samples, seed=SEED)
     bands = scanner.channelize(capture)
-    batched, per_band = (
-        scanner.band_statistics(bands, batched=mode) for mode in (True, False)
-    )
+
+    def per_band_loop():
+        return np.array([scanner.pipeline.statistic(band) for band in bands])
+
+    batched = scanner.band_statistics(bands)
+    per_band = per_band_loop()
     if not np.array_equal(batched.view(np.uint64), per_band.view(np.uint64)):
         print("FAIL: batched and per-band statistics differ", file=sys.stderr)
         return 1
     seconds = np.median(
-        call_seconds(
-            *(
-                partial(scanner.band_statistics, bands, batched=mode)
-                for mode in (True, False)
-            )
-        ),
+        call_seconds(partial(scanner.band_statistics, bands), per_band_loop),
         axis=0,
     )
     point = {

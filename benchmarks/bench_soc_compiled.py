@@ -31,9 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.scf import spectral_coherence
 from repro.montium.compiler import clear_trace_cache, compile_platform
 from repro.engine import Engine
-from repro.pipeline import DetectionPipeline, PipelineConfig
+from repro.pipeline import PipelineConfig
 from repro.signals.noise import awgn
 from repro.soc import PlatformConfig, SoCRunner, aaf_drbpf
 
@@ -96,33 +97,52 @@ def _mode_row(platform_config: PlatformConfig, num_blocks: int) -> dict:
     }
 
 
+def _interpreted_statistic(runner, host, config, signal) -> float:
+    """One trial's statistic on the instruction-level interpreter: the
+    coherence of its DSCF against the host block spectra's mean power,
+    maximised over the searched cyclic columns."""
+    dscf = runner.run(signal, config.num_blocks).dscf
+    spectra = host.block_spectra(signal[None])[0]
+    surface = spectral_coherence(dscf, np.mean(np.abs(spectra) ** 2, axis=0))
+    return float(surface[:, host.searched_columns].max())
+
+
 def _batched_monte_carlo() -> dict:
     """Compiled batched soc trials vs the interpreted per-trial loop."""
-    interpreted_config = PipelineConfig(**BATCH_CONFIG_KWARGS)
-    compiled_config = PipelineConfig(**BATCH_CONFIG_KWARGS, soc_compiled=True)
+    config = PipelineConfig(**BATCH_CONFIG_KWARGS)
     signals = np.stack(
         [
-            awgn(interpreted_config.samples_per_decision, seed=74 + trial)
+            awgn(config.samples_per_decision, seed=74 + trial)
             for trial in range(BATCH_TRIALS)
         ]
     )
-    interpreted_pipeline = DetectionPipeline(interpreted_config)
-    plan = Engine().plan(compiled_config)
-    plan.statistics(signals[:2])  # warm-up (compiles + caches the trace)
-    interpreted_pipeline.statistic(signals[0])
-
-    loop_seconds = median_seconds(
-        lambda: [interpreted_pipeline.statistic(signal) for signal in signals]
+    runner = SoCRunner(
+        PlatformConfig(
+            num_tiles=config.soc_tiles, fft_size=config.fft_size, m=config.m
+        )
     )
+    engine = Engine()
+    host = engine.plan(config.with_backend("vectorized"))
+    plan = engine.plan(config)
+    plan.statistics(signals[:2])  # warm-up (compiles + caches the trace)
+
+    def loop():
+        return np.array(
+            [
+                _interpreted_statistic(runner, host, config, signal)
+                for signal in signals
+            ]
+        )
+
+    loop()  # warm-up
+    loop_seconds = median_seconds(loop)
     batch_seconds = median_seconds(lambda: plan.statistics(signals))
     batch_statistics = plan.statistics(signals)
-    loop_statistics = np.array(
-        [interpreted_pipeline.statistic(signal) for signal in signals]
-    )
+    loop_statistics = loop()
     return {
-        "fft_size": interpreted_config.fft_size,
-        "num_blocks": interpreted_config.num_blocks,
-        "m": interpreted_config.m,
+        "fft_size": config.fft_size,
+        "num_blocks": config.num_blocks,
+        "m": config.m,
         "trials": BATCH_TRIALS,
         "loop_seconds": loop_seconds,
         "batch_seconds": batch_seconds,

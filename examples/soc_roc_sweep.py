@@ -1,13 +1,13 @@
-"""Pd-vs-SNR ROC sweep on the paper's SoC platform model — compiled.
+"""Pd-vs-SNR ROC sweep on the paper's SoC platform model.
 
 A Monte-Carlo detection-probability sweep needs hundreds of DSCF
 estimates; on the instruction-level interpreter the paper's own
 platform (4 Montium tiles, K = 256, 127 x 127) manages only a few
 estimates per second, which made this exact experiment impractical.
-The trace-compiled engine (``PipelineConfig(soc_compiled=True)``,
-see ``repro.montium.compiler``) replays the *same cycle-exact
+The ``soc`` backend runs on the trace-compiled engine (see
+``repro.montium.compiler``), which replays the *same cycle-exact
 platform* — bit-identical DSCF values, cycle tables and energy — as
-vectorised NumPy, so the full sweep now runs in seconds.
+vectorised NumPy, so the full sweep runs in seconds.
 
 The sweep characterises the detector the paper's hardware would
 implement: a BPSK licensed user in AWGN, sensed at the paper's
@@ -43,7 +43,6 @@ def main() -> None:
         m=platform.m,
         backend="soc",
         soc_tiles=platform.num_tiles,
-        soc_compiled=True,
         pfa=PFA,
     )
     samples_needed = config.samples_per_decision
@@ -86,7 +85,6 @@ def main() -> None:
         config=config,
         pfa=PFA,
         trials=TRIALS,
-        detector_name="cyclostationary/soc-compiled",
     )
     sweep_seconds = time.perf_counter() - started
 

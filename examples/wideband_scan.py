@@ -18,9 +18,9 @@ The :class:`~repro.scanner.BandScanner` recovers the plan blind:
 
 The script asserts full recovery — every planted emitter's band
 detected *and* its modulation class named — plus two structural
-guarantees: the batched path is bit-for-bit the per-band path, and the
-cycle-exact compiled-SoC backend reaches the same occupancy decisions
-as the vectorised software estimator.
+guarantees: the batched scan is bit-for-bit the per-band pipeline
+loop, and the cycle-exact SoC backend reaches the same occupancy
+decisions as the vectorised software estimator.
 
 Run:  python examples/wideband_scan.py
 """
@@ -90,24 +90,23 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Structural guarantee 1: batched == per-band, bit for bit
     # ------------------------------------------------------------------
-    batched = scanner.scan(capture, batched=True, classify=False)
-    per_band = scanner.scan(capture, batched=False, classify=False)
-    assert np.array_equal(batched.statistics, per_band.statistics)
-    print("batched scan is bit-for-bit the per-band singleton scan")
+    per_band = [
+        scanner.pipeline.statistic(series)
+        for series in scanner.channelize(capture)
+    ]
+    assert np.array_equal(occupancy.statistics, per_band)
+    print("batched scan is bit-for-bit the per-band pipeline loop")
 
     # ------------------------------------------------------------------
     # Structural guarantee 2: the tiled-SoC platform concurs
     # ------------------------------------------------------------------
-    soc_config = replace(config, backend="soc", soc_compiled=True)
+    soc_config = replace(config, backend="soc")
     soc_scanner = BandScanner(soc_config, leak_margin=LEAK_MARGIN)
     soc_occupancy = soc_scanner.scan(capture, classify=False)
     assert np.array_equal(soc_occupancy.decisions, occupancy.decisions), (
-        "compiled-SoC occupancy decisions must match the software estimator"
+        "SoC occupancy decisions must match the software estimator"
     )
-    print(
-        "cycle-exact compiled-SoC backend reaches the same occupancy "
-        "decisions"
-    )
+    print("cycle-exact SoC backend reaches the same occupancy decisions")
     print("\nall 5 emitters recovered blind - band plan + modulation classes")
 
 

@@ -85,15 +85,11 @@ def pd_vs_snr_by_backend(
     ----------
     config:
         A :class:`repro.pipeline.PipelineConfig`; its ``backend`` field
-        is overridden per sweep.  With ``soc_compiled=True`` the
-        ``"soc"`` backend may be swept too: the cycle-exact platform
-        model runs as batched trace replay (see
-        ``examples/soc_roc_sweep.py``), which an interpreted soc sweep
-        is far too slow for.
+        is overridden per sweep.  The ``"soc"`` backend sweeps like
+        the others: the cycle-exact platform model runs as batched
+        trace replay (see ``examples/soc_roc_sweep.py``).
     backends:
-        Registered backend names to sweep (each must either advertise
-        ``supports_batch`` or hand the engine a batched executor, like
-        the compiled soc backend).
+        Registered backend names to sweep.
     jobs:
         Worker processes for sharded execution (ignored when *engine*
         is given); every backend's sweep reuses one pool.
@@ -107,7 +103,7 @@ def pd_vs_snr_by_backend(
         ``{backend_name: DetectionSweep}`` in *backends* order.
     """
     # Deferred: analysis stays importable without the pipeline package.
-    from ..engine import BatchExecutionPlan, Engine
+    from ..engine import Engine
 
     own_engine = engine is None
     if engine is None:
@@ -115,23 +111,11 @@ def pd_vs_snr_by_backend(
     sweeps = {}
     try:
         for name in backends:
-            swept = config.with_backend(name)
-            plan = engine.plan(swept)
-            if not isinstance(plan, BatchExecutionPlan):
-                # Without this guard a sequential backend would sweep
-                # through the per-trial loop plan — technically correct
-                # but catastrophically slow for the cycle-level soc
-                # interpreter, and historically a silent-fallback trap.
-                raise ConfigurationError(
-                    f"backend {name!r} has no batched executor at this "
-                    "configuration; the cycle-level soc backend requires "
-                    "soc_compiled=True to be swept"
-                )
             sweeps[name] = engine.map_operating_points(
                 h0_factory,
                 h1_factory,
                 snrs_db,
-                config=swept,
+                config=config.with_backend(name),
                 pfa=pfa,
                 trials=trials,
                 detector_name=f"cyclostationary/{name}",

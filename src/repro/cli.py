@@ -28,8 +28,7 @@ Subcommands
     :class:`~repro.scanner.BandScanner`: channelize, detect per
     sub-band on any registered backend, attribute modulation classes,
     and score the occupancy map against the planted ground truth.
-    ``--smoke`` runs a small geometry and writes batched-vs-per-band
-    timings to ``BENCH_scanner.json`` for the CI bench-smoke job.
+    ``--smoke`` runs a small geometry for CI.
 ``sweep``
     Pd-vs-SNR sweep per estimator backend through
     :meth:`repro.engine.Engine.map_operating_points` — identical
@@ -196,11 +195,6 @@ def _cmd_sense(args: argparse.Namespace) -> int:
     from .pipeline import DetectionPipeline
     from .signals.modulators import bpsk_signal
 
-    if args.soc_compiled and args.backend != "soc":
-        raise ConfigurationError(
-            "--soc-compiled selects the trace-compiled SoC engine and "
-            f"only applies to --backend soc (got {args.backend!r})"
-        )
     fft_size = args.fft_size
     num_blocks = args.blocks
     samples_needed = fft_size * num_blocks
@@ -223,7 +217,6 @@ def _cmd_sense(args: argparse.Namespace) -> int:
                 fft_size=fft_size,
                 num_blocks=num_blocks,
                 backend=args.backend,
-                soc_compiled=args.soc_compiled,
                 pfa=args.pfa,
                 calibration=args.calibration,
                 calibration_trials=args.calibration_trials,
@@ -324,9 +317,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    import json
-    import time
-
     from .analysis.occupancy import (
         attribute_emitters,
         format_attribution,
@@ -335,16 +325,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .scanner import BandScanner
     from .signals.wideband import scenario_preset
 
-    if args.soc_compiled and args.backend != "soc":
-        raise ConfigurationError(
-            "--soc-compiled selects the trace-compiled SoC engine and "
-            f"only applies to --backend soc (got {args.backend!r})"
-        )
     # --smoke only swaps in CI-sized defaults; explicit flags win.
     if args.smoke:
         preset_default, geometry_default = "linear-pair", (32, 32, 10)
-        if args.bench_json is None:
-            args.bench_json = "BENCH_scanner.json"
     else:
         preset_default, geometry_default = "five-emitter", (64, 64, 40)
     preset = preset_default if args.preset is None else args.preset
@@ -362,7 +345,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         fft_size=fft_size,
         num_blocks=blocks,
         backend=args.backend,
-        soc_compiled=args.soc_compiled,
         pfa=args.pfa,
         calibration=args.calibration,
         calibration_trials=trials,
@@ -399,56 +381,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             f"recall {confusion.recall:.2f} f1 {confusion.f1:.2f}"
         )
 
-        if args.bench_json:
-            bands = scanner.channelize(capture)
-
-            def best_of(callable_, repeats=3):
-                timings = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    callable_()
-                    timings.append(time.perf_counter() - start)
-                return min(timings)
-
-            batched = best_of(
-                lambda: scanner.band_statistics(bands, batched=True)
-            )
-            per_band = best_of(
-                lambda: scanner.band_statistics(bands, batched=False)
-            )
-            point = {
-                "fft_size": fft_size,
-                "num_blocks": blocks,
-                "num_samples": scanner.band_samples,
-                "trials": num_bands,
-            }
-            payload = {
-                "scanner": {
-                    "preset": preset,
-                    "backend": args.backend,
-                    "num_bands": num_bands,
-                    "batched": {
-                        **point,
-                        "seconds_per_estimate": batched / num_bands,
-                        "seconds_per_scan": batched,
-                    },
-                    "per_band": {
-                        **point,
-                        "seconds_per_estimate": per_band / num_bands,
-                        "seconds_per_scan": per_band,
-                    },
-                    "speedup": per_band / batched if batched > 0 else None,
-                }
-            }
-            with open(args.bench_json, "w") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-            print(
-                f"\nwrote {args.bench_json}: batched {batched * 1e3:.2f} ms vs "
-                f"per-band {per_band * 1e3:.2f} ms per scan "
-                f"({per_band / batched:.1f}x)"
-            )
-
         _print_engine_summary(engine, precision=args.precision)
     finally:
         engine.close()
@@ -460,11 +392,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweeps import pd_vs_snr_by_backend
     from .signals.modulators import bpsk_signal
 
-    if args.soc_compiled and "soc" not in args.backends:
-        raise ConfigurationError(
-            "--soc-compiled selects the trace-compiled SoC engine and "
-            "only applies when 'soc' is among --backends"
-        )
     if args.precision == "float32":
         unsupported = [
             name for name in args.backends if name not in FLOAT32_BACKENDS
@@ -480,7 +407,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         num_blocks=args.blocks,
         pfa=args.pfa,
         calibration=args.calibration,
-        soc_compiled=args.soc_compiled,
         calibration_seed=args.seed,
         precision=args.precision,
     )
@@ -550,7 +476,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
             label
             for label, enabled in (
                 ("batch", capabilities.supports_batch),
-                ("streaming", capabilities.supports_streaming),
                 ("cycle-accurate", capabilities.cycle_accurate),
                 ("full-plane", not capabilities.dscf_exact),
             )
@@ -567,7 +492,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         )
         print(f"  {'':<12s} precision: {precisions}")
         if not session_capable(name):
-            serving = "offline only (neither streaming nor batched execution)"
+            serving = "offline only (no batched execution)"
         elif spectra_refusal(
             PipelineConfig(backend=name), serving=True
         ) is None:
@@ -803,12 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="vectorized",
         help="estimator backend executing the DSCF (see `backends`)",
     )
-    sense.add_argument(
-        "--soc-compiled",
-        action="store_true",
-        help="with --backend soc: execute on the trace-compiled engine "
-        "(bit-identical results, vectorised replay, batched calibration)",
-    )
     _add_engine_arguments(sense)
     sense.set_defaults(func=_cmd_sense)
 
@@ -831,14 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["vectorized", "fam", "ssca"],
         help="estimator backends to sweep side by side on identical "
-        "realisations (batch-capable backends only; soc needs "
-        "--soc-compiled)",
-    )
-    sweep.add_argument(
-        "--soc-compiled",
-        action="store_true",
-        help="with 'soc' in --backends: sweep the trace-compiled "
-        "platform model",
+        "realisations",
     )
     _add_engine_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -945,20 +857,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimator backend deciding each sub-band (see `backends`)",
     )
     scan.add_argument(
-        "--soc-compiled",
-        action="store_true",
-        help="with --backend soc: execute on the trace-compiled engine",
-    )
-    scan.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized run; writes BENCH_scanner.json unless "
-        "--bench-json overrides the path",
-    )
-    scan.add_argument(
-        "--bench-json",
-        default=None,
-        help="write batched-vs-per-band scan timings to this JSON file",
+        help="CI-sized defaults (linear-pair preset, K=32, N=32, "
+        "10 calibration trials)",
     )
     _add_engine_arguments(scan)
     scan.set_defaults(func=_cmd_scan)

@@ -48,7 +48,6 @@ PLAN_KEY_FIELDS = (
     "normalize",
     "cyclic_bins",
     "soc_tiles",
-    "soc_compiled",
     "fam_channels",
     "fam_hop",
     "fam_blocks",

@@ -22,7 +22,7 @@ path** for every plan built by :func:`~repro.engine.plans.build_plan`:
   computes each trial independently of its batch-mates, so
   concatenating shard results reproduces the serial statistics bit
   for bit (pinned by the ``jobs in {1, 2, 4}`` battery
-  in ``tests/test_engine.py`` across dscf, fam, ssca and soc-compiled
+  in ``tests/test_engine.py`` across dscf, fam, ssca and soc
   backends);
 * workers receive only ``(PipelineConfig, descriptor, bounds)`` — the
   trial block is published once via ``multiprocessing.shared_memory``
@@ -660,9 +660,11 @@ class Engine:
     ):
         """Monte-Carlo Pd-vs-SNR sweep at a fixed Pfa.
 
-        One noise-only pass calibrates the threshold, then every SNR
-        point's H1 trials run through the same (cached) plan, sharded
-        when ``jobs > 1``.
+        A configuration's threshold comes from
+        :meth:`calibrate_threshold` on *h0_factory* (its calibration
+        policy; ``"analytic"`` skips the noise pass), a plan's from one
+        noise-only pass; then every SNR point's H1 trials run through
+        the same (cached) plan, sharded when ``jobs > 1``.
 
         Parameters
         ----------
@@ -707,11 +709,10 @@ class Engine:
                 factory, trials, config=config, plan=plan
             )
 
-        if config is not None and config.calibration == "analytic":
-            # Closed-form threshold: the sweep skips the whole
-            # noise-only collection pass — the setup-cost win that
-            # motivates the analytic policy (see repro.core.cfar).
-            threshold = self._analytic_threshold(config, pfa)
+        if plan is None and config is not None:
+            threshold = self.calibrate_threshold(
+                config, noise_factory=h0_factory, pfa=pfa, trials=trials
+            )
         else:
             threshold = calibration_quantile(collect(h0_factory), pfa)
         points = []

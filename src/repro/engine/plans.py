@@ -18,8 +18,9 @@ Two plan classes cover every registered backend:
   :class:`~repro.soc.compiled.CompiledSoCPlan`) when the backend's
   uncached ``batch_plan`` factory returns one.
 * :class:`LoopExecutionPlan` — the per-trial fallback for inherently
-  sequential substrates (the literal reference loop, the interpreted
-  cycle-level SoC).  Statistics match the
+  sequential substrates (the literal reference loop, and any backend
+  registered from outside without a batched executor).  Statistics
+  match the
   :class:`~repro.pipeline.DetectionPipeline` per-trial path bit for
   bit, so the engine can run — and shard — *any* registered backend.
 
@@ -430,7 +431,9 @@ class BatchExecutionPlan:
 
 
 class LoopExecutionPlan:
-    """Per-trial plan for inherently sequential substrates.
+    """Per-trial plan for inherently sequential substrates: the
+    ``reference`` oracle and externally registered backends without a
+    batched executor.
 
     Wraps a private instance of the configured backend (``fresh()``
     when offered, so shared registry state stays untouched) and
@@ -509,8 +512,8 @@ class LoopExecutionPlan:
         per-trial block FFT sweep is skipped.  Rows bitwise equal to the host plan's :meth:`~BatchExecutionPlan.
         block_spectra` slices yield statistics bitwise identical to
         :meth:`statistics` on the raw window.  Raw-sample substrates
-        (the cycle-level soc interpreter) fail :func:`spectra_refusal`
-        and raise :class:`~repro.errors.ConfigurationError`.
+        fail :func:`spectra_refusal` and raise
+        :class:`~repro.errors.ConfigurationError`.
         """
         if self._spectra_refusal is not None:
             raise ConfigurationError(self._spectra_refusal)
@@ -586,8 +589,7 @@ def spectra_refusal(config, serving: bool = False) -> str | None:
     ``repro-cfd backends``.  It is static (capabilities and config
     fields only; no plan is built).  A config qualifies when its
     backend's ``compute`` accepts precomputed spectra — raw-sample
-    substrates (FAM/SSCA lattices, compiled SoC replay, soc
-    interpreter) do not.
+    substrates (FAM/SSCA lattices, compiled SoC replay) do not.
     *serving* (a session scoring its float64 ring spectra) also
     requires float64, the only precision bitwise equal to the engine
     sample path.
@@ -615,15 +617,11 @@ def plan_support(backend_name: str) -> str:
     """
     from ..pipeline.backends import get_backend
 
-    backend = get_backend(backend_name)
-    capabilities = backend.capabilities
-    if backend_name == "soc":
-        return (
-            "batched plan (compiled trace, soc_compiled=True) "
-            "or per-trial loop (interpreter)"
-        )
+    capabilities = get_backend(backend_name).capabilities
     if not capabilities.supports_batch:
         return "per-trial loop plan"
+    if capabilities.cycle_accurate:
+        return "batched plan (compiled trace)"
     if not capabilities.dscf_exact:
         return "batched plan (estimator lattice)"
     return "batched plan (Gram-matrix DSCF)"

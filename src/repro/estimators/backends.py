@@ -150,7 +150,6 @@ class FAMBackend(_FullPlaneBackend):
     name = "fam"
     capabilities = BackendCapabilities(
         supports_batch=True,
-        supports_streaming=False,
         accepts_spectra=False,
         cycle_accurate=False,
         description="FFT Accumulation Method (full-plane, fine alpha)",
@@ -168,7 +167,6 @@ class SSCABackend(_FullPlaneBackend):
     name = "ssca"
     capabilities = BackendCapabilities(
         supports_batch=True,
-        supports_streaming=False,
         accepts_spectra=False,
         cycle_accurate=False,
         description="Strip Spectral Correlation Analyzer (full-plane, exhaustive alpha)",

@@ -50,8 +50,6 @@ class BackendCapabilities:
     supports_batch:
         The computation vectorises across independent trials, so the
         engine builds a :class:`~repro.engine.BatchExecutionPlan`.
-    supports_streaming:
-        Blocks can be integrated one at a time (hardware-style).
     accepts_spectra:
         ``compute`` also takes precomputed ``(N, K)`` block spectra, so
         pipelines can share one spectra pass across stages and the
@@ -74,7 +72,6 @@ class BackendCapabilities:
     """
 
     supports_batch: bool
-    supports_streaming: bool
     accepts_spectra: bool
     cycle_accurate: bool
     description: str
@@ -159,7 +156,6 @@ class ReferenceBackend:
     name = "reference"
     capabilities = BackendCapabilities(
         supports_batch=False,
-        supports_streaming=False,
         accepts_spectra=True,
         cycle_accurate=False,
         description="literal triple-loop DSCF (ground truth)",
@@ -187,7 +183,6 @@ class VectorizedBackend:
     name = "vectorized"
     capabilities = BackendCapabilities(
         supports_batch=True,
-        supports_streaming=False,
         accepts_spectra=True,
         cycle_accurate=False,
         description="Gram-matrix BLAS estimator (production software)",
@@ -210,16 +205,17 @@ class SoCBackend:
     """Cycle-level emulation of the paper's tiled-SoC platform.
 
     Routes the signal through a
-    :class:`~repro.soc.runner.SoCRunner` (per-tile FFT, conjugate
-    reshuffle, folded MAC sweep with inter-tile boundary exchange) and
-    returns the platform's DSCF.
-
-    With ``config.soc_compiled`` the same runner executes on the
-    trace-compiled engine (:mod:`repro.soc.compiled`) — identical
-    values, cycle tables and energy, replayed as vectorised NumPy —
-    and :meth:`batch_plan` additionally builds the batched multi-trial
-    executor the engine's :class:`~repro.engine.BatchExecutionPlan`
-    holds, so Monte-Carlo workloads run in bulk.
+    :class:`~repro.soc.runner.SoCRunner` on the trace-compiled engine
+    (:mod:`repro.soc.compiled`): the Montium programs are interpreted
+    once per platform configuration and replayed as vectorised NumPy,
+    with the instruction-level interpreter's DSCF values, cycle tables
+    and energy bit for bit.  :meth:`batch_plan` builds the batched
+    multi-trial executor the engine's
+    :class:`~repro.engine.BatchExecutionPlan` holds, so Monte-Carlo
+    workloads run in bulk.  The interpreter itself
+    (:class:`~repro.soc.tile_grid.TiledSoC`,
+    ``SoCRunner(compiled=False)``) stays the reference implementation
+    the compiled replay is tested against.
 
     :attr:`last_run` holds the :class:`~repro.soc.runner.SoCRunResult`
     of the *most recent* :meth:`compute` on this instance — read it
@@ -233,13 +229,12 @@ class SoCBackend:
 
     name = "soc"
     capabilities = BackendCapabilities(
-        supports_batch=False,
-        supports_streaming=True,
+        supports_batch=True,
         accepts_spectra=False,
         cycle_accurate=True,
         description=(
-            "cycle-level tiled-SoC emulation (Montium tiles + links); "
-            "soc_compiled=True replays the compiled trace"
+            "cycle-level tiled-SoC emulation (Montium tiles + links), "
+            "replayed from its compiled trace"
         ),
         complexity="O(N (2M+1)^2) MACs, cycle-counted, df=fs/K, da=2fs/K",
     )
@@ -252,13 +247,8 @@ class SoCBackend:
 
     def batch_plan(self, config: PipelineConfig):
         """A new batched trace-replay executor
-        (:class:`~repro.soc.compiled.CompiledSoCPlan`) when the
-        configuration opts in via ``soc_compiled``; ``None`` otherwise
-        (the interpreter is inherently per-trial, so execution falls
-        back to the loop plan).  Uncached: the engine's plan cache
-        retains the plan holding it."""
-        if not config.soc_compiled:
-            return None
+        (:class:`~repro.soc.compiled.CompiledSoCPlan`).  Uncached: the
+        engine's plan cache retains the plan holding it."""
         # Deferred so ``import repro`` stays light: compiling the trace
         # pulls in the whole Montium compiler.
         from ..soc.compiled import CompiledSoCPlan
@@ -289,7 +279,7 @@ class SoCBackend:
             fft_size=config.fft_size,
             m=config.m,
         )
-        runner = SoCRunner(platform, compiled=config.soc_compiled)
+        runner = SoCRunner(platform, compiled=True)
         run = runner.run(samples, config.num_blocks)
         self.last_run = run
         if sample_rate is not None and run.dscf.sample_rate_hz is None:

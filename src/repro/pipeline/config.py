@@ -81,17 +81,6 @@ class PipelineConfig:
         physical-unit axes.
     soc_tiles:
         Tile count Q used when ``backend="soc"`` (paper: 4).
-    soc_compiled:
-        If True, ``backend="soc"`` executes on the trace-compiled
-        engine (:mod:`repro.soc.compiled`): the Montium programs are
-        interpreted once per configuration and replayed as vectorised
-        NumPy operations — bit-for-bit the interpreter's results
-        (values, cycles, energy) at a fraction of the cost — and the
-        backend hands the engine's
-        :class:`~repro.engine.BatchExecutionPlan` a batched multi-trial
-        executor, so soc Monte-Carlo sweeps run like the DSCF batch
-        paths.  Default False (instruction-level
-        interpretation).
     fam_channels:
         Channelizer length N' for ``backend="fam"``; ``None`` derives
         ``clamp(fft_size // 4, 8, 64)`` (64 at the paper's K = 256).
@@ -152,7 +141,6 @@ class PipelineConfig:
     calibration_seed: int = 10_000
     sample_rate_hz: float | None = None
     soc_tiles: int = 4
-    soc_compiled: bool = False
     fam_channels: int | None = None
     fam_hop: int | None = None
     fam_blocks: int | None = None

@@ -14,14 +14,12 @@
    :class:`~repro.scanner.occupancy.OccupancyMap`, with blind
    modulation-class attribution of the occupied bands.
 
-Batch-capable backends take the **batched path**: all sub-bands (and,
-in :meth:`BandScanner.scan_many`, all captures) stack into a single
-:meth:`~repro.engine.Engine.statistics` pass — one bulk FFT across
-sub-bands x trials.  Every per-band statistic of the batched path is
-bit-for-bit identical to scanning that band alone (the plan's
-batch == singleton guarantee); backends without a batched executor
-fall back to the same per-band loop on both paths, so the equality
-holds for *every* registered backend.
+All sub-bands (and, in :meth:`BandScanner.scan_many`, all captures)
+stack into a single :meth:`~repro.engine.Engine.statistics` pass — one
+bulk FFT across sub-bands x trials on batch-capable backends, a
+per-trial loop on the rest.  Every per-band statistic is bit-for-bit
+identical to scanning that band alone through the pipeline (the
+plan's batch == singleton guarantee), on *every* registered backend.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import numpy as np
 
 from .._util import require_positive_int, spawn_substreams
 from ..core.sampling import SampledSignal
-from ..engine import BatchExecutionPlan
 from ..errors import ConfigurationError, SignalError
 from ..pipeline import DetectionPipeline, PipelineConfig
 from ..signals.noise import awgn
@@ -113,9 +110,6 @@ class BandScanner:
         )
         self.engine = engine
         self.pipeline = DetectionPipeline(config, engine=engine)
-        self._batch_capable = isinstance(
-            self.pipeline.engine.plan(config), BatchExecutionPlan
-        )
         self._threshold: float | None = None
 
     # ------------------------------------------------------------------
@@ -244,16 +238,15 @@ class BandScanner:
             samples, band_samples=self.band_samples
         )
 
-    def band_statistics(
-        self, bands: np.ndarray, batched: bool | None = None
-    ) -> np.ndarray:
+    def band_statistics(self, bands: np.ndarray) -> np.ndarray:
         """Detection statistic of every sub-band series in *bands*.
 
-        *bands* is a ``(num_series, band_samples)`` array.  With
-        ``batched=None`` the batched path is taken whenever the backend
-        supports it; ``False`` forces the per-band loop (the two are
-        bit-for-bit identical on every backend — asserted by the
-        scanner parity tests).
+        *bands* is a ``(num_series, band_samples)`` array, scored in
+        one engine pass (sharded across the engine's workers when it
+        carries ``jobs > 1``).  Each statistic is bit-for-bit the
+        pipeline's per-band :meth:`~repro.pipeline.DetectionPipeline.
+        statistic` on that series — asserted by the scanner parity
+        tests.
         """
         bands = np.asarray(bands, dtype=np.complex128)
         if bands.ndim != 2:
@@ -261,16 +254,7 @@ class BandScanner:
                 f"bands must be a (num_series, band_samples) array, got "
                 f"shape {bands.shape}"
             )
-        use_batch = self._batch_capable if batched is None else (
-            bool(batched) and self._batch_capable
-        )
-        if use_batch:
-            # Sharded across the engine's workers when it carries
-            # jobs > 1 — bitwise equal to the in-process pass.
-            return self.pipeline.engine.statistics(bands, config=self.config)
-        return np.array(
-            [self.pipeline.statistic(series) for series in bands]
-        )
+        return self.pipeline.engine.statistics(bands, config=self.config)
 
     def _decide(
         self,
@@ -318,14 +302,13 @@ class BandScanner:
     def scan(
         self,
         signal: SampledSignal | np.ndarray,
-        batched: bool | None = None,
         classify: bool = True,
         threshold: float | None = None,
     ) -> OccupancyMap:
         """Blindly scan one wideband capture.
 
         Channelizes, runs every sub-band through the configured
-        backend (batched when possible), thresholds, and attributes a
+        backend in one engine pass, thresholds, and attributes a
         modulation class to each occupied band.
         """
         bands = self.channelize(signal)
@@ -333,13 +316,12 @@ class BandScanner:
             threshold = self._threshold
         if threshold is None:
             threshold = self.calibrate()
-        statistics = self.band_statistics(bands, batched=batched)
+        statistics = self.band_statistics(bands)
         return self._decide(statistics, bands, threshold, classify)
 
     def scan_many(
         self,
         signals,
-        batched: bool | None = None,
         classify: bool = False,
         threshold: float | None = None,
     ) -> list[OccupancyMap]:
@@ -372,7 +354,7 @@ class BandScanner:
         )
         trials = banded.shape[0]
         flat = banded.reshape(trials * self.num_bands, self.band_samples)
-        statistics = self.band_statistics(flat, batched=batched)
+        statistics = self.band_statistics(flat)
         statistics = statistics.reshape(trials, self.num_bands)
         return [
             self._decide(statistics[t], banded[t], threshold, classify)

@@ -76,12 +76,11 @@ _SESSION_COUNTER = itertools.count(1)
 def session_capable(backend_name: str) -> bool:
     """Whether serve sessions may run on *backend_name*.
 
-    A session needs block-at-a-time streaming or batched trial
-    execution (the coalescing scheduler path).  Only the literal
-    ``reference`` oracle offers neither.
+    A session needs batched trial execution (the coalescing scheduler
+    path).  Of the built-in backends only the literal ``reference``
+    oracle lacks it.
     """
-    capabilities = get_backend(backend_name).capabilities
-    return capabilities.supports_batch or capabilities.supports_streaming
+    return get_backend(backend_name).capabilities.supports_batch
 
 
 def serve_backends() -> tuple[str, ...]:
@@ -95,16 +94,16 @@ def require_serve_capable(config: PipelineConfig) -> None:
     """Reject configurations the serving layer cannot stream.
 
     Raises :class:`~repro.errors.ConfigurationError` when *config*
-    names a backend that neither streams nor batches (the per-trial
+    names a backend without batched execution (the per-trial
     ``reference`` oracle): a live session would fall permanently behind
     its own stream.
     """
     if not session_capable(config.backend):
         raise ConfigurationError(
             f"backend {config.backend!r} is not serve-capable: a serve "
-            f"session needs streaming (supports_streaming) or batched "
-            f"(supports_batch) execution, and this backend offers "
-            f"neither — choose one of {', '.join(serve_backends())}"
+            f"session needs batched (supports_batch) execution, which "
+            f"this backend lacks — choose one of "
+            f"{', '.join(serve_backends())}"
         )
 
 

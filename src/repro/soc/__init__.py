@@ -14,7 +14,9 @@
 * :mod:`repro.soc.compiled` — the trace-compiled execution engine:
   the same cycle-exact results replayed as vectorised NumPy operations
   (see :mod:`repro.montium.compiler`), plus the batched Monte-Carlo
-  plan behind ``PipelineConfig.soc_compiled``.
+  plan.  The pipeline's ``soc`` backend always runs on it; the
+  instruction-level interpreter (:mod:`repro.soc.tile_grid`) stays the
+  reference it is tested against.
 """
 
 from .config import PlatformConfig, aaf_drbpf

@@ -1,6 +1,6 @@
 """The trace-compiled SoC execution engine.
 
-:class:`CompiledSoC` is the fast-path drop-in for
+:class:`CompiledSoC` is the drop-in for
 :class:`~repro.soc.tile_grid.TiledSoC`: it replays the
 :class:`~repro.montium.compiler.MontiumTrace` of its platform
 configuration as vectorised NumPy operations instead of interpreting
@@ -8,11 +8,12 @@ the instruction streams, while reporting **identical** DSCF values
 (bit for bit, float and q15), identical per-tile cycle tables,
 identical link-transfer statistics and identical activity-based energy
 — cycles and energy become O(1) arithmetic on the recorded per-block
-activity instead of per-cycle increments.
+activity instead of per-cycle increments.  The pipeline's ``soc``
+backend runs every estimate on it.
 
 :class:`CompiledSoCPlan` is the batched Monte-Carlo executor the
-``soc`` pipeline backend's ``batch_plan`` factory builds when
-``PipelineConfig.soc_compiled`` is set (``dscf_exact`` flavour), so
+``soc`` pipeline backend's ``batch_plan`` factory builds
+(``dscf_exact`` flavour), so
 :class:`~repro.engine.plans.BatchExecutionPlan` dispatches whole trial
 sets through one vectorised replay, with each trial bit-for-bit equal
 to a stand-alone run.  The engine's
@@ -219,9 +220,9 @@ class CompiledSoC:
 class CompiledSoCPlan:
     """Batched Monte-Carlo executor for the compiled ``soc`` backend.
 
-    The hook :class:`~repro.engine.plans.BatchExecutionPlan` dispatches through
-    when the configured backend is ``soc`` and
-    ``PipelineConfig.soc_compiled`` is set.  ``dscf_exact`` marks the
+    The hook :class:`~repro.engine.plans.BatchExecutionPlan`
+    dispatches through when the configured backend is ``soc``.
+    ``dscf_exact`` marks the
     plan as producing exact expression-3 complex values on the
     ``(f, a)`` grid (unlike the full-plane FAM/SSCA plans, which bin
     magnitudes), so the plan keeps its DSCF semantics — coherence

@@ -3,7 +3,7 @@
 Three batteries:
 
 * **Analytic-vs-Monte-Carlo agreement** — for every serve-capable
-  backend (vectorized / fam / ssca / soc-compiled) and both precisions,
+  backend (vectorized / fam / ssca / soc) and both precisions,
   the closed-form threshold's realized false-alarm rate on a large
   noise-only batch must sit inside a pinned band around the target
   (tight for the exact Gram law, looser-but-conservative for the
@@ -77,9 +77,9 @@ AGREEMENT_CASES = [
         dict(backend="ssca", precision="float32"), (0.4, 1.7), id="ssca-f32"
     ),
     pytest.param(
-        dict(backend="soc", soc_compiled=True, fft_size=32),
+        dict(backend="soc", fft_size=32),
         (0.4, 1.8),
-        id="soc-compiled",
+        id="soc",
     ),
 ]
 

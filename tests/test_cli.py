@@ -1,9 +1,51 @@
 """Tests for the repro-cfd command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro import __version__
 from repro.cli import build_parser, main
+from repro.pipeline.backends import SoCBackend
+from repro.soc import PlatformConfig, SoCRunner
+
+
+class _InterpreterExecutor:
+    """A soc batch executor that runs every trial on the
+    instruction-level interpreter instead of the compiled trace."""
+
+    dscf_exact = True
+
+    def __init__(self, config):
+        self._runner = SoCRunner(
+            PlatformConfig(
+                num_tiles=config.soc_tiles,
+                fft_size=config.fft_size,
+                m=config.m,
+            )
+        )
+        self.averaging_length = config.num_blocks
+
+    def values(self, signals):
+        return np.stack(
+            [
+                self._runner.run(signal, self.averaging_length).dscf.values
+                for signal in signals
+            ]
+        )
+
+
+def _soc_output_matches_interpreter(argv, capsys, monkeypatch):
+    """Run *argv* (uncached) on the soc backend as shipped, then with
+    its executor swapped for the interpreter; both print the same."""
+    argv = argv + ["--no-cache"]
+    assert main(argv) == 0
+    compiled = capsys.readouterr().out
+    monkeypatch.setattr(
+        SoCBackend, "batch_plan", lambda self, config: _InterpreterExecutor(config)
+    )
+    assert main(argv) == 0
+    assert capsys.readouterr().out == compiled
+    return compiled
 
 
 class TestParser:
@@ -111,73 +153,77 @@ class TestBackendsCommand:
         assert "cyclostationary/fam" in out
         assert "OCCUPIED" in out
 
-    def test_sense_runs_on_compiled_soc_backend(self, capsys):
+    def test_sense_runs_on_soc_backend(self, capsys):
         code = main([
             "sense", "--fft-size", "16", "--blocks", "8",
             "--snr-db", "10", "--sps", "4",
             "--calibration-trials", "20", "--seed", "3",
-            "--backend", "soc", "--soc-compiled",
+            "--backend", "soc",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "cyclostationary/soc" in out
 
-    def test_backends_mentions_compiled_mode(self, capsys):
+    def test_backends_reports_the_compiled_soc_plan(self, capsys):
         assert main(["backends"]) == 0
-        assert "soc_compiled=True" in capsys.readouterr().out
+        assert "batched plan (compiled trace)" in capsys.readouterr().out
 
-    def test_soc_compiled_rejected_for_other_backends(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main([
+    def test_sense_on_soc_matches_interpreter(self, capsys, monkeypatch):
+        out = _soc_output_matches_interpreter(
+            [
                 "sense", "--fft-size", "16", "--blocks", "4",
-                "--backend", "vectorized", "--soc-compiled",
-            ])
+                "--snr-db", "10", "--sps", "4",
+                "--calibration-trials", "20", "--seed", "3",
+                "--backend", "soc",
+            ],
+            capsys,
+            monkeypatch,
+        )
+        assert "cyclostationary/soc" in out
 
 
 class TestScanCommand:
-    def test_smoke_recovers_and_writes_bench_json(self, capsys, tmp_path):
-        bench = tmp_path / "BENCH_scanner.json"
-        code = main([
-            "scan", "--smoke", "--calibration-trials", "20",
-            "--bench-json", str(bench),
-        ])
+    def test_smoke_recovers_and_writes_no_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["scan", "--smoke", "--calibration-trials", "20"])
         assert code == 0
         out = capsys.readouterr().out
         assert "occupancy map" in out
         assert "recovered" in out
         assert "band confusion" in out
-        import json
+        assert "BENCH_scanner.json" not in out
+        assert list(tmp_path.iterdir()) == []
 
-        payload = json.loads(bench.read_text())
-        assert payload["scanner"]["batched"]["seconds_per_estimate"] > 0
-        assert payload["scanner"]["per_band"]["seconds_per_estimate"] > 0
+    def test_bench_json_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["scan", "--smoke", "--bench-json", "scan.json"]
+            )
 
-    def test_preset_choice_and_backend(self, capsys, tmp_path):
+    def test_preset_choice_and_backend(self, capsys):
         code = main([
             "scan", "--smoke", "--preset", "single-qpsk",
             "--backend", "fam", "--calibration-trials", "20",
-            "--bench-json", str(tmp_path / "bench.json"),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "single-qpsk" in out
         assert "backend fam" in out
 
-    def test_smoke_honours_explicit_preset(self, capsys, tmp_path):
+    def test_smoke_honours_explicit_preset(self, capsys):
         """--smoke only swaps in the small preset when none was asked
         for; an explicit --preset five-emitter stays five-emitter."""
         code = main([
             "scan", "--smoke", "--preset", "five-emitter",
             "--calibration-trials", "20",
-            "--bench-json", str(tmp_path / "bench.json"),
         ])
         out = capsys.readouterr().out
         assert "preset 'five-emitter'" in out
         assert code in (0, 1)  # smoke geometry needn't recover all five
 
-    def test_full_preset_without_bench_json(self, capsys):
+    def test_full_preset_without_smoke(self, capsys):
         code = main([
             "scan", "--preset", "linear-pair", "--fft-size", "32",
             "--blocks", "32", "--calibration-trials", "20", "--seed", "9",
@@ -186,12 +232,15 @@ class TestScanCommand:
         out = capsys.readouterr().out
         assert "f1 1.00" in out
 
-    def test_soc_compiled_rejected_for_other_backends(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(["scan", "--smoke", "--backend", "vectorized",
-                  "--soc-compiled"])
+    def test_smoke_on_soc_recovers(self, capsys):
+        code = main([
+            "scan", "--smoke", "--backend", "soc",
+            "--calibration-trials", "20",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "backend soc" in out
+        assert "f1 1.00" in out
 
 
 class TestMapCommand:
@@ -316,20 +365,27 @@ class TestSweepCommand:
 
         assert table(serial) == table(sharded)
 
-    def test_sweep_rejects_interpreted_soc(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main([
+    def test_sweep_on_soc_matches_interpreter(self, capsys, monkeypatch):
+        out = _soc_output_matches_interpreter(
+            [
                 "sweep", "--fft-size", "16", "--blocks", "4",
-                "--points", "1", "--trials", "4", "--backends", "soc",
-            ])
+                "--points", "1", "--trials", "10", "--backends", "soc",
+            ],
+            capsys,
+            monkeypatch,
+        )
+        assert "Pd vs SNR" in out
+        assert "soc" in out
 
-    def test_sweep_soc_compiled_flag_needs_soc_backend(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main([
-                "sweep", "--points", "1", "--trials", "4",
-                "--backends", "vectorized", "--soc-compiled",
-            ])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sense", "--backend", "soc"],
+            ["scan", "--smoke", "--backend", "soc"],
+            ["sweep", "--backends", "soc"],
+        ],
+        ids=["sense", "scan", "sweep"],
+    )
+    def test_soc_compiled_flag_is_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--soc-compiled"])

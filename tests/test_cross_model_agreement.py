@@ -147,11 +147,9 @@ class TestScannerCrossModel:
             ), f"{backend} disagrees with vectorized on {preset!r}"
 
     @pytest.mark.parametrize("preset", ["linear-pair", "bursty"])
-    def test_compiled_soc_agrees_with_software(self, preset):
+    def test_soc_agrees_with_software(self, preset):
         software = self._decisions(preset, "vectorized")
-        platform = self._decisions(
-            preset, "soc", soc_compiled=True
-        )
+        platform = self._decisions(preset, "soc")
         assert np.array_equal(platform, software)
 
     def test_cp_preset_exact_models_agree(self):

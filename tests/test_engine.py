@@ -8,8 +8,8 @@ Pins the PR-5 contracts:
 * :func:`repro.engine.build_plan` resolves every registered backend to
   the right plan flavour;
 * sharded execution (``jobs in {1, 2, 4}``) is **bitwise** equal to
-  the serial path across the dscf (vectorized), fam, ssca and
-  soc-compiled backends — and on the sequential loop plan;
+  the serial path across the dscf (vectorized), fam, ssca and soc
+  backends — and on the sequential loop plan;
 * the engine-calibrated thresholds and
   :meth:`~repro.engine.Engine.map_operating_points` sweeps equal their
   pre-engine counterparts bit for bit.
@@ -49,8 +49,8 @@ from repro.soc.compiled import CompiledSoCPlan
 
 TINY = PipelineConfig(fft_size=32, num_blocks=8, calibration_trials=20)
 TINY_SOC = PipelineConfig(
-    fft_size=16, num_blocks=4, m=3, backend="soc", soc_compiled=True,
-    soc_tiles=2, calibration_trials=20,
+    fft_size=16, num_blocks=4, m=3, backend="soc", soc_tiles=2,
+    calibration_trials=20,
 )
 
 
@@ -182,15 +182,21 @@ class TestBuildPlan:
         plan = build_plan(replace(TINY, backend="reference"))
         assert isinstance(plan, LoopExecutionPlan)
 
-    def test_interpreted_soc_gets_loop_plan(self):
-        plan = build_plan(replace(TINY_SOC, soc_compiled=False))
-        assert isinstance(plan, LoopExecutionPlan)
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"normalize": False}, {"cyclic_bins": (2, -3)}, {"soc_tiles": 3}],
+        ids=["default", "unnormalised", "cyclic-bins", "three-tiles"],
+    )
+    def test_every_soc_config_gets_the_compiled_plan(self, overrides):
+        plan = build_plan(replace(TINY_SOC, **overrides))
+        assert isinstance(plan, BatchExecutionPlan)
+        assert isinstance(plan.executor, CompiledSoCPlan)
 
     def test_plan_support_strings(self):
         assert "Gram" in plan_support("vectorized")
         assert "lattice" in plan_support("fam")
         assert "loop" in plan_support("reference")
-        assert "soc_compiled" in plan_support("soc")
+        assert "compiled trace" in plan_support("soc")
 
 
 class TestEngineSerial:
@@ -480,7 +486,7 @@ class TestSlabBitwise:
                 plan, _signals(config, trials=trials), PLAN_ENTRIES[entry]
             )
 
-    @pytest.mark.parametrize("name", ["fam", "ssca", "soc-compiled"])
+    @pytest.mark.parametrize("name", ["fam", "ssca", "soc"])
     @pytest.mark.parametrize(
         "entry", ["statistics", "surfaces", "dscf_values"]
     )
@@ -523,7 +529,7 @@ BITWISE_CONFIGS = {
     "dscf": TINY,
     "fam": replace(TINY, backend="fam"),
     "ssca": replace(TINY, backend="ssca"),
-    "soc-compiled": TINY_SOC,
+    "soc": TINY_SOC,
 }
 
 
@@ -787,7 +793,7 @@ class TestCachePurityAndAmbiguity:
             replace(TINY, backend="ssca"),
             TINY_SOC,
         ],
-        ids=["fam", "ssca", "soc-compiled"],
+        ids=["fam", "ssca", "soc"],
     )
     def test_disabled_cache_rebuilds_executors(self, config):
         # The plan cache is the only cache: with it disabled, every

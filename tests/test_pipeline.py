@@ -439,8 +439,7 @@ class TestBatchCalibration:
 UNIFIED_BACKENDS = {
     "reference": dict(backend="reference"),
     "vectorized": dict(backend="vectorized"),
-    "soc-interpreted": dict(backend="soc"),
-    "soc-compiled": dict(backend="soc", soc_compiled=True),
+    "soc": dict(backend="soc"),
     "fam": dict(backend="fam"),
     "ssca": dict(backend="ssca"),
 }

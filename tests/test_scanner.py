@@ -17,6 +17,7 @@ from repro.analysis.occupancy import (
     format_attribution,
     occupancy_confusion,
 )
+from repro.engine import Engine
 from repro.errors import ConfigurationError, SignalError
 from repro.pipeline import PipelineConfig, available_backends
 from repro.scanner import (
@@ -294,12 +295,12 @@ class TestBandScanner:
 
 
 class TestBatchedSingletonParity:
-    """Acceptance criterion: the scanner's batched path is bitwise
-    identical to the per-band singleton path for every registered
-    backend (compiled SoC included)."""
+    """Acceptance criterion: a scan's statistics are bitwise the
+    per-band :meth:`DetectionPipeline.statistic` loop for every
+    registered backend."""
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_batched_equals_singleton_bitwise(self, backend):
+    @staticmethod
+    def _linear_pair(backend, engine=None):
         scenario, bands = scenario_preset("linear-pair", sample_rate_hz=FS)
         config = PipelineConfig(
             fft_size=16,
@@ -308,35 +309,36 @@ class TestBatchedSingletonParity:
             scan_bands=bands,
             sample_rate_hz=FS,
         )
-        scanner = BandScanner(config)
+        scanner = BandScanner(config, engine=engine)
         capture, _truth = scenario.realize(scanner.required_samples, seed=4)
-        batched = scanner.scan(
-            capture, batched=True, classify=False, threshold=0.5
-        )
-        singleton = scanner.scan(
-            capture, batched=False, classify=False, threshold=0.5
-        )
-        assert np.array_equal(batched.statistics, singleton.statistics)
+        return scanner, capture
 
-    def test_compiled_soc_batched_equals_singleton_bitwise(self):
-        scenario, bands = scenario_preset("linear-pair", sample_rate_hz=FS)
-        config = PipelineConfig(
-            fft_size=16,
-            num_blocks=8,
-            backend="soc",
-            soc_compiled=True,
-            scan_bands=bands,
-            sample_rate_hz=FS,
+    @staticmethod
+    def _per_band_loop(scanner, capture):
+        return np.array(
+            [
+                scanner.pipeline.statistic(series)
+                for series in scanner.channelize(capture)
+            ]
         )
-        scanner = BandScanner(config)
-        capture, _truth = scenario.realize(scanner.required_samples, seed=4)
-        batched = scanner.scan(
-            capture, batched=True, classify=False, threshold=0.5
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_scan_equals_per_band_pipeline_loop_bitwise(self, backend):
+        scanner, capture = self._linear_pair(backend)
+        scanned = scanner.scan(capture, classify=False, threshold=0.5)
+        assert np.array_equal(
+            scanned.statistics, self._per_band_loop(scanner, capture)
         )
-        singleton = scanner.scan(
-            capture, batched=False, classify=False, threshold=0.5
-        )
-        assert np.array_equal(batched.statistics, singleton.statistics)
+
+    def test_sharded_loop_scan_equals_per_band_pipeline_loop_bitwise(self):
+        # The reference backend executes through the per-trial loop
+        # plan; sharding that loop must not move a bit either.
+        with Engine(jobs=2) as engine:
+            scanner, capture = self._linear_pair("reference", engine=engine)
+            scanned = scanner.scan(capture, classify=False, threshold=0.5)
+            assert np.array_equal(
+                scanned.statistics, self._per_band_loop(scanner, capture)
+            )
 
     def test_scan_many_stack_is_bitwise_consistent(self):
         scenario, bands = scenario_preset("single-qpsk", sample_rate_hz=FS)
@@ -383,11 +385,10 @@ class TestCrossModelAgreementBattery:
         assert np.array_equal(occupancy.decisions, truth.band_mask(bands))
 
     @pytest.mark.parametrize("preset", LINEAR_PRESETS)
-    def test_linear_presets_agree_on_compiled_soc(self, preset):
+    def test_linear_presets_agree_on_soc(self, preset):
         scenario, bands = scenario_preset(preset, sample_rate_hz=FS)
         config = small_config(
-            scan_bands=bands, backend="soc", soc_compiled=True,
-            calibration_trials=30,
+            scan_bands=bands, backend="soc", calibration_trials=30,
         )
         scanner = BandScanner(config, leak_margin=1.6)
         capture, truth = scenario.realize(scanner.required_samples, seed=9)

@@ -167,7 +167,6 @@ class TestSpectraStatistics:
             TINY.with_backend("fam"),
             TINY.with_backend("ssca"),
             soc,
-            dataclasses.replace(soc, soc_compiled=True),
         )
         with Engine(jobs=1) as engine:
             for config in refused:

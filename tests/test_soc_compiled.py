@@ -12,7 +12,10 @@ from repro.montium.compiler import (
     replay_dscf_values,
 )
 from repro.montium.energy import estimate_energy
-from repro.engine import Engine
+from repro.core.detection import calibration_quantile, searched_columns
+from repro.core.scf import spectral_coherence
+from repro.engine import BatchExecutionPlan, Engine
+from repro.engine.plans import default_noise_factory
 from repro.pipeline import DetectionPipeline, PipelineConfig
 from repro.pipeline.backends import get_backend
 from repro.signals.noise import awgn
@@ -204,9 +207,13 @@ class TestParallelEmulationCompiled:
 
 
 class TestPipelineIntegration:
+    """The ``soc`` backend replays its compiled trace; every output it
+    hands the pipeline and the engine must equal the instruction-level
+    interpreter's bit for bit."""
+
     @pytest.fixture
-    def configs(self):
-        base = dict(
+    def config(self):
+        return PipelineConfig(
             fft_size=16,
             num_blocks=4,
             m=3,
@@ -214,42 +221,61 @@ class TestPipelineIntegration:
             soc_tiles=2,
             calibration_trials=20,
         )
-        return (
-            PipelineConfig(**base),
-            PipelineConfig(**base, soc_compiled=True),
+
+    @staticmethod
+    def _interpreter(config):
+        return SoCRunner(
+            PlatformConfig(
+                num_tiles=config.soc_tiles,
+                fft_size=config.fft_size,
+                m=config.m,
+            )
         )
 
-    def test_knob_defaults_off(self):
-        assert PipelineConfig().soc_compiled is False
-        assert get_backend("soc").batch_plan(PipelineConfig(backend="soc")) is None
+    @classmethod
+    def _loop_surface(cls, config, samples):
+        """The per-trial loop's surface over the interpreter's DSCF:
+        coherence against the host block spectra's mean power."""
+        dscf = cls._interpreter(config).run(samples, config.num_blocks).dscf
+        host = Engine().plan(config.with_backend("vectorized"))
+        spectra = host.block_spectra(samples[None])[0]
+        return spectral_coherence(dscf, np.mean(np.abs(spectra) ** 2, axis=0))
 
-    def test_backend_compute_bitwise(self, configs):
-        interpreted_config, compiled_config = configs
-        samples = awgn(interpreted_config.samples_per_decision, seed=60)
-        interpreted = DetectionPipeline(interpreted_config)
-        compiled = DetectionPipeline(compiled_config)
+    @classmethod
+    def _loop_statistic(cls, config, samples):
+        columns = searched_columns(config.m, config.cyclic_bins)
+        return float(cls._loop_surface(config, samples)[:, columns].max())
+
+    def test_backend_builds_the_compiled_plan(self, config):
+        plan = Engine().plan(config)
+        assert isinstance(plan, BatchExecutionPlan)
+        assert isinstance(plan.executor, CompiledSoCPlan)
+        assert get_backend("soc").capabilities.supports_batch
+
+    def test_backend_compute_equals_interpreter(self, config):
+        samples = awgn(config.samples_per_decision, seed=60)
+        expected = self._interpreter(config).run(samples, config.num_blocks)
         assert np.array_equal(
-            interpreted.compute(samples).values,
-            compiled.compute(samples).values,
+            DetectionPipeline(config).compute(samples).values,
+            expected.dscf.values,
         )
 
-    def test_statistic_bitwise(self, configs):
-        interpreted_config, compiled_config = configs
-        samples = awgn(interpreted_config.samples_per_decision, seed=61)
-        interpreted = DetectionPipeline(interpreted_config)
-        compiled = DetectionPipeline(compiled_config)
-        assert interpreted.statistic(samples) == compiled.statistic(samples)
+    def test_statistic_equals_interpreter_loop(self, config):
+        samples = awgn(config.samples_per_decision, seed=61)
+        pipeline = DetectionPipeline(config)
+        assert pipeline.statistic(samples) == self._loop_statistic(
+            config, samples
+        )
         assert np.array_equal(
-            interpreted.feature_surface(samples),
-            compiled.feature_surface(samples),
+            pipeline.feature_surface(samples),
+            self._loop_surface(config, samples),
         )
 
-    def test_batch_equals_singletons_and_interpreted_loop(self, configs):
-        interpreted_config, compiled_config = configs
-        plan = Engine().plan(compiled_config)
+    def test_batch_equals_singletons_and_interpreter_loop(self, config):
+        plan = Engine().plan(config)
         signals = np.stack(
             [
-                awgn(compiled_config.samples_per_decision, seed=70 + trial)
+                awgn(config.samples_per_decision, seed=70 + trial)
                 for trial in range(5)
             ]
         )
@@ -258,57 +284,76 @@ class TestPipelineIntegration:
             [plan.statistics(signal[None])[0] for signal in signals]
         )
         assert (batch == singletons).all()
-        interpreted = DetectionPipeline(interpreted_config)
-        loop = np.array([interpreted.statistic(signal) for signal in signals])
+        loop = np.array(
+            [self._loop_statistic(config, signal) for signal in signals]
+        )
         assert (batch == loop).all()
+        values = plan.dscf_values(signals)
+        for trial, signal in enumerate(signals):
+            expected = self._interpreter(config).run(
+                signal, config.num_blocks
+            )
+            assert np.array_equal(values[trial], expected.dscf.values)
 
-    def test_calibrated_threshold_bitwise(self, configs):
-        interpreted_config, compiled_config = configs
-        assert (
-            DetectionPipeline(interpreted_config).calibrate()
-            == DetectionPipeline(compiled_config).calibrate()
+    def test_calibrated_threshold_equals_interpreter_loop(self, config):
+        noise = default_noise_factory(config)
+        loop = np.array(
+            [
+                self._loop_statistic(config, noise(trial))
+                for trial in range(config.calibration_trials)
+            ]
+        )
+        assert DetectionPipeline(config).calibrate() == calibration_quantile(
+            loop, config.pfa
         )
 
-    def test_plan_values_are_exact_complex(self, configs):
-        _, compiled_config = configs
-        plan = get_backend("soc").batch_plan(compiled_config)
+    def test_plan_values_are_exact_complex(self, config):
+        plan = get_backend("soc").batch_plan(config)
         assert isinstance(plan, CompiledSoCPlan)
         assert plan.dscf_exact
-        assert plan.averaging_length == compiled_config.num_blocks
-        signal = awgn(compiled_config.samples_per_decision, seed=62)
+        assert plan.averaging_length == config.num_blocks
+        signal = awgn(config.samples_per_decision, seed=62)
         values = plan.values(signal[None])
-        expected = DetectionPipeline(compiled_config).compute(signal).values
+        expected = DetectionPipeline(config).compute(signal).values
         assert np.array_equal(values[0], expected)
 
     def test_plan_rejects_overlapping_blocks(self):
         config = PipelineConfig(
             fft_size=16, num_blocks=4, m=3, backend="soc", hop=8,
-            soc_compiled=True,
         )
         with pytest.raises(ConfigurationError):
             get_backend("soc").batch_plan(config)
 
-    def test_plan_rejects_short_signals(self, configs):
-        _, compiled_config = configs
-        plan = get_backend("soc").batch_plan(compiled_config)
+    def test_plan_rejects_short_signals(self, config):
+        plan = get_backend("soc").batch_plan(config)
         with pytest.raises(ConfigurationError):
             plan.values(awgn(16, seed=0)[None])
 
-    def test_compiled_last_run_cycle_exact(self, configs):
-        interpreted_config, compiled_config = configs
-        samples = awgn(compiled_config.samples_per_decision, seed=63)
-        interpreted = DetectionPipeline(interpreted_config)
-        compiled = DetectionPipeline(compiled_config)
-        interpreted.compute(samples)
-        compiled.compute(samples)
-        assert (
-            interpreted.backend.last_run.cycles_per_step
-            == compiled.backend.last_run.cycles_per_step
-        )
-        assert (
-            interpreted.backend.last_run.cycle_tables
-            == compiled.backend.last_run.cycle_tables
-        )
+    def test_last_run_cycle_and_energy_exact(self, config, monkeypatch):
+        import repro.soc.runner as runner_module
+
+        runners = []
+
+        class RecordingRunner(runner_module.SoCRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        samples = awgn(config.samples_per_decision, seed=63)
+        interpreter = self._interpreter(config)
+        expected = interpreter.run(samples, config.num_blocks)
+        monkeypatch.setattr(runner_module, "SoCRunner", RecordingRunner)
+        pipeline = DetectionPipeline(config)
+        pipeline.compute(samples)
+        run = pipeline.backend.last_run
+        assert run.cycles_per_step == expected.cycles_per_step
+        assert run.cycle_tables == expected.cycle_tables
+        assert run.total_cycles == expected.total_cycles
+        assert run.link_transfers == expected.link_transfers
+        assert runners[-1].compiled
+        assert runners[-1].soc.energy_reports() == [
+            estimate_energy(tile) for tile in interpreter.soc.tiles
+        ]
 
 
 class TestAnalysisSweeps:
@@ -321,12 +366,11 @@ class TestAnalysisSweeps:
 
         return h0, h1
 
-    def test_pd_vs_snr_by_backend_sweeps_compiled_soc(self):
+    def test_pd_vs_snr_by_backend_sweeps_soc(self):
         from repro.analysis.sweeps import pd_vs_snr_by_backend
 
         config = PipelineConfig(
             fft_size=16, num_blocks=4, m=3, backend="soc", soc_tiles=2,
-            soc_compiled=True,
         )
         h0, h1 = self._factories(config)
         sweeps = pd_vs_snr_by_backend(
@@ -335,19 +379,32 @@ class TestAnalysisSweeps:
         assert sweeps["soc"].detector_name == "cyclostationary/soc"
         assert len(sweeps["soc"].points) == 1
 
-    def test_pd_vs_snr_by_backend_rejects_interpreted_soc(self):
-        """Without soc_compiled the runner has no soc executor and would
-        silently produce vectorized curves labelled as soc — must raise."""
+    def test_soc_sweep_matches_interpreter(self):
+        """The soc sweep's threshold and Pd equal those of the
+        interpreter's per-trial loop on the same realisations."""
+        from repro.analysis.roc import detection_probability
         from repro.analysis.sweeps import pd_vs_snr_by_backend
 
         config = PipelineConfig(
-            fft_size=16, num_blocks=4, m=3, backend="soc", soc_tiles=2
+            fft_size=16, num_blocks=4, m=3, backend="soc", soc_tiles=2,
         )
         h0, h1 = self._factories(config)
-        with pytest.raises(ConfigurationError):
-            pd_vs_snr_by_backend(
-                config, h0, h1, [0.0], backends=("soc",), trials=10
-            )
+        trials = 8
+        sweep = pd_vs_snr_by_backend(
+            config, h0, h1, [0.0], backends=("soc",), pfa=0.25,
+            trials=trials,
+        )["soc"]
+        loop = TestPipelineIntegration._loop_statistic
+        threshold = calibration_quantile(
+            np.array([loop(config, h0(trial)) for trial in range(trials)]),
+            0.25,
+        )
+        h1_statistics = np.array(
+            [loop(config, h1(0.0, trial)) for trial in range(trials)]
+        )
+        (point,) = sweep.points
+        assert point.threshold == threshold
+        assert point.pd == detection_probability(h1_statistics, threshold)
 
 
 class TestModuleLevelCaches:
